@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
-from .noise import KrausChannel, NoiseParams, combined_channel
+from .noise import KrausChannel, NoiseParams, combined_channel, relaxation_dephasing_jumps
 from .sequences import (
     PauliExpectations,
     PulseSchedule,
@@ -28,6 +28,7 @@ from .sequences import (
     frame_durations,
     measure_expectations,
     mdd_unitary,
+    schedule_superoperator,
 )
 from .states import (
     DensityMatrix,
@@ -76,6 +77,20 @@ def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) 
     for m in channel.operators:
         total += abs(np.trace(m @ rotated)) ** 2
     return float(total)
+
+
+def superoperator_fidelity(sigma: DensityMatrix, superop: np.ndarray) -> float:
+    """Entanglement fidelity sum_K |Tr(K sigma)|^2 of the single-qubit channel
+    with row-major superoperator ``superop`` (see :func:`superoperator`), on
+    any purification of ``sigma``.
+
+    The realigned matrix C[ab, cd] = sum_K K_ab conj(K_cd) is independent of
+    the Kraus decomposition, and F = vec(sigma^T) C vec(sigma^T)^dag, clamped
+    to [0, 1] against roundoff (an aligned pure state reads 1 + 4e-16).
+    """
+    choi = superop.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    v = sigma.entries.T.reshape(4)
+    return min(max(float((v @ choi @ v.conj()).real), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -205,14 +220,17 @@ def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: 
     """Entanglement fidelity of a named sequence applied to one noisy qubit.
 
     Measurement-driven kinds take their expectations from the state itself,
-    exactly by default or shot-sampled when ``shots`` is given.
+    exactly by default or shot-sampled when ``shots`` is given. Only the
+    qubit's reduced state enters, so spectator qubits cost one partial trace;
+    ``entanglement_fidelity(psi, evolve_with_schedule(...))`` is the
+    full-space definition this equals.
     """
+    sigma = reduced_density(psi, [qubit])
     exp = None
     if kind.lower() in ("mdd", "mdd+xx"):
-        exp = measure_expectations(psi, qubit, shots=shots, rng=rng)
+        exp = measure_expectations(sigma, 0, shots=shots, rng=rng)
     schedule = build_schedule(kind, t, exp)
-    out = evolve_with_schedule(psi, schedule, params, qubit)
-    return entanglement_fidelity(psi, out)
+    return superoperator_fidelity(sigma, schedule_superoperator(schedule, params))
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -292,10 +310,11 @@ def first_order_residual(psi: PureState, kind: str, params: NoiseParams, t_grid,
                          qubit: int = 0) -> tuple[np.ndarray, float]:
     """Residual between the simulated pulsed fidelity and its first-order
     frame average, with its log-log slope in t (expected >= 2)."""
+    sigma = reduced_density(psi, [qubit])
     residuals = []
     for t in t_grid:
         schedule = build_schedule(kind, float(t))
-        simulated = entanglement_fidelity(psi, evolve_with_schedule(psi, schedule, params, qubit))
+        simulated = superoperator_fidelity(sigma, schedule_superoperator(schedule, params))
         residuals.append(abs(simulated - toggled_frame_average(psi, schedule, params, qubit)))
     residuals = np.array(residuals)
     return residuals, _loglog_slope(np.asarray(t_grid, dtype=float), residuals)
@@ -354,10 +373,8 @@ class DecayRates:
     def from_noise(cls, params: NoiseParams, gamma_zz: float = 0.0) -> "DecayRates":
         """Rates whose generator reproduces the combined channel: the Z jump
         carries 1/(2 Tp) because a Z jump at rate G dephases as exp(-2 G t)."""
-        g1 = 0.0 if math.isinf(params.t1) else 1.0 / params.t1
-        tp = params.tp
-        g2 = 0.0 if math.isinf(tp) else 1.0 / (2.0 * tp)
-        return cls(gamma1=g1, gamma2=g2, gamma_zz=gamma_zz)
+        relaxation, dephasing = relaxation_dephasing_jumps(params)
+        return cls(gamma1=relaxation.rate, gamma2=dephasing.rate, gamma_zz=gamma_zz)
 
 
 def decay_rate_quadratic(r: float, r_z: float, rates: DecayRates) -> float:

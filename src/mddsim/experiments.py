@@ -28,10 +28,18 @@ from .analysis import (
     local_entanglement_fidelity,
     mixed_state_bounds,
     optimize_two_qubit_mdd,
+    superoperator_fidelity,
 )
 from .circuits import qft_success_probability
 from .noise import NoiseParams, SpectralDensity, chi_integral, combined_channel, dephasing_channel_from_chi
-from .sequences import PauliExpectations, build_schedule, flip_times, measure_expectations, mdd_unitary
+from .sequences import (
+    PauliExpectations,
+    build_schedule,
+    flip_times,
+    measure_expectations,
+    mdd_unitary,
+    superoperator,
+)
 from .sqd import (
     RecoveryConfig,
     all_determinants,
@@ -267,28 +275,19 @@ def colored_noise_fidelity(psi: PureState, kind: str, t1: float,
     through its filter function; boundary alignment unitaries conjugate the
     whole composition. Pulses are treated as acting on the dephasing alone.
     """
+    sigma = reduced_density(psi, [qubit])
     exp = None
     if kind.lower() in ("mdd", "mdd+xx"):
-        exp = measure_expectations(psi, qubit)
+        exp = measure_expectations(sigma, 0)
     schedule = build_schedule(kind, t, exp)
     if chi is None:
         chi = chi_integral(spectrum, flip_times(schedule), t)
     damping = combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t)
     dephasing = dephasing_channel_from_chi(chi)
-
-    from .noise import _apply_local_raw
-    from .states import _as_matrix, apply_matrix
-
-    rho, n = _as_matrix(psi)
-    boundary_start = [g.matrix for tm, g in schedule.pulses if tm == 0.0]
-    boundary_end = [g.matrix for tm, g in schedule.pulses if tm == t and t > 0.0]
-    for u in boundary_start:
-        rho = apply_matrix(u, rho, [qubit], n)
-    rho = _apply_local_raw(damping, rho, qubit, n)
-    rho = _apply_local_raw(dephasing, rho, qubit, n)
-    for u in boundary_end:
-        rho = apply_matrix(u, rho, [qubit], n)
-    return entanglement_fidelity(psi, DensityMatrix(rho))
+    boundary_start = [(g.matrix,) for tm, g in schedule.pulses if tm == 0.0]
+    boundary_end = [(g.matrix,) for tm, g in schedule.pulses if tm == t and t > 0.0]
+    superop = superoperator(*boundary_start, damping.operators, dephasing.operators, *boundary_end)
+    return superoperator_fidelity(sigma, superop)
 
 
 def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:

@@ -252,3 +252,28 @@ def evolve_with_schedule(state: PureState | DensityMatrix, schedule: PulseSchedu
     if schedule.total_time > prev:
         rho = _apply_local_raw(combined_channel(params, schedule.total_time - prev), rho, qubit, n)
     return DensityMatrix(rho)
+
+
+def superoperator(*maps) -> np.ndarray:
+    """Row-major 4x4 superoperator of single-qubit maps applied in the order
+    given, each map a sequence of Kraus operators (a pulse is one unitary):
+    vec(sum_K K rho K^dag) = (sum_K K (x) conj(K)) vec(rho)."""
+    total = np.eye(4, dtype=complex)
+    for kraus in maps:
+        total = sum(np.kron(m, m.conj()) for m in kraus) @ total
+    return total
+
+
+def schedule_superoperator(schedule: PulseSchedule, params: NoiseParams) -> np.ndarray:
+    """The target-qubit action of :func:`evolve_with_schedule` composed into
+    one superoperator: gap channels and pulse conjugations in time order."""
+    maps = []
+    prev = 0.0
+    for tm, gate in schedule.pulses:
+        if tm > prev:
+            maps.append(combined_channel(params, tm - prev).operators)
+            prev = tm
+        maps.append((gate.matrix,))
+    if schedule.total_time > prev:
+        maps.append(combined_channel(params, schedule.total_time - prev).operators)
+    return superoperator(*maps)

@@ -158,23 +158,33 @@ def reduced_density(state: PureState | DensityMatrix, qubits) -> DensityMatrix:
     """Partial trace onto the given qubit subset.
 
     The complement of ``qubits`` is traced out; the reduced system keeps the
-    ascending qubit order regardless of the order given.
+    ascending qubit order regardless of the order given. A pure state is
+    contracted from its amplitudes in O(2^N d^2) without forming its 4^N
+    outer product; both branches add the same products in the same order.
     """
-    keep = sorted(set(int(q) for q in qubits))
-    if len(keep) != len(list(qubits)):
+    qubits = [int(q) for q in qubits]
+    keep = sorted(set(qubits))
+    if len(keep) != len(qubits):
         raise ValueError("qubit indices must be distinct")
-    rho, n = _as_matrix(state)
+    pure = isinstance(state, PureState)
+    rho, n = (None, state.num_qubits) if pure else _as_matrix(state)
     if not keep:
         raise ValueError("must keep at least one qubit")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"qubit indices {keep} out of range for {n} qubits")
     traced = [q for q in range(n) if q not in keep]
+    d = 2 ** len(keep)
+    if pure:
+        amps = state.amplitudes.reshape([2] * n).transpose(keep + traced).reshape(d, -1)
+        tensor = (amps[:, None, :] * amps.conj()[None, :, :]).reshape([d, d] + [2] * len(traced))
+        for _ in traced:  # highest traced qubit first, as np.trace below
+            tensor = tensor[..., 0] + tensor[..., 1]
+        return DensityMatrix(tensor)
     tensor = rho.reshape([2] * (2 * n))
     dims_left = n
     for q in sorted(traced, reverse=True):
         tensor = np.trace(tensor, axis1=q, axis2=q + dims_left)
         dims_left -= 1
-    d = 2 ** len(keep)
     return DensityMatrix(tensor.reshape(d, d))
 
 

@@ -94,6 +94,23 @@ class TestReducedDensity:
         with pytest.raises(ValueError, match="distinct"):
             reduced_density(BELL, [0, 0])
 
+    def test_generator_argument(self):
+        psi = haar_random_state(3, seed=1)
+        red = reduced_density(psi, (q for q in [0, 1]))
+        np.testing.assert_array_equal(red.entries, reduced_density(psi, [0, 1]).entries)
+        with pytest.raises(ValueError, match="distinct"):
+            reduced_density(psi, (q for q in [1, 1]))
+
+    def test_pure_branch_matches_density_branch(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 8):
+            psi = haar_random_state(n, seed=int(rng.integers(1 << 31)))
+            rho = psi.density()
+            for _ in range(4):
+                keep = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False))
+                np.testing.assert_allclose(reduced_density(psi, keep).entries,
+                                           reduced_density(rho, keep).entries, rtol=0, atol=1e-12)
+
 
 class TestBlochVector:
     def test_ground_state(self):
