@@ -31,6 +31,7 @@ from .sequences import (
     schedule_superoperator,
 )
 from .states import (
+    ID2,
     DensityMatrix,
     PureState,
     SingleQubitUnitary,
@@ -340,7 +341,7 @@ def mixed_state_bounds(sigma_d: DensityMatrix, channel: KrausChannel) -> tuple[f
     sequence for a mixed input with diagonalized subsystem ``sigma_d``.
 
     upper = Tr(sigma_d E(sigma_d)) + 2 sqrt(det sigma_d det E(sigma_d))
-    lower = sum_jk |Tr(M_jk sigma_d)|^2
+    lower = sum_jk |Tr(M_jk sigma_d)|^2, the local fidelity with no rotation
     """
     mat = sigma_d.entries
     if np.max(np.abs(mat - np.diag(np.diagonal(mat)))) > 1e-12:
@@ -351,10 +352,7 @@ def mixed_state_bounds(sigma_d: DensityMatrix, channel: KrausChannel) -> tuple[f
     upper = float(np.trace(mat @ out).real
                   + 2.0 * math.sqrt(max(np.linalg.det(mat).real, 0.0)
                                     * max(np.linalg.det(out).real, 0.0)))
-    lower = 0.0
-    for m in channel.operators:
-        lower += abs(np.trace(m @ mat)) ** 2
-    return upper, float(lower)
+    return upper, local_entanglement_fidelity(sigma_d, channel, ID2)
 
 
 @dataclass(frozen=True)
@@ -463,17 +461,16 @@ def c3_section_feasible(c3) -> bool:
 _RATE_EPS = 1e-9
 
 
-def _rate_terms(r: float, rates: DecayRates, c: np.ndarray) -> np.ndarray:
-    return rates.gamma1 * (0.5 * (1.0 - c) - 0.25 * (r**2 - c**2)) + rates.gamma2 * (1.0 - c**2)
-
-
 def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
                            points: int = 201) -> tuple[AnsatzCoefficients, float]:
     """Dense-grid minimum of the two-qubit decay rate over the closed
-    positivity polytope: the enumerative certificate the optimizer is held to."""
+    positivity polytope: the enumerative certificate the optimizer is held to.
+    Needs ``points >= 2``, so that the grid holds the feasible vertex (1, 1, 1)."""
+    if points < 2:
+        raise ValueError(f"grid needs at least 2 points per axis, got {points}")
     axis = np.linspace(-1.0, 1.0, points)
-    f1 = _rate_terms(r_i, rates.qubit_i, axis)
-    f2 = _rate_terms(r_j, rates.qubit_j, axis)
+    f1 = decay_rate_quadratic(r_i, axis, rates.qubit_i)
+    f2 = decay_rate_quadratic(r_j, axis, rates.qubit_j)
     fz = rates.gamma_zz * (1.0 - axis**2)
     c2g, c3g = np.meshgrid(axis, axis, indexing="ij")
     best_val = math.inf
@@ -506,8 +503,8 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
     signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
     def objective(c: np.ndarray) -> float:
-        return (float(_rate_terms(r_i, rates.qubit_i, c[0]))
-                + float(_rate_terms(r_j, rates.qubit_j, c[1]))
+        return (float(decay_rate_quadratic(r_i, c[0], rates.qubit_i))
+                + float(decay_rate_quadratic(r_j, c[1], rates.qubit_j))
                 + rates.gamma_zz * (1.0 - c[2]**2))
 
     def gradient(c: np.ndarray) -> np.ndarray:

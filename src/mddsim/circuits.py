@@ -24,9 +24,9 @@ from .states import (
     PAULI_X,
     PAULI_Y,
     PureState,
+    _apply_left,
     _as_matrix,
     apply_matrix,
-    embed_operator,
 )
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -268,7 +268,7 @@ def circuit_unitary(circuit: ScheduledCircuit) -> np.ndarray:
     total = np.eye(2**n, dtype=complex)
     for sl in circuit.slices:
         for gate in sl.gates:
-            total = embed_operator(gate.matrix, gate.qubits, n) @ total
+            total = _apply_left(gate.matrix, total, gate.qubits, n)
     return total
 
 

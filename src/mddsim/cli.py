@@ -10,6 +10,7 @@ verifier finds a violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     result = run(config, Path(args.out), jobs=args.jobs)
@@ -57,6 +58,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     report = VERIFY_SUITES[args.suite](seed=args.seed)
     line = f"{report['claim_id']}: {'PASS' if report['passed'] else 'FAIL'} (margin {report['margin']:.3e})"
     print(line)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .analysis import (
     optimize_two_qubit_mdd,
     superoperator_fidelity,
 )
-from .circuits import qft_success_probability
+from .circuits import qft_circuit, qft_success_probability
 from .noise import NoiseParams, SpectralDensity, chi_integral, combined_channel, dephasing_channel_from_chi
 from .sequences import (
     PauliExpectations,
@@ -65,6 +66,8 @@ EXIT_VIOLATION = 3
 
 EXPERIMENTS = ("fidelity-sweep", "lemma-check", "theorem-gap", "filter-noise",
                "two-qubit-opt", "qft-toy", "sqd-recover")
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+_MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1}
 
 
 class ConfigError(ValueError):
@@ -99,16 +102,37 @@ class ExperimentConfig:
     delta: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose one of {', '.join(EXPERIMENTS)}")
-        if self.num_states < 1:
-            raise ConfigError("num_states must be at least 1")
-        if self.t_grid:
-            grid = [float(t) for t in self.t_grid]
+        """Check every field once (types, ranges, dry runs of the qubit count, noise
+        model, sequences and recovery); a ValueError or TypeError becomes a ConfigError."""
+        try:
+            if self.experiment not in EXPERIMENTS:
+                raise ValueError(f"unknown experiment {self.experiment!r}; "
+                                 f"choose one of {', '.join(EXPERIMENTS)}")
+            for f in fields(self):
+                value = getattr(self, f.name)
+                if f.type in _FIELD_TYPES and not isinstance(value, _FIELD_TYPES[f.type]):
+                    raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
+                if f.name in _MINIMA and value < _MINIMA[f.name]:
+                    raise ValueError(f"{f.name} must be at least {_MINIMA[f.name]}, got {value}")
+            if self.experiment in ("fidelity-sweep", "theorem-gap"):
+                haar_random_state(self.num_qubits, seed=0)  # 1 to 12 qubits
+            elif self.experiment == "qft-toy":
+                qft_circuit(self.num_qubits)  # 2 to 10 qubits
+            grid = self.t_grid = [float(t) for t in self.t_grid]
             if any(t <= 0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError("t_grid must be positive and strictly increasing")
-            self.t_grid = grid
+                raise ValueError("t_grid must be positive and strictly increasing")
+            NoiseParams(t1=self.t1, t2=self.t2)
+            SpectralDensity("ohmic", omega_c=self.omega_c)
+            for kind in self.sequences:
+                if not isinstance(kind, str):
+                    raise TypeError(f"sequence names must be strings, got {kind!r}")
+                build_schedule(kind, 1.0, PauliExpectations(0.0, 0.0, 0.0))
+            if not 0.0 <= self.flip_rate < 1.0:
+                raise ValueError(f"flip_rate must lie in [0, 1), got {self.flip_rate}")
+            RecoveryConfig(iterations=self.iterations, num_batches=self.num_batches,
+                           samples_per_batch=self.samples_per_batch, delta=self.delta, seed=self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -118,10 +142,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -137,10 +158,7 @@ class ExperimentConfig:
 
     @property
     def noise(self) -> NoiseParams:
-        try:
-            return NoiseParams(t1=self.t1, t2=self.t2)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return NoiseParams(t1=self.t1, t2=self.t2)
 
 
 @dataclass
@@ -432,8 +450,6 @@ def verify_lemma(seed: int = 0, num_states: int = 20, trials: int = 10_000) -> d
 
 def verify_theorem(seed: int = 0, num_states: int = 10) -> dict:
     config = ExperimentConfig(experiment="theorem-gap", num_states=num_states, seed=seed)
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         result = run_theorem_gap(config, Path(tmp))
         verdicts = json.loads((Path(tmp) / "theorem_report.json").read_text())

@@ -31,9 +31,9 @@ from .states import (
     PAULI_Y,
     PAULI_Z,
     PureState,
+    _apply_left,
     _as_matrix,
     apply_matrix,
-    embed_operator,
 )
 
 LOWERING = 0.5 * (PAULI_X + 1j * PAULI_Y)  # |0><1|
@@ -84,22 +84,14 @@ class KrausChannel:
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(m, dtype=complex) for m in self.operators)
-        dim = ops[0].shape[0]
         total = sum(m.conj().T @ m for m in ops)
-        if np.max(np.abs(total - np.eye(dim))) > ATOL:
+        if np.max(np.abs(total - np.eye(ops[0].shape[0]))) > ATOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-12")
         object.__setattr__(self, "operators", ops)
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Sum_k M_k rho M_k^dag on a raw matrix of matching dimension."""
-        out = np.zeros_like(rho, dtype=complex)
-        for m in self.operators:
-            out += m @ rho @ m.conj().T
-        return out
+        """Sum_k M_k rho M_k^dag on a raw single-qubit matrix."""
+        return _apply_local_raw(self, rho, 0, 1)
 
 
 def _channel_from_scalars(s: float, gamma_p: float) -> KrausChannel:
@@ -141,12 +133,7 @@ def apply_local(channel: KrausChannel, state: PureState | DensityMatrix, qubit: 
 
 
 def _apply_local_raw(channel: KrausChannel, rho: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
-    out = np.zeros_like(rho, dtype=complex)
-    for m in channel.operators:
-        out += apply_matrix(m, rho, [qubit], num_qubits)
-    return out
+    return sum(apply_matrix(m, rho, [qubit], num_qubits) for m in channel.operators)
 
 
 @dataclass(frozen=True)
@@ -187,7 +174,6 @@ def lindblad_derivative(rho: DensityMatrix | np.ndarray, hamiltonian: np.ndarray
     drho/dt = -i [H, rho] + sum_k G_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)
     """
     mat, n = _as_matrix(rho)
-    dim = mat.shape[0]
     out = np.zeros_like(mat, dtype=complex)
     if hamiltonian is not None:
         h = np.asarray(hamiltonian, dtype=complex)
@@ -195,10 +181,11 @@ def lindblad_derivative(rho: DensityMatrix | np.ndarray, hamiltonian: np.ndarray
             raise ValueError(f"Hamiltonian shape {h.shape} does not match state {mat.shape}")
         out += -1j * (h @ mat - mat @ h)
     for jump in jumps:
-        full = embed_operator(jump.matrix, jump.qubits, n) if jump.matrix.shape[0] != dim \
-            else np.asarray(jump.matrix, dtype=complex)
-        ll = full.conj().T @ full
-        out += jump.rate * (full @ mat @ full.conj().T - 0.5 * (ll @ mat + mat @ ll))
+        ll = jump.matrix.conj().T @ jump.matrix
+        # mat ll = (ll mat^dag)^dag because ll is Hermitian
+        anti = (_apply_left(ll, mat, jump.qubits, n)
+                + _apply_left(ll, mat.conj().T, jump.qubits, n).conj().T)
+        out += jump.rate * (apply_matrix(jump.matrix, mat, jump.qubits, n) - 0.5 * anti)
     return out
 
 

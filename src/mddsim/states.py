@@ -251,12 +251,10 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def embed_operator(op: np.ndarray, targets, num_qubits: int) -> np.ndarray:
-    """Promote an operator on ``targets`` to the full 2^N space.
-
-    ``targets`` lists the qubits the operator acts on, in the tensor order of
-    ``op`` (first target is the leftmost factor of ``op``).
-    """
+def _apply_left(op: np.ndarray, mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:
+    """Return M @ mat for M = ``op`` on the ``targets`` row axes of the 2^N-row
+    ``mat`` (first target = leftmost factor of ``op``), contracting only those
+    axes instead of forming the 2^N x 2^N operator."""
     targets = [int(q) for q in targets]
     k = len(targets)
     op = np.asarray(op, dtype=complex)
@@ -266,20 +264,17 @@ def embed_operator(op: np.ndarray, targets, num_qubits: int) -> np.ndarray:
         raise ValueError("target qubits must be distinct")
     if any(q < 0 or q >= num_qubits for q in targets):
         raise ValueError(f"target qubits {targets} out of range for {num_qubits} qubits")
-    rest = [q for q in range(num_qubits) if q not in targets]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    # full acts on qubit order targets + rest; permute back to 0..N-1.
-    order = targets + rest
-    perm = np.argsort(order)  # position of original qubit q in the permuted order
-    tensor = full.reshape([2] * (2 * num_qubits))
-    tensor = tensor.transpose(list(perm) + [p + num_qubits for p in perm])
-    return np.ascontiguousarray(tensor.reshape(2**num_qubits, 2**num_qubits))
+    if mat.shape[0] != 2**num_qubits:
+        raise ValueError(f"matrix with {mat.shape[0]} rows does not act on {num_qubits} qubits")
+    tensor = np.moveaxis(mat.reshape([2] * num_qubits + [-1]), targets, range(k))
+    out = (op @ tensor.reshape(2**k, -1)).reshape(tensor.shape)
+    return np.moveaxis(out, range(k), targets).reshape(mat.shape)
 
 
 def apply_matrix(op: np.ndarray, rho: np.ndarray, targets, num_qubits: int) -> np.ndarray:
-    """Return M rho M^dag with M acting on ``targets`` (raw ndarray path)."""
-    full = embed_operator(op, targets, num_qubits)
-    return full @ rho @ full.conj().T
+    """Return M rho M^dag with M acting on ``targets``, as (M (M rho)^dag)^dag."""
+    left = _apply_left(op, rho, targets, num_qubits)
+    return _apply_left(op, left.conj().T, targets, num_qubits).conj().T
 
 
 def apply_unitary(u: np.ndarray, state: PureState | DensityMatrix, targets) -> DensityMatrix:

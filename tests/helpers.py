@@ -35,6 +35,31 @@ def naive_reduced(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
     return out
 
 
+def embed_operator(op: np.ndarray, targets, num_qubits: int) -> np.ndarray:
+    """Promote an operator on ``targets`` to the full 2^N space by a Kronecker
+    product with the identity and an axis permutation.
+
+    ``targets`` lists the qubits the operator acts on, in the tensor order of
+    ``op`` (first target is the leftmost factor of ``op``).
+    """
+    targets = [int(q) for q in targets]
+    k = len(targets)
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} target qubits")
+    if len(set(targets)) != k:
+        raise ValueError("target qubits must be distinct")
+    if any(q < 0 or q >= num_qubits for q in targets):
+        raise ValueError(f"target qubits {targets} out of range for {num_qubits} qubits")
+    rest = [q for q in range(num_qubits) if q not in targets]
+    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
+    # full acts on qubit order targets + rest; permute back to 0..N-1.
+    perm = np.argsort(targets + rest)  # position of original qubit q in the permuted order
+    tensor = full.reshape([2] * (2 * num_qubits))
+    tensor = tensor.transpose(list(perm) + [p + num_qubits for p in perm])
+    return tensor.reshape(2**num_qubits, 2**num_qubits)
+
+
 def channel_from_p_gamma(p: float, gamma_p: float):
     """Combined channel with a prescribed damping probability and dephasing
     factor, built through the public time-parameterized constructor."""

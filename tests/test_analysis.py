@@ -425,6 +425,14 @@ class TestOptimizer:
             _, grid_rate = grid_minimum_two_qubit(r_i, r_j, rates, points=101)
             assert opt_rate <= grid_rate + 1e-9
 
+    def test_grid_needs_two_points(self):
+        rates = TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.005, 0.0015), 0.02)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            grid_minimum_two_qubit(0.7, 0.4, rates, points=1)
+        best, rate = grid_minimum_two_qubit(0.7, 0.4, rates, points=2)
+        assert (best.c1, best.c2, best.c3) == (1.0, 1.0, 1.0)
+        assert rate == two_qubit_decay_rate(best, 0.7, 0.4, rates)
+
     def test_optimizer_point_is_feasible(self):
         rates = TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.005, 0.0015), 0.02)
         coeffs, _ = optimize_two_qubit_mdd(0.7, 0.4, rates, seed=5)

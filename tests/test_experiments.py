@@ -139,6 +139,31 @@ class TestCliContract:
                     assert np.isfinite(float(token))
 
 
+INVALID_CONFIGS = {
+    "num_qubits-20": ({"experiment": "fidelity-sweep", "num_qubits": 20}, []),
+    "num_qubits-0": ({"experiment": "fidelity-sweep", "num_qubits": 0}, []),
+    "unknown-sequence": ({"experiment": "fidelity-sweep", "sequences": ["bogus"]}, []),
+    "t2-above-2t1": ({"experiment": "fidelity-sweep", "t1": 10, "t2": 100}, []),
+    "qft-one-qubit": ({"experiment": "qft-toy", "num_qubits": 1}, []),
+    "iterations-0": ({"experiment": "sqd-recover", "iterations": 0}, []),
+    "seed-negative": ({"experiment": "fidelity-sweep", "seed": -1}, []),
+    "trials-0": ({"experiment": "lemma-check", "trials": 0}, []),
+    "t_grid-string": ({"experiment": "fidelity-sweep", "t_grid": "abc"}, []),
+    "grid_points-1": ({"experiment": "two-qubit-opt", "grid_points": 1}, []),
+    "seed-override-negative": ({"experiment": "fidelity-sweep", "num_states": 1}, ["--seed", "-1"]),
+}
+
+
+@pytest.mark.parametrize(("config", "extra"), INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys())
+def test_invalid_config_exits_2_without_traceback(tmp_path, capsys, config, extra):
+    cfg = write_config(tmp_path, **config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestVerifySuites:
     def test_lemma_suite_small(self):
         report = verify_lemma(seed=1, num_states=3, trials=1000)

@@ -12,7 +12,6 @@ from mddsim.states import (
     SingleQubitUnitary,
     bloch_vector,
     density_from_bloch,
-    embed_operator,
     entanglement_fidelity,
     fidelity,
     haar_random_state,
@@ -21,7 +20,7 @@ from mddsim.states import (
 )
 from mddsim.noise import apply_local
 
-from helpers import channel_from_p_gamma, naive_reduced
+from helpers import channel_from_p_gamma, embed_operator, naive_reduced
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
