@@ -35,6 +35,7 @@ from .states import (
     DensityMatrix,
     PureState,
     SingleQubitUnitary,
+    _haar_batch,
     bloch_vector,
     entanglement_fidelity,
     reduced_density,
@@ -155,14 +156,6 @@ def quadratic_f(r_z: float, r: float, channel: KrausChannel) -> float:
 def classify_case(channel: KrausChannel) -> str:
     """Curvature class of the fidelity quadratic: C1 convex, C2 concave, C3 linear."""
     return QuadraticFidelity.from_channel(channel, 1.0).case()
-
-
-def _haar_batch(count: int, rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    z = (rng.standard_normal((count, dim, dim))
-         + 1j * rng.standard_normal((count, dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def _batched_fidelities(sigma: np.ndarray, channel: KrausChannel, unitaries: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .experiments import (
     VERIFY_SUITES,
     run,
 )
+from .noise import QuadratureError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +84,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_verify(args)
-    except ConfigError as exc:
+    except (ConfigError, QuadratureError) as exc:
+        # a quadrature that does not converge comes from the config's cutoff and durations
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -20,7 +19,6 @@ import numpy as np
 from .analysis import (
     DecayRates,
     TwoQubitRates,
-    _haar_batch,
     _plain,
     dd_entanglement_fidelity,
     decay_rate,
@@ -54,6 +52,7 @@ from .sqd import (
 from .states import (
     DensityMatrix,
     PureState,
+    _haar_batch,
     bloch_vector,
     entanglement_fidelity,
     haar_random_state,
@@ -67,7 +66,8 @@ EXIT_VIOLATION = 3
 EXPERIMENTS = ("fidelity-sweep", "lemma-check", "theorem-gap", "filter-noise",
                "two-qubit-opt", "qft-toy", "sqd-recover")
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
-_MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1}
+_MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1,
+           "threshold": 0}
 
 
 class ConfigError(ValueError):
@@ -103,7 +103,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Check every field once (types, ranges, dry runs of the qubit count, noise
-        model, sequences and recovery); a ValueError or TypeError becomes a ConfigError."""
+        model, sequences and recovery); a ValueError, TypeError or OverflowError becomes a
+        ConfigError."""
         try:
             if self.experiment not in EXPERIMENTS:
                 raise ValueError(f"unknown experiment {self.experiment!r}; "
@@ -112,6 +113,8 @@ class ExperimentConfig:
                 value = getattr(self, f.name)
                 if f.type in _FIELD_TYPES and not isinstance(value, _FIELD_TYPES[f.type]):
                     raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
+                if isinstance(value, float) and math.isnan(value):
+                    raise ValueError(f"{f.name} must be a number, got NaN")
                 if f.name in _MINIMA and value < _MINIMA[f.name]:
                     raise ValueError(f"{f.name} must be at least {_MINIMA[f.name]}, got {value}")
             if self.experiment in ("fidelity-sweep", "theorem-gap"):
@@ -119,8 +122,8 @@ class ExperimentConfig:
             elif self.experiment == "qft-toy":
                 qft_circuit(self.num_qubits)  # 2 to 10 qubits
             grid = self.t_grid = [float(t) for t in self.t_grid]
-            if any(t <= 0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError("t_grid must be positive and strictly increasing")
+            if any(not 0 < t < math.inf for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ValueError("t_grid must be finite, positive and strictly increasing")
             NoiseParams(t1=self.t1, t2=self.t2)
             SpectralDensity("ohmic", omega_c=self.omega_c)
             for kind in self.sequences:
@@ -131,7 +134,7 @@ class ExperimentConfig:
                 raise ValueError(f"flip_rate must lie in [0, 1), got {self.flip_rate}")
             RecoveryConfig(iterations=self.iterations, num_batches=self.num_batches,
                            samples_per_batch=self.samples_per_batch, delta=self.delta, seed=self.seed)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
 
     @classmethod
@@ -245,12 +248,12 @@ def run_lemma_check(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
     return RunResult(code, [path], f"{violations} violations over {len(reports)} checks")
 
 
-def run_theorem_gap(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def _theorem_verdicts(config: ExperimentConfig, jobs: int = 1) -> tuple[list[list], list[dict]]:
+    """Gap-table rows and one verdict per sequence compared against mdd."""
     sequences = config.sequences or ["xx", "xy4", "udd8", "qdd2"]
     t_grid = config.t_grid or default_t_grid()
     per_state = _run_state_tasks(config, ["mdd"] + sequences, t_grid, jobs)
     rows, verdicts = [], []
-    failures = 0
     for kind in sequences:
         worst_gap, worst_at = math.inf, None
         negatives = []
@@ -268,10 +271,15 @@ def run_theorem_gap(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
             ys = np.array([v for _, v in negatives])
             slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0]) if len(negatives) > 1 else 0.0
         passed = worst_gap >= -1e-10 or (slope is not None and slope >= 1.8)
-        failures += not passed
         verdicts.append({"claim_id": f"theorem-gap-{kind}", "margin": worst_gap,
                          "worst_case": worst_at, "seed": config.seed,
                          "envelope_slope": slope, "passed": bool(passed)})
+    return rows, verdicts
+
+
+def run_theorem_gap(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+    rows, verdicts = _theorem_verdicts(config, jobs)
+    failures = sum(not v["passed"] for v in verdicts)
     files = [
         _write(out_dir / "theorem_gap.csv",
                _csv(["t", "sequence", "state", "mdd_F", "seq_F", "gap"], rows)),
@@ -450,13 +458,11 @@ def verify_lemma(seed: int = 0, num_states: int = 20, trials: int = 10_000) -> d
 
 def verify_theorem(seed: int = 0, num_states: int = 10) -> dict:
     config = ExperimentConfig(experiment="theorem-gap", num_states=num_states, seed=seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        result = run_theorem_gap(config, Path(tmp))
-        verdicts = json.loads((Path(tmp) / "theorem_report.json").read_text())
-    margin = min(v["margin"] for v in verdicts)
-    return {"claim_id": "theorem-suite", "margin": margin,
-            "worst_case": min(verdicts, key=lambda v: v["margin"])["worst_case"],
-            "seed": seed, "passed": result.exit_code == EXIT_OK}
+    _, verdicts = _theorem_verdicts(config)
+    worst = min(verdicts, key=lambda v: v["margin"])
+    return {"claim_id": "theorem-suite", "margin": worst["margin"],
+            "worst_case": worst["worst_case"], "seed": seed,
+            "passed": all(v["passed"] for v in verdicts)}
 
 
 def verify_decay(seed: int = 0, trials: int = 100) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseParams, _apply_local_raw, combined_channel
+from .noise import KrausChannel, NoiseParams, _apply_local_raw, combined_channel
 from .states import (
     DensityMatrix,
     ID2,
@@ -233,24 +233,31 @@ def frame_durations(schedule: PulseSchedule) -> list[tuple[np.ndarray, float]]:
     return out
 
 
-def evolve_with_schedule(state: PureState | DensityMatrix, schedule: PulseSchedule,
-                         params: NoiseParams, qubit: int) -> DensityMatrix:
-    """Interleave free-evolution channels over each gap with instantaneous
-    pulse conjugations on the target qubit.
-
-    An empty schedule is exactly the bare channel over the total duration.
-    """
-    rho, n = _as_matrix(state)
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+def _schedule_maps(schedule: PulseSchedule, params: NoiseParams) -> list:
+    """The schedule's single-qubit maps in time order: the free-evolution
+    :class:`KrausChannel` over each gap and each pulse's unitary matrix."""
+    maps = []
     prev = 0.0
     for tm, gate in schedule.pulses:
         if tm > prev:
-            rho = _apply_local_raw(combined_channel(params, tm - prev), rho, qubit, n)
+            maps.append(combined_channel(params, tm - prev))
             prev = tm
-        rho = apply_matrix(gate.matrix, rho, [qubit], n)
+        maps.append(gate.matrix)
     if schedule.total_time > prev:
-        rho = _apply_local_raw(combined_channel(params, schedule.total_time - prev), rho, qubit, n)
+        maps.append(combined_channel(params, schedule.total_time - prev))
+    return maps
+
+
+def evolve_with_schedule(state: PureState | DensityMatrix, schedule: PulseSchedule,
+                         params: NoiseParams, qubit: int) -> DensityMatrix:
+    """Apply the schedule's maps (gap channels and instantaneous pulses) one at a
+    time to ``qubit`` of the full state; an empty schedule is the bare channel."""
+    rho, n = _as_matrix(state)
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    for m in _schedule_maps(schedule, params):
+        rho = (_apply_local_raw(m, rho, qubit, n) if isinstance(m, KrausChannel)
+               else apply_matrix(m, rho, [qubit], n))
     return DensityMatrix(rho)
 
 
@@ -265,15 +272,6 @@ def superoperator(*maps) -> np.ndarray:
 
 
 def schedule_superoperator(schedule: PulseSchedule, params: NoiseParams) -> np.ndarray:
-    """The target-qubit action of :func:`evolve_with_schedule` composed into
-    one superoperator: gap channels and pulse conjugations in time order."""
-    maps = []
-    prev = 0.0
-    for tm, gate in schedule.pulses:
-        if tm > prev:
-            maps.append(combined_channel(params, tm - prev).operators)
-            prev = tm
-        maps.append((gate.matrix,))
-    if schedule.total_time > prev:
-        maps.append(combined_channel(params, schedule.total_time - prev).operators)
-    return superoperator(*maps)
+    """The target-qubit action of :func:`evolve_with_schedule` as one superoperator."""
+    return superoperator(*(m.operators if isinstance(m, KrausChannel) else (m,)
+                           for m in _schedule_maps(schedule, params)))

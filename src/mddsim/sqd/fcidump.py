@@ -14,12 +14,15 @@ on read; conflicting duplicates beyond 1e-12 are rejected.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SYM_TOL = 1e-12
+# the two-electron table holds NORB^4 float64 values: 32 orbitals take 8 MiB
+MAX_NORB = 32
 
 _EIGHTFOLD = (
     (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
@@ -101,21 +104,27 @@ def parse_fcidump(text: str) -> FciData:
             break
     if body_start is None:
         raise ParseError("header is never terminated by &END or /")
-    header = " ".join(header_parts)
+    header = "\n".join(header_parts)
 
-    def header_int(key: str, default: int | None = None) -> int:
+    def header_int(key: str, default: int | None = None) -> tuple[int, int | None]:
+        """The key's value and the line it is on."""
         m = re.search(rf"{key}\s*=\s*(-?\d+)", header, re.IGNORECASE)
         if m is None:
             if default is None:
                 raise ParseError(f"header is missing {key}")
-            return default
-        return int(m.group(1))
+            return default, None
+        line = header.count("\n", 0, m.start()) + 1
+        if len(m.group(1).lstrip("-")) > 9:
+            raise ParseError(f"{key} has more than 9 digits", line)
+        return int(m.group(1)), line
 
-    norb = header_int("NORB")
-    nelec = header_int("NELEC")
-    ms2 = header_int("MS2", default=0)
-    if norb < 1:
-        raise ParseError(f"NORB must be positive, got {norb}")
+    norb, norb_line = header_int("NORB")
+    nelec, nelec_line = header_int("NELEC")
+    ms2, _ = header_int("MS2", default=0)
+    if not 1 <= norb <= MAX_NORB:
+        raise ParseError(f"NORB must lie in 1..{MAX_NORB}, got {norb}", norb_line)
+    if (nelec + ms2) % 2 != 0 or abs(ms2) > nelec:
+        raise ParseError(f"inconsistent NELEC={nelec}, MS2={ms2}", nelec_line)
 
     h = np.full((norb, norb), np.nan)
     eri = np.full((norb,) * 4, np.nan)
@@ -134,6 +143,8 @@ def parse_fcidump(text: str) -> FciData:
             i, j, k, l = (int(tok) for tok in tokens[1:])
         except ValueError:
             raise ParseError(f"non-numeric record {stripped!r}", lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value in record {stripped!r}", lineno)
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
                 raise ParseError(f"orbital index {idx} out of range 1..{norb}", lineno)

@@ -243,12 +243,17 @@ def haar_random_state(n: int, seed) -> PureState:
     return PureState(z / np.linalg.norm(z))
 
 
+def _haar_batch(count: int, rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    z = (rng.standard_normal((count, dim, dim))
+         + 1j * rng.standard_normal((count, dim, dim))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary from the QR decomposition of a complex Gaussian."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    return _haar_batch(1, rng, dim)[0]
 
 
 def _apply_left(op: np.ndarray, mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:

@@ -1,12 +1,16 @@
 """Experiment runner and command-line interface tests."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mddsim.cli import main
 from mddsim.experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     colored_noise_fidelity,
@@ -151,6 +155,13 @@ INVALID_CONFIGS = {
     "t_grid-string": ({"experiment": "fidelity-sweep", "t_grid": "abc"}, []),
     "grid_points-1": ({"experiment": "two-qubit-opt", "grid_points": 1}, []),
     "seed-override-negative": ({"experiment": "fidelity-sweep", "num_states": 1}, ["--seed", "-1"]),
+    "threshold-negative": ({"experiment": "qft-toy", "num_qubits": 3, "threshold": -1.0}, []),
+    "threshold-nan": ({"experiment": "qft-toy", "num_qubits": 3, "threshold": float("nan")}, []),
+    "t_grid-nan": ({"experiment": "fidelity-sweep", "num_states": 1, "t_grid": [float("nan")]}, []),
+    "t_grid-inf": ({"experiment": "fidelity-sweep", "num_states": 1, "t_grid": [float("inf")]}, []),
+    "t_grid-huge-int": ({"experiment": "fidelity-sweep", "num_states": 1, "t_grid": [10**400]}, []),
+    "quadrature-diverges": ({"experiment": "filter-noise", "omega_c": 50.0, "num_states": 1,
+                             "t_grid": [500.0], "sequences": ["xx"]}, []),
 }
 
 
@@ -162,6 +173,44 @@ def test_invalid_config_exits_2_without_traceback(tmp_path, capsys, config, extr
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+numbers = st.integers(-3, 12) | st.integers(-2**1100, 2**1100) | st.floats()
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(alphabet="abdfmqux+-.", max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+# values of the annotated type, in range or not; names are valid ones and near
+# misses, since a generated "qdd<digits>" could ask for millions of pulses
+typed_values = {
+    "int": st.integers(-3, 12) | st.integers(-2**1100, 2**1100),
+    "float": numbers,
+    "str": st.sampled_from(["hubbard-dimer", "random-4", ""]),
+    "list[str]": st.lists(st.sampled_from(["xx", "udd8", "qdd2", "udd3", "mdd", "none", "bogus"]),
+                          max_size=3),
+    "list[float]": st.lists(numbers, max_size=4),
+}
+
+
+@st.composite
+def raw_configs(draw):
+    """A config dict naming a known experiment; each other field is absent, of
+    its annotated type (in range or not) or an arbitrary JSON value."""
+    data = {"experiment": draw(st.sampled_from(EXPERIMENTS))}
+    for f in fields(ExperimentConfig)[1:]:
+        if draw(st.integers(0, 3)) == 0:
+            wild = draw(st.integers(0, 4)) == 0
+            data[f.name] = draw(json_values if wild else typed_values[f.type])
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=raw_configs())
+def test_config_validation_raises_only_config_error(data):
+    try:
+        ExperimentConfig.from_dict(data)
+    except ConfigError:
+        pass
 
 
 class TestVerifySuites:

@@ -7,9 +7,12 @@ excitation-rule implementation it checks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mddsim.sqd import (
     Determinant,
+    FciData,
     ParseError,
     all_determinants,
     excitation_degree,
@@ -22,6 +25,7 @@ from mddsim.sqd import (
     slater_condon,
     write_fcidump,
 )
+from mddsim.sqd.fcidump import MAX_NORB
 
 from helpers import fock_index, fock_space_hamiltonian
 
@@ -87,6 +91,92 @@ class TestParse:
         expected = np.linalg.eigvalsh(block)[0] + fci.core_energy
         energy, _ = project_and_diagonalize(dets, fci)
         assert energy == pytest.approx(expected, abs=1e-10)
+
+    def test_non_finite_values_rejected(self):
+        for token in ("nan", "inf", "-Infinity", "1D999"):
+            with pytest.raises(ParseError, match="line 7: non-finite"):
+                parse_fcidump(MINIMAL.replace("0.36", token))
+
+    def test_inconsistent_spin_is_a_parse_error(self):
+        for header in ("NELEC=3,MS2=0", "NELEC=2,MS2=4", "NELEC=-2,MS2=0"):
+            with pytest.raises(ParseError, match="line 1: inconsistent"):
+                parse_fcidump(MINIMAL.replace("NELEC=2,MS2=0", header))
+
+    def test_norb_bounded_before_allocation(self):
+        # MAX_NORB + 1 needs under 10 MB and numpy refuses 10**6 before allocating,
+        # so neither can exhaust memory even where the bound is missing
+        for norb in (0, MAX_NORB + 1, 10**6):
+            with pytest.raises(ParseError, match="line 1: NORB must lie in"):
+                parse_fcidump(MINIMAL.replace("NORB=2", f"NORB={norb}"))
+        with pytest.raises(ParseError, match="more than 9 digits"):
+            parse_fcidump(MINIMAL.replace("NORB=2", "NORB=" + "9" * 5000))
+
+
+values = st.floats(-1e3, 1e3) | st.just(0.0)
+
+
+@st.composite
+def fci_data(draw):
+    """Integral tables with 8-fold symmetry, zeros included, and a consistent
+    electron count and spin."""
+    norb = draw(st.integers(1, 4))
+    nelec = draw(st.integers(0, 2 * norb))
+    ms2 = draw(st.sampled_from(range(-nelec, nelec + 1, 2)))
+    h = np.zeros((norb, norb))
+    for i in range(norb):
+        for j in range(i + 1):
+            h[i, j] = h[j, i] = draw(values)
+    eri = np.zeros((norb,) * 4)
+    pairs = [(i, j) for i in range(norb) for j in range(i + 1)]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[:a + 1]:
+            value = draw(values)
+            for p, q, r, s in ((i, j, k, l), (k, l, i, j)):
+                eri[p, q, r, s] = eri[q, p, r, s] = eri[p, q, s, r] = eri[q, p, s, r] = value
+    energies = draw(st.dictionaries(st.integers(0, norb - 1), values, max_size=norb))
+    return FciData(norb=norb, nelec=nelec, ms2=ms2, h=h, eri=eri,
+                   core_energy=draw(values), orbital_energies=energies)
+
+
+PARSE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PARSE_PROPERTY
+@given(fci=fci_data())
+def test_parse_inverts_write(fci):
+    back = parse_fcidump(write_fcidump(fci))
+    assert (back.norb, back.nelec, back.ms2) == (fci.norb, fci.nelec, fci.ms2)
+    assert np.array_equal(back.h, fci.h) and np.array_equal(back.eri, fci.eri)
+    assert back.core_energy == fci.core_energy
+    assert back.orbital_energies == fci.orbital_energies
+
+
+junk_lines = (st.text(alphabet=" -+.0123456789eEdDnaifNORBLCMS=&/,", max_size=30)
+              | st.builds("{} {} {} {} {}".format,
+                          st.sampled_from(["nan", "inf", "-inf", "1D999", "0.5", "zz"]),
+                          *[st.integers(-1, 5)] * 4))
+headers = st.builds("&FCI NORB={},NELEC={},MS2={},".format,
+                    st.integers(-1, 5), st.integers(-3, 9), st.integers(-5, 5))
+
+
+@PARSE_PROPERTY
+@given(fci=fci_data(), data=st.data())
+def test_malformed_input_raises_only_parse_error(fci, data):
+    lines = write_fcidump(fci).splitlines()
+    at = data.draw(st.integers(0, len(lines)))
+    edit = data.draw(st.sampled_from(["replace", "insert", "truncate", "header"]))
+    if edit == "replace":
+        lines[min(at, len(lines) - 1)] = data.draw(junk_lines)
+    elif edit == "insert":
+        lines.insert(at, data.draw(junk_lines))
+    elif edit == "truncate":
+        lines = lines[:at]
+    else:
+        lines[0] = data.draw(headers)
+    try:
+        parse_fcidump("\n".join(lines))
+    except ParseError:
+        pass
 
 
 class TestSlaterCondon:
