@@ -29,8 +29,10 @@ from .sequences import (
     measure_expectations,
     mdd_unitary,
     schedule_superoperator,
+    superoperator,
 )
 from .states import (
+    ATOL,
     ID2,
     DensityMatrix,
     PureState,
@@ -65,11 +67,18 @@ def _plain(value):
     return value
 
 
+def _conjugate(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u sigma u^dag for one 2x2 unitary or a (..., 2, 2) stack of them."""
+    return u @ sigma @ u.conj().swapaxes(-1, -2)
+
+
 def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) -> float:
     """Closed form sum_jk |Tr(M_jk U sigma U^dag)|^2.
 
     Equals the full-space entanglement fidelity of the conjugated channel on
     any purification of ``sigma``; the equivalence is what the tests probe.
+    The library contracts :func:`superoperator_fidelity`; this Kraus sum stays as its
+    oracle and as what ``verify_decay`` differentiates, whose margin is its roundoff.
     """
     if sigma.num_qubits != 1:
         raise ValueError("local fidelity requires a single-qubit reduced state")
@@ -81,18 +90,20 @@ def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) 
     return float(total)
 
 
-def superoperator_fidelity(sigma: DensityMatrix, superop: np.ndarray) -> float:
+def superoperator_fidelity(sigma, superop: np.ndarray):
     """Entanglement fidelity sum_K |Tr(K sigma)|^2 of the single-qubit channel
-    with row-major superoperator ``superop`` (see :func:`superoperator`), on
-    any purification of ``sigma``.
+    with row-major superoperator ``superop`` (see :func:`superoperator`), on any
+    purification of ``sigma``: a float, or one value per state of a (..., 2, 2) stack.
 
     The realigned matrix C[ab, cd] = sum_K K_ab conj(K_cd) is independent of
     the Kraus decomposition, and F = vec(sigma^T) C vec(sigma^T)^dag, clamped
     to [0, 1] against roundoff (an aligned pure state reads 1 + 4e-16).
     """
     choi = superop.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    v = sigma.entries.T.reshape(4)
-    return min(max(float((v @ choi @ v.conj()).real), 0.0), 1.0)
+    mat = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
+    v = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (4,))
+    vals = ((v @ choi)[..., None, :] @ v.conj()[..., :, None])[..., 0, 0].real.clip(0.0, 1.0)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -158,14 +169,6 @@ def classify_case(channel: KrausChannel) -> str:
     return QuadraticFidelity.from_channel(channel, 1.0).case()
 
 
-def _batched_fidelities(sigma: np.ndarray, channel: KrausChannel, unitaries: np.ndarray) -> np.ndarray:
-    rotated = unitaries @ sigma @ unitaries.conj().transpose(0, 2, 1)
-    vals = np.zeros(unitaries.shape[0])
-    for m in channel.operators:
-        vals += np.abs(np.einsum("ij,bji->b", m, rotated)) ** 2
-    return vals
-
-
 @dataclass
 class LemmaReport:
     """Outcome of a random-unitary search against the diagonalizing pair."""
@@ -193,12 +196,12 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
     Haar-random conjugation pairs for the given channel duration."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    channel = combined_channel(params, t)
+    superop = superoperator(combined_channel(params, t).operators)
     b = bloch_vector(sigma)
     u_d = mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz))
-    mdd_value = local_entanglement_fidelity(sigma, channel, u_d)
+    mdd_value = superoperator_fidelity(_conjugate(sigma.entries, u_d.matrix), superop)
     rng = np.random.default_rng(seed)
-    vals = _batched_fidelities(sigma.entries, channel, _haar_batch(trials, rng))
+    vals = superoperator_fidelity(_conjugate(sigma.entries, _haar_batch(trials, rng)), superop)
     best = float(np.max(vals))
     violations = int(np.sum(vals > mdd_value + 1e-10))
     worst = {"competitor_value": best, "bloch": [b.rx, b.ry, b.rz], "duration": t}
@@ -258,6 +261,20 @@ class GapReport:
         return self.envelope_slope is not None and self.envelope_slope >= min_slope
 
 
+def _gap_report(claim_id: str, grid: list, mdd_vals: list, seq_vals: list, seed: int | None,
+                grid_name: str, **context) -> GapReport:
+    """GapReport of mdd_vals - seq_vals over ``grid``: the worst gap, and the
+    log-log slope of the negative gaps (g < 0) against their grid points."""
+    gaps = [m - s for m, s in zip(mdd_vals, seq_vals)]
+    worst_idx = int(np.argmin(gaps))
+    neg = np.array(gaps) < 0
+    slope = _loglog_slope(np.array(grid)[neg], -np.array(gaps)[neg]) if neg.any() else None
+    return GapReport(claim_id=claim_id, margin=float(min(gaps)),
+                     worst_case={grid_name: grid[worst_idx], "gap": gaps[worst_idx], **context},
+                     seed=seed, t_grid=grid, mdd_fidelity=mdd_vals,
+                     competitor_fidelity=seq_vals, gap=gaps, envelope_slope=slope)
+
+
 def first_order_gap(psi: PureState, kind: str, params: NoiseParams, t_grid,
                     qubit: int = 0, seed: int | None = None) -> GapReport:
     """Gap F_mdd(t) - F_seq(t) over a small-time grid (t <= T2/50).
@@ -268,21 +285,9 @@ def first_order_gap(psi: PureState, kind: str, params: NoiseParams, t_grid,
     t_grid = [float(t) for t in t_grid]
     if max(t_grid) > params.t2 / 50.0:
         raise ValueError(f"grid extends beyond the small-time regime T2/50 = {params.t2 / 50.0}")
-    mdd_vals, seq_vals = [], []
-    for t in t_grid:
-        mdd_vals.append(dd_entanglement_fidelity(psi, "mdd", params, t, qubit))
-        seq_vals.append(dd_entanglement_fidelity(psi, kind, params, t, qubit))
-    gaps = [m - s for m, s in zip(mdd_vals, seq_vals)]
-    worst_idx = int(np.argmin(gaps))
-    negs = [(t, -g) for t, g in zip(t_grid, gaps) if g < 0]
-    slope = None
-    if negs:
-        slope = _loglog_slope(np.array([t for t, _ in negs]), np.array([v for _, v in negs]))
-    return GapReport(claim_id=f"first-order-gap-{kind}",
-                     margin=float(min(gaps)),
-                     worst_case={"t": t_grid[worst_idx], "gap": gaps[worst_idx], "kind": kind},
-                     seed=seed, t_grid=t_grid, mdd_fidelity=mdd_vals,
-                     competitor_fidelity=seq_vals, gap=gaps, envelope_slope=slope)
+    mdd_vals = [dd_entanglement_fidelity(psi, "mdd", params, t, qubit) for t in t_grid]
+    seq_vals = [dd_entanglement_fidelity(psi, kind, params, t, qubit) for t in t_grid]
+    return _gap_report(f"first-order-gap-{kind}", t_grid, mdd_vals, seq_vals, seed, "t", kind=kind)
 
 
 def toggled_frame_average(psi: PureState, schedule: PulseSchedule, params: NoiseParams,
@@ -291,13 +296,10 @@ def toggled_frame_average(psi: PureState, schedule: PulseSchedule, params: Noise
     cumulative control frames: the first-order surrogate for the pulsed
     channel. For uniform pulse spacing this is the plain mean over frames."""
     sigma = reduced_density(psi, [qubit])
-    channel = combined_channel(params, schedule.total_time)
-    total = 0.0
-    for frame, duration in frame_durations(schedule):
-        if duration <= 0:
-            continue
-        total += (duration / schedule.total_time) * local_entanglement_fidelity(sigma, channel, frame)
-    return total
+    frames, durations = zip(*frame_durations(schedule))
+    superop = superoperator(combined_channel(params, schedule.total_time).operators)
+    fids = superoperator_fidelity(_conjugate(sigma.entries, np.array(frames)), superop)
+    return float(np.dot(np.array(durations) / schedule.total_time, fids))
 
 
 def first_order_residual(psi: PureState, kind: str, params: NoiseParams, t_grid,
@@ -345,7 +347,7 @@ def mixed_state_bounds(sigma_d: DensityMatrix, channel: KrausChannel) -> tuple[f
     upper = float(np.trace(mat @ out).real
                   + 2.0 * math.sqrt(max(np.linalg.det(mat).real, 0.0)
                                     * max(np.linalg.det(out).real, 0.0)))
-    return upper, local_entanglement_fidelity(sigma_d, channel, ID2)
+    return upper, superoperator_fidelity(sigma_d, superoperator(channel.operators))
 
 
 @dataclass(frozen=True)
@@ -377,15 +379,20 @@ def decay_rate_quadratic(r: float, r_z: float, rates: DecayRates) -> float:
             + rates.gamma2 * (1.0 - r_z**2))
 
 
-def decay_rate(sigma: DensityMatrix, u, rates: DecayRates) -> float:
-    """Initial decay rate |dF/dt| of the conjugated channel, via the variance
-    of the jump operators in the rotated state."""
+def decay_rate(sigma: DensityMatrix, u, rates: DecayRates):
+    """Initial decay rate |dF/dt| of the conjugated channel, via the variance of the
+    jump operators in the rotated state, whose r_z is the diagonal difference of
+    u sigma u^dag: a float for one unitary, or one rate per unitary of a (..., 2, 2) stack."""
     if sigma.num_qubits != 1:
         raise ValueError("decay rate requires a single-qubit reduced state")
     um = _unitary_matrix(u)
-    rotated = bloch_vector(DensityMatrix(um @ sigma.entries @ um.conj().T))
-    r = bloch_vector(sigma).r
-    return decay_rate_quadratic(r, rotated.rz, rates)
+    if np.any(np.abs(um.conj().swapaxes(-1, -2) @ um - ID2) > ATOL):
+        raise ValueError("matrix is not unitary within 1e-12")
+    # one unitary goes through the stacked path too, so r_z**2 rounds as in a batch
+    rotated = _conjugate(sigma.entries, um.reshape(-1, 2, 2))
+    r_z = (rotated[:, 0, 0] - rotated[:, 1, 1]).real
+    rate = decay_rate_quadratic(bloch_vector(sigma).r, r_z, rates)
+    return float(rate[0]) if um.ndim == 2 else rate.reshape(um.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -566,15 +573,5 @@ def multi_subsystem_bound_check(psi: PureState, qubits, kinds, times,
         scaled = [scale * float(t) for t in times]
         mdd_vals.append(multi_dd_fidelity(psi, qubits, ["mdd"] * len(qubits), scaled, params))
         seq_vals.append(multi_dd_fidelity(psi, qubits, kinds, scaled, params))
-    gaps = [m - s for m, s in zip(mdd_vals, seq_vals)]
-    worst_idx = int(np.argmin(gaps))
-    negs = [(s, -g) for s, g in zip(scales, gaps) if g < 0]
-    slope = None
-    if negs:
-        slope = _loglog_slope(np.array([s for s, _ in negs]), np.array([v for _, v in negs]))
-    return GapReport(claim_id="multi-subsystem-gap",
-                     margin=float(min(gaps)),
-                     worst_case={"scale": scales[worst_idx], "gap": gaps[worst_idx],
-                                 "kinds": list(kinds)},
-                     seed=None, t_grid=scales, mdd_fidelity=mdd_vals,
-                     competitor_fidelity=seq_vals, gap=gaps, envelope_slope=slope)
+    return _gap_report("multi-subsystem-gap", scales, mdd_vals, seq_vals, None, "scale",
+                       kinds=list(kinds))

@@ -28,6 +28,7 @@ from .states import (
 )
 
 _KIND_RE = re.compile(r"^(udd|qdd)(\d+)$")
+MAX_ORDER = 64  # qdd<n> has about n^2 pulses; the largest orders in use are udd8 and qdd4
 
 
 def rot_y(angle: float) -> np.ndarray:
@@ -185,6 +186,8 @@ def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) ->
     if m is None:
         raise ValueError(f"unknown sequence kind {kind!r}")
     n = int(m.group(2))
+    if n > MAX_ORDER:
+        raise ValueError(f"sequence order must be at most {MAX_ORDER}, got {kind!r}")
     if m.group(1) == "udd":
         if n < 2 or n % 2 != 0:
             raise ValueError(f"udd order must be an even integer >= 2 for a closed sequence, got {n}")

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 
+from mddsim.analysis import local_entanglement_fidelity
 from mddsim.noise import NoiseParams, combined_channel
+from mddsim.sequences import frame_durations
+from mddsim.states import reduced_density
 
 
 def naive_reduced(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarray:
@@ -69,6 +72,19 @@ def channel_from_p_gamma(p: float, gamma_p: float):
     inv_t2 = (0.0 if math.isinf(tp) else 1.0 / tp) + 1.0 / (2.0 * t1)
     t2 = math.inf if inv_t2 == 0.0 else 1.0 / inv_t2
     return combined_channel(NoiseParams(t1=t1, t2=t2), t=1.0)
+
+
+def toggled_frame_average_loop(psi, schedule, params, qubit: int = 0) -> float:
+    """Duration-weighted average, frame by frame, of the Kraus-sum fidelity of
+    the interval's channel conjugated by each cumulative control frame."""
+    sigma = reduced_density(psi, [qubit])
+    channel = combined_channel(params, schedule.total_time)
+    total = 0.0
+    for frame, duration in frame_durations(schedule):
+        if duration <= 0:
+            continue
+        total += (duration / schedule.total_time) * local_entanglement_fidelity(sigma, channel, frame)
+    return total
 
 
 def purify(sigma: np.ndarray) -> np.ndarray:

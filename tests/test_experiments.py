@@ -1,7 +1,12 @@
 """Experiment runner and command-line interface tests."""
 
+import contextlib
+import io
 import json
+import tempfile
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +167,17 @@ INVALID_CONFIGS = {
     "t_grid-huge-int": ({"experiment": "fidelity-sweep", "num_states": 1, "t_grid": [10**400]}, []),
     "quadrature-diverges": ({"experiment": "filter-noise", "omega_c": 50.0, "num_states": 1,
                              "t_grid": [500.0], "sequences": ["xx"]}, []),
+    # JSON booleans are not numbers, though bool subclasses int
+    "num_qubits-true": ({"experiment": "fidelity-sweep", "num_qubits": True, "num_states": 1,
+                         "t_grid": [10.0], "sequences": ["none"]}, []),
+    "seed-false": ({"experiment": "fidelity-sweep", "seed": False, "num_qubits": 2,
+                    "num_states": 1, "t_grid": [10.0], "sequences": ["none"]}, []),
+    "omega_c-true": ({"experiment": "filter-noise", "omega_c": True, "num_states": 1,
+                      "t_grid": [10.0], "sequences": ["none"]}, []),
+    "threshold-false": ({"experiment": "qft-toy", "num_qubits": 2, "shots": 100,
+                         "sequences": ["none"], "threshold": False}, []),
+    "t_grid-true": ({"experiment": "fidelity-sweep", "num_qubits": 2, "num_states": 1,
+                     "t_grid": [True], "sequences": ["none"]}, []),
 }
 
 
@@ -173,6 +189,15 @@ def test_invalid_config_exits_2_without_traceback(tmp_path, capsys, config, extr
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_sequence_order_exits_2_quickly(tmp_path, capsys):
+    # qdd<n> has about n^2 pulses: validating qdd4000 must not build them
+    cfg = write_config(tmp_path, experiment="fidelity-sweep", sequences=["qdd4000"])
+    start = time.perf_counter()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "at most 64" in capsys.readouterr().err
 
 
 numbers = st.integers(-3, 12) | st.integers(-2**1100, 2**1100) | st.floats()
@@ -211,6 +236,62 @@ def test_config_validation_raises_only_config_error(data):
         ExperimentConfig.from_dict(data)
     except ConfigError:
         pass
+
+
+# smoke-sized values for every field that sets how much work a run does, so
+# that no generated config runs long; each config then has one field
+# overwritten by an out-of-range or mistyped value with some probability
+SMOKE_SIZES = {
+    "num_states": st.integers(1, 2),
+    "num_qubits": st.integers(2, 3),
+    "trials": st.integers(1, 50),
+    "t_grid": st.lists(st.floats(0.5, 50.0), min_size=1, max_size=2).map(sorted),
+    "shots": st.integers(1, 200),
+    "grid_points": st.integers(2, 11),
+    "sample_shots": st.integers(1, 30),
+    "iterations": st.integers(1, 2),
+    "num_batches": st.integers(1, 2),
+    "samples_per_batch": st.integers(1, 20),
+}
+SMOKE_OPTIONAL = {
+    "t1": st.floats(100.0, 500.0),
+    "t2": st.floats(1.0, 200.0),
+    "omega_c": st.sampled_from([0.05, 0.1, 1.0, 50.0]),
+    "sequences": st.lists(st.sampled_from(["none", "xx", "xy4", "udd2", "qdd2", "mdd", "mdd+xx",
+                                           "udd3", "qdd66", "bogus"]), max_size=3),
+    "seed": st.integers(0, 3),
+    "threshold": st.floats(0.0, 1.0),
+    "fcidump": st.sampled_from(["hubbard-dimer", "random-4", "random-8", "missing.fcidump"]),
+    "flip_rate": st.floats(0.0, 0.5),
+    "delta": st.floats(1e-3, 0.1),
+}
+BAD_VALUES = st.sampled_from([-1, 0, True, False, None, "x", 2.5, [1.0], [2.0, 1.0], {},
+                              float("nan"), float("-inf")])
+
+
+@st.composite
+def smoke_configs(draw):
+    data = {"experiment": draw(st.sampled_from(EXPERIMENTS))}
+    data.update({name: draw(values) for name, values in SMOKE_SIZES.items()})
+    for name, values in SMOKE_OPTIONAL.items():
+        if draw(st.booleans()):
+            data[name] = draw(values)
+    if draw(st.integers(0, 2)) == 0:
+        data[draw(st.sampled_from(sorted(set(data) - {"experiment"})))] = draw(BAD_VALUES)
+    return data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config=smoke_configs())
+def test_cli_run_fuzz_keeps_exit_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestVerifySuites:

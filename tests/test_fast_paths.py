@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mddsim.analysis import dd_entanglement_fidelity
+from mddsim.analysis import (
+    DecayRates,
+    dd_entanglement_fidelity,
+    decay_rate,
+    local_entanglement_fidelity,
+    superoperator_fidelity,
+    toggled_frame_average,
+)
 from mddsim.experiments import colored_noise_fidelity
 from mddsim.noise import (
     KrausChannel,
@@ -27,12 +34,15 @@ from mddsim.sequences import build_schedule, evolve_with_schedule, measure_expec
 from mddsim.states import (
     DensityMatrix,
     _as_matrix,
+    _haar_batch,
     apply_matrix,
     entanglement_fidelity,
     haar_random_state,
     haar_random_unitary,
     reduced_density,
 )
+
+from helpers import random_single_qubit_density, toggled_frame_average_loop
 
 KINDS = ["none", "mdd", "xx", "xy4", "udd2", "udd4", "udd6", "udd8", "qdd2", "qdd4", "mdd+xx"]
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -108,6 +118,73 @@ def test_superoperator_composes_in_order(seed, times):
         expected = KrausChannel(kraus).apply(expected)
     got = (superoperator(*maps) @ rho.reshape(4)).reshape(2, 2)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def local_channels(draw):
+    """The combined relaxation/dephasing channel over some duration, or the
+    pure-dephasing channel of a filter-function exponent chi."""
+    if draw(st.booleans()):
+        return combined_channel(draw(noise_params()), draw(durations))
+    return dephasing_channel_from_chi(draw(st.floats(0.0, 5.0)))
+
+
+@PROPERTY
+@given(seed=seeds, channel=local_channels(), count=st.integers(1, 64))
+def test_batched_superoperator_fidelity_rows_equal_single_calls(seed, channel, count):
+    rng = np.random.default_rng(seed)
+    sigma = DensityMatrix(random_single_qubit_density(rng))
+    unitaries = _haar_batch(count, rng)
+    rotated = unitaries @ sigma.entries @ unitaries.conj().transpose(0, 2, 1)
+    superop = superoperator(channel.operators)
+    batch = superoperator_fidelity(rotated, superop)
+    assert batch.shape == (count,)
+    assert np.array_equal(superoperator_fidelity(rotated[None], superop), batch[None])
+    for row, rho, u in zip(batch, rotated, unitaries):
+        assert row == superoperator_fidelity(rho, superop)
+        assert abs(row - local_entanglement_fidelity(sigma, channel, u)) <= 1e-12
+    assert isinstance(superoperator_fidelity(sigma, superop), float)
+
+
+@PROPERTY
+@given(seed=seeds, params=noise_params(), count=st.integers(1, 2000))
+def test_batched_decay_rate_rows_equal_single_calls(seed, params, count):
+    rng = np.random.default_rng(seed)
+    sigma = DensityMatrix(random_single_qubit_density(rng))
+    rates = DecayRates.from_noise(params)
+    unitaries = _haar_batch(count, rng)
+    batch = decay_rate(sigma, unitaries, rates)
+    assert batch.shape == (count,)
+    for row, u in zip(batch, unitaries):
+        assert row == decay_rate(sigma, u, rates)
+
+
+@PROPERTY
+@given(seed=seeds, count=st.integers(1, 8), index=st.integers(0, 7),
+       size=st.floats(1e-9, 1.0), scale=st.booleans())
+def test_decay_rate_rejects_non_unitary(seed, count, index, size, scale):
+    rng = np.random.default_rng(seed)
+    sigma = DensityMatrix(random_single_qubit_density(rng))
+    rates = DecayRates.from_noise(NoiseParams(250.0, 170.0))
+    unitaries = _haar_batch(count, rng)
+    u = unitaries[index % count]
+    bad = u * (1.0 + size) if scale else u + size * (rng.standard_normal((2, 2)) + 1j)
+    with pytest.raises(ValueError, match="not unitary"):
+        decay_rate(sigma, bad, rates)
+    unitaries[index % count] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        decay_rate(sigma, unitaries, rates)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(KINDS), case=states_and_qubits(max_qubits=4),
+       params=noise_params(), t=durations)
+def test_toggled_frame_average_matches_frame_loop(kind, case, params, t):
+    psi, qubit = case
+    exp = measure_expectations(psi, qubit) if kind.startswith("mdd") else None
+    schedule = build_schedule(kind, t, exp)
+    fast = toggled_frame_average(psi, schedule, params, qubit)
+    assert abs(fast - toggled_frame_average_loop(psi, schedule, params, qubit)) <= 1e-12
 
 
 def test_twelve_qubits_cost_one_partial_trace():

@@ -176,6 +176,13 @@ class TestBuildSchedule:
         with pytest.raises(ValueError, match="even"):
             build_schedule("udd3", 1.0)
 
+    def test_order_bounded(self):
+        assert len(build_schedule("udd64", 1.0).pulses) == 64
+        assert len(build_schedule("qdd64", 1.0).pulses) == 64 + 65 * 64
+        for kind in ("udd66", "qdd66"):
+            with pytest.raises(ValueError, match="at most 64"):
+                build_schedule(kind, 1.0)
+
     def test_pulse_axes(self):
         # nonuniform trains use Y pulses, the quarter-point pair uses X
         for _, gate in build_schedule("udd4", 1.0).pulses:
