@@ -122,7 +122,7 @@ class Slice:
     shielded: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
+        if not self.duration >= 0:  # also rejects NaN
             raise ValueError(f"slice duration must be nonnegative, got {self.duration}")
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "shielded", tuple(int(q) for q in self.shielded))
@@ -201,8 +201,8 @@ def identify_idle(circuit: ScheduledCircuit, threshold: float) -> list[IdleInter
     scheduling a qubit rests in its ground state, a fixed point of the noise,
     until first touched. Trailing runs before readout are included.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:  # also rejects NaN, which would find no interval
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     intervals = []
     for q in range(circuit.num_qubits):
         if not any(sl.touches(q) for sl in circuit.slices):
@@ -225,6 +225,16 @@ def identify_idle(circuit: ScheduledCircuit, threshold: float) -> list[IdleInter
     return intervals
 
 
+def _slices_ending_by(slices, until_time: float) -> int:
+    """Number of leading slices that end by ``until_time`` (within _TIME_EPS)."""
+    now = 0.0
+    for i, sl in enumerate(slices):
+        now += sl.duration
+        if now > until_time + _TIME_EPS:
+            return i
+    return len(slices)
+
+
 def _simulate_raw(circuit: ScheduledCircuit, noise: NoiseParams,
                   initial: PureState | DensityMatrix | None,
                   until_time: float | None = None) -> np.ndarray:
@@ -239,10 +249,10 @@ def _simulate_raw(circuit: ScheduledCircuit, noise: NoiseParams,
         if n_init != n:
             raise ValueError("initial state size does not match the circuit")
         rho = rho.copy()
-    now = 0.0
-    for sl in circuit.slices:
-        if until_time is not None and now + sl.duration > until_time + _TIME_EPS:
-            break
+    slices = circuit.slices
+    if until_time is not None:
+        slices = slices[:_slices_ending_by(slices, until_time)]
+    for sl in slices:
         for gate in sl.gates:
             rho = apply_matrix(gate.matrix, rho, gate.qubits, n)
         if sl.duration > 0:
@@ -251,7 +261,6 @@ def _simulate_raw(circuit: ScheduledCircuit, noise: NoiseParams,
             for q in range(n):
                 if q not in busy:
                     rho = _apply_local_raw(channel, rho, q, n)
-        now += sl.duration
     return rho
 
 
@@ -298,28 +307,42 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
     """Insert the chosen sequence into every idle interval above threshold.
 
     Intervals are processed in start-time order. For the measurement-driven
-    strategy the Pauli expectations come from simulating the circuit built so
-    far up to the interval start (exact, or binomially sampled when ``shots``
-    is given), mirroring the iterated measure-compute-insert workflow.
+    strategy the Pauli expectations are read from the noisy state at the
+    interval start (exact, or binomially sampled when ``shots`` is given, which
+    then needs a ``seed``), mirroring the iterated measure-compute-insert
+    workflow. That state is carried forward as a checkpoint: the state after
+    the first ``done`` dressed slices, which last ``now``. Each interval
+    advances it over the slices that end by its start and are not yet
+    simulated. Pulses go in at or after an interval start, and starts never
+    decrease, so insertion never changes a slice before the checkpoint.
     """
     strategy = strategy.lower()
+    if shots is not None and seed is None:
+        raise ValueError("sampled expectations (shots) need a seed")
     if strategy == "none":
         return circuit
-    if strategy not in ("mdd", "mdd+xx"):
+    measured = strategy in ("mdd", "mdd+xx")
+    if not measured:
         build_schedule(strategy, 1.0)  # reject unknown names before touching the circuit
+    n = circuit.num_qubits
     intervals = identify_idle(circuit, threshold)
     slices = list(circuit.slices)
     rng = np.random.default_rng(seed) if shots is not None else None
+    rho, done, now = None, 0, 0.0
     for iv in intervals:
         exp = None
-        if strategy in ("mdd", "mdd+xx"):
-            prefix = ScheduledCircuit(circuit.num_qubits, tuple(slices))
-            rho = _simulate_raw(prefix, noise, None, until_time=iv.start)
+        if measured:
+            tail = slices[done:]
+            tail = tail[:_slices_ending_by(tail, iv.start - now)]
+            rho = _simulate_raw(ScheduledCircuit(n, tail), noise, rho, until_time=iv.start - now)
+            done += len(tail)
+            for sl in tail:
+                now += sl.duration
             exp = measure_expectations(DensityMatrix(rho), iv.qubit, shots=shots, rng=rng)
         schedule = build_schedule(strategy, iv.duration, exp)
         for offset, pulse in schedule.pulses:
             _insert_pulse(slices, iv.start + offset, _pulse_gate(pulse.matrix, iv.qubit))
-    return ScheduledCircuit(circuit.num_qubits, tuple(slices))
+    return ScheduledCircuit(n, tuple(slices))
 
 
 def sample_counts(rho: DensityMatrix, shots: int, seed) -> dict[str, int]:
@@ -352,7 +375,8 @@ class GateDurations:
     prep: float = 2.0
 
     def __post_init__(self) -> None:
-        if min(self.h, self.cp, self.swap, self.prep) <= 0:
+        # min() of a NaN depends on argument order, so test each value
+        if not all(d > 0 for d in (self.h, self.cp, self.swap, self.prep)):
             raise ValueError("gate durations must be positive")
 
 
@@ -365,7 +389,8 @@ def qft_circuit(n: int, durations: GateDurations = GateDurations()) -> Scheduled
     discrete Fourier matrix F[x, y] = exp(2 pi i x y / 2^n) / 2^(n/2).
 
     Construction works up to the simulation limit; density-matrix simulation
-    stays desk-friendly up to about six qubits.
+    stays desk-friendly up to about eight qubits (a default ``qft-toy`` run
+    takes about 3 s at seven and 17 s at eight on one BLAS thread).
     """
     if not 2 <= n <= MAX_SIM_QUBITS:
         raise ValueError(f"scenario supports 2..{MAX_SIM_QUBITS} qubits, got {n}")
@@ -403,15 +428,29 @@ def qft_success_scenario(n: int, durations: GateDurations = GateDurations()) -> 
     return ScheduledCircuit(n, (prep_h, prep_p) + core.slices), target
 
 
+def qft_final_state(n: int, noise: NoiseParams, strategy: str, threshold: float = 0.24,
+                    measure_shots: int | None = None, seed: int | None = None,
+                    durations: GateDurations = GateDurations()) -> tuple[DensityMatrix, str]:
+    """Noisy final state of the transform scenario with the chosen sequence
+    inserted into qualifying idle intervals, and its target string. Only
+    sampled MDD expectations (``measure_shots``, keyed by ``seed``) make it
+    depend on the seed."""
+    circuit, target = qft_success_scenario(n, durations)
+    dressed = insert_dd(circuit, strategy, noise, threshold, shots=measure_shots, seed=seed)
+    return simulate(dressed, noise), target
+
+
+def qft_readout(rho: DensityMatrix, target: str, shots: int, seed: int) -> float:
+    """Success percentage of ``shots`` computational-basis readouts of ``rho``,
+    drawn from a generator keyed by ``seed + 1``."""
+    return success_probability(sample_counts(rho, shots, seed=seed + 1), target)
+
+
 def qft_success_probability(n: int, noise: NoiseParams, strategy: str,
                             threshold: float = 0.24, shots: int = 100_000,
                             seed: int = 0, measure_shots: int | None = None,
                             durations: GateDurations = GateDurations()) -> float:
     """End-to-end success probability of the transform scenario under noise,
     with the chosen sequence inserted into qualifying idle intervals."""
-    circuit, target = qft_success_scenario(n, durations)
-    dressed = insert_dd(circuit, strategy, noise, threshold,
-                        shots=measure_shots, seed=seed)
-    rho = simulate(dressed, noise)
-    counts = sample_counts(rho, shots, seed=seed + 1)
-    return success_probability(counts, target)
+    rho, target = qft_final_state(n, noise, strategy, threshold, measure_shots, seed, durations)
+    return qft_readout(rho, target, shots, seed)

@@ -6,9 +6,16 @@ import math
 import numpy as np
 
 from mddsim.analysis import local_entanglement_fidelity
+from mddsim.circuits import (
+    ScheduledCircuit,
+    _insert_pulse,
+    _pulse_gate,
+    _simulate_raw,
+    identify_idle,
+)
 from mddsim.noise import NoiseParams, combined_channel
-from mddsim.sequences import frame_durations
-from mddsim.states import reduced_density
+from mddsim.sequences import build_schedule, frame_durations, measure_expectations
+from mddsim.states import DensityMatrix, reduced_density
 
 
 def naive_reduced(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarray:
@@ -85,6 +92,36 @@ def toggled_frame_average_loop(psi, schedule, params, qubit: int = 0) -> float:
             continue
         total += (duration / schedule.total_time) * local_entanglement_fidelity(sigma, channel, frame)
     return total
+
+
+def insert_dd_replaying(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
+                        threshold: float, shots: int | None = None,
+                        seed: int | None = None) -> ScheduledCircuit:
+    """Insert the chosen sequence into every idle interval above threshold.
+
+    Intervals are processed in start-time order. For the measurement-driven
+    strategy the Pauli expectations come from simulating the circuit built so
+    far up to the interval start (exact, or binomially sampled when ``shots``
+    is given), mirroring the iterated measure-compute-insert workflow.
+    """
+    strategy = strategy.lower()
+    if strategy == "none":
+        return circuit
+    if strategy not in ("mdd", "mdd+xx"):
+        build_schedule(strategy, 1.0)  # reject unknown names before touching the circuit
+    intervals = identify_idle(circuit, threshold)
+    slices = list(circuit.slices)
+    rng = np.random.default_rng(seed) if shots is not None else None
+    for iv in intervals:
+        exp = None
+        if strategy in ("mdd", "mdd+xx"):
+            prefix = ScheduledCircuit(circuit.num_qubits, tuple(slices))
+            rho = _simulate_raw(prefix, noise, None, until_time=iv.start)
+            exp = measure_expectations(DensityMatrix(rho), iv.qubit, shots=shots, rng=rng)
+        schedule = build_schedule(strategy, iv.duration, exp)
+        for offset, pulse in schedule.pulses:
+            _insert_pulse(slices, iv.start + offset, _pulse_gate(pulse.matrix, iv.qubit))
+    return ScheduledCircuit(circuit.num_qubits, tuple(slices))
 
 
 def purify(sigma: np.ndarray) -> np.ndarray:

@@ -54,6 +54,18 @@ class TestContainers:
         with pytest.raises(ValueError):
             Slice(-1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Slice(math.nan),
+        lambda: ScheduledCircuit.from_dict({"num_qubits": 1, "slices": [{"duration": "nan"}]}),
+        lambda: GateDurations(h=math.nan),
+        lambda: GateDurations(prep=math.nan),
+        lambda: identify_idle(qft_circuit(3), math.nan),
+        lambda: insert_dd(qft_circuit(3), "xx", DEFAULT_NOISE, math.nan),
+    ], ids=["slice", "from-dict", "gate-h", "gate-prep", "identify-idle", "insert-dd"])
+    def test_nan_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_json_round_trip(self):
         circuit, _ = qft_success_scenario(3)
         dressed = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24)
@@ -188,6 +200,12 @@ class TestInsertDd:
         a = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24, shots=1000, seed=5)
         b = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24, shots=1000, seed=5)
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("strategy", ["mdd", "xx"])
+    def test_shot_mode_needs_a_seed(self, strategy):
+        circuit, _ = qft_success_scenario(3)
+        with pytest.raises(ValueError, match="seed"):
+            insert_dd(circuit, strategy, DEFAULT_NOISE, 0.24, shots=50)
 
 
 class TestSampling:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mddsim.circuits import qft_success_probability
 from mddsim.cli import main
 from mddsim.experiments import (
     EXPERIMENTS,
@@ -131,6 +132,20 @@ class TestCliContract:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "qft_success.csv").read_text().splitlines()
         assert lines[0] == "seed,strategy,p_success"
+
+    @pytest.mark.parametrize("num_qubits", [3, 4])
+    def test_qft_toy_rows_equal_per_seed_calls(self, tmp_path, capsys, num_qubits):
+        cfg = write_config(tmp_path, experiment="qft-toy", num_qubits=num_qubits, seed=11,
+                           sequences=["none", "xx", "mdd", "mdd+xx"])
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        lines = (tmp_path / "out" / "qft_success.csv").read_text().splitlines()
+        config = ExperimentConfig(experiment="qft-toy", num_qubits=num_qubits)
+        expected = [(seed, kind, qft_success_probability(num_qubits, config.noise, kind,
+                                                          threshold=config.threshold,
+                                                          shots=config.shots, seed=seed))
+                    for seed in range(11, 16) for kind in ("none", "xx", "mdd", "mdd+xx")]
+        rows = [(int(seed), kind, float(p)) for seed, kind, p in (l.split(",") for l in lines[1:])]
+        assert rows == expected
 
     def test_verify_suite_exit_codes(self, tmp_path, capsys):
         assert main(["verify", "--suite", "bounds", "--out", str(tmp_path)]) == 0

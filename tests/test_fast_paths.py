@@ -21,6 +21,14 @@ from mddsim.analysis import (
     superoperator_fidelity,
     toggled_frame_average,
 )
+from mddsim.circuits import (
+    ScheduledCircuit,
+    Slice,
+    cp_gate,
+    custom_gate,
+    insert_dd,
+    qft_success_scenario,
+)
 from mddsim.experiments import colored_noise_fidelity
 from mddsim.noise import (
     KrausChannel,
@@ -42,7 +50,7 @@ from mddsim.states import (
     reduced_density,
 )
 
-from helpers import random_single_qubit_density, toggled_frame_average_loop
+from helpers import insert_dd_replaying, random_single_qubit_density, toggled_frame_average_loop
 
 KINDS = ["none", "mdd", "xx", "xy4", "udd2", "udd4", "udd6", "udd8", "qdd2", "qdd4", "mdd+xx"]
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -185,6 +193,37 @@ def test_toggled_frame_average_matches_frame_loop(kind, case, params, t):
     schedule = build_schedule(kind, t, exp)
     fast = toggled_frame_average(psi, schedule, params, qubit)
     assert abs(fast - toggled_frame_average_loop(psi, schedule, params, qubit)) <= 1e-12
+
+
+@st.composite
+def scheduled_circuits(draw):
+    """The transform scenario at 2 to 5 qubits, or a small random circuit of
+    Haar single-qubit gates, controlled phases and zero-length slices."""
+    if draw(st.booleans()):
+        return qft_success_scenario(draw(st.integers(2, 5)))[0]
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(seeds))
+    slices = []
+    for _ in range(draw(st.integers(1, 10))):
+        gated = [q for q in range(n) if draw(st.booleans())]
+        gates = []
+        if len(gated) >= 2 and draw(st.booleans()):
+            gates.append(cp_gate(draw(st.floats(-3.0, 3.0)), gated.pop(), gated.pop()))
+        gates += [custom_gate(haar_random_unitary(2, rng), (q,)) for q in gated]
+        duration = draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 60.0))
+        slices.append(Slice(duration, tuple(gates)))
+    return ScheduledCircuit(n, tuple(slices))
+
+
+@pytest.mark.parametrize("strategy", ["mdd", "mdd+xx", "xx"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(circuit=scheduled_circuits(), params=noise_params(), threshold=st.floats(0.0, 10.0),
+       shots=st.none() | st.integers(1, 2000), seed=seeds)
+def test_insert_dd_matches_prefix_replay(strategy, circuit, params, threshold, shots, seed):
+    seed = None if shots is None else seed
+    fast = insert_dd(circuit, strategy, params, threshold, shots=shots, seed=seed)
+    oracle = insert_dd_replaying(circuit, strategy, params, threshold, shots=shots, seed=seed)
+    assert fast.to_dict() == oracle.to_dict()
 
 
 def test_twelve_qubits_cost_one_partial_trace():
