@@ -29,7 +29,6 @@ from .sequences import (
     measure_expectations,
     mdd_unitary,
     schedule_superoperator,
-    superoperator,
 )
 from .states import (
     ATOL,
@@ -92,8 +91,9 @@ def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) 
 
 def superoperator_fidelity(sigma, superop: np.ndarray):
     """Entanglement fidelity sum_K |Tr(K sigma)|^2 of the single-qubit channel
-    with row-major superoperator ``superop`` (see :func:`superoperator`), on any
-    purification of ``sigma``: a float, or one value per state of a (..., 2, 2) stack.
+    with row-major superoperator ``superop`` (a :attr:`KrausChannel.superop` or
+    a composition of them), on any purification of ``sigma``: a float, or one
+    value per state of a (..., 2, 2) stack.
 
     The realigned matrix C[ab, cd] = sum_K K_ab conj(K_cd) is independent of
     the Kraus decomposition, and F = vec(sigma^T) C vec(sigma^T)^dag, clamped
@@ -196,7 +196,7 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
     Haar-random conjugation pairs for the given channel duration."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    superop = superoperator(combined_channel(params, t).operators)
+    superop = combined_channel(params, t).superop
     b = bloch_vector(sigma)
     u_d = mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz))
     mdd_value = superoperator_fidelity(_conjugate(sigma.entries, u_d.matrix), superop)
@@ -297,7 +297,7 @@ def toggled_frame_average(psi: PureState, schedule: PulseSchedule, params: Noise
     channel. For uniform pulse spacing this is the plain mean over frames."""
     sigma = reduced_density(psi, [qubit])
     frames, durations = zip(*frame_durations(schedule))
-    superop = superoperator(combined_channel(params, schedule.total_time).operators)
+    superop = combined_channel(params, schedule.total_time).superop
     fids = superoperator_fidelity(_conjugate(sigma.entries, np.array(frames)), superop)
     return float(np.dot(np.array(durations) / schedule.total_time, fids))
 
@@ -347,7 +347,7 @@ def mixed_state_bounds(sigma_d: DensityMatrix, channel: KrausChannel) -> tuple[f
     upper = float(np.trace(mat @ out).real
                   + 2.0 * math.sqrt(max(np.linalg.det(mat).real, 0.0)
                                     * max(np.linalg.det(out).real, 0.0)))
-    return upper, superoperator_fidelity(sigma_d, superoperator(channel.operators))
+    return upper, superoperator_fidelity(sigma_d, channel.superop)
 
 
 @dataclass(frozen=True)

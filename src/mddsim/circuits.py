@@ -389,8 +389,9 @@ def qft_circuit(n: int, durations: GateDurations = GateDurations()) -> Scheduled
     discrete Fourier matrix F[x, y] = exp(2 pi i x y / 2^n) / 2^(n/2).
 
     Construction works up to the simulation limit; density-matrix simulation
-    stays desk-friendly up to about eight qubits (a default ``qft-toy`` run
-    takes about 3 s at seven and 17 s at eight on one BLAS thread).
+    stays desk-friendly up to about nine qubits (a default ``qft-toy`` run
+    takes about 1.5 s at seven, 4 s at eight and 17 s at nine on one BLAS
+    thread, interpreter start included).
     """
     if not 2 <= n <= MAX_SIM_QUBITS:
         raise ValueError(f"scenario supports 2..{MAX_SIM_QUBITS} qubits, got {n}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -30,7 +31,8 @@ from .analysis import (
     superoperator_fidelity,
 )
 from .circuits import qft_circuit, qft_final_state, qft_readout
-from .noise import NoiseParams, SpectralDensity, chi_integral, combined_channel, dephasing_channel_from_chi
+from .noise import (KrausChannel, NoiseParams, SpectralDensity, chi_integral, combined_channel,
+                    dephasing_channel_from_chi)
 from .sequences import (
     PauliExpectations,
     build_schedule,
@@ -210,8 +212,11 @@ def _sweep_state_task(args) -> tuple[int, dict]:
 def _run_state_tasks(config: ExperimentConfig, sequences, t_grid, jobs: int):
     tasks = [(config.seed, i, config.num_qubits, config.t1, config.t2, tuple(sequences),
               tuple(t_grid)) for i in range(config.num_states)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the executor forks every worker at the first submit, so more than one per
+    # task or per core only costs processes; rows do not depend on the count
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_state_task, tasks))
     else:
         results = dict(map(_sweep_state_task, tasks))
@@ -313,9 +318,9 @@ def colored_noise_fidelity(psi: PureState, kind: str, t1: float,
         chi = chi_integral(spectrum, flip_times(schedule), t)
     damping = combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t)
     dephasing = dephasing_channel_from_chi(chi)
-    boundary_start = [(g.matrix,) for tm, g in schedule.pulses if tm == 0.0]
-    boundary_end = [(g.matrix,) for tm, g in schedule.pulses if tm == t and t > 0.0]
-    superop = superoperator(*boundary_start, damping.operators, dephasing.operators, *boundary_end)
+    boundary_start = [KrausChannel((g.matrix,)) for tm, g in schedule.pulses if tm == 0.0]
+    boundary_end = [KrausChannel((g.matrix,)) for tm, g in schedule.pulses if tm == t and t > 0.0]
+    superop = superoperator(*boundary_start, damping, dephasing, *boundary_end)
     return superoperator_fidelity(sigma, superop)
 
 

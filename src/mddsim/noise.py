@@ -18,7 +18,7 @@ ground state |0><0| is an exact fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -73,6 +73,11 @@ NOISELESS = NoiseParams(t1=math.inf, t2=math.inf)
 class KrausChannel:
     """A single-qubit channel given by its Kraus operators.
 
+    ``superop`` is the channel's row-major 4x4 superoperator
+    sum_K K (x) conj(K), with vec(E(rho)) = superop vec(rho), built once on
+    construction; every application and composition goes through it. The
+    row-major vec(rho) of N qubits is a 2N-qubit register, and on qubit q
+    ``superop`` acts on its axes q and N + q, the row and column bits of q.
     Channels built by :func:`combined_channel` and
     :func:`dephasing_channel_from_chi` also carry the scalar decomposition
     (s, p, gamma_p, a, b, alpha, beta) used by the closed-form fidelity
@@ -81,16 +86,22 @@ class KrausChannel:
 
     operators: tuple
     scalars: dict | None = None
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(m, dtype=complex) for m in self.operators)
-        total = sum(m.conj().T @ m for m in ops)
-        if np.max(np.abs(total - np.eye(ops[0].shape[0]))) > ATOL:
+        if not ops or any(m.shape != (2, 2) for m in ops):
+            raise ValueError("a single-qubit channel needs one or more 2x2 Kraus operators, "
+                             f"got shapes {[m.shape for m in ops]}")
+        k = np.stack(ops)
+        if np.max(np.abs((k.conj().swapaxes(1, 2) @ k).sum(axis=0) - ID2)) > ATOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-12")
+        superop = (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(4, 4)
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "superop", superop)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Sum_k M_k rho M_k^dag on a raw single-qubit matrix."""
+        """E(rho) on a raw single-qubit matrix."""
         return _apply_local_raw(self, rho, 0, 1)
 
 
@@ -133,7 +144,12 @@ def apply_local(channel: KrausChannel, state: PureState | DensityMatrix, qubit: 
 
 
 def _apply_local_raw(channel: KrausChannel, rho: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    return sum(apply_matrix(m, rho, [qubit], num_qubits) for m in channel.operators)
+    if not 0 <= qubit < num_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
+    if rho.shape != (2**num_qubits, 2**num_qubits):
+        raise ValueError(f"matrix of shape {rho.shape} needs 2^{num_qubits} rows and columns")
+    vec = _apply_left(channel.superop, rho.reshape(-1, 1), [qubit, num_qubits + qubit], 2 * num_qubits)
+    return vec.reshape(rho.shape)
 
 
 @dataclass(frozen=True)

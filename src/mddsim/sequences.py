@@ -22,7 +22,6 @@ from .states import (
     PureState,
     SingleQubitUnitary,
     _as_matrix,
-    apply_matrix,
     bloch_vector,
     reduced_density,
 )
@@ -236,16 +235,16 @@ def frame_durations(schedule: PulseSchedule) -> list[tuple[np.ndarray, float]]:
     return out
 
 
-def _schedule_maps(schedule: PulseSchedule, params: NoiseParams) -> list:
-    """The schedule's single-qubit maps in time order: the free-evolution
-    :class:`KrausChannel` over each gap and each pulse's unitary matrix."""
+def _schedule_maps(schedule: PulseSchedule, params: NoiseParams) -> list[KrausChannel]:
+    """The schedule's single-qubit channels in time order: the free evolution
+    over each gap and each pulse as a one-operator channel."""
     maps = []
     prev = 0.0
     for tm, gate in schedule.pulses:
         if tm > prev:
             maps.append(combined_channel(params, tm - prev))
             prev = tm
-        maps.append(gate.matrix)
+        maps.append(KrausChannel((gate.matrix,)))
     if schedule.total_time > prev:
         maps.append(combined_channel(params, schedule.total_time - prev))
     return maps
@@ -253,28 +252,25 @@ def _schedule_maps(schedule: PulseSchedule, params: NoiseParams) -> list:
 
 def evolve_with_schedule(state: PureState | DensityMatrix, schedule: PulseSchedule,
                          params: NoiseParams, qubit: int) -> DensityMatrix:
-    """Apply the schedule's maps (gap channels and instantaneous pulses) one at a
+    """Apply the schedule's channels (gaps and instantaneous pulses) one at a
     time to ``qubit`` of the full state; an empty schedule is the bare channel."""
     rho, n = _as_matrix(state)
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    for m in _schedule_maps(schedule, params):
-        rho = (_apply_local_raw(m, rho, qubit, n) if isinstance(m, KrausChannel)
-               else apply_matrix(m, rho, [qubit], n))
+    for channel in _schedule_maps(schedule, params):
+        rho = _apply_local_raw(channel, rho, qubit, n)
     return DensityMatrix(rho)
 
 
-def superoperator(*maps) -> np.ndarray:
-    """Row-major 4x4 superoperator of single-qubit maps applied in the order
-    given, each map a sequence of Kraus operators (a pulse is one unitary):
-    vec(sum_K K rho K^dag) = (sum_K K (x) conj(K)) vec(rho)."""
+def superoperator(*channels: KrausChannel) -> np.ndarray:
+    """Row-major 4x4 superoperator of single-qubit channels applied in the
+    order given: the product of their ``superop`` matrices, last one leftmost."""
     total = np.eye(4, dtype=complex)
-    for kraus in maps:
-        total = sum(np.kron(m, m.conj()) for m in kraus) @ total
+    for channel in channels:
+        total = channel.superop @ total
     return total
 
 
 def schedule_superoperator(schedule: PulseSchedule, params: NoiseParams) -> np.ndarray:
     """The target-qubit action of :func:`evolve_with_schedule` as one superoperator."""
-    return superoperator(*(m.operators if isinstance(m, KrausChannel) else (m,)
-                           for m in _schedule_maps(schedule, params)))
+    return superoperator(*_schedule_maps(schedule, params))

@@ -13,9 +13,15 @@ from mddsim.circuits import (
     _simulate_raw,
     identify_idle,
 )
-from mddsim.noise import NoiseParams, combined_channel
+from mddsim.noise import KrausChannel, NoiseParams, combined_channel
 from mddsim.sequences import build_schedule, frame_durations, measure_expectations
-from mddsim.states import DensityMatrix, reduced_density
+from mddsim.states import DensityMatrix, haar_random_unitary, reduced_density
+
+
+def random_channel(rng: np.random.Generator, num_kraus: int) -> KrausChannel:
+    """Kraus operators cut from a random 2m x 2 isometry: sum K^dag K = I."""
+    iso = haar_random_unitary(2 * num_kraus, rng)[:, :2]
+    return KrausChannel(tuple(iso[2 * i:2 * i + 2] for i in range(num_kraus)))
 
 
 def naive_reduced(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarray:

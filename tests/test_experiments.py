@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mddsim.circuits import qft_success_probability
+from mddsim import experiments
 from mddsim.cli import main
 from mddsim.experiments import (
     EXPERIMENTS,
@@ -112,6 +113,37 @@ class TestCliContract:
                          "--jobs", jobs]) == 0
             outputs.append((tmp_path / name / "fidelity_sweep.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(("jobs", "num_states", "cores", "workers"),
+                             [(100_000, 20, 4, 4), (100_000, 3, 64, 3), (2, 20, 64, 2), (8, 5, 1, None)])
+    def test_worker_count_is_clamped(self, tmp_path, monkeypatch, capsys, jobs, num_states, cores, workers):
+        created = []
+
+        class SerialExecutor:
+            """Records the requested worker count and maps in process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        cfg = write_config(tmp_path, experiment="fidelity-sweep", num_states=num_states,
+                           num_qubits=2, t_grid=[5.0, 50.0], sequences=["none", "mdd"])
+        outputs = []
+        for name, k in (("serial", 1), ("pooled", jobs)):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name), "--jobs", str(k)]) == 0
+            outputs.append((tmp_path / name / "fidelity_sweep.csv").read_bytes())
+        assert created == ([] if workers is None else [workers])
+        assert outputs[0] == outputs[1]
 
     def test_sqd_recover_hubbard_dimer_improves(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="sqd-recover", fcidump="hubbard-dimer",

@@ -50,7 +50,12 @@ from mddsim.states import (
     reduced_density,
 )
 
-from helpers import insert_dd_replaying, random_single_qubit_density, toggled_frame_average_loop
+from helpers import (
+    insert_dd_replaying,
+    random_channel,
+    random_single_qubit_density,
+    toggled_frame_average_loop,
+)
 
 KINDS = ["none", "mdd", "xx", "xy4", "udd2", "udd4", "udd6", "udd8", "qdd2", "qdd4", "mdd+xx"]
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -117,14 +122,14 @@ def test_superoperator_composes_in_order(seed, times):
     rng = np.random.default_rng(seed)
     rho = reduced_density(haar_random_state(2, seed=seed), [0]).entries
     params = NoiseParams(t1=250.0, t2=170.0)
-    maps = []
+    channels = []
     for t in times:
-        maps.append(combined_channel(params, t).operators)
-        maps.append((haar_random_unitary(2, rng),))
+        channels.append(combined_channel(params, t))
+        channels.append(KrausChannel((haar_random_unitary(2, rng),)))
     expected = rho
-    for kraus in maps:
-        expected = KrausChannel(kraus).apply(expected)
-    got = (superoperator(*maps) @ rho.reshape(4)).reshape(2, 2)
+    for channel in channels:
+        expected = sum(m @ expected @ m.conj().T for m in channel.operators)
+    got = (superoperator(*channels) @ rho.reshape(4)).reshape(2, 2)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -137,6 +142,25 @@ def local_channels(draw):
     return dephasing_channel_from_chi(draw(st.floats(0.0, 5.0)))
 
 
+@st.composite
+def any_channels(draw):
+    """A physical channel, a random Kraus set cut from a Haar isometry, or a
+    one-operator unitary channel (a pulse)."""
+    kind = draw(st.sampled_from(["physical", "random", "unitary"]))
+    if kind == "physical":
+        return draw(local_channels())
+    rng = np.random.default_rng(draw(seeds))
+    if kind == "unitary":
+        return KrausChannel((haar_random_unitary(2, rng),))
+    return random_channel(rng, draw(st.integers(1, 4)))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(channel=any_channels())
+def test_superop_equals_kron_sum_exactly(channel):
+    assert np.array_equal(channel.superop, sum(np.kron(m, m.conj()) for m in channel.operators))
+
+
 @PROPERTY
 @given(seed=seeds, channel=local_channels(), count=st.integers(1, 64))
 def test_batched_superoperator_fidelity_rows_equal_single_calls(seed, channel, count):
@@ -144,7 +168,7 @@ def test_batched_superoperator_fidelity_rows_equal_single_calls(seed, channel, c
     sigma = DensityMatrix(random_single_qubit_density(rng))
     unitaries = _haar_batch(count, rng)
     rotated = unitaries @ sigma.entries @ unitaries.conj().transpose(0, 2, 1)
-    superop = superoperator(channel.operators)
+    superop = channel.superop
     batch = superoperator_fidelity(rotated, superop)
     assert batch.shape == (count,)
     assert np.array_equal(superoperator_fidelity(rotated[None], superop), batch[None])

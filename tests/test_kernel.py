@@ -14,7 +14,7 @@ from mddsim.circuits import ScheduledCircuit, Slice, circuit_unitary, custom_gat
 from mddsim.noise import JumpOperator, KrausChannel, _apply_local_raw, lindblad_derivative
 from mddsim.states import _apply_left, apply_matrix, haar_random_state, haar_random_unitary
 
-from helpers import embed_operator
+from helpers import embed_operator, random_channel
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -35,12 +35,6 @@ def local_ops(draw, max_qubits=7, max_targets=3):
     rng = np.random.default_rng(draw(seeds))
     op = complex_gaussian(rng, (2**k, 2**k), scale=2.0**-k)
     return op, list(order[:k]), n, rng
-
-
-def random_channel(rng, num_kraus):
-    """Kraus operators cut from a random 2m x 2 isometry: sum K^dag K = I."""
-    iso = haar_random_unitary(2 * num_kraus, rng)[:, :2]
-    return KrausChannel(tuple(iso[2 * i:2 * i + 2] for i in range(num_kraus)))
 
 
 @PROPERTY
@@ -123,6 +117,18 @@ def test_local_channel_output_is_a_density_matrix(n, seed, num_kraus, data):
     assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
 
 
+@PROPERTY
+@given(n=st.integers(1, 6), seed=seeds, num_kraus=st.integers(1, 4))
+def test_local_channel_matches_embedded_kraus_sum(n, seed, num_kraus):
+    rng = np.random.default_rng(seed)
+    channel = random_channel(rng, num_kraus)
+    rho = complex_gaussian(rng, (2**n, 2**n))
+    for qubit in range(n):
+        embedded = [embed_operator(m, [qubit], n) for m in channel.operators]
+        expected = sum(e @ rho @ e.conj().T for e in embedded)
+        np.testing.assert_allclose(_apply_local_raw(channel, rho, qubit, n), expected, rtol=0, atol=1e-12)
+
+
 BAD_TARGETS = {
     "above-range": (np.eye(2), [2], 2, "out of range"),
     "negative": (np.eye(2), [-1], 2, "out of range"),
@@ -138,6 +144,22 @@ def test_bad_targets_raise(op, targets, n, message):
                        (embed_operator, (op, targets, n))):
         with pytest.raises(ValueError, match=message):
             call(*args)
+
+
+CHANNEL = random_channel(np.random.default_rng(0), 2)
+BAD_CHANNEL_INPUTS = {
+    "no-operators": (KrausChannel, ((),), "one or more 2x2"),
+    "mixed-shapes": (KrausChannel, ((np.eye(2), np.eye(4)),), "one or more 2x2"),
+    "two-qubit-operator": (KrausChannel, ((np.eye(4),),), "one or more 2x2"),
+    "qubit-above-range": (_apply_local_raw, (CHANNEL, np.eye(4) / 4, 2, 2), "^qubit 2 out of range for 2 qubits$"),
+    "non-square-matrix": (_apply_local_raw, (CHANNEL, np.ones((2, 8)) / 8, 0, 2), "rows and columns"),
+}
+
+
+@pytest.mark.parametrize(("call", "args", "message"), BAD_CHANNEL_INPUTS.values(), ids=BAD_CHANNEL_INPUTS.keys())
+def test_bad_channel_input_raises(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 def test_local_channel_rejects_bad_qubit_and_size():
