@@ -69,7 +69,7 @@ class NoiseParams:
 NOISELESS = NoiseParams(t1=math.inf, t2=math.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A single-qubit channel given by its Kraus operators.
 
@@ -81,12 +81,13 @@ class KrausChannel:
     Channels built by :func:`combined_channel` and
     :func:`dephasing_channel_from_chi` also carry the scalar decomposition
     (s, p, gamma_p, a, b, alpha, beta) used by the closed-form fidelity
-    expressions; ad-hoc channels leave ``scalars`` as None.
+    expressions; ad-hoc channels leave ``scalars`` as None. Channels
+    compare and hash by identity, since their fields are arrays.
     """
 
     operators: tuple
     scalars: dict | None = None
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(m, dtype=complex) for m in self.operators)

@@ -112,12 +112,6 @@ class RecoveryReport:
         }
 
 
-def _split_sample(bits: np.ndarray, norb: int) -> Determinant:
-    alpha = sum(1 << p for p in range(norb) if bits[p])
-    beta = sum(1 << p for p in range(norb) if bits[norb + p])
-    return Determinant(alpha, beta)
-
-
 def _valid_mask(samples: np.ndarray, fci: FciData) -> np.ndarray:
     norb = fci.norb
     alpha_counts = samples[:, :norb].sum(axis=1)
@@ -129,13 +123,18 @@ def _batch_energy_and_occupancy(pool: np.ndarray, fci: FciData, size: int,
                                 rng: np.random.Generator) -> tuple[float, np.ndarray]:
     replace = pool.shape[0] < size
     idx = rng.choice(pool.shape[0], size=size, replace=replace)
-    batch = pool[idx]
-    dets = list({_split_sample(row, fci.norb) for row in batch})
-    dets.sort(key=lambda d: (d.alpha, d.beta))
+    norb = fci.norb
+    # with each sector's bits read from its top orbital down, the sorted
+    # distinct rows are the distinct determinants in ascending (alpha, beta) order
+    top_down = (pool[idx] != 0).reshape(size, 2, norb)[:, :, ::-1].reshape(size, 2 * norb)
+    bits = np.unique(top_down, axis=0).reshape(-1, 2, norb)[:, :, ::-1]
+    dets = [Determinant(*(int.from_bytes(sector.tobytes(), "little") for sector in row))
+            for row in np.packbits(bits, axis=2, bitorder="little")]
     energy, ground = project_and_diagonalize(dets, fci)
-    occupancy = np.zeros(fci.num_spin_orbitals)
-    for amplitude, det in zip(ground, dets):
-        occupancy += (amplitude**2) * det.occupations(fci.norb)
+    # amplitude**2 of a numpy scalar calls pow(), which can differ in the last
+    # bit from the x*x of an array square; cumsum adds the rows in order
+    probs = np.array([amplitude**2 for amplitude in ground])
+    occupancy = np.cumsum(probs[:, None] * bits.reshape(len(dets), 2 * norb), axis=0)[-1]
     return energy, occupancy
 
 

@@ -15,6 +15,7 @@ from mddsim.circuits import (
 )
 from mddsim.noise import KrausChannel, NoiseParams, combined_channel
 from mddsim.sequences import build_schedule, frame_durations, measure_expectations
+from mddsim.sqd import slater_condon
 from mddsim.states import DensityMatrix, haar_random_unitary, reduced_density
 
 
@@ -197,3 +198,15 @@ def fock_index(det, norb: int) -> int:
         if (det.beta >> p) & 1:
             idx |= 1 << (m - 1 - (norb + p))
     return idx
+
+
+def slater_condon_matrix(dets, fci) -> np.ndarray:
+    """Subspace Hamiltonian from one scalar ``slater_condon`` call per
+    upper-triangle pair, mirrored: the oracle of the vectorized build."""
+    dim = len(dets)
+    matrix = np.zeros((dim, dim))
+    for a in range(dim):
+        matrix[a, a] = slater_condon(dets[a], dets[a], fci)
+        for b in range(a + 1, dim):
+            matrix[a, b] = matrix[b, a] = slater_condon(dets[a], dets[b], fci)
+    return matrix

@@ -112,6 +112,13 @@ class TestCombinedChannel:
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel(operators=(0.5 * np.eye(2),))
 
+    def test_channels_compare_and_hash_by_identity(self):
+        first = combined_channel(DEFAULT_NOISE, 80.0)
+        second = combined_channel(DEFAULT_NOISE, 80.0)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+        assert hash(first) == hash(first)
+
     def test_operator_forms_from_scalars(self):
         # the four operators combine the damping pair (aI + bZ, sqrt(p) |0><1|)
         # with the dephasing pair (sqrt(alpha) I, sqrt(beta) Z)

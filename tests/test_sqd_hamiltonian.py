@@ -5,6 +5,9 @@ Jordan-Wigner ladder matrices, a path fully independent of the
 excitation-rule implementation it checks.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +29,9 @@ from mddsim.sqd import (
     write_fcidump,
 )
 from mddsim.sqd.fcidump import MAX_NORB
+from mddsim.sqd.hamiltonian import _hamiltonian_matrix
 
-from helpers import fock_index, fock_space_hamiltonian
+from helpers import fock_index, fock_space_hamiltonian, slater_condon_matrix
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
  ORBSYM=1,1,
@@ -250,3 +254,91 @@ class TestProjectAndDiagonalize:
         det = hartree_fock_determinant(2, 1, 1)
         with pytest.raises(ValueError, match="distinct"):
             project_and_diagonalize([det, det], fci)
+
+    @pytest.mark.parametrize("dets,culprit", [
+        ([Determinant(0b10001, 0b11)], 0),                           # orbital 4 of 4
+        ([Determinant(0b11, 0b11), Determinant(2**64, 0b11)], 1),   # far out of range
+        ([Determinant(0b1, 0b11), Determinant(0b111, 0b11)], 0),    # mixed alpha counts
+        ([Determinant(0b11, 0b11), Determinant(0b11, 0b1000)], 1),  # too few beta
+    ])
+    def test_foreign_determinants_rejected(self, dets, culprit):
+        fci = parse_fcidump(random_fcidump(4, 4, seed=2))
+        with pytest.raises(ValueError, match=re.escape(repr(dets[culprit]))):
+            project_and_diagonalize(dets, fci)
+
+
+def perturbed_integrals(norb: int, n_alpha: int, n_beta: int, seed: int) -> FciData:
+    """``random_fcidump`` tables plus an asymmetric perturbation below the
+    1e-12 symmetry tolerance, so that an index-order slip in the build (a
+    hole and a particle swapped) changes the last bits of an element."""
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    rng = np.random.default_rng(seed)
+    return FciData(norb=norb, nelec=fci.nelec, ms2=fci.ms2,
+                   h=fci.h + rng.uniform(-4e-13, 4e-13, fci.h.shape),
+                   eri=fci.eri + rng.uniform(-4e-13, 4e-13, fci.eri.shape),
+                   core_energy=fci.core_energy)
+
+
+def random_subspace(norb: int, n_alpha: int, n_beta: int, dim: int,
+                    rng: np.random.Generator) -> list[Determinant]:
+    """``dim`` distinct determinants (fewer if the space is smaller), in
+    random order."""
+    space = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
+    dets = {}
+    while len(dets) < min(dim, space):
+        alpha, beta = (sum(1 << int(p) for p in rng.permutation(norb)[:count])
+                       for count in (n_alpha, n_beta))
+        dets.setdefault(Determinant(alpha, beta), None)
+    return list(dets)
+
+
+def assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim, seed):
+    fci = perturbed_integrals(norb, n_alpha, n_beta, seed)
+    dets = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(seed))
+    built = _hamiltonian_matrix(dets, fci)
+    oracle = slater_condon_matrix(dets, fci)
+    assert np.array_equal(built, oracle), np.max(np.abs(built - oracle))
+
+
+BUILD_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@BUILD_PROPERTY
+@given(data=st.data())
+def test_build_is_bit_identical_to_scalar_loop(data):
+    norb = data.draw(st.integers(1, 10), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    dim = data.draw(st.integers(1, 60), label="dim")
+    assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim,
+                                     data.draw(st.integers(0, 2**16), label="seed"))
+
+
+@pytest.mark.parametrize("norb,n_alpha,n_beta,dim", [
+    (7, 3, 3, 200),   # the benchmark's sector, every element class
+    (6, 4, 2, 120),   # n_alpha != n_beta
+    (5, 3, 0, 10),    # empty beta sector
+    (4, 4, 2, 6),     # full alpha sector
+    (10, 5, 4, 1),    # one determinant
+    (1, 0, 0, 1),     # no electrons
+])
+def test_build_edge_sectors_match_scalar_loop(norb, n_alpha, n_beta, dim):
+    assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim, seed=norb * 100 + dim)
+
+
+def test_build_accepts_numpy_integer_masks():
+    fci = parse_fcidump(random_fcidump(4, 4, seed=2))
+    dets = all_determinants(4, 2, 2)
+    wrapped = [Determinant(np.int64(d.alpha), np.uint8(d.beta)) for d in dets]
+    assert np.array_equal(_hamiltonian_matrix(wrapped, fci), slater_condon_matrix(dets, fci))
+
+
+@pytest.mark.parametrize("norb,n_alpha,n_beta", [(4, 3, 1), (3, 2, 0)])
+def test_build_matches_fock_space_oracle(norb, n_alpha, n_beta):
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=3))
+    dets = all_determinants(norb, n_alpha, n_beta)
+    dets = [dets[k] for k in np.random.default_rng(0).permutation(len(dets))]
+    idx = [fock_index(d, norb) for d in dets]
+    full = fock_space_hamiltonian(fci)
+    np.testing.assert_allclose(_hamiltonian_matrix(dets, fci), full[np.ix_(idx, idx)],
+                               rtol=0, atol=1e-10)

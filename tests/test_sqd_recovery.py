@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mddsim.sqd import (
+    Determinant,
     RecoveryConfig,
     all_determinants,
     hubbard_dimer_fcidump,
@@ -19,6 +20,7 @@ from mddsim.sqd import (
     self_consistent_recovery,
     weight_w,
 )
+from mddsim.sqd.recovery import _batch_energy_and_occupancy
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,24 @@ class TestSelfConsistentRecovery:
         for occ in report.occupancies:
             assert occ.sum() == pytest.approx(fci.nelec, abs=1e-8)
             assert np.all(occ >= -1e-12) and np.all(occ <= 1 + 1e-12)
+
+    def test_batch_matches_per_sample_loop(self):
+        # one Determinant per sample, deduplicated, sorted by (alpha, beta),
+        # occupations accumulated amplitude by amplitude; nine orbitals span
+        # two bytes of each sector's mask
+        fci = parse_fcidump(random_fcidump(9, 4, seed=3))
+        pool = np.stack([d.occupations(9) for d in all_determinants(9, 2, 2)]).astype(np.uint8)
+        energy, occupancy = _batch_energy_and_occupancy(pool, fci, 300, np.random.default_rng(5))
+        batch = pool[np.random.default_rng(5).choice(len(pool), size=300, replace=False)]
+        subspace = sorted({Determinant(sum(1 << p for p in range(9) if row[p]),
+                                       sum(1 << p for p in range(9) if row[9 + p]))
+                           for row in batch}, key=lambda d: (d.alpha, d.beta))
+        want_energy, want_ground = project_and_diagonalize(subspace, fci)
+        want = np.zeros(18)
+        for amplitude, det in zip(want_ground, subspace):
+            want += (amplitude**2) * det.occupations(9)
+        assert energy == want_energy
+        assert np.array_equal(occupancy, want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
