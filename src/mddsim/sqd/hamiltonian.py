@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .fcidump import FciData
 
@@ -32,8 +33,12 @@ class Determinant:
     beta: int
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("occupation masks must be nonnegative")
+        for name in ("alpha", "beta"):
+            mask = getattr(self, name)
+            if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)):
+                raise ValueError(f"{name} occupation mask must be an integer, got {mask!r}")
+            if mask < 0:
+                raise ValueError("occupation masks must be nonnegative")
 
     def occupations(self, norb: int) -> np.ndarray:
         """Spin-orbital occupation vector, alpha block then beta block."""
@@ -297,6 +302,11 @@ def project_and_diagonalize(dets: list[Determinant], fci: FciData) -> tuple[floa
     normalized ground eigenvector in the determinant basis. Enlarging the
     subspace can only lower the returned energy (variational). Every
     determinant must hold the integrals' electron counts in their orbitals.
+
+    Only the lowest eigenpair is computed (LAPACK ``syevr`` through
+    ``scipy.linalg.eigh`` with ``subset_by_index``), never the whole
+    spectrum. The vector's sign is arbitrary, and for a degenerate ground
+    state it is some unit vector in the ground eigenspace.
     """
     if not dets:
         raise ValueError("subspace is empty")
@@ -305,5 +315,5 @@ def project_and_diagonalize(dets: list[Determinant], fci: FciData) -> tuple[floa
     dim = len(dets)
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"subspace dimension {dim} exceeds dense limit {MAX_DENSE_DIM}")
-    vals, vecs = np.linalg.eigh(_hamiltonian_matrix(dets, fci))
+    vals, vecs = scipy.linalg.eigh(_hamiltonian_matrix(dets, fci), subset_by_index=[0, 0])
     return float(vals[0] + fci.core_energy), vecs[:, 0]

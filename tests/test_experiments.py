@@ -26,6 +26,7 @@ from mddsim.experiments import (
     verify_lemma,
 )
 from mddsim.noise import SpectralDensity
+from mddsim.sqd import random_fcidump
 from mddsim.states import haar_random_state
 
 
@@ -158,6 +159,19 @@ class TestCliContract:
         first = np.mean(by_iteration[min(by_iteration)])
         last = np.mean(by_iteration[max(by_iteration)])
         assert last < first
+
+    def test_sqd_recover_byte_identical_across_runs(self, tmp_path, capsys):
+        # a 400-determinant reference and 50 batch subspaces of 67 to 120
+        # determinants, each diagonalized for its lowest eigenpair only
+        integrals = tmp_path / "six.fcidump"
+        integrals.write_text(random_fcidump(6, 6, seed=3))
+        cfg = write_config(tmp_path, experiment="sqd-recover", fcidump=str(integrals))
+        outputs = []
+        for name in ("r1", "r2"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name), "--seed", "5"]) == 0
+            outputs.append({f: (tmp_path / name / f).read_bytes()
+                            for f in ("sqd_recovery.csv", "sqd_report.json")})
+        assert outputs[0] == outputs[1]
 
     def test_qft_toy_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="qft-toy", num_qubits=4, shots=20_000)

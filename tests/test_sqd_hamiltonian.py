@@ -266,6 +266,38 @@ class TestProjectAndDiagonalize:
         with pytest.raises(ValueError, match=re.escape(repr(dets[culprit]))):
             project_and_diagonalize(dets, fci)
 
+    @pytest.mark.parametrize("alpha,beta,field", [
+        (3.0, 0b11, "alpha"),
+        (0b11, "3", "beta"),
+        (np.float64(3.0), 0b11, "alpha"),
+        (True, 0b11, "alpha"),
+    ])
+    def test_non_integer_masks_rejected(self, alpha, beta, field):
+        with pytest.raises(ValueError, match=f"{field} occupation mask must be an integer"):
+            Determinant(alpha, beta)
+
+    def test_numpy_integer_masks_accepted(self):
+        fci = parse_fcidump(random_fcidump(4, 4, seed=2))
+        det = Determinant(np.int64(0b11), np.int64(0b101))
+        energy, ground = project_and_diagonalize([det], fci)
+        plain = Determinant(0b11, 0b101)
+        assert det == plain
+        assert energy == slater_condon(plain, plain, fci) + fci.core_energy
+        assert abs(ground[0]) == 1.0
+
+    def test_degenerate_ground_state_gives_vector_in_eigenspace(self):
+        # one alpha electron in three orbitals: the subspace matrix is h, with
+        # eigenvalues -1, -1 and +1; the ground eigenspace is the complement of
+        # the +1 eigenvector (1, 1, 0) / sqrt(2)
+        h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        fci = FciData(norb=3, nelec=1, ms2=1, h=h, eri=np.zeros((3,) * 4), core_energy=0.5)
+        dets = all_determinants(3, 1, 0)
+        assert np.array_equal(_hamiltonian_matrix(dets, fci), h)
+        energy, ground = project_and_diagonalize(dets, fci)
+        assert energy == pytest.approx(-0.5, abs=1e-14)
+        assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
+        assert abs(ground @ np.array([1.0, 1.0, 0.0])) / np.sqrt(2) < 1e-10
+
 
 def perturbed_integrals(norb: int, n_alpha: int, n_beta: int, seed: int) -> FciData:
     """``random_fcidump`` tables plus an asymmetric perturbation below the
@@ -342,3 +374,46 @@ def test_build_matches_fock_space_oracle(norb, n_alpha, n_beta):
     full = fock_space_hamiltonian(fci)
     np.testing.assert_allclose(_hamiltonian_matrix(dets, fci), full[np.ix_(idx, idx)],
                                rtol=0, atol=1e-10)
+
+
+def assert_matches_full_spectrum_oracle(dets, fci):
+    """``project_and_diagonalize`` against ``np.linalg.eigh`` of the same
+    matrix: the energy, a unit vector with a small residual, and, where the
+    ground state is separated from the rest, the oracle's vector up to sign."""
+    matrix = _hamiltonian_matrix(dets, fci)
+    vals, vecs = np.linalg.eigh(matrix)
+    energy, ground = project_and_diagonalize(dets, fci)
+    assert energy == pytest.approx(vals[0] + fci.core_energy, abs=1e-12)
+    assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
+    residual = matrix @ ground - (energy - fci.core_energy) * ground
+    assert np.linalg.norm(residual) <= 1e-10
+    if len(vals) == 1 or vals[1] - vals[0] > 1e-6:
+        assert abs(ground @ vecs[:, 0]) >= 1 - 1e-10
+
+
+EIGEN_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@EIGEN_PROPERTY
+@given(data=st.data())
+def test_lowest_eigenpair_matches_full_spectrum(data):
+    norb = data.draw(st.integers(1, 6), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    space = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
+    dim = data.draw(st.integers(1, space), label="dim")
+    dets = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(seed))
+    assert_matches_full_spectrum_oracle(dets, fci)
+
+
+@pytest.mark.parametrize("norb,n_alpha,n_beta,dim", [
+    (4, 2, 2, 1),     # one determinant
+    (6, 3, 3, 400),   # the full space, in random order
+    (5, 3, 0, 10),    # empty beta sector
+])
+def test_lowest_eigenpair_edge_subspaces(norb, n_alpha, n_beta, dim):
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=dim))
+    dets = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(norb))
+    assert_matches_full_spectrum_oracle(dets, fci)
