@@ -35,9 +35,10 @@ print("\n8-spin-orbital random system, 5% readout flips, 300 shots:")
 fci = parse_fcidump(random_fcidump(4, 4, seed=42))
 dets = all_determinants(4, 2, 2)
 e_ref, ground = project_and_diagonalize(dets, fci)
-print(f"  reference energy {e_ref:.6f} Ha over {len(dets)} determinants")
+print(f"  reference energy {e_ref:.6f} Ha over {len(dets)} determinants "
+      f"(occupation rows, alpha orbitals first: {dets[0].tolist()}, ...)")
 
-samples = noisy_sampler(ground, dets, fci, flip_rate=0.05, shots=300, seed=1)
+samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=1)
 valid = ((samples[:, :4].sum(axis=1) == 2) & (samples[:, 4:].sum(axis=1) == 2)).sum()
 print(f"  {samples.shape[0]} samples, {valid} preserve both sector counts")
 

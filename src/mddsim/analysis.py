@@ -237,6 +237,21 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(np.asarray(x)[mask]), np.log(np.asarray(y)[mask]), 1)[0])
 
 
+GAP_TOL = 1e-10
+
+
+def _envelope_slope(grid, gaps) -> float | None:
+    """Log-log slope of the negative gaps (below -GAP_TOL) against their grid
+    points: None without such a gap, and 0.0, which fails any envelope, for
+    a single one."""
+    neg = np.asarray(gaps) < -GAP_TOL
+    if not neg.any():
+        return None
+    if neg.sum() == 1:
+        return 0.0
+    return float(np.polyfit(np.log(np.asarray(grid)[neg]), np.log(-np.asarray(gaps)[neg]), 1)[0])
+
+
 @dataclass
 class GapReport:
     """Pointwise fidelity gap between the measurement-driven sequence and a
@@ -255,7 +270,7 @@ class GapReport:
     def to_dict(self) -> dict:
         return _plain(self.__dict__)
 
-    def passed(self, tol: float = 1e-10, min_slope: float = 1.8) -> bool:
+    def passed(self, tol: float = GAP_TOL, min_slope: float = 1.8) -> bool:
         if self.margin >= -tol:
             return True
         return self.envelope_slope is not None and self.envelope_slope >= min_slope
@@ -264,11 +279,10 @@ class GapReport:
 def _gap_report(claim_id: str, grid: list, mdd_vals: list, seq_vals: list, seed: int | None,
                 grid_name: str, **context) -> GapReport:
     """GapReport of mdd_vals - seq_vals over ``grid``: the worst gap, and the
-    log-log slope of the negative gaps (g < 0) against their grid points."""
+    envelope slope of the negative gaps."""
     gaps = [m - s for m, s in zip(mdd_vals, seq_vals)]
     worst_idx = int(np.argmin(gaps))
-    neg = np.array(gaps) < 0
-    slope = _loglog_slope(np.array(grid)[neg], -np.array(gaps)[neg]) if neg.any() else None
+    slope = _envelope_slope(grid, gaps)
     return GapReport(claim_id=claim_id, margin=float(min(gaps)),
                      worst_case={grid_name: grid[worst_idx], "gap": gaps[worst_idx], **context},
                      seed=seed, t_grid=grid, mdd_fidelity=mdd_vals,

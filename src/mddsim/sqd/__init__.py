@@ -1,15 +1,9 @@
 """Sampled-subspace diagonalization pipeline: integral-file parsing,
-determinant-space Hamiltonians, and self-consistent configuration recovery."""
+determinant-space Hamiltonians over occupation bit rows, and self-consistent
+configuration recovery."""
 
 from .fcidump import FciData, ParseError, parse_fcidump, write_fcidump
-from .hamiltonian import (
-    Determinant,
-    all_determinants,
-    excitation_degree,
-    hartree_fock_determinant,
-    project_and_diagonalize,
-    slater_condon,
-)
+from .hamiltonian import all_determinants, project_and_diagonalize
 from .recovery import (
     RecoveryConfig,
     RecoveryReport,

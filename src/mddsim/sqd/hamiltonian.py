@@ -1,11 +1,14 @@
-"""Determinant-space Hamiltonian matrix elements and subspace diagonalization.
+"""Hamiltonian matrix elements between determinants, and subspace diagonalization.
 
-A determinant is a pair of bitmasks over spatial orbitals (bit p set means
-orbital p occupied in that spin sector). The fermionic ordering places all
-alpha spin orbitals before all beta spin orbitals, each sector ordered by
-orbital index, so excitation parities factorize per sector.
+A determinant is a 0/1 occupation row of length 2*norb: entry p is spatial
+orbital p of the alpha sector, entry norb + p orbital p of the beta sector.
+A subspace is a (dim, 2*norb) array of such rows, the layout of the sampled
+bit strings. The fermionic ordering places all alpha spin orbitals before all
+beta spin orbitals, each sector ordered by orbital index, so excitation
+parities factorize per sector.
 
-Matrix elements follow the excitation-degree rules for the Hamiltonian
+Matrix elements follow the excitation-degree (Slater-Condon) rules for the
+Hamiltonian
 
     H = sum_{pr,s} h_pr a+_{ps} a_{rs}
       + 1/2 sum_{prqs,st} (pr|qs) a+_{ps} a+_{qt} a_{st'} a_{rs'}
@@ -15,7 +18,7 @@ with (pr|qs) the chemists'-notation two-electron integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -25,158 +28,45 @@ from .fcidump import FciData
 MAX_DENSE_DIM = 4000
 
 
-@dataclass(frozen=True)
-class Determinant:
-    """Electron configuration as per-sector orbital bitmasks."""
+def all_determinants(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """The full configuration space at fixed per-sector electron counts, as
+    uint8 occupation rows: alpha-major, each sector's occupied orbitals in
+    ``itertools.combinations`` order."""
+    def sector(count):
+        combos = np.array(list(combinations(range(norb), count)), dtype=np.intp)
+        bits = np.zeros((len(combos), norb), dtype=np.uint8)
+        bits[np.arange(len(combos))[:, None], combos.reshape(len(combos), count)] = 1
+        return bits
 
-    alpha: int
-    beta: int
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            mask = getattr(self, name)
-            if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)):
-                raise ValueError(f"{name} occupation mask must be an integer, got {mask!r}")
-            if mask < 0:
-                raise ValueError("occupation masks must be nonnegative")
-
-    def occupations(self, norb: int) -> np.ndarray:
-        """Spin-orbital occupation vector, alpha block then beta block."""
-        bits = [(self.alpha >> p) & 1 for p in range(norb)]
-        bits += [(self.beta >> p) & 1 for p in range(norb)]
-        return np.array(bits, dtype=float)
+    alpha, beta = sector(n_alpha), sector(n_beta)
+    return np.hstack([np.repeat(alpha, len(beta), axis=0), np.tile(beta, (len(alpha), 1))])
 
 
-def _occ_list(mask: int) -> list[int]:
-    out = []
-    p = 0
-    while mask >> p:
-        if (mask >> p) & 1:
-            out.append(p)
-        p += 1
-    return out
-
-
-def _parity_between(mask: int, a: int, b: int) -> int:
-    """(-1)^(number of occupied orbitals strictly between a and b)."""
-    lo, hi = (a, b) if a < b else (b, a)
-    window = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-    return -1 if bin(mask & window).count("1") % 2 else 1
-
-
-def excitation_degree(det_i: Determinant, det_j: Determinant) -> int:
-    return (bin(det_i.alpha ^ det_j.alpha).count("1")
-            + bin(det_i.beta ^ det_j.beta).count("1")) // 2
-
-
-def hartree_fock_determinant(norb: int, n_alpha: int, n_beta: int) -> Determinant:
-    return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
-
-
-def all_determinants(norb: int, n_alpha: int, n_beta: int) -> list[Determinant]:
-    """The full configuration space at fixed per-sector electron counts."""
-    from itertools import combinations
-
-    def masks(count):
-        return [sum(1 << p for p in combo) for combo in combinations(range(norb), count)]
-
-    return [Determinant(a, b) for a in masks(n_alpha) for b in masks(n_beta)]
-
-
-def _diagonal_element(det: Determinant, fci: FciData) -> float:
-    h, eri = fci.h, fci.eri
-    alpha, beta = _occ_list(det.alpha), _occ_list(det.beta)
-    energy = sum(h[p, p] for p in alpha) + sum(h[p, p] for p in beta)
-    for occ in (alpha, beta):
-        for idx, p in enumerate(occ):
-            for q in occ[idx + 1:]:
-                energy += eri[p, p, q, q] - eri[p, q, q, p]
-    for p in alpha:
-        for q in beta:
-            energy += eri[p, p, q, q]
-    return float(energy)
-
-
-def _single_element(hole: int, part: int, same: list[int], other: list[int],
-                    sign: int, fci: FciData) -> float:
-    h, eri = fci.h, fci.eri
-    value = h[hole, part]
-    for r in same:
-        value += eri[hole, part, r, r] - eri[hole, r, r, part]
-    for r in other:
-        value += eri[hole, part, r, r]
-    return float(sign * value)
-
-
-def _single_excitation(mask_from: int, mask_to: int) -> tuple[int, int, int]:
-    """(hole, particle, parity) for a one-orbital difference within a sector."""
-    diff = mask_from ^ mask_to
-    hole = (diff & mask_from).bit_length() - 1
-    part = (diff & mask_to).bit_length() - 1
-    return hole, part, _parity_between(mask_from, hole, part)
-
-
-def _double_same_sector(mask_from: int, mask_to: int, fci: FciData) -> float:
-    diff = mask_from ^ mask_to
-    holes = _occ_list(diff & mask_from)
-    parts = _occ_list(diff & mask_to)
-    (m, n), (p, q) = holes, parts  # each ascending
-    # apply the excitation as two sequential singles to track the parity
-    sign = _parity_between(mask_from, m, p)
-    intermediate = (mask_from & ~(1 << m)) | (1 << p)
-    sign *= _parity_between(intermediate, n, q)
-    value = fci.eri[m, p, n, q] - fci.eri[m, q, n, p]
-    return float(sign * value)
-
-
-def slater_condon(det_i: Determinant, det_j: Determinant, fci: FciData) -> float:
-    """Hamiltonian matrix element <det_i| H |det_j> in Hartree.
-
-    Zero for excitation degree above two; Hermitian by construction since the
-    integral tables are real-symmetric.
-    """
-    d_alpha = bin(det_i.alpha ^ det_j.alpha).count("1") // 2
-    d_beta = bin(det_i.beta ^ det_j.beta).count("1") // 2
-    degree = d_alpha + d_beta
-    if degree > 2:
-        return 0.0
-    if degree == 0:
-        return _diagonal_element(det_j, fci)
-    if degree == 1:
-        if d_alpha == 1:
-            hole, part, sign = _single_excitation(det_j.alpha, det_i.alpha)
-            same = _occ_list(det_j.alpha & det_i.alpha)
-            other = _occ_list(det_j.beta)
-        else:
-            hole, part, sign = _single_excitation(det_j.beta, det_i.beta)
-            same = _occ_list(det_j.beta & det_i.beta)
-            other = _occ_list(det_j.alpha)
-        return _single_element(hole, part, same, other, sign, fci)
-    if d_alpha == 2:
-        return _double_same_sector(det_j.alpha, det_i.alpha, fci)
-    if d_beta == 2:
-        return _double_same_sector(det_j.beta, det_i.beta, fci)
-    hole_a, part_a, sign_a = _single_excitation(det_j.alpha, det_i.alpha)
-    hole_b, part_b, sign_b = _single_excitation(det_j.beta, det_i.beta)
-    return float(sign_a * sign_b * fci.eri[hole_a, part_a, hole_b, part_b])
-
-
-def _check_subspace(dets: list[Determinant], fci: FciData) -> None:
-    """Every determinant must place n_alpha and n_beta electrons in the first
-    norb orbitals; the vectorized build relies on these fixed counts."""
-    for det in dets:
-        for mask, count in ((det.alpha, fci.n_alpha), (det.beta, fci.n_beta)):
-            if mask >> fci.norb or bin(mask).count("1") != count:
-                raise ValueError(f"{det} does not place {fci.n_alpha} alpha and {fci.n_beta} "
-                                 f"beta electrons in {fci.norb} orbitals")
-
-
-def _sector_bits(masks: list[int], norb: int) -> np.ndarray:
-    """(dim, norb) int8 occupations of one spin sector, for masks of any width."""
-    width = (norb + 7) // 8
-    raw = np.frombuffer(b"".join(int(m).to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=norb, bitorder="little")
-    return bits.view(np.int8)
+def _check_rows(dets, fci: FciData) -> np.ndarray:
+    """The subspace as (dim, 2*norb) int8 bits, after checking the dtype, the
+    width, the 0/1 values and that every row places n_alpha and n_beta
+    electrons in its sectors; the vectorized build relies on these fixed
+    counts. Duplicate rows are found by the build's screen."""
+    rows = np.asarray(dets)
+    norb = fci.norb
+    if rows.shape[:1] == (0,):
+        raise ValueError("subspace is empty")
+    if rows.dtype != bool and not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"occupation rows must hold integers or booleans, not {rows.dtype}")
+    if rows.ndim != 2 or rows.shape[1] != 2 * norb:
+        raise ValueError(f"occupation rows must have shape (dim, {2 * norb}), got {rows.shape}")
+    if len(rows) > MAX_DENSE_DIM:
+        raise ValueError(f"subspace dimension {len(rows)} exceeds dense limit {MAX_DENSE_DIM}")
+    bad = np.flatnonzero(((rows != 0) & (rows != 1)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} {rows[bad[0]].tolist()} holds a value other than 0 or 1")
+    bits = rows.astype(np.int8)
+    bad = np.flatnonzero((bits[:, :norb].sum(axis=1) != fci.n_alpha)
+                         | (bits[:, norb:].sum(axis=1) != fci.n_beta))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} {bits[bad[0]].tolist()} does not place {fci.n_alpha} "
+                         f"alpha and {fci.n_beta} beta electrons in {norb} orbitals")
+    return bits
 
 
 def _positions(bits: np.ndarray, count: int) -> np.ndarray:
@@ -199,8 +89,9 @@ def _excitation(frm: np.ndarray, to: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return hole, part, _parity(frm, hole, part)
 
 
-# Each element class below adds its terms in the order of the scalar rules
-# above, so every entry is bit-identical to ``slater_condon``.
+# Each element class below adds its terms in the order of the scalar
+# Slater-Condon rules that the tests keep as its oracle (tests/helpers.py), so
+# every entry is bit-identical to theirs.
 
 def _diagonal_elements(occ_a: np.ndarray, occ_b: np.ndarray, fci: FciData) -> np.ndarray:
     h, eri = fci.h, fci.eri
@@ -256,26 +147,29 @@ def _mixed_double_elements(frm_a: np.ndarray, to_a: np.ndarray, frm_b: np.ndarra
     return sign_a * sign_b * fci.eri[hole_a, part_a, hole_b, part_b]
 
 
-def _hamiltonian_matrix(dets: list[Determinant], fci: FciData) -> np.ndarray:
-    """Dense subspace matrix, entry [i, j] equal to ``slater_condon(dets[i], dets[j], fci)``.
+def _hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
+    """Dense subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>.
 
     Pairs are screened by excitation degree, read from common-occupation
     counts; only the upper-triangle pairs of degree <= 2 are evaluated, one
     element class at a time, each as vector operations over its pairs.
     """
-    _check_subspace(dets, fci)
+    bits = _check_rows(dets, fci)
     norb, n_a, n_b = fci.norb, fci.n_alpha, fci.n_beta
-    alpha = _sector_bits([d.alpha for d in dets], norb)
-    beta = _sector_bits([d.beta for d in dets], norb)
+    alpha, beta = bits[:, :norb], bits[:, norb:]
     occ_a, occ_b = _positions(alpha, n_a), _positions(beta, n_b)
     # allocated first, so that the screening temporaries are freed on top of it
     # and a repeated build reuses their heap space instead of growing past it
-    matrix = np.zeros((len(dets), len(dets)))
+    matrix = np.zeros((len(bits), len(bits)))
     # the degree is the electron count minus the common occupations; the int8
     # dim x dim products are exact below 128 orbitals
     i, j = np.nonzero(np.triu(alpha @ alpha.T + beta @ beta.T >= n_a + n_b - 2, k=1))
     d_alpha = n_a - (alpha[i] & alpha[j]).sum(axis=1)
     d_beta = n_b - (beta[i] & beta[j]).sum(axis=1)
+    same = np.flatnonzero((d_alpha == 0) & (d_beta == 0))
+    if same.size:
+        raise ValueError(f"row {j[same[0]]} repeats row {i[same[0]]}: "
+                         "determinants must be distinct")
     np.fill_diagonal(matrix, _diagonal_elements(occ_a, occ_b, fci))
 
     # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i
@@ -295,25 +189,25 @@ def _hamiltonian_matrix(dets: list[Determinant], fci: FciData) -> np.ndarray:
     return matrix
 
 
-def project_and_diagonalize(dets: list[Determinant], fci: FciData) -> tuple[float, np.ndarray]:
-    """Ground eigenpair of the Hamiltonian projected on the given subspace.
+def project_and_diagonalize(dets, fci: FciData) -> tuple[float, np.ndarray]:
+    """Ground eigenpair of the Hamiltonian projected on the subspace spanned
+    by ``dets``, a (dim, 2*norb) array of distinct 0/1 occupation rows (bool
+    or any integer dtype).
 
     Returns the lowest eigenvalue including the core energy and the
-    normalized ground eigenvector in the determinant basis. Enlarging the
-    subspace can only lower the returned energy (variational). Every
-    determinant must hold the integrals' electron counts in their orbitals.
+    normalized ground eigenvector in the row basis. Enlarging the subspace
+    can only lower the returned energy (variational). Every row must hold
+    the integrals' electron counts in their orbitals, and a subspace matrix
+    that overflows to inf or nan raises ValueError.
 
     Only the lowest eigenpair is computed (LAPACK ``syevr`` through
     ``scipy.linalg.eigh`` with ``subset_by_index``), never the whole
     spectrum. The vector's sign is arbitrary, and for a degenerate ground
     state it is some unit vector in the ground eigenspace.
     """
-    if not dets:
-        raise ValueError("subspace is empty")
-    if len(set(dets)) != len(dets):
-        raise ValueError("determinants must be distinct")
-    dim = len(dets)
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"subspace dimension {dim} exceeds dense limit {MAX_DENSE_DIM}")
-    vals, vecs = scipy.linalg.eigh(_hamiltonian_matrix(dets, fci), subset_by_index=[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _hamiltonian_matrix(dets, fci)
+    if not np.isfinite(matrix).all():
+        raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
+    vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
     return float(vals[0] + fci.core_energy), vecs[:, 0]

@@ -1,7 +1,8 @@
 """Self-consistent configuration recovery over noisy bitstring samples.
 
-Samples are boolean arrays of length 2*norb, alpha orbitals first, then beta.
-A sample whose per-sector electron count differs from the target is corrupted;
+Samples are 0/1 occupation rows of length 2*norb, alpha orbitals first, then
+beta: the determinant format of :mod:`.hamiltonian`, so a batch of distinct
+samples is a subspace as it stands. A sample whose per-sector electron count differs from the target is corrupted;
 instead of discarding it, bits are flipped probabilistically toward the
 current average occupancy estimate until the counts are restored, and the
 occupancy itself is refined over batched subspace diagonalizations.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fcidump import FciData
-from .hamiltonian import Determinant, project_and_diagonalize
+from .hamiltonian import project_and_diagonalize
 
 _RECOVER_SALT = 10_007
 
@@ -127,14 +128,12 @@ def _batch_energy_and_occupancy(pool: np.ndarray, fci: FciData, size: int,
     # with each sector's bits read from its top orbital down, the sorted
     # distinct rows are the distinct determinants in ascending (alpha, beta) order
     top_down = (pool[idx] != 0).reshape(size, 2, norb)[:, :, ::-1].reshape(size, 2 * norb)
-    bits = np.unique(top_down, axis=0).reshape(-1, 2, norb)[:, :, ::-1]
-    dets = [Determinant(*(int.from_bytes(sector.tobytes(), "little") for sector in row))
-            for row in np.packbits(bits, axis=2, bitorder="little")]
-    energy, ground = project_and_diagonalize(dets, fci)
+    rows = np.unique(top_down, axis=0).reshape(-1, 2, norb)[:, :, ::-1].reshape(-1, 2 * norb)
+    energy, ground = project_and_diagonalize(rows, fci)
     # amplitude**2 of a numpy scalar calls pow(), which can differ in the last
     # bit from the x*x of an array square; cumsum adds the rows in order
     probs = np.array([amplitude**2 for amplitude in ground])
-    occupancy = np.cumsum(probs[:, None] * bits.reshape(len(dets), 2 * norb), axis=0)[-1]
+    occupancy = np.cumsum(probs[:, None] * rows, axis=0)[-1]
     return energy, occupancy
 
 
@@ -191,19 +190,18 @@ def self_consistent_recovery(samples: np.ndarray, fci: FciData,
     return report
 
 
-def noisy_sampler(ground: np.ndarray, dets: list[Determinant], fci_or_norb,
-                  flip_rate: float, shots: int, seed: int) -> np.ndarray:
-    """Draw configurations proportionally to squared amplitudes, then flip
-    each bit independently with the given rate. Stand-in for hardware
-    readout of an eigenstate."""
+def noisy_sampler(ground: np.ndarray, dets: np.ndarray, flip_rate: float, shots: int,
+                  seed: int) -> np.ndarray:
+    """Draw occupation rows of ``dets`` proportionally to the squared
+    amplitudes of ``ground``, then flip each bit independently with the
+    given rate. Stand-in for hardware readout of an eigenstate."""
     if not 0.0 <= flip_rate < 1.0:
         raise ValueError(f"flip rate must lie in [0, 1), got {flip_rate}")
-    norb = fci_or_norb.norb if isinstance(fci_or_norb, FciData) else int(fci_or_norb)
     ground = np.asarray(ground, dtype=float)
     probs = ground**2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(dets), size=shots, p=probs)
-    bits = np.stack([dets[k].occupations(norb) for k in picks]).astype(np.uint8)
+    bits = np.asarray(dets, dtype=np.uint8)[picks]
     flips = rng.random(bits.shape) < flip_rate
     return bits ^ flips.astype(np.uint8)

@@ -2,6 +2,7 @@
 they are used to check."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from mddsim.circuits import (
 )
 from mddsim.noise import KrausChannel, NoiseParams, combined_channel
 from mddsim.sequences import build_schedule, frame_durations, measure_expectations
-from mddsim.sqd import slater_condon
+from mddsim.sqd import FciData
 from mddsim.states import DensityMatrix, haar_random_unitary, reduced_density
 
 
@@ -189,20 +190,147 @@ def fock_space_hamiltonian(fci) -> np.ndarray:
     return total.toarray()
 
 
-def fock_index(det, norb: int) -> int:
-    m = 2 * norb
-    idx = 0
-    for p in range(norb):
-        if (det.alpha >> p) & 1:
-            idx |= 1 << (m - 1 - p)
-        if (det.beta >> p) & 1:
-            idx |= 1 << (m - 1 - (norb + p))
-    return idx
+def fock_index(row) -> int:
+    """Basis index of an occupation row in ``fock_space_hamiltonian``: entry k
+    of the row is bit 2*norb - 1 - k of the index."""
+    return sum(int(bit) << (len(row) - 1 - k) for k, bit in enumerate(row))
 
 
-def slater_condon_matrix(dets, fci) -> np.ndarray:
-    """Subspace Hamiltonian from one scalar ``slater_condon`` call per
-    upper-triangle pair, mirrored: the oracle of the vectorized build."""
+# The scalar Slater-Condon rules over per-sector bitmasks: the oracle that the
+# vectorized subspace build must equal bit for bit.
+
+@dataclass(frozen=True)
+class Determinant:
+    """Electron configuration as per-sector orbital bitmasks."""
+
+    alpha: int
+    beta: int
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            mask = getattr(self, name)
+            if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)):
+                raise ValueError(f"{name} occupation mask must be an integer, got {mask!r}")
+            if mask < 0:
+                raise ValueError("occupation masks must be nonnegative")
+
+
+def _occ_list(mask: int) -> list[int]:
+    out = []
+    p = 0
+    while mask >> p:
+        if (mask >> p) & 1:
+            out.append(p)
+        p += 1
+    return out
+
+
+def _parity_between(mask: int, a: int, b: int) -> int:
+    """(-1)^(number of occupied orbitals strictly between a and b)."""
+    lo, hi = (a, b) if a < b else (b, a)
+    window = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
+    return -1 if bin(mask & window).count("1") % 2 else 1
+
+
+def excitation_degree(det_i: Determinant, det_j: Determinant) -> int:
+    return (bin(det_i.alpha ^ det_j.alpha).count("1")
+            + bin(det_i.beta ^ det_j.beta).count("1")) // 2
+
+
+def hartree_fock_determinant(norb: int, n_alpha: int, n_beta: int) -> Determinant:
+    return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
+
+
+def _diagonal_element(det: Determinant, fci: FciData) -> float:
+    h, eri = fci.h, fci.eri
+    alpha, beta = _occ_list(det.alpha), _occ_list(det.beta)
+    energy = sum(h[p, p] for p in alpha) + sum(h[p, p] for p in beta)
+    for occ in (alpha, beta):
+        for idx, p in enumerate(occ):
+            for q in occ[idx + 1:]:
+                energy += eri[p, p, q, q] - eri[p, q, q, p]
+    for p in alpha:
+        for q in beta:
+            energy += eri[p, p, q, q]
+    return float(energy)
+
+
+def _single_element(hole: int, part: int, same: list[int], other: list[int],
+                    sign: int, fci: FciData) -> float:
+    h, eri = fci.h, fci.eri
+    value = h[hole, part]
+    for r in same:
+        value += eri[hole, part, r, r] - eri[hole, r, r, part]
+    for r in other:
+        value += eri[hole, part, r, r]
+    return float(sign * value)
+
+
+def _single_excitation(mask_from: int, mask_to: int) -> tuple[int, int, int]:
+    """(hole, particle, parity) for a one-orbital difference within a sector."""
+    diff = mask_from ^ mask_to
+    hole = (diff & mask_from).bit_length() - 1
+    part = (diff & mask_to).bit_length() - 1
+    return hole, part, _parity_between(mask_from, hole, part)
+
+
+def _double_same_sector(mask_from: int, mask_to: int, fci: FciData) -> float:
+    diff = mask_from ^ mask_to
+    holes = _occ_list(diff & mask_from)
+    parts = _occ_list(diff & mask_to)
+    (m, n), (p, q) = holes, parts  # each ascending
+    # apply the excitation as two sequential singles to track the parity
+    sign = _parity_between(mask_from, m, p)
+    intermediate = (mask_from & ~(1 << m)) | (1 << p)
+    sign *= _parity_between(intermediate, n, q)
+    value = fci.eri[m, p, n, q] - fci.eri[m, q, n, p]
+    return float(sign * value)
+
+
+def slater_condon(det_i: Determinant, det_j: Determinant, fci: FciData) -> float:
+    """Hamiltonian matrix element <det_i| H |det_j> in Hartree.
+
+    Zero for excitation degree above two; Hermitian by construction since the
+    integral tables are real-symmetric.
+    """
+    d_alpha = bin(det_i.alpha ^ det_j.alpha).count("1") // 2
+    d_beta = bin(det_i.beta ^ det_j.beta).count("1") // 2
+    degree = d_alpha + d_beta
+    if degree > 2:
+        return 0.0
+    if degree == 0:
+        return _diagonal_element(det_j, fci)
+    if degree == 1:
+        if d_alpha == 1:
+            hole, part, sign = _single_excitation(det_j.alpha, det_i.alpha)
+            same = _occ_list(det_j.alpha & det_i.alpha)
+            other = _occ_list(det_j.beta)
+        else:
+            hole, part, sign = _single_excitation(det_j.beta, det_i.beta)
+            same = _occ_list(det_j.beta & det_i.beta)
+            other = _occ_list(det_j.alpha)
+        return _single_element(hole, part, same, other, sign, fci)
+    if d_alpha == 2:
+        return _double_same_sector(det_j.alpha, det_i.alpha, fci)
+    if d_beta == 2:
+        return _double_same_sector(det_j.beta, det_i.beta, fci)
+    hole_a, part_a, sign_a = _single_excitation(det_j.alpha, det_i.alpha)
+    hole_b, part_b, sign_b = _single_excitation(det_j.beta, det_i.beta)
+    return float(sign_a * sign_b * fci.eri[hole_a, part_a, hole_b, part_b])
+
+
+def determinants(rows) -> list[Determinant]:
+    """One ``Determinant`` per (2*norb)-long occupation row, alpha block first."""
+    norb = len(rows[0]) // 2
+    return [Determinant(sum(1 << p for p in range(norb) if row[p]),
+                        sum(1 << p for p in range(norb) if row[norb + p])) for row in rows]
+
+
+def slater_condon_matrix(rows, fci) -> np.ndarray:
+    """Subspace Hamiltonian over occupation rows from one scalar
+    ``slater_condon`` call per upper-triangle pair, mirrored: the oracle of
+    the vectorized build."""
+    dets = determinants(rows)
     dim = len(dets)
     matrix = np.zeros((dim, dim))
     for a in range(dim):

@@ -47,8 +47,8 @@ from mddsim.sqd import (
     project_and_diagonalize,
     random_fcidump,
     self_consistent_recovery,
-    slater_condon,
 )
+from mddsim.sqd.hamiltonian import _hamiltonian_matrix
 from mddsim.states import (
     DensityMatrix,
     PureState,
@@ -364,19 +364,17 @@ def test_criterion_7_xx_slope_as_stated(capsys):
 
 
 def test_criterion_8_sqd_pipeline(capsys):
-    """Excitation rules equal the brute-force ladder-operator Hamiltonian on
-    every determinant pair (8 spin orbitals), the two-site model is exact, and
-    seeded recovery at 5% flip noise improves the energy in >= 95% of seeds."""
+    """The library's subspace build equals the brute-force ladder-operator
+    Hamiltonian on every determinant pair (8 spin orbitals), the two-site
+    model is exact, and seeded recovery at 5% flip noise improves the energy
+    in >= 95% of seeds."""
     with Stopwatch() as clock:
         fci = parse_fcidump(random_fcidump(4, 4, seed=42))
         full = fock_space_hamiltonian(fci)
         dets = all_determinants(4, 2, 2)
-        worst_element = 0.0
-        for di in dets:
-            row = fock_index(di, 4)
-            for dj in dets:
-                oracle = full[row, fock_index(dj, 4)]
-                worst_element = max(worst_element, abs(slater_condon(di, dj, fci) - oracle))
+        idx = [fock_index(row) for row in dets]
+        worst_element = float(np.max(np.abs(_hamiltonian_matrix(dets, fci)
+                                             - full[np.ix_(idx, idx)])))
         dimer = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
         dimer_dets = all_determinants(2, 1, 1)
         dimer_energy, _ = project_and_diagonalize(dimer_dets, dimer)
@@ -384,7 +382,7 @@ def test_criterion_8_sqd_pipeline(capsys):
         e_ref, ground = project_and_diagonalize(dets, fci)
         wins = 0
         for seed in range(20):
-            samples = noisy_sampler(ground, dets, fci, flip_rate=0.05, shots=300, seed=seed)
+            samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
             config = RecoveryConfig(iterations=5, num_batches=10,
                                     samples_per_batch=300, seed=seed)
             report = self_consistent_recovery(samples, fci, config)

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,8 +26,9 @@ from mddsim.experiments import (
     verify_decay,
     verify_lemma,
 )
+from mddsim.analysis import _gap_report
 from mddsim.noise import SpectralDensity
-from mddsim.sqd import random_fcidump
+from mddsim.sqd import FciData, parse_fcidump, random_fcidump, write_fcidump
 from mddsim.states import haar_random_state
 
 
@@ -259,6 +261,62 @@ def test_huge_sequence_order_exits_2_quickly(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert "at most 64" in capsys.readouterr().err
+
+
+def test_overflowing_integrals_exit_2(tmp_path, capsys):
+    # finite integrals whose matrix elements overflow: the reference build
+    # fails as a bad input, without a traceback and without an overflow warning
+    fci = parse_fcidump(random_fcidump(4, 4, seed=42))
+    scale = 1.5e308 / max(np.abs(fci.h).max(), np.abs(fci.eri).max())
+    huge = FciData(norb=fci.norb, nelec=fci.nelec, ms2=fci.ms2, h=fci.h * scale,
+                   eri=fci.eri * scale, core_energy=fci.core_energy)
+    assert max(np.abs(huge.h).max(), np.abs(huge.eri).max()) == pytest.approx(1.5e308)
+    dump = tmp_path / "huge.fcidump"
+    dump.write_text(write_fcidump(huge))
+    cfg = write_config(tmp_path, experiment="sqd-recover", fcidump=str(dump))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot diagonalize integrals")
+    assert "not finite" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_space_above_dense_limit_exits_2(tmp_path, capsys):
+    # 8 orbitals at half filling span 4,900 determinants, above MAX_DENSE_DIM
+    dump = tmp_path / "wide.fcidump"
+    dump.write_text(random_fcidump(8, 8, seed=0))
+    cfg = write_config(tmp_path, experiment="sqd-recover", fcidump=str(dump))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "subspace dimension 4900 exceeds dense limit 4000" in err
+    assert "Traceback" not in err
+
+
+# gaps at t = 1, 2, 4: one below -GAP_TOL's magnitude, one above it, and two
+# negative gaps on a quadratic envelope
+GAP_CASES = {
+    "one-tiny": ([0.0, -1e-11, 0.0], None, True),
+    "one-negative": ([0.0, -1e-9, 0.0], 0.0, False),
+    "two-negative": ([-1e-9, -4e-9, 0.0], 2.0, True),
+}
+
+
+@pytest.mark.parametrize(("gaps", "slope", "passed"), GAP_CASES.values(), ids=GAP_CASES.keys())
+def test_gap_reports_share_one_rule(monkeypatch, gaps, slope, passed):
+    grid = [1.0, 2.0, 4.0]
+    report = _gap_report("gap", grid, gaps, [0.0] * 3, None, "t")
+    monkeypatch.setattr(experiments, "_run_state_tasks",
+                        lambda config, kinds, t_grid, jobs: [{"mdd": gaps, "xx": [0.0] * 3}])
+    config = ExperimentConfig(experiment="theorem-gap", num_states=1, t_grid=grid,
+                              sequences=["xx"])
+    _, (verdict,) = experiments._theorem_verdicts(config)
+    for got in (report.envelope_slope, verdict["envelope_slope"]):
+        assert got == (None if slope is None else pytest.approx(slope, abs=1e-9))
+    assert report.passed() is verdict["passed"] is passed
+    assert report.margin == verdict["margin"] == min(gaps)
 
 
 numbers = st.integers(-3, 12) | st.integers(-2**1100, 2**1100) | st.floats()

@@ -2,7 +2,9 @@
 
 The brute-force oracle builds the full second-quantized operator from sparse
 Jordan-Wigner ladder matrices, a path fully independent of the
-excitation-rule implementation it checks.
+excitation-rule implementation it checks. The scalar Slater-Condon rules in
+``helpers`` are checked against it and are in turn the bit-identity oracle of
+the vectorized build over occupation rows.
 """
 
 import math
@@ -14,24 +16,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mddsim.sqd import (
-    Determinant,
     FciData,
     ParseError,
     all_determinants,
-    excitation_degree,
-    hartree_fock_determinant,
     hubbard_dimer_energy,
     hubbard_dimer_fcidump,
     parse_fcidump,
     project_and_diagonalize,
     random_fcidump,
-    slater_condon,
     write_fcidump,
 )
 from mddsim.sqd.fcidump import MAX_NORB
 from mddsim.sqd.hamiltonian import _hamiltonian_matrix
 
-from helpers import fock_index, fock_space_hamiltonian, slater_condon_matrix
+from helpers import (
+    Determinant,
+    determinants,
+    excitation_degree,
+    fock_index,
+    fock_space_hamiltonian,
+    hartree_fock_determinant,
+    slater_condon,
+    slater_condon_matrix,
+)
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
  ORBSYM=1,1,
@@ -90,7 +97,7 @@ class TestParse:
         fci = parse_fcidump(random_fcidump(4, 2, seed=5))
         full = fock_space_hamiltonian(fci)
         dets = all_determinants(fci.norb, fci.n_alpha, fci.n_beta)
-        idx = [fock_index(d, fci.norb) for d in dets]
+        idx = [fock_index(row) for row in dets]
         block = full[np.ix_(idx, idx)]
         expected = np.linalg.eigvalsh(block)[0] + fci.core_energy
         energy, _ = project_and_diagonalize(dets, fci)
@@ -201,15 +208,15 @@ class TestSlaterCondon:
     def test_all_pairs_match_fock_space_oracle(self, norb, na, nb, seed):
         fci = parse_fcidump(random_fcidump(norb, na + nb, ms2=na - nb, seed=seed))
         full = fock_space_hamiltonian(fci)
-        dets = all_determinants(norb, na, nb)
-        for di in dets:
-            for dj in dets:
-                oracle = full[fock_index(di, norb), fock_index(dj, norb)]
+        rows = all_determinants(norb, na, nb)
+        for ri, di in zip(rows, determinants(rows)):
+            for rj, dj in zip(rows, determinants(rows)):
+                oracle = full[fock_index(ri), fock_index(rj)]
                 assert slater_condon(di, dj, fci) == pytest.approx(oracle, abs=1e-10)
 
     def test_hermiticity(self):
         fci = parse_fcidump(random_fcidump(4, 4, seed=9))
-        dets = all_determinants(4, 2, 2)
+        dets = determinants(all_determinants(4, 2, 2))
         rng = np.random.default_rng(0)
         for _ in range(60):
             a, b = rng.integers(len(dets), size=2)
@@ -228,7 +235,7 @@ class TestProjectAndDiagonalize:
     def test_single_determinant_gives_diagonal(self):
         fci = parse_fcidump(MINIMAL)
         det = hartree_fock_determinant(2, 1, 1)
-        energy, ground = project_and_diagonalize([det], fci)
+        energy, ground = project_and_diagonalize(np.array([[1, 0, 1, 0]]), fci)
         assert energy == pytest.approx(slater_condon(det, det, fci) + fci.core_energy, abs=1e-14)
         assert abs(ground[0]) == pytest.approx(1.0)
 
@@ -239,51 +246,56 @@ class TestProjectAndDiagonalize:
         order = rng.permutation(len(dets))
         previous = np.inf
         for size in (1, 4, 9, 16, 25, len(dets)):
-            subset = [dets[k] for k in order[:size]]
-            energy, _ = project_and_diagonalize(subset, fci)
+            energy, _ = project_and_diagonalize(dets[order[:size]], fci)
             assert energy <= previous + 1e-12
             previous = energy
 
     def test_empty_subspace_rejected(self):
         fci = parse_fcidump(MINIMAL)
-        with pytest.raises(ValueError, match="empty"):
-            project_and_diagonalize([], fci)
+        for empty in ([], np.empty((0, 4), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="empty"):
+                project_and_diagonalize(empty, fci)
 
     def test_duplicates_rejected(self):
         fci = parse_fcidump(MINIMAL)
-        det = hartree_fock_determinant(2, 1, 1)
-        with pytest.raises(ValueError, match="distinct"):
-            project_and_diagonalize([det, det], fci)
+        with pytest.raises(ValueError, match="row 1 repeats row 0: determinants must be distinct"):
+            project_and_diagonalize(np.array([[1, 0, 1, 0], [1, 0, 1, 0]]), fci)
 
     @pytest.mark.parametrize("dets,culprit", [
-        ([Determinant(0b10001, 0b11)], 0),                           # orbital 4 of 4
-        ([Determinant(0b11, 0b11), Determinant(2**64, 0b11)], 1),   # far out of range
-        ([Determinant(0b1, 0b11), Determinant(0b111, 0b11)], 0),    # mixed alpha counts
-        ([Determinant(0b11, 0b11), Determinant(0b11, 0b1000)], 1),  # too few beta
+        (np.array([[1, 1, 0, 0, 2, 0, 0, 0]]), 0),                                 # a 2 in a bit
+        (np.array([[1, 1, 0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 1, 0, 2**40]]), 1),  # far out of range
+        (np.array([[1, 0, 0, 0, 1, 1, 0, 0], [1, 1, 1, 0, 1, 1, 0, 0]]), 0),      # mixed alpha counts
+        (np.array([[1, 1, 0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 0, 1]]), 1),      # too few beta
     ])
     def test_foreign_determinants_rejected(self, dets, culprit):
         fci = parse_fcidump(random_fcidump(4, 4, seed=2))
-        with pytest.raises(ValueError, match=re.escape(repr(dets[culprit]))):
+        with pytest.raises(ValueError, match=re.escape(f"row {culprit} {dets[culprit].tolist()}")):
             project_and_diagonalize(dets, fci)
 
-    @pytest.mark.parametrize("alpha,beta,field", [
-        (3.0, 0b11, "alpha"),
-        (0b11, "3", "beta"),
-        (np.float64(3.0), 0b11, "alpha"),
-        (True, 0b11, "alpha"),
-    ])
-    def test_non_integer_masks_rejected(self, alpha, beta, field):
-        with pytest.raises(ValueError, match=f"{field} occupation mask must be an integer"):
-            Determinant(alpha, beta)
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]],
+        np.array([[1, 1, 0, 0, 1, 1, 0, 0]], dtype=np.float64),
+        np.array([list("11001100")]),
+        np.array([[1, 1, 0, 0, 1, 1, 0, None]]),
+        [Determinant(0b11, 0b11)],
+    ], ids=["python-floats", "float64", "strings", "objects", "bitmask-pairs"])
+    def test_non_integer_rows_rejected(self, rows):
+        # bool rows are integers here: they are accepted below
+        fci = parse_fcidump(random_fcidump(4, 4, seed=2))
+        with pytest.raises(ValueError, match="must hold integers or booleans"):
+            project_and_diagonalize(rows, fci)
 
     def test_numpy_integer_masks_accepted(self):
+        # a plain list, numpy integer and bool rows all give the scalar element
         fci = parse_fcidump(random_fcidump(4, 4, seed=2))
-        det = Determinant(np.int64(0b11), np.int64(0b101))
-        energy, ground = project_and_diagonalize([det], fci)
+        row = [1, 1, 0, 0, 1, 0, 1, 0]
         plain = Determinant(0b11, 0b101)
-        assert det == plain
-        assert energy == slater_condon(plain, plain, fci) + fci.core_energy
-        assert abs(ground[0]) == 1.0
+        want = slater_condon(plain, plain, fci) + fci.core_energy
+        for rows in ([row], np.array([row], dtype=np.int64), np.array([row], dtype=np.uint16),
+                     np.array([row], dtype=bool)):
+            energy, ground = project_and_diagonalize(rows, fci)
+            assert energy == want
+            assert abs(ground[0]) == 1.0
 
     def test_degenerate_ground_state_gives_vector_in_eigenspace(self):
         # one alpha electron in three orbitals: the subspace matrix is h, with
@@ -312,16 +324,11 @@ def perturbed_integrals(norb: int, n_alpha: int, n_beta: int, seed: int) -> FciD
 
 
 def random_subspace(norb: int, n_alpha: int, n_beta: int, dim: int,
-                    rng: np.random.Generator) -> list[Determinant]:
-    """``dim`` distinct determinants (fewer if the space is smaller), in
+                    rng: np.random.Generator) -> np.ndarray:
+    """``dim`` distinct occupation rows (fewer if the space is smaller), in
     random order."""
-    space = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
-    dets = {}
-    while len(dets) < min(dim, space):
-        alpha, beta = (sum(1 << int(p) for p in rng.permutation(norb)[:count])
-                       for count in (n_alpha, n_beta))
-        dets.setdefault(Determinant(alpha, beta), None)
-    return list(dets)
+    space = all_determinants(norb, n_alpha, n_beta)
+    return space[rng.permutation(len(space))[:dim]]
 
 
 def assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim, seed):
@@ -359,18 +366,20 @@ def test_build_edge_sectors_match_scalar_loop(norb, n_alpha, n_beta, dim):
 
 
 def test_build_accepts_numpy_integer_masks():
+    # occupation rows of bool and of any integer dtype build the same matrix
     fci = parse_fcidump(random_fcidump(4, 4, seed=2))
     dets = all_determinants(4, 2, 2)
-    wrapped = [Determinant(np.int64(d.alpha), np.uint8(d.beta)) for d in dets]
-    assert np.array_equal(_hamiltonian_matrix(wrapped, fci), slater_condon_matrix(dets, fci))
+    oracle = slater_condon_matrix(dets, fci)
+    for dtype in (bool, np.int8, np.int64, np.uint64):
+        assert np.array_equal(_hamiltonian_matrix(dets.astype(dtype), fci), oracle)
 
 
 @pytest.mark.parametrize("norb,n_alpha,n_beta", [(4, 3, 1), (3, 2, 0)])
 def test_build_matches_fock_space_oracle(norb, n_alpha, n_beta):
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=3))
     dets = all_determinants(norb, n_alpha, n_beta)
-    dets = [dets[k] for k in np.random.default_rng(0).permutation(len(dets))]
-    idx = [fock_index(d, norb) for d in dets]
+    dets = dets[np.random.default_rng(0).permutation(len(dets))]
+    idx = [fock_index(row) for row in dets]
     full = fock_space_hamiltonian(fci)
     np.testing.assert_allclose(_hamiltonian_matrix(dets, fci), full[np.ix_(idx, idx)],
                                rtol=0, atol=1e-10)
@@ -417,3 +426,50 @@ def test_lowest_eigenpair_edge_subspaces(norb, n_alpha, n_beta, dim):
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=dim))
     dets = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(norb))
     assert_matches_full_spectrum_oracle(dets, fci)
+
+
+ROWS_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@ROWS_PROPERTY
+@given(data=st.data())
+def test_malformed_rows_raise_and_dtypes_agree(data):
+    norb = data.draw(st.integers(1, 6), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    space = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, min(space, 40))),
+                           np.random.default_rng(seed))
+
+    # the same subspace as bool, uint8 and int64 rows: the same eigenpair
+    energy, ground = project_and_diagonalize(rows.astype(bool), fci)
+    for dtype in (np.uint8, np.int64):
+        other_energy, other_ground = project_and_diagonalize(rows.astype(dtype), fci)
+        assert other_energy == energy and np.array_equal(other_ground, ground)
+
+    kind = data.draw(st.sampled_from(["width", "value", "count", "duplicate", "empty"]),
+                     label="kind")
+    bad = rows.astype(np.int64)
+    at = data.draw(st.integers(0, len(rows) - 1), label="at")
+    col = data.draw(st.integers(0, 2 * norb - 1), label="col")
+    if kind == "width":
+        bad = bad[:, :-1] if data.draw(st.booleans(), label="narrow") else np.hstack([bad, bad])
+        message = re.escape(f"shape (dim, {2 * norb}), got {bad.shape}")
+    elif kind == "value":
+        bad[at, col] = data.draw(st.sampled_from([2, -1, 3, 2**40]), label="value")
+        message = re.escape(f"row {at} {bad[at].tolist()} holds a value other than 0 or 1")
+    elif kind == "count":
+        bad[at, col] ^= 1
+        message = re.escape(f"row {at} {bad[at].tolist()} does not place")
+    elif kind == "duplicate":
+        where = data.draw(st.integers(0, len(rows)), label="where")
+        bad = np.insert(bad, where, bad[at], axis=0)
+        first, second = sorted((at + (at >= where), where))
+        message = f"row {second} repeats row {first}: determinants must be distinct"
+    else:
+        bad = bad[:0]
+        message = "subspace is empty"
+    with pytest.raises(ValueError, match=message):
+        project_and_diagonalize(bad, fci)

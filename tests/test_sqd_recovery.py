@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mddsim.sqd import (
-    Determinant,
     RecoveryConfig,
     all_determinants,
     hubbard_dimer_fcidump,
@@ -21,6 +20,8 @@ from mddsim.sqd import (
     weight_w,
 )
 from mddsim.sqd.recovery import _batch_energy_and_occupancy
+
+from helpers import determinants
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ class TestRecoverConfiguration:
 class TestNoisySampler:
     def test_zero_flip_rate_gives_valid_configurations(self, toy):
         fci, dets, _, ground = toy
-        samples = noisy_sampler(ground, dets, fci, flip_rate=0.0, shots=200, seed=7)
+        samples = noisy_sampler(ground, dets, flip_rate=0.0, shots=200, seed=7)
         alpha_counts = samples[:, :4].sum(axis=1)
         beta_counts = samples[:, 4:].sum(axis=1)
         assert np.all(alpha_counts == 2) and np.all(beta_counts == 2)
@@ -116,7 +117,7 @@ class TestNoisySampler:
     def test_corruption_fraction_matches_binomial(self, toy):
         fci, dets, _, ground = toy
         rate, m = 0.5, 8
-        samples = noisy_sampler(ground, dets, fci, flip_rate=rate, shots=10_000, seed=8)
+        samples = noisy_sampler(ground, dets, flip_rate=rate, shots=10_000, seed=8)
         valid = ((samples[:, :4].sum(axis=1) == 2) & (samples[:, 4:].sum(axis=1) == 2)).mean()
         # exact probability that independent flips preserve both sector counts:
         # each sector has 2 ones and 2 zeros; the count is preserved when the
@@ -131,14 +132,14 @@ class TestNoisySampler:
 
     def test_seeded_determinism(self, toy):
         fci, dets, _, ground = toy
-        a = noisy_sampler(ground, dets, fci, 0.1, 100, seed=9)
-        b = noisy_sampler(ground, dets, fci, 0.1, 100, seed=9)
+        a = noisy_sampler(ground, dets, 0.1, 100, seed=9)
+        b = noisy_sampler(ground, dets, 0.1, 100, seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_flip_rate_validation(self, toy):
         fci, dets, _, ground = toy
         with pytest.raises(ValueError, match="flip rate"):
-            noisy_sampler(ground, dets, fci, 1.0, 10, seed=0)
+            noisy_sampler(ground, dets, 1.0, 10, seed=0)
 
 
 class TestSelfConsistentRecovery:
@@ -146,7 +147,7 @@ class TestSelfConsistentRecovery:
         fci = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
         dets = all_determinants(2, 1, 1)
         _, ground = project_and_diagonalize(dets, fci)
-        samples = noisy_sampler(ground, dets, fci, flip_rate=0.0, shots=400, seed=10)
+        samples = noisy_sampler(ground, dets, flip_rate=0.0, shots=400, seed=10)
         config = RecoveryConfig(iterations=2, num_batches=4, samples_per_batch=400, seed=0)
         report = self_consistent_recovery(samples, fci, config)
         assert report.status == "ok"
@@ -158,7 +159,7 @@ class TestSelfConsistentRecovery:
         fci, dets, e_fci, ground = toy
         wins = 0
         for seed in range(8):
-            samples = noisy_sampler(ground, dets, fci, flip_rate=0.05, shots=300, seed=seed)
+            samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
             config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300, seed=seed)
             report = self_consistent_recovery(samples, fci, config)
             errors = [abs(m - e_fci) for m in report.mean_energies]
@@ -167,7 +168,7 @@ class TestSelfConsistentRecovery:
 
     def test_deterministic_for_fixed_inputs(self, toy):
         fci, dets, _, ground = toy
-        samples = noisy_sampler(ground, dets, fci, flip_rate=0.05, shots=200, seed=11)
+        samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=200, seed=11)
         config = RecoveryConfig(iterations=3, num_batches=5, samples_per_batch=120, seed=4)
         a = self_consistent_recovery(samples, fci, config)
         b = self_consistent_recovery(samples, fci, config)
@@ -175,7 +176,7 @@ class TestSelfConsistentRecovery:
 
     def test_valid_configurations_never_discarded(self, toy):
         fci, dets, _, ground = toy
-        samples = noisy_sampler(ground, dets, fci, flip_rate=0.1, shots=200, seed=12)
+        samples = noisy_sampler(ground, dets, flip_rate=0.1, shots=200, seed=12)
         n_valid = int(((samples[:, :4].sum(axis=1) == 2)
                        & (samples[:, 4:].sum(axis=1) == 2)).sum())
         config = RecoveryConfig(iterations=4, num_batches=3, samples_per_batch=100, seed=1)
@@ -193,7 +194,7 @@ class TestSelfConsistentRecovery:
 
     def test_occupancy_sums_to_electron_count(self, toy):
         fci, dets, _, ground = toy
-        samples = noisy_sampler(ground, dets, fci, flip_rate=0.02, shots=300, seed=13)
+        samples = noisy_sampler(ground, dets, flip_rate=0.02, shots=300, seed=13)
         config = RecoveryConfig(iterations=3, num_batches=6, samples_per_batch=300, seed=2)
         report = self_consistent_recovery(samples, fci, config)
         for occ in report.occupancies:
@@ -201,20 +202,20 @@ class TestSelfConsistentRecovery:
             assert np.all(occ >= -1e-12) and np.all(occ <= 1 + 1e-12)
 
     def test_batch_matches_per_sample_loop(self):
-        # one Determinant per sample, deduplicated, sorted by (alpha, beta),
-        # occupations accumulated amplitude by amplitude; nine orbitals span
-        # two bytes of each sector's mask
+        # one bitmask determinant per sample, deduplicated, sorted by (alpha,
+        # beta), occupations accumulated amplitude by amplitude; nine orbitals
+        # span two bytes of each sector's mask
         fci = parse_fcidump(random_fcidump(9, 4, seed=3))
-        pool = np.stack([d.occupations(9) for d in all_determinants(9, 2, 2)]).astype(np.uint8)
+        pool = all_determinants(9, 2, 2)
         energy, occupancy = _batch_energy_and_occupancy(pool, fci, 300, np.random.default_rng(5))
         batch = pool[np.random.default_rng(5).choice(len(pool), size=300, replace=False)]
-        subspace = sorted({Determinant(sum(1 << p for p in range(9) if row[p]),
-                                       sum(1 << p for p in range(9) if row[9 + p]))
-                           for row in batch}, key=lambda d: (d.alpha, d.beta))
-        want_energy, want_ground = project_and_diagonalize(subspace, fci)
+        subspace = sorted(set(determinants(batch)), key=lambda d: (d.alpha, d.beta))
+        rows = np.array([[(d.alpha >> p) & 1 for p in range(9)] + [(d.beta >> p) & 1 for p in range(9)]
+                         for d in subspace])
+        want_energy, want_ground = project_and_diagonalize(rows, fci)
         want = np.zeros(18)
-        for amplitude, det in zip(want_ground, subspace):
-            want += (amplitude**2) * det.occupations(9)
+        for amplitude, row in zip(want_ground, rows):
+            want += (amplitude**2) * row
         assert energy == want_energy
         assert np.array_equal(occupancy, want)
 
