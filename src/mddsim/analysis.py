@@ -26,6 +26,7 @@ from .sequences import (
     build_schedule,
     evolve_with_schedule,
     frame_durations,
+    is_measurement_driven,
     measure_expectations,
     mdd_unitary,
     schedule_superoperator,
@@ -224,7 +225,7 @@ def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: 
     """
     sigma = reduced_density(psi, [qubit])
     exp = None
-    if kind.lower() in ("mdd", "mdd+xx"):
+    if is_measurement_driven(kind):
         exp = measure_expectations(sigma, 0, shots=shots, rng=rng)
     schedule = build_schedule(kind, t, exp)
     return superoperator_fidelity(sigma, schedule_superoperator(schedule, params))
@@ -567,7 +568,7 @@ def multi_dd_fidelity(psi: PureState, qubits, kinds, times, params: NoiseParams)
     state: PureState | DensityMatrix = psi
     for qubit, kind, t in zip(qubits, kinds, times):
         exp = None
-        if kind.lower() in ("mdd", "mdd+xx"):
+        if is_measurement_driven(kind):
             exp = measure_expectations(state, qubit)
         schedule = build_schedule(kind, float(t), exp)
         state = evolve_with_schedule(state, schedule, params, qubit)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import NoiseParams, _apply_local_raw, combined_channel
-from .sequences import build_schedule, measure_expectations
+from .sequences import build_schedule, is_measurement_driven, measure_expectations
 from .states import (
     DensityMatrix,
     PAULI_X,
@@ -321,7 +321,7 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
         raise ValueError("sampled expectations (shots) need a seed")
     if strategy == "none":
         return circuit
-    measured = strategy in ("mdd", "mdd+xx")
+    measured = is_measurement_driven(strategy)
     if not measured:
         build_schedule(strategy, 1.0)  # reject unknown names before touching the circuit
     n = circuit.num_qubits

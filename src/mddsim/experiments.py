@@ -37,13 +37,17 @@ from .noise import (KrausChannel, NoiseParams, SpectralDensity, chi_integral, co
                     dephasing_channel_from_chi)
 from .sequences import (
     PauliExpectations,
+    PulseSchedule,
     build_schedule,
     flip_times,
+    is_measurement_driven,
     measure_expectations,
     mdd_unitary,
+    schedule_superoperator,
     superoperator,
 )
 from .sqd import (
+    MAX_DENSE_DIM,
     RecoveryConfig,
     all_determinants,
     hubbard_dimer_fcidump,
@@ -56,6 +60,7 @@ from .sqd import (
 from .states import (
     DensityMatrix,
     PureState,
+    _freeze,
     _haar_batch,
     bloch_vector,
     entanglement_fidelity,
@@ -201,19 +206,36 @@ def default_t_grid() -> list[float]:
 
 # ----------------------------------------------------------------- sweeps
 
+def _shared_superoperators(sequences, t_grid, params: NoiseParams) -> dict:
+    """Read-only schedule superoperators, one per duration, of every sequence
+    whose schedule does not depend on the state. They are built once per run
+    and serve every state; measurement-driven kinds are left out."""
+    return {kind: tuple(_freeze(schedule_superoperator(build_schedule(kind, t), params))
+                        for t in t_grid)
+            for kind in sequences if not is_measurement_driven(kind)}
+
+
 def _sweep_state_task(args) -> tuple[int, dict]:
-    seed, index, num_qubits, t1, t2, sequences, t_grid = args
+    """One state's fidelity curves: state-independent kinds contract its
+    qubit-0 reduced state with the run's shared superoperators, one per
+    duration; measurement-driven kinds build their schedule from the state."""
+    seed, index, num_qubits, t1, t2, sequences, t_grid, shared = args
     psi = haar_random_state(num_qubits, seed=(seed, index))
     params = NoiseParams(t1=t1, t2=t2)
+    sigma = reduced_density(psi, [0])
     curves = {}
     for kind in sequences:
-        curves[kind] = [dd_entanglement_fidelity(psi, kind, params, t) for t in t_grid]
+        if kind in shared:
+            curves[kind] = [superoperator_fidelity(sigma, superop) for superop in shared[kind]]
+        else:
+            curves[kind] = [dd_entanglement_fidelity(psi, kind, params, t) for t in t_grid]
     return index, curves
 
 
 def _run_state_tasks(config: ExperimentConfig, sequences, t_grid, jobs: int):
+    shared = _shared_superoperators(sequences, t_grid, config.noise)
     tasks = [(config.seed, i, config.num_qubits, config.t1, config.t2, tuple(sequences),
-              tuple(t_grid)) for i in range(config.num_states)]
+              tuple(t_grid), shared) for i in range(config.num_states)]
     # the executor forks every worker at the first submit, so more than one per
     # task or per core only costs processes; rows do not depend on the count
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -304,17 +326,23 @@ def colored_noise_fidelity(psi: PureState, kind: str, t1: float,
     """
     sigma = reduced_density(psi, [qubit])
     exp = None
-    if kind.lower() in ("mdd", "mdd+xx"):
+    if is_measurement_driven(kind):
         exp = measure_expectations(sigma, 0)
     schedule = build_schedule(kind, t, exp)
     if chi is None:
         chi = chi_integral(spectrum, flip_times(schedule), t)
+    return superoperator_fidelity(sigma, _colored_superoperator(schedule, t1, chi))
+
+
+def _colored_superoperator(schedule: PulseSchedule, t1: float, chi: float) -> np.ndarray:
+    """The model's superoperator over the schedule's [0, t]: boundary pulses at
+    0, T1 damping, dephasing of exponent ``chi``, boundary pulses at t."""
+    t = schedule.total_time
     damping = combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t)
     dephasing = dephasing_channel_from_chi(chi)
     boundary_start = [KrausChannel((g.matrix,)) for tm, g in schedule.pulses if tm == 0.0]
     boundary_end = [KrausChannel((g.matrix,)) for tm, g in schedule.pulses if tm == t and t > 0.0]
-    superop = superoperator(*boundary_start, damping, dephasing, *boundary_end)
-    return superoperator_fidelity(sigma, superop)
+    return superoperator(*boundary_start, damping, dephasing, *boundary_end)
 
 
 def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
@@ -322,6 +350,7 @@ def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> 
     t_grid = config.t_grid or [10.0 * k for k in range(1, 51)]
     chi_rows, fid_rows = [], []
     states = [haar_random_state(2, seed=(config.seed, i)) for i in range(config.num_states)]
+    sigmas = [reduced_density(psi, [0]) for psi in states]
     for spec_kind in ("ohmic", "one_over_f"):
         spectrum = SpectralDensity(spec_kind, omega_c=config.omega_c)
         for kind in sequences:
@@ -329,8 +358,13 @@ def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> 
                 schedule = build_schedule(kind, t, PauliExpectations(0, 0, 0))
                 chi = chi_integral(spectrum, flip_times(schedule), t)
                 chi_rows.append([spec_kind, kind, t, chi])
-                vals = [colored_noise_fidelity(psi, kind, config.t1, spectrum, t, chi=chi)
-                        for psi in states]
+                if is_measurement_driven(kind):
+                    vals = [colored_noise_fidelity(psi, kind, config.t1, spectrum, t, chi=chi)
+                            for psi in states]
+                else:
+                    # a fixed sequence's superoperator serves every state
+                    superop = _freeze(_colored_superoperator(schedule, config.t1, chi))
+                    vals = [superoperator_fidelity(sigma, superop) for sigma in sigmas]
                 fid_rows.append([spec_kind, kind, t, float(np.mean(vals)),
                                  float(np.min(vals)), float(np.max(vals))])
     files = [
@@ -407,6 +441,11 @@ def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
         fci = parse_fcidump(_load_fcidump(config.fcidump))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load integrals {config.fcidump!r}: {exc}") from None
+    # checked before enumerating: a space above the limit would be built only to be rejected
+    dim = math.comb(fci.norb, fci.n_alpha) * math.comb(fci.norb, fci.n_beta)
+    if dim > MAX_DENSE_DIM:
+        raise ConfigError(f"cannot diagonalize integrals {config.fcidump!r}: subspace dimension "
+                          f"{dim} exceeds dense limit {MAX_DENSE_DIM}")
     dets = all_determinants(fci.norb, fci.n_alpha, fci.n_beta)
     try:
         e_ref, ground = project_and_diagonalize(dets, fci)

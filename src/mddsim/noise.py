@@ -33,6 +33,7 @@ from .states import (
     PureState,
     _apply_left,
     _as_matrix,
+    _freeze,
     apply_matrix,
 )
 
@@ -75,9 +76,10 @@ class KrausChannel:
 
     ``superop`` is the channel's row-major 4x4 superoperator
     sum_K K (x) conj(K), with vec(E(rho)) = superop vec(rho), built once on
-    construction; every application and composition goes through it. The
-    row-major vec(rho) of N qubits is a 2N-qubit register, and on qubit q
-    ``superop`` acts on its axes q and N + q, the row and column bits of q.
+    construction and read-only; every application and composition goes
+    through it. The row-major vec(rho) of N qubits is a 2N-qubit register,
+    and on qubit q ``superop`` acts on its axes q and N + q, the row and
+    column bits of q.
     Channels built by :func:`combined_channel` and
     :func:`dephasing_channel_from_chi` also carry the scalar decomposition
     (s, p, gamma_p, a, b, alpha, beta) used by the closed-form fidelity
@@ -99,7 +101,7 @@ class KrausChannel:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-12")
         superop = (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(4, 4)
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "superop", superop)
+        object.__setattr__(self, "superop", _freeze(superop))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """E(rho) on a raw single-qubit matrix."""

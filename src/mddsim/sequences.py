@@ -161,6 +161,13 @@ _X_GATE = SingleQubitUnitary(PAULI_X)
 _Y_GATE = SingleQubitUnitary(PAULI_Y)
 
 
+def is_measurement_driven(kind: str) -> bool:
+    """Whether the sequence's schedule is computed from measured Pauli
+    expectations of the state (``mdd``, ``mdd+xx``, in any case), so that it
+    changes from state to state."""
+    return kind.lower() in ("mdd", "mdd+xx")
+
+
 def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) -> PulseSchedule:
     """Construct the pulse schedule for a canonical sequence name.
 
@@ -175,7 +182,7 @@ def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) ->
     if kind == "xy4":
         pulses = ((0.0, _Y_GATE), (0.25 * t, _X_GATE), (0.5 * t, _Y_GATE), (0.75 * t, _X_GATE))
         return PulseSchedule(t, pulses, kind)
-    if kind in ("mdd", "mdd+xx"):
+    if is_measurement_driven(kind):
         if exp is None:
             raise ValueError(f"sequence {kind!r} requires Pauli expectations")
         u = mdd_unitary(exp)

@@ -27,8 +27,8 @@ from mddsim.experiments import (
     verify_lemma,
 )
 from mddsim.analysis import _gap_report
-from mddsim.noise import SpectralDensity
-from mddsim.sqd import FciData, parse_fcidump, random_fcidump, write_fcidump
+from mddsim.noise import NoiseParams, SpectralDensity, combined_channel
+from mddsim.sqd import MAX_DENSE_DIM, FciData, parse_fcidump, random_fcidump, write_fcidump
 from mddsim.states import haar_random_state
 
 
@@ -293,6 +293,35 @@ def test_space_above_dense_limit_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "subspace dimension 4900 exceeds dense limit 4000" in err
     assert "Traceback" not in err
+
+
+def test_space_far_above_dense_limit_exits_2_before_enumerating(tmp_path, capsys, monkeypatch):
+    # 16 orbitals at half filling span 12,870^2 = 165,636,900 determinants
+    # (5.3 GB of rows): the size alone rejects them, nothing is enumerated
+    def refuse(*args, **kwargs):
+        raise AssertionError("all_determinants must not run above the dense limit")
+
+    monkeypatch.setattr(experiments, "all_determinants", refuse)
+    dump = tmp_path / "norb16.fcidump"
+    dump.write_text(write_fcidump(FciData(norb=16, nelec=16, ms2=0, h=-np.eye(16),
+                                          eri=np.zeros((16,) * 4), core_energy=0.0)))
+    cfg = write_config(tmp_path, experiment="sqd-recover", fcidump=str(dump))
+    start = time.perf_counter()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert f"subspace dimension 165636900 exceeds dense limit {MAX_DENSE_DIM}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shared_matrices_are_read_only():
+    # one matrix serves every state, so no caller may write into it
+    channel = combined_channel(NoiseParams(t1=250.0, t2=170.0), 10.0)
+    shared = experiments._shared_superoperators(["xx"], [10.0], NoiseParams(t1=250.0, t2=170.0))
+    for matrix in (channel.superop, shared["xx"][0]):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
 
 
 # gaps at t = 1, 2, 4: one below -GAP_TOL's magnitude, one above it, and two

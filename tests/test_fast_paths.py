@@ -29,16 +29,30 @@ from mddsim.circuits import (
     insert_dd,
     qft_success_scenario,
 )
-from mddsim.experiments import colored_noise_fidelity
+from mddsim.experiments import (
+    ExperimentConfig,
+    _run_state_tasks,
+    _shared_superoperators,
+    colored_noise_fidelity,
+    run_filter_noise,
+)
 from mddsim.noise import (
     KrausChannel,
     NoiseParams,
     SpectralDensity,
     _apply_local_raw,
+    chi_integral,
     combined_channel,
     dephasing_channel_from_chi,
 )
-from mddsim.sequences import build_schedule, evolve_with_schedule, measure_expectations, superoperator
+from mddsim.sequences import (
+    PauliExpectations,
+    build_schedule,
+    evolve_with_schedule,
+    flip_times,
+    measure_expectations,
+    superoperator,
+)
 from mddsim.states import (
     DensityMatrix,
     _as_matrix,
@@ -114,6 +128,64 @@ def test_colored_noise_fidelity_matches_dense_composition(kind, case, t1, t, chi
     spectrum = SpectralDensity("ohmic", omega_c=0.1)
     fast = colored_noise_fidelity(psi, kind, t1, spectrum, t, qubit=qubit, chi=chi)
     assert abs(fast - dense_colored_noise_fidelity(psi, kind, t1, t, qubit, chi)) <= 1e-12
+
+
+SWEEP_KINDS = ["none", "xx", "xy4", "udd2", "udd8", "qdd2", "qdd4", "mdd", "mdd+xx"]
+
+
+@st.composite
+def t_grids(draw):
+    """A strictly increasing grid of sweep durations."""
+    return sorted(draw(st.lists(durations, min_size=1, max_size=4, unique=True)))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(num_qubits=st.integers(1, 5), num_states=st.integers(1, 4), seed=st.integers(0, 2**16),
+       params=noise_params(), t_grid=t_grids(),
+       sequences=st.lists(st.sampled_from(SWEEP_KINDS), min_size=1, max_size=4, unique=True))
+def test_sweep_curves_equal_per_point_fidelities(num_qubits, num_states, seed, params, t_grid,
+                                                 sequences):
+    # the shared superoperators must give every state the bits of its own build
+    config = ExperimentConfig(experiment="fidelity-sweep", t1=params.t1, t2=params.t2,
+                              sequences=sequences, t_grid=t_grid, num_states=num_states,
+                              num_qubits=num_qubits, seed=seed)
+    per_state = _run_state_tasks(config, sequences, t_grid, jobs=1)
+    assert len(per_state) == num_states
+    for index, curves in enumerate(per_state):
+        psi = haar_random_state(num_qubits, seed=(seed, index))
+        for kind in sequences:
+            assert curves[kind] == [dd_entanglement_fidelity(psi, kind, params, t) for t in t_grid]
+
+
+def test_shared_superoperators_leave_out_measurement_driven_kinds():
+    shared = _shared_superoperators(["none", "xx", "mdd", "MDD+xx", "QDD2"], [1.0, 10.0],
+                                    NoiseParams(t1=250.0, t2=170.0))
+    assert set(shared) == {"none", "xx", "QDD2"}
+    assert all(len(superops) == 2 for superops in shared.values())
+
+
+@pytest.mark.parametrize("sequences", [["none", "xy4", "mdd"], ["qdd2", "mdd+xx", "udd2"]])
+def test_filter_noise_rows_equal_per_state_fidelities(tmp_path, sequences):
+    t_grid, t1 = [20.0, 70.0], 120.0
+    config = ExperimentConfig(experiment="filter-noise", num_states=3, seed=5, t1=t1,
+                              sequences=sequences, t_grid=t_grid)
+    run_filter_noise(config, tmp_path)
+    states = [haar_random_state(2, seed=(5, i)) for i in range(3)]
+    expected = []
+    for spec_kind in ("ohmic", "one_over_f"):
+        spectrum = SpectralDensity(spec_kind, omega_c=config.omega_c)
+        for kind in sequences:
+            for t in t_grid:
+                schedule = build_schedule(kind, t, PauliExpectations(0, 0, 0))
+                chi = chi_integral(spectrum, flip_times(schedule), t)
+                vals = [colored_noise_fidelity(psi, kind, t1, spectrum, t, chi=chi)
+                        for psi in states]
+                expected.append([spec_kind, kind, t, float(np.mean(vals)), float(np.min(vals)),
+                                 float(np.max(vals))])
+    lines = (tmp_path / "filter_fidelity.csv").read_text().splitlines()[1:]
+    got = [[spec, kind, float(t), float(mean), float(lo), float(hi)]
+           for spec, kind, t, mean, lo, hi in (line.split(",") for line in lines)]
+    assert got == expected
 
 
 @PROPERTY

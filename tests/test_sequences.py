@@ -12,6 +12,7 @@ from mddsim.sequences import (
     build_schedule,
     evolve_with_schedule,
     frame_durations,
+    is_measurement_driven,
     measure_expectations,
     mdd_unitary,
     qdd_times,
@@ -320,3 +321,18 @@ class TestMeasureExpectations:
                 psi, evolve_with_schedule(psi, build_schedule("mdd", t, exp), DEFAULT_NOISE, 0)))
         sigma = float(np.std(draws))
         assert abs(draws[0] - exact_f) <= 3.0 * sigma + 1e-12
+
+
+@pytest.mark.parametrize(("kind", "measured"), [
+    ("mdd", True), ("MDD", True), ("mdd+xx", True), ("Mdd+XX", True),
+    ("none", False), ("xx", False), ("xy4", False), ("udd8", False), ("qdd2", False),
+    ("mddxx", False), ("mdd+", False),
+])
+def test_measurement_driven_kinds_ignore_case(kind, measured):
+    assert is_measurement_driven(kind) is measured
+
+
+@pytest.mark.parametrize("kind", ["mdd", "MDD", "mdd+xx", "Mdd+XX"])
+def test_measurement_driven_schedule_needs_expectations(kind):
+    with pytest.raises(ValueError, match="requires Pauli expectations"):
+        build_schedule(kind, 1.0)
