@@ -508,8 +508,8 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
                            starts: int = 20, seed: int = 0) -> tuple[AnsatzCoefficients, float]:
     """Minimize the two-qubit decay rate over the positivity polytope.
 
-    Multi-start constrained minimization (SLSQP over the four linear
-    constraints, relaxed to >= 1e-9); for pure inputs the boundary point
+    Multi-start SLSQP over the four linear constraints, relaxed to >= 1e-9
+    and passed as one vector constraint; for pure inputs the boundary point
     (1, 1, 1) is the exact optimum with rate zero and is returned directly.
     """
     if r_i >= 1.0 - 1e-12 and r_j >= 1.0 - 1e-12:
@@ -530,8 +530,7 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
             -2.0 * rates.gamma_zz * c[2],
         ])
 
-    constraints = [{"type": "ineq", "fun": lambda c, k=k: 1.0 + signs[k] @ c - _RATE_EPS}
-                   for k in range(4)]
+    constraints = {"type": "ineq", "fun": lambda c: 1.0 + signs @ c - _RATE_EPS}
     rng = np.random.default_rng(seed)
     best_c, best_val = None, math.inf
     attempts = [np.zeros(3)]

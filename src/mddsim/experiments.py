@@ -23,7 +23,6 @@ from .analysis import (
     TwoQubitRates,
     _envelope_slope,
     _plain,
-    dd_entanglement_fidelity,
     decay_rate,
     grid_minimum_two_qubit,
     lemma_check,
@@ -218,17 +217,18 @@ def _shared_superoperators(sequences, t_grid, params: NoiseParams) -> dict:
 def _sweep_state_task(args) -> tuple[int, dict]:
     """One state's fidelity curves: state-independent kinds contract its
     qubit-0 reduced state with the run's shared superoperators, one per
-    duration; measurement-driven kinds build their schedule from the state."""
+    duration; measurement-driven kinds build their schedule from the state's
+    expectations, measured once for every duration."""
     seed, index, num_qubits, t1, t2, sequences, t_grid, shared = args
     psi = haar_random_state(num_qubits, seed=(seed, index))
     params = NoiseParams(t1=t1, t2=t2)
     sigma = reduced_density(psi, [0])
+    exp = measure_expectations(sigma, 0) if any(map(is_measurement_driven, sequences)) else None
     curves = {}
     for kind in sequences:
-        if kind in shared:
-            curves[kind] = [superoperator_fidelity(sigma, superop) for superop in shared[kind]]
-        else:
-            curves[kind] = [dd_entanglement_fidelity(psi, kind, params, t) for t in t_grid]
+        superops = shared[kind] if kind in shared else (
+            schedule_superoperator(build_schedule(kind, t, exp), params) for t in t_grid)
+        curves[kind] = [superoperator_fidelity(sigma, superop) for superop in superops]
     return index, curves
 
 
@@ -353,10 +353,14 @@ def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> 
     sigmas = [reduced_density(psi, [0]) for psi in states]
     for spec_kind in ("ohmic", "one_over_f"):
         spectrum = SpectralDensity(spec_kind, omega_c=config.omega_c)
+        chis = {}  # the exponent depends only on the flip times, which kinds may share
         for kind in sequences:
             for t in t_grid:
                 schedule = build_schedule(kind, t, PauliExpectations(0, 0, 0))
-                chi = chi_integral(spectrum, flip_times(schedule), t)
+                key = (tuple(flip_times(schedule)), t)
+                if key not in chis:
+                    chis[key] = chi_integral(spectrum, *key)
+                chi = chis[key]
                 chi_rows.append([spec_kind, kind, t, chi])
                 if is_measurement_driven(kind):
                     vals = [colored_noise_fidelity(psi, kind, config.t1, spectrum, t, chi=chi)

@@ -5,8 +5,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
-from mddsim.analysis import local_entanglement_fidelity
+from mddsim.analysis import (
+    _RATE_EPS,
+    AnsatzCoefficients,
+    TwoQubitRates,
+    decay_rate_quadratic,
+    local_entanglement_fidelity,
+)
 from mddsim.circuits import (
     ScheduledCircuit,
     _insert_pulse,
@@ -100,6 +107,56 @@ def toggled_frame_average_loop(psi, schedule, params, qubit: int = 0) -> float:
             continue
         total += (duration / schedule.total_time) * local_entanglement_fidelity(sigma, channel, frame)
     return total
+
+
+def optimize_two_qubit_mdd_rowwise(r_i: float, r_j: float, rates: TwoQubitRates,
+                                   starts: int = 20, seed: int = 0
+                                   ) -> tuple[AnsatzCoefficients, float]:
+    """The multi-start SLSQP with the four positivity constraints passed as
+    four scalar constraints, each finite-differenced on its own: the
+    bit-identity oracle for the library's single vector constraint."""
+    if r_i >= 1.0 - 1e-12 and r_j >= 1.0 - 1e-12:
+        return AnsatzCoefficients(1.0, 1.0, 1.0), 0.0
+
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+
+    def objective(c: np.ndarray) -> float:
+        return (float(decay_rate_quadratic(r_i, c[0], rates.qubit_i))
+                + float(decay_rate_quadratic(r_j, c[1], rates.qubit_j))
+                + rates.gamma_zz * (1.0 - c[2]**2))
+
+    def gradient(c: np.ndarray) -> np.ndarray:
+        gi, gj = rates.qubit_i, rates.qubit_j
+        return np.array([
+            gi.gamma1 * (-0.5 + 0.5 * c[0]) - 2.0 * gi.gamma2 * c[0],
+            gj.gamma1 * (-0.5 + 0.5 * c[1]) - 2.0 * gj.gamma2 * c[1],
+            -2.0 * rates.gamma_zz * c[2],
+        ])
+
+    constraints = [{"type": "ineq", "fun": lambda c, k=k: 1.0 + signs[k] @ c - _RATE_EPS}
+                   for k in range(4)]
+    rng = np.random.default_rng(seed)
+    best_c, best_val = None, math.inf
+    attempts = [np.zeros(3)]
+    draws = 0
+    while len(attempts) < starts and draws < 100 * starts:
+        draws += 1
+        cand = rng.uniform(-1.0, 1.0, size=3)
+        if np.all(1.0 + signs @ cand > _RATE_EPS):
+            attempts.append(cand)
+    for x0 in attempts:
+        res = optimize.minimize(objective, x0, jac=gradient, method="SLSQP",
+                                constraints=constraints, bounds=[(-1.0, 1.0)] * 3,
+                                options={"maxiter": 400, "ftol": 1e-14})
+        if res.x is None:
+            continue
+        cand = np.clip(res.x, -1.0, 1.0)
+        if np.all(1.0 + signs @ cand >= -1e-12):
+            val = objective(cand)
+            if val < best_val:
+                best_val, best_c = val, cand
+    coeffs = AnsatzCoefficients(*[float(v) for v in best_c])
+    return coeffs, float(best_val)
 
 
 def insert_dd_replaying(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,

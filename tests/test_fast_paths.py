@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mddsim import experiments
 from mddsim.analysis import (
     DecayRates,
+    TwoQubitRates,
     dd_entanglement_fidelity,
     decay_rate,
     local_entanglement_fidelity,
+    optimize_two_qubit_mdd,
     superoperator_fidelity,
     toggled_frame_average,
 )
@@ -35,6 +38,7 @@ from mddsim.experiments import (
     _shared_superoperators,
     colored_noise_fidelity,
     run_filter_noise,
+    run_two_qubit_opt,
 )
 from mddsim.noise import (
     KrausChannel,
@@ -66,6 +70,7 @@ from mddsim.states import (
 
 from helpers import (
     insert_dd_replaying,
+    optimize_two_qubit_mdd_rowwise,
     random_channel,
     random_single_qubit_density,
     toggled_frame_average_loop,
@@ -164,7 +169,25 @@ def test_shared_superoperators_leave_out_measurement_driven_kinds():
     assert all(len(superops) == 2 for superops in shared.values())
 
 
-@pytest.mark.parametrize("sequences", [["none", "xy4", "mdd"], ["qdd2", "mdd+xx", "udd2"]])
+def test_sweep_measures_each_state_once(monkeypatch):
+    # the expectations do not depend on t, so mdd reads them once per state
+    calls = []
+
+    def counting(state, qubit, *args, **kwargs):
+        calls.append(qubit)
+        return measure_expectations(state, qubit, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "measure_expectations", counting)
+    config = ExperimentConfig(experiment="fidelity-sweep", num_states=3, num_qubits=2)
+    _run_state_tasks(config, ["xx", "mdd", "mdd+xx"], [1.0, 10.0, 100.0], jobs=1)
+    assert calls == [0, 0, 0]
+    _run_state_tasks(config, ["none", "xx"], [1.0, 10.0, 100.0], jobs=1)
+    assert calls == [0, 0, 0]
+
+
+# mdd shares the (empty) flip times of none, and mdd+xx those of xx
+@pytest.mark.parametrize("sequences", [["none", "xy4", "mdd"], ["qdd2", "mdd+xx", "udd2"],
+                                       ["none", "xx", "mdd", "mdd+xx"]])
 def test_filter_noise_rows_equal_per_state_fidelities(tmp_path, sequences):
     t_grid, t1 = [20.0, 70.0], 120.0
     config = ExperimentConfig(experiment="filter-noise", num_states=3, seed=5, t1=t1,
@@ -186,6 +209,54 @@ def test_filter_noise_rows_equal_per_state_fidelities(tmp_path, sequences):
     got = [[spec, kind, float(t), float(mean), float(lo), float(hi)]
            for spec, kind, t, mean, lo, hi in (line.split(",") for line in lines)]
     assert got == expected
+
+
+@pytest.mark.parametrize("sequences, distinct", [([], 3), (["none", "xx", "mdd", "mdd+xx"], 2),
+                                                 (["xy4", "udd2", "qdd2"], 3)])
+def test_filter_noise_integrates_each_flip_pattern_once(tmp_path, monkeypatch, sequences,
+                                                        distinct):
+    # default sequences none/xx/udd8/mdd hold three flip patterns: mdd reuses none's
+    calls = []
+
+    def counting(spectrum, pulse_times, t, *args, **kwargs):
+        calls.append((spectrum.kind, tuple(pulse_times), t))
+        return chi_integral(spectrum, pulse_times, t, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "chi_integral", counting)
+    config = ExperimentConfig(experiment="filter-noise", num_states=1, t_grid=[20.0, 70.0],
+                              sequences=sequences)
+    run_filter_noise(config, tmp_path)
+    assert len(calls) == len(set(calls)) == 2 * distinct * 2
+
+
+@st.composite
+def decay_rates(draw):
+    return DecayRates(draw(st.floats(0.0, 0.05)), draw(st.floats(0.0, 0.05)))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(qubit_i=decay_rates(), qubit_j=decay_rates(),
+       gamma_zz=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+       r_i=st.floats(0.0, 1.0, exclude_max=True), r_j=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**16))
+def test_two_qubit_optimizer_equals_rowwise_constraints(qubit_i, qubit_j, gamma_zz, r_i, r_j,
+                                                        seed):
+    # one vector constraint must walk SLSQP through the bits of four scalar ones
+    rates = TwoQubitRates(qubit_i, qubit_j, gamma_zz)
+    coeffs, rate = optimize_two_qubit_mdd(r_i, r_j, rates, seed=seed)
+    oracle_coeffs, oracle_rate = optimize_two_qubit_mdd_rowwise(r_i, r_j, rates, seed=seed)
+    assert coeffs == oracle_coeffs
+    assert rate == oracle_rate
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_two_qubit_opt_bytes_equal_rowwise_oracle(tmp_path, monkeypatch, seed):
+    config = ExperimentConfig(experiment="two-qubit-opt", num_states=5, seed=seed)
+    run_two_qubit_opt(config, tmp_path / "library")
+    monkeypatch.setattr(experiments, "optimize_two_qubit_mdd", optimize_two_qubit_mdd_rowwise)
+    run_two_qubit_opt(config, tmp_path / "oracle")
+    assert ((tmp_path / "library" / "two_qubit_opt.json").read_bytes()
+            == (tmp_path / "oracle" / "two_qubit_opt.json").read_bytes())
 
 
 @PROPERTY
