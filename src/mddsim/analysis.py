@@ -213,20 +213,18 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
 
 
 def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: float,
-                             qubit: int = 0, shots: int | None = None,
-                             rng: np.random.Generator | None = None) -> float:
+                             qubit: int = 0) -> float:
     """Entanglement fidelity of a named sequence applied to one noisy qubit.
 
-    Measurement-driven kinds take their expectations from the state itself,
-    exactly by default or shot-sampled when ``shots`` is given. Only the
-    qubit's reduced state enters, so spectator qubits cost one partial trace;
-    ``entanglement_fidelity(psi, evolve_with_schedule(...))`` is the
-    full-space definition this equals.
+    Measurement-driven kinds take their exact expectations from the state
+    itself. Only the qubit's reduced state enters, so spectator qubits cost
+    one partial trace; ``entanglement_fidelity(psi, evolve_with_schedule(...))``
+    is the full-space definition this equals.
     """
     sigma = reduced_density(psi, [qubit])
     exp = None
     if is_measurement_driven(kind):
-        exp = measure_expectations(sigma, 0, shots=shots, rng=rng)
+        exp = measure_expectations(sigma, 0)
     schedule = build_schedule(kind, t, exp)
     return superoperator_fidelity(sigma, schedule_superoperator(schedule, params))
 
@@ -253,6 +251,11 @@ def _envelope_slope(grid, gaps) -> float | None:
     return float(np.polyfit(np.log(np.asarray(grid)[neg]), np.log(-np.asarray(gaps)[neg]), 1)[0])
 
 
+def _gap_passed(margin: float, slope: float | None) -> bool:
+    """The gap verdict: no gap below -GAP_TOL, or the negative ones under a t^1.8 envelope."""
+    return bool(margin >= -GAP_TOL or (slope is not None and slope >= 1.8))
+
+
 @dataclass
 class GapReport:
     """Pointwise fidelity gap between the measurement-driven sequence and a
@@ -271,10 +274,8 @@ class GapReport:
     def to_dict(self) -> dict:
         return _plain(self.__dict__)
 
-    def passed(self, tol: float = GAP_TOL, min_slope: float = 1.8) -> bool:
-        if self.margin >= -tol:
-            return True
-        return self.envelope_slope is not None and self.envelope_slope >= min_slope
+    def passed(self) -> bool:
+        return _gap_passed(self.margin, self.envelope_slope)
 
 
 def _gap_report(claim_id: str, grid: list, mdd_vals: list, seq_vals: list, seed: int | None,

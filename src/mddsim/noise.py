@@ -38,6 +38,8 @@ from .states import (
 )
 
 LOWERING = 0.5 * (PAULI_X + 1j * PAULI_Y)  # |0><1|
+_CHI_ABS_TOL = 1e-10  # chi_integral's quadrature
+_CHI_MAX_SUBDIVISIONS = 1600
 
 
 class QuadratureError(RuntimeError):
@@ -254,8 +256,7 @@ def filter_function(pulse_times, t: float, omega: float) -> float:
     return float(abs(total) ** 2)
 
 
-def chi_integral(spectrum: SpectralDensity, pulse_times, t: float,
-                 abs_tol: float = 1e-10, max_subdivisions: int = 1600) -> float:
+def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
     """Dephasing exponent chi(t) = (2/pi) * int_0^inf [S(w)/w] F(w t) dw.
 
     The integral is truncated at 10 * omega_c, where the Gaussian cutoff makes
@@ -274,12 +275,12 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float,
 
     upper = 10.0 * spectrum.omega_c
     result, abserr, info = integrate.quad(
-        integrand, 0.0, upper, epsabs=abs_tol, epsrel=1e-10,
-        limit=max_subdivisions, full_output=True,
+        integrand, 0.0, upper, epsabs=_CHI_ABS_TOL, epsrel=1e-10,
+        limit=_CHI_MAX_SUBDIVISIONS, full_output=True,
     )[:3]
     if abserr > max(1e-7, 1e-5 * abs(result)):
         raise QuadratureError(
             f"chi integral did not converge: estimate {result!r}, error {abserr!r}, "
-            f"{info['last']} subdivisions used of {max_subdivisions}"
+            f"{info['last']} subdivisions used of {_CHI_MAX_SUBDIVISIONS}"
         )
     return max(float((2.0 / math.pi) * result), 0.0)

@@ -34,14 +34,13 @@ def weight_w(y: float, h: float, delta: float = 0.01) -> float:
 
 
 def recover_configuration(bits: np.ndarray, occupancy: np.ndarray, n_target: int,
-                          rng: np.random.Generator, h: float | None = None,
-                          delta: float = 0.01) -> np.ndarray:
+                          rng: np.random.Generator, delta: float = 0.01) -> np.ndarray:
     """Restore the electron count of one spin sector by weighted bit flips.
 
     When the sector holds too few electrons only 0 -> 1 flips occur, and vice
     versa; flip candidates are drawn sequentially without replacement with
-    probability proportional to w(|bit - occupancy|). A sample that already
-    matches the target is returned unchanged.
+    probability proportional to w(|bit - occupancy|) at filling n_target / m.
+    A sample that already matches the target is returned unchanged.
     """
     bits = np.asarray(bits, dtype=np.uint8).copy()
     occupancy = np.asarray(occupancy, dtype=float)
@@ -53,7 +52,7 @@ def recover_configuration(bits: np.ndarray, occupancy: np.ndarray, n_target: int
     count = int(bits.sum())
     if count == n_target:
         return bits
-    fill = n_target / m if h is None else h
+    fill = n_target / m
     if count < n_target:
         candidates = np.flatnonzero(bits == 0)
         new_value = 1

@@ -118,7 +118,8 @@ class TestCliContract:
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize(("jobs", "num_states", "cores", "workers"),
-                             [(100_000, 20, 4, 4), (100_000, 3, 64, 3), (2, 20, 64, 2), (8, 5, 1, None)])
+                             [(100_000, 20, 4, 4), (100_000, 3, 64, 3), (2, 20, 64, 2), (8, 5, 1, None),
+                              (3, 5, 64, 3)])
     def test_worker_count_is_clamped(self, tmp_path, monkeypatch, capsys, jobs, num_states, cores, workers):
         created = []
 
@@ -316,12 +317,10 @@ def test_space_far_above_dense_limit_exits_2_before_enumerating(tmp_path, capsys
 
 
 def test_shared_matrices_are_read_only():
-    # one matrix serves every state, so no caller may write into it
+    # one channel's superoperator serves every application, so no caller may write into it
     channel = combined_channel(NoiseParams(t1=250.0, t2=170.0), 10.0)
-    shared = experiments._shared_superoperators(["xx"], [10.0], NoiseParams(t1=250.0, t2=170.0))
-    for matrix in (channel.superop, shared["xx"][0]):
-        with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        channel.superop[0, 0] = 0.0
 
 
 # gaps at t = 1, 2, 4: one below -GAP_TOL's magnitude, one above it, and two

@@ -35,7 +35,6 @@ from mddsim.circuits import (
 from mddsim.experiments import (
     ExperimentConfig,
     _run_state_tasks,
-    _shared_superoperators,
     colored_noise_fidelity,
     run_filter_noise,
     run_two_qubit_opt,
@@ -55,6 +54,7 @@ from mddsim.sequences import (
     evolve_with_schedule,
     flip_times,
     measure_expectations,
+    schedule_superoperator,
     superoperator,
 )
 from mddsim.states import (
@@ -162,14 +162,56 @@ def test_sweep_curves_equal_per_point_fidelities(num_qubits, num_states, seed, p
             assert curves[kind] == [dd_entanglement_fidelity(psi, kind, params, t) for t in t_grid]
 
 
-def test_shared_superoperators_leave_out_measurement_driven_kinds():
-    shared = _shared_superoperators(["none", "xx", "mdd", "MDD+xx", "QDD2"], [1.0, 10.0],
-                                    NoiseParams(t1=250.0, t2=170.0))
-    assert set(shared) == {"none", "xx", "QDD2"}
-    assert all(len(superops) == 2 for superops in shared.values())
+class SerialExecutor:
+    """A process-pool stand-in that maps in process, so counters see every block."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
 
 
-def test_sweep_measures_each_state_once(monkeypatch):
+@pytest.mark.parametrize(("jobs", "blocks"), [(1, [5]), (2, [3, 2]), (3, [2, 2, 1])],
+                         ids=["jobs1", "jobs2", "jobs3"])
+def test_sweep_builds_fixed_superoperators_once_per_block(monkeypatch, jobs, blocks):
+    # a fixed kind's superoperator serves every state of a block; mdd's is each state's own
+    fidelity_table = experiments._fidelity_table
+    sizes, built, unitaries = [], {}, {}
+
+    def table(sigmas, *args):
+        sizes.append(len(sigmas))
+        return fidelity_table(sigmas, *args)
+
+    def counting(schedule, params):
+        key = (schedule.kind, schedule.total_time)
+        built[key] = built.get(key, 0) + 1
+        if schedule.pulses and schedule.pulses[0][0] == 0.0:
+            unitaries.setdefault(key, set()).add(schedule.pulses[0][1].matrix.tobytes())
+        return schedule_superoperator(schedule, params)
+
+    monkeypatch.setattr(experiments, "_fidelity_table", table)
+    monkeypatch.setattr(experiments, "schedule_superoperator", counting)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+    config = ExperimentConfig(experiment="fidelity-sweep", num_states=5, num_qubits=2)
+    t_grid = [1.0, 10.0]
+    per_state = _run_state_tasks(config, ["none", "xx", "QDD2", "mdd", "MDD+xx"], t_grid, jobs)
+    assert sizes == blocks and len(per_state) == 5
+    assert built == {**{(kind, t): len(blocks) for kind in ("none", "xx", "qdd2") for t in t_grid},
+                     **{(kind, t): 5 for kind in ("mdd", "mdd+xx") for t in t_grid}}
+    # one boundary rotation per state: each mdd schedule is built from its own state
+    assert set(unitaries) == {(kind, t) for kind in ("mdd", "mdd+xx") for t in t_grid}
+    assert all(len(rotations) == 5 for rotations in unitaries.values())
+
+
+def test_sweep_measures_each_state_once(monkeypatch, tmp_path):
     # the expectations do not depend on t, so mdd reads them once per state
     calls = []
 
@@ -183,6 +225,12 @@ def test_sweep_measures_each_state_once(monkeypatch):
     assert calls == [0, 0, 0]
     _run_state_tasks(config, ["none", "xx"], [1.0, 10.0, 100.0], jobs=1)
     assert calls == [0, 0, 0]
+    # filter-noise reads them once per state for each of its two spectra
+    calls.clear()
+    config = ExperimentConfig(experiment="filter-noise", num_states=3, t_grid=[20.0, 70.0],
+                              sequences=["xx", "mdd", "mdd+xx"])
+    run_filter_noise(config, tmp_path)
+    assert calls == [0] * 6
 
 
 # mdd shares the (empty) flip times of none, and mdd+xx those of xx
