@@ -21,6 +21,7 @@ from scipy import optimize
 
 from .noise import KrausChannel, NoiseParams, combined_channel, relaxation_dephasing_jumps
 from .sequences import (
+    MEASURED_BASE,
     PauliExpectations,
     PulseSchedule,
     build_schedule,
@@ -37,6 +38,7 @@ from .states import (
     DensityMatrix,
     PureState,
     SingleQubitUnitary,
+    _apply_left,
     _haar_batch,
     bloch_vector,
     entanglement_fidelity,
@@ -212,21 +214,38 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
                        best_competitor=best, violations=violations)
 
 
+def _fidelity_table(sigmas, kinds, t_grid, superop_of) -> list[dict]:
+    """Each state's fidelity curve for each kind, from single-qubit reduced states;
+    ``superop_of`` maps a fixed schedule to its superoperator. U^dag E U on sigma has
+    the fidelity of E on U sigma U^dag, so a measured kind is its base kind on the states
+    its MDD unitaries U align, and one superoperator per base kind and duration serves all."""
+    states = np.array([sigma.entries for sigma in sigmas])
+    if any(map(is_measurement_driven, kinds)):
+        aligned = _conjugate(states, np.array([mdd_unitary(measure_expectations(sigma, 0)).matrix
+                                               for sigma in sigmas]))
+    bases = {kind: MEASURED_BASE.get(kind.lower(), kind) for kind in kinds}
+    superops = {(base, t): superop_of(build_schedule(base, t))
+                for base in dict.fromkeys(bases.values()) for t in t_grid}
+    table = [{} for _ in sigmas]
+    for kind, base in bases.items():
+        stack = aligned if is_measurement_driven(kind) else states
+        fids = np.array([superoperator_fidelity(stack, superops[base, t]) for t in t_grid])
+        for curves, row in zip(table, fids.T):
+            curves[kind] = row.tolist()
+    return table
+
+
 def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: float,
                              qubit: int = 0) -> float:
     """Entanglement fidelity of a named sequence applied to one noisy qubit.
 
-    Measurement-driven kinds take their exact expectations from the state
-    itself. Only the qubit's reduced state enters, so spectator qubits cost
-    one partial trace; ``entanglement_fidelity(psi, evolve_with_schedule(...))``
+    Only the qubit's reduced state enters, so spectator qubits cost one
+    partial trace; ``entanglement_fidelity(psi, evolve_with_schedule(...))``
     is the full-space definition this equals.
     """
     sigma = reduced_density(psi, [qubit])
-    exp = None
-    if is_measurement_driven(kind):
-        exp = measure_expectations(sigma, 0)
-    schedule = build_schedule(kind, t, exp)
-    return superoperator_fidelity(sigma, schedule_superoperator(schedule, params))
+    return _fidelity_table([sigma], [kind], [t],
+                           lambda s: schedule_superoperator(s, params))[0][kind][0]
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -301,9 +320,10 @@ def first_order_gap(psi: PureState, kind: str, params: NoiseParams, t_grid,
     t_grid = [float(t) for t in t_grid]
     if max(t_grid) > params.t2 / 50.0:
         raise ValueError(f"grid extends beyond the small-time regime T2/50 = {params.t2 / 50.0}")
-    mdd_vals = [dd_entanglement_fidelity(psi, "mdd", params, t, qubit) for t in t_grid]
-    seq_vals = [dd_entanglement_fidelity(psi, kind, params, t, qubit) for t in t_grid]
-    return _gap_report(f"first-order-gap-{kind}", t_grid, mdd_vals, seq_vals, seed, "t", kind=kind)
+    curves = _fidelity_table([reduced_density(psi, [qubit])], ["mdd", kind], t_grid,
+                             lambda s: schedule_superoperator(s, params))[0]
+    return _gap_report(f"first-order-gap-{kind}", t_grid, curves["mdd"], curves[kind], seed, "t",
+                       kind=kind)
 
 
 def toggled_frame_average(psi: PureState, schedule: PulseSchedule, params: NoiseParams,
@@ -558,21 +578,24 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
 
 def multi_dd_fidelity(psi: PureState, qubits, kinds, times, params: NoiseParams) -> float:
     """Entanglement fidelity after applying one sequence per noisy qubit,
-    sequentially in list order; measurement-driven kinds read the state as it
-    stands at their interval start."""
+    sequentially in list order. Maps on distinct qubits commute and leave each
+    other's reduced states alone, so every measurement-driven kind reads psi:
+    the run is the base kinds on phi, psi with all aligning rotations applied."""
     qubits = [int(q) for q in qubits]
     if len(set(qubits)) != len(qubits):
         raise ValueError("noisy qubits must be distinct")
     if not len(qubits) == len(kinds) == len(times):
         raise ValueError("qubits, kinds and times must have equal lengths")
-    state: PureState | DensityMatrix = psi
-    for qubit, kind, t in zip(qubits, kinds, times):
-        exp = None
+    phi = psi
+    for qubit, kind in zip(qubits, kinds):
         if is_measurement_driven(kind):
-            exp = measure_expectations(state, qubit)
-        schedule = build_schedule(kind, float(t), exp)
+            u = mdd_unitary(measure_expectations(psi, qubit)).matrix
+            phi = PureState(_apply_left(u, phi.amplitudes[:, None], [qubit], psi.num_qubits))
+    state: PureState | DensityMatrix = phi
+    for qubit, kind, t in zip(qubits, kinds, times):
+        schedule = build_schedule(MEASURED_BASE.get(kind.lower(), kind), float(t))
         state = evolve_with_schedule(state, schedule, params, qubit)
-    return entanglement_fidelity(psi, state)
+    return entanglement_fidelity(phi, state)
 
 
 def multi_subsystem_bound_check(psi: PureState, qubits, kinds, times,

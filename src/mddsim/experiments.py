@@ -22,6 +22,7 @@ from .analysis import (
     DecayRates,
     TwoQubitRates,
     _envelope_slope,
+    _fidelity_table,
     _gap_passed,
     _plain,
     decay_rate,
@@ -30,18 +31,15 @@ from .analysis import (
     local_entanglement_fidelity,
     mixed_state_bounds,
     optimize_two_qubit_mdd,
-    superoperator_fidelity,
 )
 from .circuits import qft_circuit, qft_final_state, qft_readout
-from .noise import (KrausChannel, NoiseParams, SpectralDensity, chi_integral, combined_channel,
+from .noise import (NoiseParams, SpectralDensity, chi_integral, combined_channel,
                     dephasing_channel_from_chi)
 from .sequences import (
+    MEASURED_BASE,
     PauliExpectations,
-    PulseSchedule,
     build_schedule,
     flip_times,
-    is_measurement_driven,
-    measure_expectations,
     mdd_unitary,
     schedule_superoperator,
     superoperator,
@@ -76,6 +74,9 @@ EXPERIMENTS = ("fidelity-sweep", "lemma-check", "theorem-gap", "filter-noise",
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1,
            "threshold": 0}
+# each of these sizes an array held at once: grid_points^2 rates (and grid_points^3 steps)
+# in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch bit rows
+_MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6}
 
 
 class ConfigError(ValueError):
@@ -86,7 +87,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment run. Defaults are typical values for a large
     transmon processor: T1 = 250 us, T2 = 170 us, cutoff 0.1 /us, 1e4
-    measurement shots, smoothness 0.01, 10 batches of 300 samples."""
+    measurement shots, smoothness 0.01, 10 batches of 300 samples. Sequence
+    names are read in any case and must be distinct. ``grid_points`` is at
+    most 1001; ``trials``, ``sample_shots`` and ``samples_per_batch`` are at
+    most 10^6 (``_MAXIMA``)."""
 
     experiment: str
     t1: float = 250.0
@@ -126,6 +130,8 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} must be a number, got NaN")
                 if f.name in _MINIMA and value < _MINIMA[f.name]:
                     raise ValueError(f"{f.name} must be at least {_MINIMA[f.name]}, got {value}")
+                if f.name in _MAXIMA and value > _MAXIMA[f.name]:
+                    raise ValueError(f"{f.name} must be at most {_MAXIMA[f.name]}, got {value}")
             if self.experiment in ("fidelity-sweep", "theorem-gap"):
                 haar_random_state(self.num_qubits, seed=0)  # 1 to 12 qubits
             elif self.experiment == "qft-toy":
@@ -137,10 +143,13 @@ class ExperimentConfig:
                 raise ValueError("t_grid must be finite, positive and strictly increasing")
             NoiseParams(t1=self.t1, t2=self.t2)
             SpectralDensity("ohmic", omega_c=self.omega_c)
-            for kind in self.sequences:
-                if not isinstance(kind, str):
-                    raise TypeError(f"sequence names must be strings, got {kind!r}")
-                build_schedule(kind, 1.0, PauliExpectations(0.0, 0.0, 0.0))
+            if any(not isinstance(kind, str) for kind in self.sequences):
+                raise TypeError(f"sequence names must be strings, got {self.sequences!r}")
+            kinds = self.sequences = [kind.lower() for kind in self.sequences]
+            if len(set(kinds)) < len(kinds):
+                raise ValueError(f"sequence names must be distinct, got {kinds!r}")
+            for kind in kinds:
+                build_schedule(MEASURED_BASE.get(kind, kind), 1.0)
             if not 0.0 <= self.flip_rate < 1.0:
                 raise ValueError(f"flip_rate must lie in [0, 1), got {self.flip_rate}")
             RecoveryConfig(iterations=self.iterations, num_batches=self.num_batches,
@@ -204,22 +213,6 @@ def default_t_grid() -> list[float]:
 
 
 # ----------------------------------------------------------------- sweeps
-
-def _fidelity_table(sigmas, kinds, t_grid, superop_of) -> list[dict]:
-    """Each state's fidelity curve for each kind, from the states' qubit-0 reduced
-    states; ``superop_of`` maps a schedule to its superoperator. A fixed kind's is
-    built once per duration for every state; a measurement-driven kind measures
-    each state once and builds one per state and duration."""
-    measured = [kind for kind in kinds if is_measurement_driven(kind)]
-    exps = [measure_expectations(sigma, 0) if measured else None for sigma in sigmas]
-    table = [{} for _ in sigmas]
-    for kind in kinds:
-        shared = None if kind in measured else [superop_of(build_schedule(kind, t)) for t in t_grid]
-        for curves, sigma, exp in zip(table, sigmas, exps):
-            superops = shared or [superop_of(build_schedule(kind, t, exp)) for t in t_grid]
-            curves[kind] = [superoperator_fidelity(sigma, superop) for superop in superops]
-    return table
-
 
 def _curve_stats(table, kind) -> list[tuple[float, float, float]]:
     """Mean, minimum and maximum over the states of one kind's fidelity, per duration."""
@@ -323,28 +316,19 @@ def colored_noise_fidelity(psi: PureState, kind: str, t1: float,
 
     Model choice: relaxation acts as a single untoggled T1 channel over the
     full interval, while the pulse train shapes only the colored dephasing
-    through its filter function; boundary alignment unitaries conjugate the
-    whole composition. Pulses are treated as acting on the dephasing alone.
+    through its filter function; pulses act on the dephasing alone. As in
+    every fidelity table, a measurement-driven kind is its base sequence on
+    the state its MDD unitary aligns.
     """
     sigma = reduced_density(psi, [qubit])
-    exp = None
-    if is_measurement_driven(kind):
-        exp = measure_expectations(sigma, 0)
-    schedule = build_schedule(kind, t, exp)
-    if chi is None:
-        chi = chi_integral(spectrum, flip_times(schedule), t)
-    return superoperator_fidelity(sigma, _colored_superoperator(schedule, t1, chi))
+    return _fidelity_table([sigma], [kind], [t], lambda s: _colored_superoperator(
+        t1, t, chi_integral(spectrum, flip_times(s), t) if chi is None else chi))[0][kind][0]
 
 
-def _colored_superoperator(schedule: PulseSchedule, t1: float, chi: float) -> np.ndarray:
-    """The model's superoperator over the schedule's [0, t]: boundary pulses at
-    0, T1 damping, dephasing of exponent ``chi``, boundary pulses at t."""
-    t = schedule.total_time
-    damping = combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t)
-    dephasing = dephasing_channel_from_chi(chi)
-    boundary_start = [KrausChannel((g.matrix,)) for tm, g in schedule.pulses if tm == 0.0]
-    boundary_end = [KrausChannel((g.matrix,)) for tm, g in schedule.pulses if tm == t and t > 0.0]
-    return superoperator(*boundary_start, damping, dephasing, *boundary_end)
+def _colored_superoperator(t1: float, t: float, chi: float) -> np.ndarray:
+    """The model's superoperator over [0, t]: T1 damping, then dephasing of exponent ``chi``."""
+    return superoperator(combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t),
+                         dephasing_channel_from_chi(chi))
 
 
 def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
@@ -358,14 +342,12 @@ def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> 
         chis = {}  # the exponent depends only on the flip times, which kinds may share
         for kind in sequences:
             for t in t_grid:
-                schedule = build_schedule(kind, t, PauliExpectations(0, 0, 0))
-                key = (tuple(flip_times(schedule)), t)
+                key = (tuple(flip_times(build_schedule(MEASURED_BASE.get(kind, kind), t))), t)
                 if key not in chis:
                     chis[key] = chi_integral(spectrum, *key)
                 chi_rows.append([spec_kind, kind, t, chis[key]])
-        # measured expectations move only the boundary pulses, never the flip times
         table = _fidelity_table(sigmas, sequences, t_grid, lambda s: _colored_superoperator(
-            s, config.t1, chis[tuple(flip_times(s)), s.total_time]))
+            config.t1, s.total_time, chis[tuple(flip_times(s)), s.total_time]))
         fid_rows += [[spec_kind, kind, t, *stats] for kind in sequences
                      for t, stats in zip(t_grid, _curve_stats(table, kind))]
     files = [

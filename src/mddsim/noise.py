@@ -262,7 +262,8 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
     The integral is truncated at 10 * omega_c, where the Gaussian cutoff makes
     the tail negligible, and the w -> 0 endpoint is evaluated at its analytic
     limit (the integrand vanishes there for the Ohmic spectrum and stays
-    finite for 1/f because F grows at least quadratically in w).
+    finite for 1/f because F grows at least quadratically in w). A duration
+    whose floor 1e-9 / t is not below 10 * omega_c raises QuadratureError.
     """
     if t <= 0:
         raise ValueError(f"duration must be positive, got {t}")
@@ -274,6 +275,9 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
         return spectrum.value(w) / w * filter_function(times, t, w)
 
     upper = 10.0 * spectrum.omega_c
+    if not w_floor < upper:  # the floor would replace the whole range; (w / omega_c)^2 may overflow
+        raise QuadratureError(f"chi integral is empty: its floor 1e-9 / t = {w_floor!r} is not "
+                              f"below its upper limit 10 * omega_c = {upper!r}")
     result, abserr, info = integrate.quad(
         integrand, 0.0, upper, epsabs=_CHI_ABS_TOL, epsrel=1e-10,
         limit=_CHI_MAX_SUBDIVISIONS, full_output=True,

@@ -28,6 +28,8 @@ from .states import (
 
 _KIND_RE = re.compile(r"^(udd|qdd)(\d+)$")
 MAX_ORDER = 64  # qdd<n> has about n^2 pulses; the largest orders in use are udd8 and qdd4
+# a measurement-driven kind is its base kind between the aligning rotation at 0 and its inverse at t
+MEASURED_BASE = {"mdd": "none", "mdd+xx": "xx"}
 
 
 def rot_y(angle: float) -> np.ndarray:
@@ -165,7 +167,7 @@ def is_measurement_driven(kind: str) -> bool:
     """Whether the sequence's schedule is computed from measured Pauli
     expectations of the state (``mdd``, ``mdd+xx``, in any case), so that it
     changes from state to state."""
-    return kind.lower() in ("mdd", "mdd+xx")
+    return kind.lower() in MEASURED_BASE
 
 
 def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) -> PulseSchedule:
@@ -182,12 +184,12 @@ def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) ->
     if kind == "xy4":
         pulses = ((0.0, _Y_GATE), (0.25 * t, _X_GATE), (0.5 * t, _Y_GATE), (0.75 * t, _X_GATE))
         return PulseSchedule(t, pulses, kind)
-    if is_measurement_driven(kind):
+    if kind in MEASURED_BASE:
         if exp is None:
             raise ValueError(f"sequence {kind!r} requires Pauli expectations")
         u = mdd_unitary(exp)
-        inner = ((0.25 * t, _X_GATE), (0.75 * t, _X_GATE)) if kind == "mdd+xx" else ()
-        return PulseSchedule(t, ((0.0, u), *inner, (t, u.dagger())), kind)
+        base = build_schedule(MEASURED_BASE[kind], t)
+        return PulseSchedule(t, ((0.0, u), *base.pulses, (t, u.dagger())), kind)
     m = _KIND_RE.match(kind)
     if m is None:
         raise ValueError(f"unknown sequence kind {kind!r}")

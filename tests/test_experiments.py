@@ -51,6 +51,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="increasing"):
             ExperimentConfig.from_dict({"experiment": "fidelity-sweep", "t_grid": [2.0, 1.0]})
 
+    def test_sequence_names_lower_cased(self):
+        config = ExperimentConfig.from_dict({"experiment": "fidelity-sweep",
+                                             "sequences": ["NONE", "Mdd+XX", "qdd2"]})
+        assert config.sequences == ["none", "mdd+xx", "qdd2"]
+
+    @pytest.mark.parametrize("field", ["grid_points", "trials", "sample_shots",
+                                       "samples_per_batch"])
+    def test_sizes_above_maximum_rejected(self, field):
+        # validation only: a run at these sizes would request memory the host lacks
+        limit = experiments._MAXIMA[field]
+        ExperimentConfig.from_dict({"experiment": "two-qubit-opt", field: limit})
+        with pytest.raises(ConfigError, match=f"{field} must be at most {limit}"):
+            ExperimentConfig.from_dict({"experiment": "two-qubit-opt", field: limit + 1})
+
     def test_missing_experiment_rejected(self):
         with pytest.raises(ConfigError, match="name an experiment"):
             ExperimentConfig.from_dict({})
@@ -196,6 +210,16 @@ class TestCliContract:
         rows = [(int(seed), kind, float(p)) for seed, kind, p in (l.split(",") for l in lines[1:])]
         assert rows == expected
 
+    @pytest.mark.parametrize("case", [str.lower, str.upper])
+    def test_qft_toy_ordering_check_ignores_case(self, tmp_path, capsys, case):
+        # at 5 qubits xx scores below none on every seed, in either spelling
+        cfg = write_config(tmp_path, experiment="qft-toy", num_qubits=5,
+                           sequences=[case(kind) for kind in ("none", "xx", "mdd")])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "ordering violated" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "qft_success.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows[:3]] == ["none", "xx", "mdd"]
+
     def test_verify_suite_exit_codes(self, tmp_path, capsys):
         assert main(["verify", "--suite", "bounds", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_bounds.json").read_text())
@@ -223,6 +247,10 @@ INVALID_CONFIGS = {
     "trials-0": ({"experiment": "lemma-check", "trials": 0}, []),
     "t_grid-string": ({"experiment": "fidelity-sweep", "t_grid": "abc"}, []),
     "grid_points-1": ({"experiment": "two-qubit-opt", "grid_points": 1}, []),
+    # rejected by validation: the grid certificate would ask for 71 PiB
+    "grid_points-huge": ({"experiment": "two-qubit-opt", "grid_points": 100_000_000}, []),
+    "sequences-duplicate-case": ({"experiment": "fidelity-sweep", "sequences": ["xx", "xx", "XX"]},
+                                 []),
     "seed-override-negative": ({"experiment": "fidelity-sweep", "num_states": 1}, ["--seed", "-1"]),
     "threshold-negative": ({"experiment": "qft-toy", "num_qubits": 3, "threshold": -1.0}, []),
     "threshold-nan": ({"experiment": "qft-toy", "num_qubits": 3, "threshold": float("nan")}, []),
@@ -231,6 +259,9 @@ INVALID_CONFIGS = {
     "t_grid-huge-int": ({"experiment": "fidelity-sweep", "num_states": 1, "t_grid": [10**400]}, []),
     "quadrature-diverges": ({"experiment": "filter-noise", "omega_c": 50.0, "num_states": 1,
                              "t_grid": [500.0], "sequences": ["xx"]}, []),
+    # the chi integral's floor 1e-9 / t lies above its upper limit 10 * omega_c
+    "t_grid-tiny": ({"experiment": "filter-noise", "num_states": 1, "t_grid": [1e-300]}, []),
+    "omega_c-tiny": ({"experiment": "filter-noise", "num_states": 1, "omega_c": 1e-300}, []),
     # JSON booleans are not numbers, though bool subclasses int
     "num_qubits-true": ({"experiment": "fidelity-sweep", "num_qubits": True, "num_states": 1,
                          "t_grid": [10.0], "sequences": ["none"]}, []),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mddsim import experiments
+from mddsim import analysis, experiments
 from mddsim.analysis import (
     DecayRates,
     TwoQubitRates,
@@ -49,6 +49,7 @@ from mddsim.noise import (
     dephasing_channel_from_chi,
 )
 from mddsim.sequences import (
+    MEASURED_BASE,
     PauliExpectations,
     build_schedule,
     evolve_with_schedule,
@@ -109,17 +110,18 @@ def test_dd_fidelity_matches_full_space_oracle(kind, case, params, t):
 
 
 def dense_colored_noise_fidelity(psi, kind, t1, t, qubit, chi):
-    """The full-space composition: boundary conjugations, then damping and
-    dephasing applied to the whole density matrix."""
+    """The full-space composition: a measurement-driven kind's boundary
+    conjugations, then damping and dephasing applied to the whole density
+    matrix. Every other pulse acts on the dephasing alone, through chi."""
     exp = measure_expectations(psi, qubit) if kind.startswith("mdd") else None
-    schedule = build_schedule(kind, t, exp)
+    boundary = build_schedule(kind, t, exp).pulses if exp is not None else ()
     rho, n = _as_matrix(psi)
-    for tm, gate in schedule.pulses:
+    for tm, gate in boundary:
         if tm == 0.0:
             rho = apply_matrix(gate.matrix, rho, [qubit], n)
     rho = _apply_local_raw(combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t), rho, qubit, n)
     rho = _apply_local_raw(dephasing_channel_from_chi(chi), rho, qubit, n)
-    for tm, gate in schedule.pulses:
+    for tm, gate in boundary:
         if tm == t:
             rho = apply_matrix(gate.matrix, rho, [qubit], n)
     return entanglement_fidelity(psi, DensityMatrix(rho))
@@ -133,6 +135,18 @@ def test_colored_noise_fidelity_matches_dense_composition(kind, case, t1, t, chi
     spectrum = SpectralDensity("ohmic", omega_c=0.1)
     fast = colored_noise_fidelity(psi, kind, t1, spectrum, t, qubit=qubit, chi=chi)
     assert abs(fast - dense_colored_noise_fidelity(psi, kind, t1, t, qubit, chi)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["xx", "xy4", "udd8", "qdd2", "mdd+xx"])
+def test_colored_pulses_act_through_chi_alone(kind):
+    # at one exponent pulses change nothing but chi: a fixed kind reads as none, mdd+xx as
+    # mdd, and xy4's Y pulse at 0 flips no state
+    spectrum = SpectralDensity("ohmic", omega_c=0.1)
+    for i in range(3):
+        psi = haar_random_state(2, seed=(3, i))
+        base = "mdd" if kind == "mdd+xx" else "none"
+        assert (colored_noise_fidelity(psi, kind, 250.0, spectrum, 40.0, chi=0.3)
+                == colored_noise_fidelity(psi, base, 250.0, spectrum, 40.0, chi=0.3))
 
 
 SWEEP_KINDS = ["none", "xx", "xy4", "udd2", "udd8", "qdd2", "qdd4", "mdd", "mdd+xx"]
@@ -180,10 +194,13 @@ class SerialExecutor:
 
 @pytest.mark.parametrize(("jobs", "blocks"), [(1, [5]), (2, [3, 2]), (3, [2, 2, 1])],
                          ids=["jobs1", "jobs2", "jobs3"])
-def test_sweep_builds_fixed_superoperators_once_per_block(monkeypatch, jobs, blocks):
-    # a fixed kind's superoperator serves every state of a block; mdd's is each state's own
+@settings(PROPERTY, max_examples=6)
+@given(kinds=st.lists(st.sampled_from(SWEEP_KINDS), min_size=1, max_size=5, unique=True))
+def test_sweep_builds_fixed_superoperators_once_per_block(jobs, blocks, kinds):
+    # every kind contracts its base kind's superoperator, built once per duration and
+    # block: mdd shares none's and mdd+xx shares xx's, and no mdd schedule is built
     fidelity_table = experiments._fidelity_table
-    sizes, built, unitaries = [], {}, {}
+    sizes, built = [], {}
 
     def table(sigmas, *args):
         sizes.append(len(sigmas))
@@ -192,23 +209,19 @@ def test_sweep_builds_fixed_superoperators_once_per_block(monkeypatch, jobs, blo
     def counting(schedule, params):
         key = (schedule.kind, schedule.total_time)
         built[key] = built.get(key, 0) + 1
-        if schedule.pulses and schedule.pulses[0][0] == 0.0:
-            unitaries.setdefault(key, set()).add(schedule.pulses[0][1].matrix.tobytes())
         return schedule_superoperator(schedule, params)
 
-    monkeypatch.setattr(experiments, "_fidelity_table", table)
-    monkeypatch.setattr(experiments, "schedule_superoperator", counting)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-    config = ExperimentConfig(experiment="fidelity-sweep", num_states=5, num_qubits=2)
     t_grid = [1.0, 10.0]
-    per_state = _run_state_tasks(config, ["none", "xx", "QDD2", "mdd", "MDD+xx"], t_grid, jobs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_fidelity_table", table)
+        patch.setattr(experiments, "schedule_superoperator", counting)
+        patch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
+        patch.setattr(experiments.os, "cpu_count", lambda: 64)
+        config = ExperimentConfig(experiment="fidelity-sweep", num_states=5, num_qubits=2)
+        per_state = _run_state_tasks(config, kinds, t_grid, jobs)
     assert sizes == blocks and len(per_state) == 5
-    assert built == {**{(kind, t): len(blocks) for kind in ("none", "xx", "qdd2") for t in t_grid},
-                     **{(kind, t): 5 for kind in ("mdd", "mdd+xx") for t in t_grid}}
-    # one boundary rotation per state: each mdd schedule is built from its own state
-    assert set(unitaries) == {(kind, t) for kind in ("mdd", "mdd+xx") for t in t_grid}
-    assert all(len(rotations) == 5 for rotations in unitaries.values())
+    bases = {MEASURED_BASE.get(kind, kind) for kind in kinds}
+    assert built == {(base, t): len(blocks) for base in bases for t in t_grid}
 
 
 def test_sweep_measures_each_state_once(monkeypatch, tmp_path):
@@ -219,7 +232,7 @@ def test_sweep_measures_each_state_once(monkeypatch, tmp_path):
         calls.append(qubit)
         return measure_expectations(state, qubit, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "measure_expectations", counting)
+    monkeypatch.setattr(analysis, "measure_expectations", counting)
     config = ExperimentConfig(experiment="fidelity-sweep", num_states=3, num_qubits=2)
     _run_state_tasks(config, ["xx", "mdd", "mdd+xx"], [1.0, 10.0, 100.0], jobs=1)
     assert calls == [0, 0, 0]

@@ -336,3 +336,16 @@ def test_measurement_driven_kinds_ignore_case(kind, measured):
 def test_measurement_driven_schedule_needs_expectations(kind):
     with pytest.raises(ValueError, match="requires Pauli expectations"):
         build_schedule(kind, 1.0)
+
+
+@pytest.mark.parametrize(("kind", "base"), [("mdd", "none"), ("mdd+xx", "xx"), ("MDD+XX", "xx")])
+def test_measured_schedule_is_base_pulses_between_alignment(kind, base):
+    # (0, U), the base kind's pulses, (t, U^dag): times and matrices bit for bit
+    exp = PauliExpectations(0.3, -0.4, 0.5)
+    u = mdd_unitary(exp)
+    for t in (0.7, 125.0):
+        expected = ((0.0, u.matrix), *((tm, g.matrix) for tm, g in build_schedule(base, t).pulses),
+                    (t, u.dagger().matrix))
+        got = build_schedule(kind, t, exp).pulses
+        assert [tm for tm, _ in got] == [tm for tm, _ in expected]
+        assert [g.matrix.tobytes() for _, g in got] == [m.tobytes() for _, m in expected]
