@@ -9,11 +9,8 @@ from .states import (
     PureState,
     SingleQubitUnitary,
     bloch_vector,
-    density_from_bloch,
     entanglement_fidelity,
-    fidelity,
     haar_random_state,
-    haar_random_unitary,
     reduced_density,
 )
 from .noise import (
@@ -33,7 +30,6 @@ from .sequences import (
     PauliExpectations,
     PulseSchedule,
     build_schedule,
-    evolve_with_schedule,
     measure_expectations,
     mdd_unitary,
     qdd_times,
@@ -43,25 +39,16 @@ from .sequences import (
 from .analysis import (
     AnsatzCoefficients,
     DecayRates,
-    QuadraticFidelity,
     TwoQubitRates,
     c3_section_feasible,
-    classify_case,
     dd_entanglement_fidelity,
     decay_rate,
     decay_rate_quadratic,
-    first_order_gap,
-    first_order_residual,
-    gate_error_delta,
     grid_minimum_two_qubit,
     lemma_check,
     local_entanglement_fidelity,
     mixed_state_bounds,
-    multi_dd_fidelity,
-    multi_subsystem_bound_check,
     optimize_two_qubit_mdd,
-    quadratic_f,
-    two_qubit_decay_rate,
 )
 from .circuits import (
     Gate,
@@ -69,7 +56,6 @@ from .circuits import (
     IdleInterval,
     ScheduledCircuit,
     Slice,
-    circuit_unitary,
     identify_idle,
     insert_dd,
     qft_circuit,

@@ -1,19 +1,15 @@
 """Closed-form fidelity functionals, optimality verifiers, decay-rate
 formulas, and the two-qubit crosstalk ansatz optimizer.
 
-The central object is the quadratic fidelity
-
-    f(r_z) = alpha (a + b r_z)^2 + beta (b + a r_z)^2 + (p/4) (r^2 - r_z^2)
-
-for a single noisy qubit with Bloch norm r whose rotated state has
-z-component r_z. Its maximum over [-r, r] sits at r_z = r for every channel
-in the family, which is what the measurement-driven sequence achieves.
+The closed-form fidelity quadratic f(r_z) in the aligned z-component, whose
+maximum at r_z = r is what the measurement-driven sequence achieves, backs
+no run: it lives in ``tests/helpers.py`` with the tests that check it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +19,7 @@ from .noise import KrausChannel, NoiseParams, combined_channel, relaxation_depha
 from .sequences import (
     MEASURED_BASE,
     PauliExpectations,
-    PulseSchedule,
     build_schedule,
-    evolve_with_schedule,
-    frame_durations,
     is_measurement_driven,
     measure_expectations,
     mdd_unitary,
@@ -38,16 +31,10 @@ from .states import (
     DensityMatrix,
     PureState,
     SingleQubitUnitary,
-    _apply_left,
     _haar_batch,
     bloch_vector,
-    entanglement_fidelity,
     reduced_density,
 )
-
-
-class FeasibilityError(ValueError):
-    """Raised when ansatz coefficients violate the positivity polytope."""
 
 
 def _unitary_matrix(u) -> np.ndarray:
@@ -107,69 +94,6 @@ def superoperator_fidelity(sigma, superop: np.ndarray):
     v = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (4,))
     vals = ((v @ choi)[..., None, :] @ v.conj()[..., :, None])[..., 0, 0].real.clip(0.0, 1.0)
     return float(vals) if vals.ndim == 0 else vals
-
-
-@dataclass(frozen=True)
-class QuadraticFidelity:
-    """The fidelity quadratic f(r_z) for one channel and one Bloch norm r."""
-
-    r: float
-    s: float
-    p: float
-    gamma_p: float
-    a: float
-    b: float
-    alpha: float
-    beta: float
-
-    @classmethod
-    def from_channel(cls, channel: KrausChannel, r: float) -> "QuadraticFidelity":
-        if channel.scalars is None:
-            raise ValueError("channel carries no scalar decomposition")
-        if not 0.0 <= r <= 1.0 + 1e-12:
-            raise ValueError(f"Bloch norm must be in [0, 1], got {r}")
-        sc = channel.scalars
-        return cls(r=min(r, 1.0), s=sc["s"], p=sc["p"], gamma_p=sc["gamma_p"],
-                   a=sc["a"], b=sc["b"], alpha=sc["alpha"], beta=sc["beta"])
-
-    def __call__(self, r_z: float) -> float:
-        return (self.alpha * (self.a + self.b * r_z) ** 2
-                + self.beta * (self.b + self.a * r_z) ** 2
-                + 0.25 * self.p * (self.r**2 - r_z**2))
-
-    def second_derivative(self) -> float:
-        return self.s * (self.s - self.gamma_p)
-
-    def extreme_point(self) -> float | None:
-        f2 = self.second_derivative()
-        if f2 == 0.0:
-            return None
-        return -2.0 * self.a * self.b / f2
-
-    def case(self) -> str:
-        f2 = self.second_derivative()
-        if f2 > 0:
-            return "C1"
-        if f2 < 0:
-            return "C2"
-        return "C3"
-
-    def argmax(self) -> float:
-        # Maximum over [-r, r] is at r_z = r in all three curvature cases
-        # (degenerate pure dephasing s = 0 also peaks at -r).
-        return self.r
-
-
-def quadratic_f(r_z: float, r: float, channel: KrausChannel) -> float:
-    """Evaluate the closed-form fidelity quadratic at a given z-component."""
-    if abs(r_z) > r + 1e-12:
-        raise ValueError(f"|r_z| = {abs(r_z)} exceeds the Bloch norm {r}")
-    return QuadraticFidelity.from_channel(channel, r)(r_z)
-
-
-def classify_case(channel: KrausChannel) -> str:
-    """Curvature class of the fidelity quadratic: C1 convex, C2 concave, C3 linear."""
-    return QuadraticFidelity.from_channel(channel, 1.0).case()
 
 
 @dataclass
@@ -248,13 +172,6 @@ def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: 
                            lambda s: schedule_superoperator(s, params))[0][kind][0]
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    mask = (np.asarray(x) > 0) & (np.asarray(y) > 0)
-    if np.sum(mask) < 2:
-        return math.nan
-    return float(np.polyfit(np.log(np.asarray(x)[mask]), np.log(np.asarray(y)[mask]), 1)[0])
-
-
 GAP_TOL = 1e-10
 
 
@@ -273,98 +190,6 @@ def _envelope_slope(grid, gaps) -> float | None:
 def _gap_passed(margin: float, slope: float | None) -> bool:
     """The gap verdict: no gap below -GAP_TOL, or the negative ones under a t^1.8 envelope."""
     return bool(margin >= -GAP_TOL or (slope is not None and slope >= 1.8))
-
-
-@dataclass
-class GapReport:
-    """Pointwise fidelity gap between the measurement-driven sequence and a
-    pulse sequence, with a quadratic envelope fit on any crossings."""
-
-    claim_id: str
-    margin: float
-    worst_case: dict
-    seed: int | None
-    t_grid: list = field(default_factory=list)
-    mdd_fidelity: list = field(default_factory=list)
-    competitor_fidelity: list = field(default_factory=list)
-    gap: list = field(default_factory=list)
-    envelope_slope: float | None = None
-
-    def to_dict(self) -> dict:
-        return _plain(self.__dict__)
-
-    def passed(self) -> bool:
-        return _gap_passed(self.margin, self.envelope_slope)
-
-
-def _gap_report(claim_id: str, grid: list, mdd_vals: list, seq_vals: list, seed: int | None,
-                grid_name: str, **context) -> GapReport:
-    """GapReport of mdd_vals - seq_vals over ``grid``: the worst gap, and the
-    envelope slope of the negative gaps."""
-    gaps = [m - s for m, s in zip(mdd_vals, seq_vals)]
-    worst_idx = int(np.argmin(gaps))
-    slope = _envelope_slope(grid, gaps)
-    return GapReport(claim_id=claim_id, margin=float(min(gaps)),
-                     worst_case={grid_name: grid[worst_idx], "gap": gaps[worst_idx], **context},
-                     seed=seed, t_grid=grid, mdd_fidelity=mdd_vals,
-                     competitor_fidelity=seq_vals, gap=gaps, envelope_slope=slope)
-
-
-def first_order_gap(psi: PureState, kind: str, params: NoiseParams, t_grid,
-                    qubit: int = 0, seed: int | None = None) -> GapReport:
-    """Gap F_mdd(t) - F_seq(t) over a small-time grid (t <= T2/50).
-
-    Any negative excursions are fit against t on log-log axes; a slope of at
-    least ~2 certifies they sit under a quadratic envelope.
-    """
-    t_grid = [float(t) for t in t_grid]
-    if max(t_grid) > params.t2 / 50.0:
-        raise ValueError(f"grid extends beyond the small-time regime T2/50 = {params.t2 / 50.0}")
-    curves = _fidelity_table([reduced_density(psi, [qubit])], ["mdd", kind], t_grid,
-                             lambda s: schedule_superoperator(s, params))[0]
-    return _gap_report(f"first-order-gap-{kind}", t_grid, curves["mdd"], curves[kind], seed, "t",
-                       kind=kind)
-
-
-def toggled_frame_average(psi: PureState, schedule: PulseSchedule, params: NoiseParams,
-                          qubit: int = 0) -> float:
-    """Duration-weighted average of conjugated-channel fidelities over the
-    cumulative control frames: the first-order surrogate for the pulsed
-    channel. For uniform pulse spacing this is the plain mean over frames."""
-    sigma = reduced_density(psi, [qubit])
-    frames, durations = zip(*frame_durations(schedule))
-    superop = combined_channel(params, schedule.total_time).superop
-    fids = superoperator_fidelity(_conjugate(sigma.entries, np.array(frames)), superop)
-    return float(np.dot(np.array(durations) / schedule.total_time, fids))
-
-
-def first_order_residual(psi: PureState, kind: str, params: NoiseParams, t_grid,
-                         qubit: int = 0) -> tuple[np.ndarray, float]:
-    """Residual between the simulated pulsed fidelity and its first-order
-    frame average, with its log-log slope in t (expected >= 2)."""
-    sigma = reduced_density(psi, [qubit])
-    residuals = []
-    for t in t_grid:
-        schedule = build_schedule(kind, float(t))
-        simulated = superoperator_fidelity(sigma, schedule_superoperator(schedule, params))
-        residuals.append(abs(simulated - toggled_frame_average(psi, schedule, params, qubit)))
-    residuals = np.array(residuals)
-    return residuals, _loglog_slope(np.asarray(t_grid, dtype=float), residuals)
-
-
-def gate_error_delta(r: float, delta: float, channel: KrausChannel) -> float:
-    """Leading-order fidelity loss when the aligning rotation is tilted by a
-    small angle delta, so the aligned z-component becomes r cos(delta):
-
-        (r delta^2 / 4) [ (1 - 2r) p + 2r (1 - gamma_p s) ]
-    """
-    if not 0.0 <= r <= 1.0 + 1e-12:
-        raise ValueError(f"Bloch norm must be in [0, 1], got {r}")
-    sc = channel.scalars
-    if sc is None:
-        raise ValueError("channel carries no scalar decomposition")
-    return (r * delta**2 / 4.0) * ((1.0 - 2.0 * r) * sc["p"]
-                                   + 2.0 * r * (1.0 - sc["gamma_p"] * sc["s"]))
 
 
 def mixed_state_bounds(sigma_d: DensityMatrix, channel: KrausChannel) -> tuple[float, float]:
@@ -466,21 +291,6 @@ class TwoQubitRates:
             raise ValueError("crosstalk rate must be nonnegative")
 
 
-def two_qubit_decay_rate(c: AnsatzCoefficients, r_i: float, r_j: float,
-                         rates: TwoQubitRates) -> float:
-    """Decay rate of the diagonal two-qubit ansatz: two single-qubit
-    quadratics in (c1, c2) plus the crosstalk term G_zz (1 - c3^2).
-
-    Boundary points of the positivity polytope are accepted; points outside
-    it raise :class:`FeasibilityError`.
-    """
-    if min(c.margins()) < -1e-12:
-        raise FeasibilityError(f"coefficients {c} violate positivity: margins {c.margins()}")
-    return (decay_rate_quadratic(r_i, c.c1, rates.qubit_i)
-            + decay_rate_quadratic(r_j, c.c2, rates.qubit_j)
-            + rates.gamma_zz * (1.0 - c.c3**2))
-
-
 def c3_section_feasible(c3) -> bool:
     """Exact feasibility of the polytope section at fixed c3, by sign
     elimination over the rationals.
@@ -574,42 +384,3 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
                 best_val, best_c = val, cand
     coeffs = AnsatzCoefficients(*[float(v) for v in best_c])
     return coeffs, float(best_val)
-
-
-def multi_dd_fidelity(psi: PureState, qubits, kinds, times, params: NoiseParams) -> float:
-    """Entanglement fidelity after applying one sequence per noisy qubit,
-    sequentially in list order. Maps on distinct qubits commute and leave each
-    other's reduced states alone, so every measurement-driven kind reads psi:
-    the run is the base kinds on phi, psi with all aligning rotations applied."""
-    qubits = [int(q) for q in qubits]
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("noisy qubits must be distinct")
-    if not len(qubits) == len(kinds) == len(times):
-        raise ValueError("qubits, kinds and times must have equal lengths")
-    phi = psi
-    for qubit, kind in zip(qubits, kinds):
-        if is_measurement_driven(kind):
-            u = mdd_unitary(measure_expectations(psi, qubit)).matrix
-            phi = PureState(_apply_left(u, phi.amplitudes[:, None], [qubit], psi.num_qubits))
-    state: PureState | DensityMatrix = phi
-    for qubit, kind, t in zip(qubits, kinds, times):
-        schedule = build_schedule(MEASURED_BASE.get(kind.lower(), kind), float(t))
-        state = evolve_with_schedule(state, schedule, params, qubit)
-    return entanglement_fidelity(phi, state)
-
-
-def multi_subsystem_bound_check(psi: PureState, qubits, kinds, times,
-                                params: NoiseParams, scales=None) -> GapReport:
-    """Compare all-aligned sequences against a per-qubit pulse assignment
-    while the interval durations are scaled down geometrically; crossings
-    must vanish quadratically with the scale."""
-    if scales is None:
-        scales = [2.0**-k for k in range(8)]
-    scales = sorted(float(s) for s in scales)
-    mdd_vals, seq_vals = [], []
-    for scale in scales:
-        scaled = [scale * float(t) for t in times]
-        mdd_vals.append(multi_dd_fidelity(psi, qubits, ["mdd"] * len(qubits), scaled, params))
-        seq_vals.append(multi_dd_fidelity(psi, qubits, kinds, scaled, params))
-    return _gap_report("multi-subsystem-gap", scales, mdd_vals, seq_vals, None, "scale",
-                       kinds=list(kinds))

@@ -24,7 +24,6 @@ from .states import (
     PAULI_X,
     PAULI_Y,
     PureState,
-    _apply_left,
     _as_matrix,
     apply_matrix,
 )
@@ -59,23 +58,6 @@ class Gate:
         elif self.name == "custom":
             out["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix]
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Gate":
-        name = data["name"]
-        qubits = tuple(data["qubits"])
-        if name == "h":
-            return h_gate(*qubits)
-        if name == "x":
-            return x_gate(*qubits)
-        if name == "y":
-            return y_gate(*qubits)
-        if name == "cp":
-            return cp_gate(float(data["param"]), *qubits)
-        if name == "custom":
-            mat = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-            return custom_gate(mat, qubits)
-        raise ValueError(f"unknown gate name {name!r}")
 
 
 def h_gate(q: int) -> Gate:
@@ -172,20 +154,6 @@ class ScheduledCircuit:
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScheduledCircuit":
-        slices = tuple(
-            Slice(float(s["duration"]),
-                  tuple(Gate.from_dict(g) for g in s.get("gates", ())),
-                  tuple(s.get("shielded", ())))
-            for s in data["slices"]
-        )
-        return cls(int(data["num_qubits"]), slices)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScheduledCircuit":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class IdleInterval:
@@ -269,16 +237,6 @@ def simulate(circuit: ScheduledCircuit, noise: NoiseParams,
     """Deterministic slice-by-slice evolution: ideal gates, then the combined
     channel for the slice duration on every idle qubit."""
     return DensityMatrix(_simulate_raw(circuit, noise, initial))
-
-
-def circuit_unitary(circuit: ScheduledCircuit) -> np.ndarray:
-    """Product of all gate unitaries, ignoring noise and durations."""
-    n = circuit.num_qubits
-    total = np.eye(2**n, dtype=complex)
-    for sl in circuit.slices:
-        for gate in sl.gates:
-            total = _apply_left(gate.matrix, total, gate.qubits, n)
-    return total
 
 
 def _insert_pulse(slices: list[Slice], when: float, gate: Gate) -> None:

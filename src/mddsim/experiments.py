@@ -75,8 +75,10 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1,
            "threshold": 0}
 # each of these sizes an array held at once: grid_points^2 rates (and grid_points^3 steps)
-# in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch bit rows
-_MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6}
+# in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch bit rows;
+# shots is the count of one multinomial draw, which must fit a C long (2^63 - 1)
+_MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6,
+           "shots": 10**18}
 
 
 class ConfigError(ValueError):
@@ -90,7 +92,7 @@ class ExperimentConfig:
     measurement shots, smoothness 0.01, 10 batches of 300 samples. Sequence
     names are read in any case and must be distinct. ``grid_points`` is at
     most 1001; ``trials``, ``sample_shots`` and ``samples_per_batch`` are at
-    most 10^6 (``_MAXIMA``)."""
+    most 10^6, and ``shots`` at most 10^18 (``_MAXIMA``)."""
 
     experiment: str
     t1: float = 250.0

@@ -47,9 +47,10 @@ def rot_z(angle: float) -> np.ndarray:
 class PauliExpectations:
     """Measured or exact Pauli expectations of a single qubit.
 
-    ``shots`` is None for exact expectations; otherwise each component came
-    from binomial sampling with that many shots, which allows the norm to
-    overshoot 1 by statistical fluctuation.
+    ``shots`` is None for exact expectations, whose norm is at most 1;
+    otherwise each component came from binomial sampling with that many
+    shots. Three independent estimates can reach any norm up to sqrt(3), so
+    shot mode only checks that each component lies in [-1, 1].
     """
 
     ex: float
@@ -58,9 +59,11 @@ class PauliExpectations:
     shots: int | None = None
 
     def __post_init__(self) -> None:
-        slack = 1e-12 if self.shots is None else 3.0 / math.sqrt(self.shots)
-        if self.ex**2 + self.ey**2 + self.ez**2 > 1.0 + slack:
-            raise ValueError("expectation vector norm exceeds 1 beyond statistical slack")
+        if self.shots is None:
+            if self.ex**2 + self.ey**2 + self.ez**2 > 1.0 + 1e-12:
+                raise ValueError("expectation vector norm exceeds 1")
+        elif not all(-1.0 <= e <= 1.0 for e in (self.ex, self.ey, self.ez)):
+            raise ValueError("sampled expectations must lie in [-1, 1]")
 
     @property
     def r(self) -> float:
@@ -222,28 +225,6 @@ def toggling_frames(schedule: PulseSchedule) -> list[SingleQubitUnitary]:
     return frames
 
 
-def frame_durations(schedule: PulseSchedule) -> list[tuple[np.ndarray, float]]:
-    """(frame, duration) pairs: the cumulative control unitary in effect over
-    each inter-pulse gap, starting from the identity frame before any pulse."""
-    t = schedule.total_time
-    events = list(schedule.pulses)
-    out = []
-    acc = ID2
-    prev = 0.0
-    idx = 0
-    while idx < len(events):
-        tm = events[idx][0]
-        if tm > prev:
-            out.append((acc, tm - prev))
-            prev = tm
-        while idx < len(events) and events[idx][0] == tm:
-            acc = events[idx][1].matrix @ acc
-            idx += 1
-    if t > prev or not out:
-        out.append((acc, t - prev))
-    return out
-
-
 def _schedule_maps(schedule: PulseSchedule, params: NoiseParams) -> list[KrausChannel]:
     """The schedule's single-qubit channels in time order: the free evolution
     over each gap and each pulse as a one-operator channel."""
@@ -262,7 +243,11 @@ def _schedule_maps(schedule: PulseSchedule, params: NoiseParams) -> list[KrausCh
 def evolve_with_schedule(state: PureState | DensityMatrix, schedule: PulseSchedule,
                          params: NoiseParams, qubit: int) -> DensityMatrix:
     """Apply the schedule's channels (gaps and instantaneous pulses) one at a
-    time to ``qubit`` of the full state; an empty schedule is the bare channel."""
+    time to ``qubit`` of the full state; an empty schedule is the bare channel.
+
+    No run calls it. It is the full-space oracle the tests hold
+    :func:`schedule_superoperator` to, and it stays here because the
+    benchmark's tracer (``perfbench/tracer.py``) looks it up in this module."""
     rho, n = _as_matrix(state)
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")

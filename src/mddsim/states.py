@@ -200,28 +200,6 @@ def bloch_vector(rho: DensityMatrix) -> BlochVector:
     )
 
 
-def density_from_bloch(b: BlochVector) -> DensityMatrix:
-    """Inverse of :func:`bloch_vector`: rho = (I + r . sigma) / 2."""
-    mat = 0.5 * (ID2 + b.rx * PAULI_X + b.ry * PAULI_Y + b.rz * PAULI_Z)
-    return DensityMatrix(mat)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    # Hermitian eigendecomposition with eigenvalue clamping at 0.
-    vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
-
-
-def fidelity(x: DensityMatrix, y: DensityMatrix) -> float:
-    """Uhlmann fidelity F(X, Y) = (Tr sqrt(sqrt(X) Y sqrt(X)))^2 in [0, 1]."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    sx = _psd_sqrt(x.entries)
-    inner = _psd_sqrt(sx @ y.entries @ sx)
-    val = float(np.trace(inner).real) ** 2
-    return min(max(val, 0.0), 1.0)
-
-
 def entanglement_fidelity(psi: PureState, channel_output: DensityMatrix) -> float:
     """Overlap <psi| rho |psi> of a pure input with its image under a channel.
 
@@ -251,11 +229,6 @@ def _haar_batch(count: int, rng: np.random.Generator, dim: int = 2) -> np.ndarra
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary from the QR decomposition of a complex Gaussian."""
-    return _haar_batch(1, rng, dim)[0]
-
-
 def _apply_left(op: np.ndarray, mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     """Return M @ mat for M = ``op`` on the ``targets`` row axes of the 2^N-row
     ``mat`` (first target = leftmost factor of ``op``), contracting only those
@@ -280,9 +253,3 @@ def apply_matrix(op: np.ndarray, rho: np.ndarray, targets, num_qubits: int) -> n
     """Return M rho M^dag with M acting on ``targets``, as (M (M rho)^dag)^dag."""
     left = _apply_left(op, rho, targets, num_qubits)
     return _apply_left(op, left.conj().T, targets, num_qubits).conj().T
-
-
-def apply_unitary(u: np.ndarray, state: PureState | DensityMatrix, targets) -> DensityMatrix:
-    """Conjugate a state by a unitary acting on the given qubits."""
-    rho, n = _as_matrix(state)
-    return DensityMatrix(apply_matrix(u, rho, targets, n))

@@ -26,7 +26,7 @@ from mddsim.analysis import (
     optimize_two_qubit_mdd,
 )
 from mddsim.circuits import qft_success_probability, qft_success_scenario, sample_counts, simulate, success_probability
-from mddsim.experiments import ExperimentConfig, colored_noise_fidelity, run
+from mddsim.experiments import ExperimentConfig, _purification, colored_noise_fidelity, run
 from mddsim.noise import (
     NOISELESS,
     NoiseParams,
@@ -58,7 +58,7 @@ from mddsim.states import (
     reduced_density,
 )
 
-from helpers import fock_index, fock_space_hamiltonian, purify
+from helpers import apply_unitary, fock_index, fock_space_hamiltonian
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 
@@ -123,7 +123,6 @@ def test_criterion_2_lemma_suite(capsys):
                 vals += np.abs(np.einsum("ij,bji->b", m, rotated)) ** 2
             violations += int(np.sum(vals > mdd_value + 1e-10))
             # brute-force purification oracle on a handful of the sampled unitaries
-            from mddsim.states import apply_unitary
             for u in unitaries[:5]:
                 state = apply_unitary(u, psi, [0])
                 state = apply_local(channel, state, qubit=0)
@@ -230,7 +229,7 @@ def test_criterion_5_mixed_state_bounds(capsys):
             params = NoiseParams(t1=t1, t2=float(rng.uniform(10.0, 2.0 * t1)))
             channel = combined_channel(params, float(rng.uniform(1.0, 400.0)))
             upper, lower = mixed_state_bounds(diag, channel)
-            phi = PureState(purify(diag.entries))
+            phi = PureState(_purification(diag.entries))
             simulated = entanglement_fidelity(phi, apply_local(channel, phi, qubit=0))
             if not (lower - 1e-10 <= simulated <= upper + 1e-10):
                 violations += 1

@@ -9,28 +9,19 @@ import pytest
 from mddsim.analysis import (
     AnsatzCoefficients,
     DecayRates,
-    FeasibilityError,
-    QuadraticFidelity,
     TwoQubitRates,
     c3_section_feasible,
-    classify_case,
     dd_entanglement_fidelity,
     decay_rate,
     decay_rate_quadratic,
-    first_order_gap,
-    first_order_residual,
-    gate_error_delta,
     grid_minimum_two_qubit,
     lemma_check,
     local_entanglement_fidelity,
     mixed_state_bounds,
-    multi_dd_fidelity,
-    multi_subsystem_bound_check,
     optimize_two_qubit_mdd,
-    quadratic_f,
-    two_qubit_decay_rate,
     _haar_batch,
 )
+from mddsim.experiments import _purification
 from mddsim.noise import NoiseParams, apply_local, combined_channel
 from mddsim.sequences import PauliExpectations, mdd_unitary
 from mddsim.states import (
@@ -43,7 +34,10 @@ from mddsim.states import (
     reduced_density,
 )
 
-from helpers import channel_from_p_gamma, purify, random_single_qubit_density
+from helpers import (FeasibilityError, QuadraticFidelity, apply_unitary, channel_from_p_gamma,
+                     first_order_gap, first_order_residual, gate_error_delta, multi_dd_fidelity,
+                     multi_subsystem_bound_check, quadratic_f, random_single_qubit_density,
+                     two_qubit_decay_rate)
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 LOWER2 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -76,8 +70,7 @@ class TestLocalEntanglementFidelity:
             sigma = random_mixed_sigma(rng)
             u = _haar_batch(1, rng)[0]
             ch = channel_from_p_gamma(p=rng.uniform(0, 0.9), gamma_p=rng.uniform(0.1, 1.0))
-            psi = PureState(purify(sigma.entries))
-            from mddsim.states import apply_unitary
+            psi = PureState(_purification(sigma.entries))
             rotated = apply_unitary(u, psi, [0])
             noisy = apply_local(ch, rotated, qubit=0)
             out = apply_unitary(u.conj().T, noisy, [0])
@@ -93,7 +86,6 @@ class TestLocalEntanglementFidelity:
             sigma = reduced_density(psi, [qubit])
             u = _haar_batch(1, rng)[0]
             ch = combined_channel(DEFAULT_NOISE, 90.0)
-            from mddsim.states import apply_unitary
             state = apply_unitary(u, psi, [qubit])
             state = apply_local(ch, state, qubit=qubit)
             state = apply_unitary(u.conj().T, state, [qubit])
@@ -134,7 +126,7 @@ class TestQuadraticFidelity:
         seen = set()
         for _ in range(500):
             ch = channel_from_p_gamma(p=rng.uniform(0, 1), gamma_p=rng.uniform(0, 1))
-            case = classify_case(ch)
+            case = QuadraticFidelity.from_channel(ch, 1.0).case()
             assert case in ("C1", "C2", "C3")
             seen.add(case)
             quad = QuadraticFidelity.from_channel(ch, 1.0)
@@ -289,7 +281,7 @@ class TestMixedStateBounds:
             diag = DensityMatrix(np.diag(np.maximum(vals[::-1], 0) / np.maximum(vals, 0).sum()))
             ch = channel_from_p_gamma(rng.uniform(0, 0.9), rng.uniform(0.1, 1.0))
             upper, lower = mixed_state_bounds(diag, ch)
-            psi = PureState(purify(diag.entries))
+            psi = PureState(_purification(diag.entries))
             out = apply_local(ch, psi, qubit=0)  # already aligned: conjugation is trivial
             fe = entanglement_fidelity(psi, out)
             assert lower - 1e-10 <= fe <= upper + 1e-10

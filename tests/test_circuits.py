@@ -7,12 +7,10 @@ import pytest
 
 from mddsim.circuits import (
     GateDurations,
-    Gate,
     IdleInterval,
     ScheduledCircuit,
     Slice,
     alternating_target,
-    circuit_unitary,
     cp_gate,
     custom_gate,
     h_gate,
@@ -27,7 +25,9 @@ from mddsim.circuits import (
     x_gate,
 )
 from mddsim.noise import NOISELESS, NoiseParams, apply_local, combined_channel
-from mddsim.states import DensityMatrix, PureState, haar_random_state
+from mddsim.states import DensityMatrix, PureState, haar_random_state, reduced_density
+
+from helpers import circuit_from_dict, circuit_from_json, circuit_unitary, fidelity, gate_from_dict
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 
@@ -56,7 +56,7 @@ class TestContainers:
 
     @pytest.mark.parametrize("build", [
         lambda: Slice(math.nan),
-        lambda: ScheduledCircuit.from_dict({"num_qubits": 1, "slices": [{"duration": "nan"}]}),
+        lambda: circuit_from_dict({"num_qubits": 1, "slices": [{"duration": "nan"}]}),
         lambda: GateDurations(h=math.nan),
         lambda: GateDurations(prep=math.nan),
         lambda: identify_idle(qft_circuit(3), math.nan),
@@ -69,7 +69,7 @@ class TestContainers:
     def test_json_round_trip(self):
         circuit, _ = qft_success_scenario(3)
         dressed = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24)
-        restored = ScheduledCircuit.from_json(dressed.to_json())
+        restored = circuit_from_json(dressed.to_json())
         assert restored.to_dict() == dressed.to_dict()
         rho_a = simulate(dressed, DEFAULT_NOISE)
         rho_b = simulate(restored, DEFAULT_NOISE)
@@ -77,7 +77,7 @@ class TestContainers:
 
     def test_gate_serialization_names(self):
         for gate in (h_gate(0), x_gate(1), cp_gate(0.5, 0, 1), custom_gate(np.eye(2), (0,))):
-            assert Gate.from_dict(gate.to_dict()).to_dict() == gate.to_dict()
+            assert gate_from_dict(gate.to_dict()).to_dict() == gate.to_dict()
 
 
 class TestIdentifyIdle:
@@ -172,7 +172,6 @@ class TestInsertDd:
         # gated qubit stays shielded in split tails
         circuit = two_qubit_toy()
         dressed = insert_dd(circuit, "xx", DEFAULT_NOISE, 0.24)
-        from mddsim.states import reduced_density
         before = reduced_density(simulate(circuit, DEFAULT_NOISE), [1]).entries
         after = reduced_density(simulate(dressed, DEFAULT_NOISE), [1]).entries
         np.testing.assert_allclose(after, before, atol=1e-12)
@@ -185,7 +184,6 @@ class TestInsertDd:
         # and q1 is busy; compare against a circuit with a noiseless idle.
         out = simulate(dressed, DEFAULT_NOISE)
         ideal = simulate(circuit, NOISELESS)
-        from mddsim.states import fidelity, reduced_density
         f_dressed = fidelity(reduced_density(out, [0]), reduced_density(ideal, [0]))
         assert f_dressed == pytest.approx(1.0, abs=1e-10)
 
@@ -200,6 +198,13 @@ class TestInsertDd:
         a = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24, shots=1000, seed=5)
         b = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24, shots=1000, seed=5)
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("seed", [11, 25, 28, 29, 31])
+    def test_few_shots_overshooting_norm_one_still_insert(self, seed):
+        # at these seeds some 30-shot Bloch estimate has norm above 1
+        circuit, _ = qft_success_scenario(4)
+        dressed = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24, shots=30, seed=seed)
+        assert dressed.total_duration == pytest.approx(circuit.total_duration, abs=1e-9)
 
     @pytest.mark.parametrize("strategy", ["mdd", "xx"])
     def test_shot_mode_needs_a_seed(self, strategy):

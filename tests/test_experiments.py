@@ -26,10 +26,11 @@ from mddsim.experiments import (
     verify_decay,
     verify_lemma,
 )
-from mddsim.analysis import _gap_report
 from mddsim.noise import NoiseParams, SpectralDensity, combined_channel
 from mddsim.sqd import MAX_DENSE_DIM, FciData, parse_fcidump, random_fcidump, write_fcidump
 from mddsim.states import haar_random_state
+
+from helpers import _gap_report
 
 
 def write_config(tmp_path, **kwargs):
@@ -249,6 +250,8 @@ INVALID_CONFIGS = {
     "grid_points-1": ({"experiment": "two-qubit-opt", "grid_points": 1}, []),
     # rejected by validation: the grid certificate would ask for 71 PiB
     "grid_points-huge": ({"experiment": "two-qubit-opt", "grid_points": 100_000_000}, []),
+    # rng.multinomial takes the shot count as a C long
+    "shots-huge": ({"experiment": "qft-toy", "num_qubits": 2, "shots": 10**30}, []),
     "sequences-duplicate-case": ({"experiment": "fidelity-sweep", "sequences": ["xx", "xx", "XX"]},
                                  []),
     "seed-override-negative": ({"experiment": "fidelity-sweep", "num_states": 1}, ["--seed", "-1"]),

@@ -22,7 +22,6 @@ from mddsim.analysis import (
     local_entanglement_fidelity,
     optimize_two_qubit_mdd,
     superoperator_fidelity,
-    toggled_frame_average,
 )
 from mddsim.circuits import (
     ScheduledCircuit,
@@ -65,7 +64,6 @@ from mddsim.states import (
     apply_matrix,
     entanglement_fidelity,
     haar_random_state,
-    haar_random_unitary,
     reduced_density,
 )
 
@@ -74,6 +72,7 @@ from helpers import (
     optimize_two_qubit_mdd_rowwise,
     random_channel,
     random_single_qubit_density,
+    toggled_frame_average,
     toggled_frame_average_loop,
 )
 
@@ -329,7 +328,7 @@ def test_superoperator_composes_in_order(seed, times):
     channels = []
     for t in times:
         channels.append(combined_channel(params, t))
-        channels.append(KrausChannel((haar_random_unitary(2, rng),)))
+        channels.append(KrausChannel((_haar_batch(1, rng, 2)[0],)))
     expected = rho
     for channel in channels:
         expected = sum(m @ expected @ m.conj().T for m in channel.operators)
@@ -355,7 +354,7 @@ def any_channels(draw):
         return draw(local_channels())
     rng = np.random.default_rng(draw(seeds))
     if kind == "unitary":
-        return KrausChannel((haar_random_unitary(2, rng),))
+        return KrausChannel((_haar_batch(1, rng, 2)[0],))
     return random_channel(rng, draw(st.integers(1, 4)))
 
 
@@ -437,7 +436,7 @@ def scheduled_circuits(draw):
         gates = []
         if len(gated) >= 2 and draw(st.booleans()):
             gates.append(cp_gate(draw(st.floats(-3.0, 3.0)), gated.pop(), gated.pop()))
-        gates += [custom_gate(haar_random_unitary(2, rng), (q,)) for q in gated]
+        gates += [custom_gate(_haar_batch(1, rng, 2)[0], (q,)) for q in gated]
         duration = draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 60.0))
         slices.append(Slice(duration, tuple(gates)))
     return ScheduledCircuit(n, tuple(slices))

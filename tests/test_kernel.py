@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mddsim.circuits import ScheduledCircuit, Slice, circuit_unitary, custom_gate
+from mddsim.circuits import ScheduledCircuit, Slice, custom_gate
 from mddsim.noise import JumpOperator, KrausChannel, _apply_local_raw, lindblad_derivative
-from mddsim.states import _apply_left, apply_matrix, haar_random_state, haar_random_unitary
+from mddsim.states import _apply_left, _haar_batch, apply_matrix, haar_random_state
 
-from helpers import embed_operator, random_channel
+from helpers import circuit_unitary, embed_operator, random_channel
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -66,7 +66,7 @@ def test_circuit_unitary_matches_embedded_product(n, seed, num_gates):
     slices, expected = [], np.eye(2**n, dtype=complex)
     for _ in range(num_gates):
         qubits = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, min(2, n) + 1))]]
-        gate = custom_gate(haar_random_unitary(2 ** len(qubits), rng), qubits)
+        gate = custom_gate(_haar_batch(1, rng, 2 ** len(qubits))[0], qubits)
         slices.append(Slice(1.0, (gate,)))
         expected = embed_operator(gate.matrix, gate.qubits, n) @ expected
     got = circuit_unitary(ScheduledCircuit(n, tuple(slices)))

@@ -11,16 +11,14 @@ from mddsim.states import (
     BlochVector,
     SingleQubitUnitary,
     bloch_vector,
-    density_from_bloch,
     entanglement_fidelity,
-    fidelity,
+    _haar_batch,
     haar_random_state,
-    haar_random_unitary,
     reduced_density,
 )
 from mddsim.noise import apply_local
 
-from helpers import channel_from_p_gamma, embed_operator, naive_reduced
+from helpers import channel_from_p_gamma, density_from_bloch, embed_operator, fidelity, naive_reduced
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -161,7 +159,7 @@ class TestFidelity:
             y = reduced_density(haar_random_state(3, seed=rng.integers(1 << 31)), [1])
             f = fidelity(x, y)
             assert f == pytest.approx(fidelity(y, x), abs=1e-10)
-            u = haar_random_unitary(2, rng)
+            u = _haar_batch(1, rng, 2)[0]
             xu = DensityMatrix(u @ x.entries @ u.conj().T)
             yu = DensityMatrix(u @ y.entries @ u.conj().T)
             assert fidelity(xu, yu) == pytest.approx(f, abs=1e-10)
@@ -213,7 +211,7 @@ class TestHaarRandomState:
 
     def test_first_moment_and_rotation_invariance(self):
         probs, probs_rot = [], []
-        u = haar_random_unitary(2, np.random.default_rng(99))
+        u = _haar_batch(1, np.random.default_rng(99), 2)[0]
         for seed in range(10_000):
             amps = haar_random_state(1, seed=seed).amplitudes
             probs.append(abs(amps[0]) ** 2)
