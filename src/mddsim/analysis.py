@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 
+from ._lazy import lazy_import
 from .noise import KrausChannel, NoiseParams, combined_channel, relaxation_dephasing_jumps
 from .sequences import (
     MEASURED_BASE,
@@ -35,6 +35,8 @@ from .states import (
     bloch_vector,
     reduced_density,
 )
+
+optimize = lazy_import("scipy.optimize")  # optimize_two_qubit_mdd's SLSQP
 
 
 def _unitary_matrix(u) -> np.ndarray:
@@ -247,7 +249,7 @@ def decay_rate(sigma: DensityMatrix, u, rates: DecayRates):
     if sigma.num_qubits != 1:
         raise ValueError("decay rate requires a single-qubit reduced state")
     um = _unitary_matrix(u)
-    if np.any(np.abs(um.conj().swapaxes(-1, -2) @ um - ID2) > ATOL):
+    if not np.all(np.abs(um.conj().swapaxes(-1, -2) @ um - ID2) <= ATOL):
         raise ValueError("matrix is not unitary within 1e-12")
     # one unitary goes through the stacked path too, so r_z**2 rounds as in a batch
     rotated = _conjugate(sigma.entries, um.reshape(-1, 2, 2))

@@ -10,6 +10,7 @@ verifier finds a violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -45,13 +46,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _out_dir(path):
+    """The --out directory, created before any work so that a bad path costs none.
+    A run that then fails on its config leaves none of the directories made here."""
+    out = Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out {str(out)!r}: {exc.strerror or exc}") from None
+    try:
+        yield out
+    except (ConfigError, QuadratureError):
+        for d in made:
+            with contextlib.suppress(OSError):  # one the run wrote into stays
+                d.rmdir()
+        raise
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    result = run(config, Path(args.out), jobs=args.jobs)
+    with _out_dir(args.out) as out:
+        result = run(config, out, jobs=args.jobs)
     for path in result.files:
         print(path)
     print(f"{config.experiment}: {result.summary}")
@@ -61,12 +82,11 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    report = VERIFY_SUITES[args.suite](seed=args.seed)
+    with contextlib.nullcontext() if args.out is None else _out_dir(args.out) as out:
+        report = VERIFY_SUITES[args.suite](seed=args.seed)
     line = f"{report['claim_id']}: {'PASS' if report['passed'] else 'FAIL'} (margin {report['margin']:.3e})"
     print(line)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         path = out / f"verify_{args.suite}.json"
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(path)

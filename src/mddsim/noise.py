@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
+from ._lazy import lazy_import
 from .states import (
     ATOL,
     DensityMatrix,
@@ -40,6 +40,8 @@ from .states import (
 LOWERING = 0.5 * (PAULI_X + 1j * PAULI_Y)  # |0><1|
 _CHI_ABS_TOL = 1e-10  # chi_integral's quadrature
 _CHI_MAX_SUBDIVISIONS = 1600
+
+integrate = lazy_import("scipy.integrate")  # chi_integral's quad
 
 
 class QuadratureError(RuntimeError):
@@ -99,7 +101,7 @@ class KrausChannel:
             raise ValueError("a single-qubit channel needs one or more 2x2 Kraus operators, "
                              f"got shapes {[m.shape for m in ops]}")
         k = np.stack(ops)
-        if np.max(np.abs((k.conj().swapaxes(1, 2) @ k).sum(axis=0) - ID2)) > ATOL:
+        if not np.max(np.abs((k.conj().swapaxes(1, 2) @ k).sum(axis=0) - ID2)) <= ATOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-12")
         superop = (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(4, 4)
         object.__setattr__(self, "operators", ops)

@@ -60,8 +60,8 @@ class PauliExpectations:
 
     def __post_init__(self) -> None:
         if self.shots is None:
-            if self.ex**2 + self.ey**2 + self.ez**2 > 1.0 + 1e-12:
-                raise ValueError("expectation vector norm exceeds 1")
+            if not self.ex**2 + self.ey**2 + self.ez**2 <= 1.0 + 1e-12:  # NaN fails too
+                raise ValueError(f"expectation vector norm {self.r!r} exceeds 1")
         elif not all(-1.0 <= e <= 1.0 for e in (self.ex, self.ey, self.ez)):
             raise ValueError("sampled expectations must lie in [-1, 1]")
 

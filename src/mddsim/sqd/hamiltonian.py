@@ -21,11 +21,13 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
+from .._lazy import lazy_import
 from .fcidump import FciData
 
 MAX_DENSE_DIM = 4000
+
+linalg = lazy_import("scipy.linalg")  # project_and_diagonalize's eigh
 
 
 def all_determinants(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
@@ -209,5 +211,5 @@ def project_and_diagonalize(dets, fci: FciData) -> tuple[float, np.ndarray]:
         matrix = _hamiltonian_matrix(dets, fci)
     if not np.isfinite(matrix).all():
         raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
-    vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+    vals, vecs = linalg.eigh(matrix, subset_by_index=[0, 0])
     return float(vals[0] + fci.core_energy), vecs[:, 0]

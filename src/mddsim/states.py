@@ -47,7 +47,7 @@ class PureState:
         if n > MAX_PURE_QUBITS:
             raise ValueError(f"pure states support at most {MAX_PURE_QUBITS} qubits, got {n}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # negated so that NaN fails
             raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {ATOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
         object.__setattr__(self, "num_qubits", n)
@@ -83,10 +83,10 @@ class DensityMatrix:
         n = _num_qubits(mat.shape[0])
         if n > MAX_MIXED_QUBITS:
             raise ValueError(f"density matrices support at most {MAX_MIXED_QUBITS} qubits, got {n}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {ATOL}")
         if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
@@ -110,7 +110,7 @@ class BlochVector:
     rz: float
 
     def __post_init__(self) -> None:
-        if self.r > 1.0 + ATOL:
+        if not self.r <= 1.0 + ATOL:
             raise ValueError(f"Bloch vector norm {self.r!r} exceeds 1")
 
     @property
@@ -131,7 +131,7 @@ class SingleQubitUnitary:
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat.conj().T @ mat - ID2)) > ATOL:
+        if not np.max(np.abs(mat.conj().T @ mat - ID2)) <= ATOL:
             raise ValueError("matrix is not unitary within 1e-12")
         object.__setattr__(self, "matrix", _freeze(mat))
         object.__setattr__(self, "theta", theta)

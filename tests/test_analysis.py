@@ -298,6 +298,11 @@ class TestDecayRate:
         sigma = DensityMatrix([[1, 0], [0, 0]])
         assert decay_rate(sigma, np.eye(2), rates) == pytest.approx(0.0, abs=1e-14)
 
+    def test_non_finite_unitary_rejected(self):
+        rates = DecayRates.from_noise(DEFAULT_NOISE)
+        with pytest.raises(ValueError, match="unitary"):
+            decay_rate(DensityMatrix(np.eye(2) / 2), np.full((2, 2), np.nan), rates)
+
     def test_maximally_mixed_rate(self):
         rates = DecayRates.from_noise(DEFAULT_NOISE)
         sigma = DensityMatrix(np.eye(2) / 2)

@@ -79,6 +79,25 @@ class TestCliContract:
         missing = tmp_path / "nope.json"
         assert main(["run", "--config", str(missing)]) == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_uncreatable_out_exits_2_before_running(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, experiment="fidelity-sweep", num_states=1, t_grid=[10.0])
+        argv = ["run", "--config", cfg] if command == "run" else ["verify", "--suite", "bounds"]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*argv, "--out", str(blocker / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # nothing ran
+        assert err.startswith("config error: cannot create --out")
+        assert "Traceback" not in err
+
     def test_fidelity_sweep_csv_schema(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="fidelity-sweep", num_states=3,
                            num_qubits=2, t_grid=[5.0, 50.0], sequences=["none", "mdd"])

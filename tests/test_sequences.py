@@ -53,6 +53,12 @@ class TestPauliExpectations:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             PauliExpectations(1.0, -1.5, 0.0, shots=10_000)
 
+    @pytest.mark.parametrize("ex", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exact_expectations_rejected(self, ex):
+        # mdd_unitary of a NaN triple used to return an all-NaN "unitary"
+        with pytest.raises(ValueError, match="norm"):
+            mdd_unitary(PauliExpectations(ex, 0.0, 0.0))
+
     def test_sampled_expectations_of_a_pure_state_never_raise(self):
         # three binomial estimates of a pure state along (1, 1, 1)/sqrt(3) overshoot
         # norm 1 in about 5% of draws at 30 shots; every such draw is a valid estimate

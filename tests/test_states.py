@@ -16,7 +16,7 @@ from mddsim.states import (
     haar_random_state,
     reduced_density,
 )
-from mddsim.noise import apply_local
+from mddsim.noise import KrausChannel, apply_local
 
 from helpers import channel_from_p_gamma, density_from_bloch, embed_operator, fidelity, naive_reduced
 
@@ -60,6 +60,18 @@ class TestContainers:
     def test_unitary_validation(self):
         with pytest.raises(ValueError, match="unitary"):
             SingleQubitUnitary([[1, 1], [0, 1]])
+
+    @pytest.mark.parametrize("build", [
+        lambda: PureState([np.nan, 0.0]),
+        lambda: DensityMatrix(np.full((2, 2), np.nan)),
+        lambda: BlochVector(np.nan, 0.0, 0.0),
+        lambda: SingleQubitUnitary(np.full((2, 2), np.nan)),
+        lambda: KrausChannel([np.full((2, 2), np.nan)]),
+    ], ids=["pure", "density", "bloch", "unitary", "kraus"])
+    def test_non_finite_entries_rejected(self, build):
+        # a NaN compares false with every bound, so a check written as `x > tol` lets it through
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestReducedDensity:
