@@ -23,7 +23,6 @@ from mddsim import (
     optimize_two_qubit_mdd,
     reduced_density,
 )
-from mddsim.sequences import PauliExpectations
 from mddsim.states import DensityMatrix, bloch_vector
 
 params = NoiseParams(t1=250.0, t2=170.0)
@@ -38,8 +37,7 @@ for i in range(3):
 print("\ninitial decay rate is minimized by the aligning rotation:")
 rates = DecayRates.from_noise(params)
 sigma = reduced_density(haar_random_state(2, seed=21), [0])
-b = bloch_vector(sigma)
-aligned = decay_rate(sigma, mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz)), rates)
+aligned = decay_rate(sigma, mdd_unitary(bloch_vector(sigma)), rates)
 from mddsim.analysis import _haar_batch
 sampled = [decay_rate(sigma, u, rates) for u in _haar_batch(2000, np.random.default_rng(2))]
 print(f"  aligned rate {aligned:.6e} /us, sampled minimum {min(sampled):.6e} /us")

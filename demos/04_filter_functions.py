@@ -7,9 +7,10 @@ ordering when relaxation is combined with filter-shaped dephasing.
 
 import numpy as np
 
-from mddsim import SpectralDensity, chi_integral, filter_function, haar_random_state
+from mddsim import (PauliExpectations, SpectralDensity, chi_integral, filter_function,
+                    haar_random_state)
 from mddsim.experiments import colored_noise_fidelity
-from mddsim.sequences import PauliExpectations, build_schedule, flip_times, udd_times
+from mddsim.sequences import build_schedule, flip_times, udd_times
 
 print("low-frequency rolloff F ~ w^k (fitted k):")
 cases = {

@@ -4,8 +4,8 @@ idle-aware circuit scheduling, and a sampled-subspace diagonalization
 pipeline with configuration recovery."""
 
 from .states import (
-    BlochVector,
     DensityMatrix,
+    PauliExpectations,
     PureState,
     SingleQubitUnitary,
     bloch_vector,
@@ -27,7 +27,6 @@ from .noise import (
     relaxation_dephasing_jumps,
 )
 from .sequences import (
-    PauliExpectations,
     PulseSchedule,
     build_schedule,
     measure_expectations,

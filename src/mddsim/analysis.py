@@ -18,10 +18,8 @@ from ._lazy import lazy_import
 from .noise import KrausChannel, NoiseParams, combined_channel, relaxation_dephasing_jumps
 from .sequences import (
     MEASURED_BASE,
-    PauliExpectations,
     build_schedule,
     is_measurement_driven,
-    measure_expectations,
     mdd_unitary,
     schedule_superoperator,
 )
@@ -127,13 +125,13 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
         raise ValueError(f"trials must be at least 1, got {trials}")
     superop = combined_channel(params, t).superop
     b = bloch_vector(sigma)
-    u_d = mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz))
+    u_d = mdd_unitary(b)
     mdd_value = superoperator_fidelity(_conjugate(sigma.entries, u_d.matrix), superop)
     rng = np.random.default_rng(seed)
     vals = superoperator_fidelity(_conjugate(sigma.entries, _haar_batch(trials, rng)), superop)
     best = float(np.max(vals))
     violations = int(np.sum(vals > mdd_value + 1e-10))
-    worst = {"competitor_value": best, "bloch": [b.rx, b.ry, b.rz], "duration": t}
+    worst = {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t}
     return LemmaReport(claim_id="lemma-max-entanglement-fidelity",
                        margin=float(mdd_value - best), worst_case=worst, seed=seed,
                        trials=trials, mdd_value=float(mdd_value),
@@ -147,7 +145,7 @@ def _fidelity_table(sigmas, kinds, t_grid, superop_of) -> list[dict]:
     its MDD unitaries U align, and one superoperator per base kind and duration serves all."""
     states = np.array([sigma.entries for sigma in sigmas])
     if any(map(is_measurement_driven, kinds)):
-        aligned = _conjugate(states, np.array([mdd_unitary(measure_expectations(sigma, 0)).matrix
+        aligned = _conjugate(states, np.array([mdd_unitary(bloch_vector(sigma)).matrix
                                                for sigma in sigmas]))
     bases = {kind: MEASURED_BASE.get(kind.lower(), kind) for kind in kinds}
     superops = {(base, t): superop_of(build_schedule(base, t))
@@ -215,22 +213,21 @@ def mixed_state_bounds(sigma_d: DensityMatrix, channel: KrausChannel) -> tuple[f
 
 @dataclass(frozen=True)
 class DecayRates:
-    """Relaxation and dephasing jump rates, plus an optional crosstalk rate."""
+    """Relaxation and dephasing jump rates of one qubit."""
 
     gamma1: float
     gamma2: float
-    gamma_zz: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma1 < 0 or self.gamma2 < 0 or self.gamma_zz < 0:
+        if self.gamma1 < 0 or self.gamma2 < 0:
             raise ValueError("decay rates must be nonnegative")
 
     @classmethod
-    def from_noise(cls, params: NoiseParams, gamma_zz: float = 0.0) -> "DecayRates":
+    def from_noise(cls, params: NoiseParams) -> "DecayRates":
         """Rates whose generator reproduces the combined channel: the Z jump
         carries 1/(2 Tp) because a Z jump at rate G dephases as exp(-2 G t)."""
         relaxation, dephasing = relaxation_dephasing_jumps(params)
-        return cls(gamma1=relaxation.rate, gamma2=dephasing.rate, gamma_zz=gamma_zz)
+        return cls(gamma1=relaxation.rate, gamma2=dephasing.rate)
 
 
 def decay_rate_quadratic(r: float, r_z: float, rates: DecayRates) -> float:
@@ -275,9 +272,6 @@ class AnsatzCoefficients:
 
     def is_feasible(self, tol: float = 0.0) -> bool:
         return all(m > tol for m in self.margins())
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3])
 
 
 @dataclass(frozen=True)

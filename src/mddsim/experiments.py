@@ -37,7 +37,6 @@ from .noise import (NoiseParams, SpectralDensity, chi_integral, combined_channel
                     dephasing_channel_from_chi)
 from .sequences import (
     MEASURED_BASE,
-    PauliExpectations,
     build_schedule,
     flip_times,
     mdd_unitary,
@@ -519,8 +518,7 @@ def verify_decay(seed: int = 0, trials: int = 100) -> dict:
     for i in range(5):
         psi = haar_random_state(2, seed=(seed, i, 7))
         sigma = reduced_density(psi, [0])
-        b = bloch_vector(sigma)
-        best = decay_rate(sigma, mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz)), rates)
+        best = decay_rate(sigma, mdd_unitary(bloch_vector(sigma)), rates)
         rates_haar = decay_rate(sigma, _haar_batch(10_000, np.random.default_rng((seed, i))), rates)
         minimality_violations += int(np.sum(rates_haar < best - 1e-12))
     passed = worst_rel <= 1e-6 and minimality_violations == 0

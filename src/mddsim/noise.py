@@ -52,7 +52,8 @@ class QuadratureError(RuntimeError):
 class NoiseParams:
     """Relaxation time T1 and total dephasing time T2, both in microseconds.
 
-    Infinite values are allowed and describe a noiseless direction.
+    Infinite values are allowed and describe a noiseless direction. A time
+    whose reciprocal overflows would make ``tp`` 0 or NaN, so it is rejected.
     """
 
     t1: float
@@ -63,6 +64,9 @@ class NoiseParams:
             raise ValueError(f"T1 must be positive, got {self.t1}")
         if not 0 < self.t2 <= 2 * self.t1:
             raise ValueError(f"T2 must satisfy 0 < T2 <= 2*T1, got T2={self.t2}, T1={self.t1}")
+        if not (math.isfinite(1.0 / self.t1) and math.isfinite(1.0 / self.t2)):
+            raise ValueError(f"T1 and T2 must have finite reciprocals, "
+                             f"got T1={self.t1}, T2={self.t2}")
 
     @property
     def tp(self) -> float:

@@ -19,6 +19,7 @@ from .states import (
     ID2,
     PAULI_X,
     PAULI_Y,
+    PauliExpectations,
     PureState,
     SingleQubitUnitary,
     _as_matrix,
@@ -43,33 +44,6 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * angle / 2.0), 0], [0, np.exp(1j * angle / 2.0)]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class PauliExpectations:
-    """Measured or exact Pauli expectations of a single qubit.
-
-    ``shots`` is None for exact expectations, whose norm is at most 1;
-    otherwise each component came from binomial sampling with that many
-    shots. Three independent estimates can reach any norm up to sqrt(3), so
-    shot mode only checks that each component lies in [-1, 1].
-    """
-
-    ex: float
-    ey: float
-    ez: float
-    shots: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.shots is None:
-            if not self.ex**2 + self.ey**2 + self.ez**2 <= 1.0 + 1e-12:  # NaN fails too
-                raise ValueError(f"expectation vector norm {self.r!r} exceeds 1")
-        elif not all(-1.0 <= e <= 1.0 for e in (self.ex, self.ey, self.ez)):
-            raise ValueError("sampled expectations must lie in [-1, 1]")
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(self.ex**2 + self.ey**2 + self.ez**2)
-
-
 def measure_expectations(state: PureState | DensityMatrix, qubit: int,
                          shots: int | None = None,
                          rng: np.random.Generator | None = None) -> PauliExpectations:
@@ -80,11 +54,11 @@ def measure_expectations(state: PureState | DensityMatrix, qubit: int,
     """
     b = bloch_vector(reduced_density(state, [qubit]))
     if shots is None:
-        return PauliExpectations(b.rx, b.ry, b.rz, shots=None)
+        return b
     if rng is None:
         raise ValueError("shot-sampled expectations require an rng")
     est = []
-    for mean in (b.rx, b.ry, b.rz):
+    for mean in (b.ex, b.ey, b.ez):
         p_up = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
         ups = rng.binomial(shots, p_up)
         est.append(2.0 * ups / shots - 1.0)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .fcidump import FciData, write_fcidump
+from .fcidump import _EIGHTFOLD, FciData, _pair_index, write_fcidump
 
 
 def hubbard_dimer_fcidump(u: float = 4.0, hopping: float = 1.0) -> str:
@@ -38,14 +38,11 @@ def random_fcidump(norb: int, nelec: int, ms2: int = 0, seed: int = 0,
         for j in range(i + 1):
             for k in range(norb):
                 for l in range(k + 1):
-                    ij = i * (i + 1) // 2 + j
-                    kl = k * (k + 1) // 2 + l
-                    if ij < kl:
+                    if _pair_index(i, j) < _pair_index(k, l):
                         continue
                     value = scale * rng.standard_normal()
-                    for (a, b, c, d) in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-                                         (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)):
-                        eri[a, b, c, d] = value
+                    for perm in _EIGHTFOLD:
+                        eri[tuple((i, j, k, l)[p] for p in perm)] = value
     data = FciData(norb=norb, nelec=nelec, ms2=ms2, h=h, eri=eri,
                    core_energy=float(rng.standard_normal()))
     return write_fcidump(data)

@@ -102,23 +102,32 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class BlochVector:
-    """Expectation triple (<X>, <Y>, <Z>) of a single-qubit state."""
+class PauliExpectations:
+    """Pauli expectations (<X>, <Y>, <Z>) of a single qubit, exact or measured.
 
-    rx: float
-    ry: float
-    rz: float
+    ``shots`` is None for exact expectations, whose norm is at most 1;
+    otherwise each component came from binomial sampling with that many
+    shots. Three independent estimates can reach any norm up to sqrt(3), so
+    shot mode only checks that each component lies in [-1, 1].
+    """
+
+    ex: float
+    ey: float
+    ez: float
+    shots: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.r <= 1.0 + ATOL:
-            raise ValueError(f"Bloch vector norm {self.r!r} exceeds 1")
+        if self.shots is None:
+            # hypot does not overflow on huge components, and NaN fails the comparison
+            norm = math.hypot(self.ex, self.ey, self.ez)
+            if not norm <= math.sqrt(1.0 + 1e-12):
+                raise ValueError(f"expectation vector norm {norm!r} exceeds 1")
+        elif not all(-1.0 <= e <= 1.0 for e in (self.ex, self.ey, self.ez)):
+            raise ValueError("sampled expectations must lie in [-1, 1]")
 
     @property
     def r(self) -> float:
-        return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz])
+        return math.sqrt(self.ex**2 + self.ey**2 + self.ez**2)
 
 
 class SingleQubitUnitary:
@@ -188,15 +197,15 @@ def reduced_density(state: PureState | DensityMatrix, qubits) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d, d))
 
 
-def bloch_vector(rho: DensityMatrix) -> BlochVector:
-    """Pauli expectations of a single-qubit density matrix."""
+def bloch_vector(rho: DensityMatrix) -> PauliExpectations:
+    """Exact Pauli expectations of a single-qubit density matrix."""
     if rho.num_qubits != 1:
         raise ValueError("bloch_vector requires a single-qubit density matrix")
     m = rho.entries
-    return BlochVector(
-        rx=float(np.trace(m @ PAULI_X).real),
-        ry=float(np.trace(m @ PAULI_Y).real),
-        rz=float(np.trace(m @ PAULI_Z).real),
+    return PauliExpectations(
+        ex=float(np.trace(m @ PAULI_X).real),
+        ey=float(np.trace(m @ PAULI_Y).real),
+        ez=float(np.trace(m @ PAULI_Z).real),
     )
 
 

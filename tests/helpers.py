@@ -21,8 +21,8 @@ from mddsim.sequences import (MEASURED_BASE, PulseSchedule, build_schedule, evol
                               is_measurement_driven, mdd_unitary, measure_expectations,
                               schedule_superoperator)
 from mddsim.sqd import FciData
-from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, DensityMatrix, PureState,
-                           _apply_left, _as_matrix, _haar_batch, apply_matrix,
+from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
+                           PureState, _apply_left, _as_matrix, _haar_batch, apply_matrix,
                            entanglement_fidelity, reduced_density)
 
 
@@ -403,9 +403,9 @@ def fidelity(x: DensityMatrix, y: DensityMatrix) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def density_from_bloch(b: BlochVector) -> DensityMatrix:
+def density_from_bloch(b: PauliExpectations) -> DensityMatrix:
     """Inverse of :func:`bloch_vector`: rho = (I + r . sigma) / 2."""
-    mat = 0.5 * (ID2 + b.rx * PAULI_X + b.ry * PAULI_Y + b.rz * PAULI_Z)
+    mat = 0.5 * (ID2 + b.ex * PAULI_X + b.ey * PAULI_Y + b.ez * PAULI_Z)
     return DensityMatrix(mat)
 
 

@@ -36,7 +36,7 @@ from mddsim.noise import (
     combined_channel,
     filter_function,
 )
-from mddsim.sequences import PauliExpectations, build_schedule, flip_times, mdd_unitary, udd_times
+from mddsim.sequences import build_schedule, flip_times, mdd_unitary, udd_times
 from mddsim.sqd import (
     RecoveryConfig,
     all_determinants,
@@ -51,6 +51,7 @@ from mddsim.sqd import (
 from mddsim.sqd.hamiltonian import _hamiltonian_matrix
 from mddsim.states import (
     DensityMatrix,
+    PauliExpectations,
     PureState,
     bloch_vector,
     entanglement_fidelity,
@@ -114,7 +115,7 @@ def test_criterion_2_lemma_suite(capsys):
             t = float(rng.uniform(5.0, 500.0))
             channel = combined_channel(DEFAULT_NOISE, t)
             b = bloch_vector(sigma)
-            u_d = mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz))
+            u_d = mdd_unitary(b)
             mdd_value = local_entanglement_fidelity(sigma, channel, u_d)
             unitaries = _haar_batch(10_000, rng)
             rotated = unitaries @ sigma.entries @ unitaries.conj().transpose(0, 2, 1)
@@ -197,7 +198,7 @@ def test_criterion_4_decay_rate_oracle(capsys):
         for index in range(5):
             _, sigma = random_mixed_sigma(index)
             b = bloch_vector(sigma)
-            best = decay_rate(sigma, mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz)), rates)
+            best = decay_rate(sigma, mdd_unitary(b), rates)
             unitaries = _haar_batch(10_000, np.random.default_rng((4_000, index)))
             rotated = unitaries @ sigma.entries @ unitaries.conj().transpose(0, 2, 1)
             r = b.r

@@ -23,10 +23,11 @@ from mddsim.analysis import (
 )
 from mddsim.experiments import _purification
 from mddsim.noise import NoiseParams, apply_local, combined_channel
-from mddsim.sequences import PauliExpectations, mdd_unitary
+from mddsim.sequences import mdd_unitary
 from mddsim.states import (
     DensityMatrix,
     PAULI_Z,
+    PauliExpectations,
     PureState,
     bloch_vector,
     entanglement_fidelity,
@@ -187,7 +188,7 @@ class TestLemmaCheck:
         for _ in range(3):
             sigma = random_mixed_sigma(rng)
             b = bloch_vector(sigma)
-            u_d = mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz))
+            u_d = mdd_unitary(b)
             thetas = np.linspace(0.0, math.pi, 61)
             phis = np.linspace(-math.pi, math.pi, 121)
             best_val, best_angles = -1.0, None
@@ -334,7 +335,7 @@ class TestDecayRate:
         for _ in range(5):
             sigma = random_mixed_sigma(rng)
             b = bloch_vector(sigma)
-            u_d = mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz))
+            u_d = mdd_unitary(b)
             best = decay_rate(sigma, u_d, rates)
             for u in _haar_batch(2000, rng):
                 assert decay_rate(sigma, u, rates) >= best - 1e-12

@@ -261,6 +261,11 @@ INVALID_CONFIGS = {
     "num_qubits-0": ({"experiment": "fidelity-sweep", "num_qubits": 0}, []),
     "unknown-sequence": ({"experiment": "fidelity-sweep", "sequences": ["bogus"]}, []),
     "t2-above-2t1": ({"experiment": "fidelity-sweep", "t1": 10, "t2": 100}, []),
+    # 1/T2 overflows to inf, so the pure-dephasing time Tp = 1/inf would be 0
+    "t2-tiny": ({"experiment": "fidelity-sweep", "t1": 1.0, "t2": 5e-309, "num_states": 1,
+                 "t_grid": [1.0]}, []),
+    # 1/T2 - 1/(2 T1) is inf - inf, so Tp would be NaN
+    "t1-t2-tiny": ({"experiment": "qft-toy", "t1": 1e-310, "t2": 1e-310}, []),
     "qft-one-qubit": ({"experiment": "qft-toy", "num_qubits": 1}, []),
     "iterations-0": ({"experiment": "sqd-recover", "iterations": 0}, []),
     "seed-negative": ({"experiment": "fidelity-sweep", "seed": -1}, []),

@@ -49,7 +49,6 @@ from mddsim.noise import (
 )
 from mddsim.sequences import (
     MEASURED_BASE,
-    PauliExpectations,
     build_schedule,
     evolve_with_schedule,
     flip_times,
@@ -59,9 +58,11 @@ from mddsim.sequences import (
 )
 from mddsim.states import (
     DensityMatrix,
+    PauliExpectations,
     _as_matrix,
     _haar_batch,
     apply_matrix,
+    bloch_vector,
     entanglement_fidelity,
     haar_random_state,
     reduced_density,
@@ -227,22 +228,22 @@ def test_sweep_measures_each_state_once(monkeypatch, tmp_path):
     # the expectations do not depend on t, so mdd reads them once per state
     calls = []
 
-    def counting(state, qubit, *args, **kwargs):
-        calls.append(qubit)
-        return measure_expectations(state, qubit, *args, **kwargs)
+    def counting(rho):
+        calls.append(rho.num_qubits)
+        return bloch_vector(rho)
 
-    monkeypatch.setattr(analysis, "measure_expectations", counting)
+    monkeypatch.setattr(analysis, "bloch_vector", counting)
     config = ExperimentConfig(experiment="fidelity-sweep", num_states=3, num_qubits=2)
     _run_state_tasks(config, ["xx", "mdd", "mdd+xx"], [1.0, 10.0, 100.0], jobs=1)
-    assert calls == [0, 0, 0]
+    assert calls == [1, 1, 1]
     _run_state_tasks(config, ["none", "xx"], [1.0, 10.0, 100.0], jobs=1)
-    assert calls == [0, 0, 0]
+    assert calls == [1, 1, 1]
     # filter-noise reads them once per state for each of its two spectra
     calls.clear()
     config = ExperimentConfig(experiment="filter-noise", num_states=3, t_grid=[20.0, 70.0],
                               sequences=["xx", "mdd", "mdd+xx"])
     run_filter_noise(config, tmp_path)
-    assert calls == [0] * 6
+    assert calls == [1] * 6
 
 
 # mdd shares the (empty) flip times of none, and mdd+xx those of xx

@@ -7,7 +7,6 @@ import pytest
 
 from mddsim.noise import NOISELESS, NoiseParams, combined_channel
 from mddsim.sequences import (
-    PauliExpectations,
     PulseSchedule,
     build_schedule,
     evolve_with_schedule,
@@ -25,8 +24,8 @@ from mddsim.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PauliExpectations,
     PureState,
-    BlochVector,
     entanglement_fidelity,
     haar_random_state,
     reduced_density,
@@ -92,7 +91,7 @@ class TestMddUnitary:
         for _ in range(100):
             v = rng.standard_normal(3)
             v *= rng.uniform(0, 1) / np.linalg.norm(v)
-            rho = density_from_bloch(BlochVector(*v)).entries
+            rho = density_from_bloch(PauliExpectations(*v)).entries
             u = mdd_unitary(PauliExpectations(*v)).matrix
             out = u @ rho @ u.conj().T
             assert abs(out[0, 1]) < 1e-12
@@ -101,11 +100,11 @@ class TestMddUnitary:
     def test_idempotent_on_diagonalized_state(self):
         v = (0.1, -0.4, 0.2)
         u = mdd_unitary(PauliExpectations(*v)).matrix
-        rho = density_from_bloch(BlochVector(*v)).entries
+        rho = density_from_bloch(PauliExpectations(*v)).entries
         rotated = u @ rho @ u.conj().T
         from mddsim.states import bloch_vector
         b = bloch_vector(DensityMatrix(rotated))
-        again = mdd_unitary(PauliExpectations(b.rx, b.ry, b.rz))
+        again = mdd_unitary(b)
         assert equal_up_to_phase(again.matrix, np.eye(2), atol=1e-7)
 
     def test_rotation_conventions(self):
@@ -306,7 +305,7 @@ class TestMeasureExpectations:
         exp = measure_expectations(psi, 1)
         from mddsim.states import bloch_vector
         b = bloch_vector(reduced_density(psi, [1]))
-        assert (exp.ex, exp.ey, exp.ez) == (b.rx, b.ry, b.rz)
+        assert (exp.ex, exp.ey, exp.ez) == (b.ex, b.ey, b.ez)
         assert exp.shots is None
 
     def test_shot_mode_deterministic_and_close(self):

@@ -7,8 +7,8 @@ from mddsim.states import (
     DensityMatrix,
     PAULI_X,
     PAULI_Z,
+    PauliExpectations,
     PureState,
-    BlochVector,
     SingleQubitUnitary,
     bloch_vector,
     entanglement_fidelity,
@@ -55,7 +55,7 @@ class TestContainers:
 
     def test_bloch_vector_norm_validation(self):
         with pytest.raises(ValueError, match="norm"):
-            BlochVector(1.0, 1.0, 0.0)
+            PauliExpectations(1.0, 1.0, 0.0)
 
     def test_unitary_validation(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -64,12 +64,15 @@ class TestContainers:
     @pytest.mark.parametrize("build", [
         lambda: PureState([np.nan, 0.0]),
         lambda: DensityMatrix(np.full((2, 2), np.nan)),
-        lambda: BlochVector(np.nan, 0.0, 0.0),
+        lambda: PauliExpectations(np.nan, 0.0, 0.0),
+        lambda: PauliExpectations(1e200, 0.0, 0.0),
+        lambda: PauliExpectations(0.0, 0.0, -1e200),
         lambda: SingleQubitUnitary(np.full((2, 2), np.nan)),
         lambda: KrausChannel([np.full((2, 2), np.nan)]),
-    ], ids=["pure", "density", "bloch", "unitary", "kraus"])
+    ], ids=["pure", "density", "bloch", "bloch-huge-x", "bloch-huge-z", "unitary", "kraus"])
     def test_non_finite_entries_rejected(self, build):
-        # a NaN compares false with every bound, so a check written as `x > tol` lets it through
+        # a NaN compares false with every bound, so a check written as `x > tol` lets it through;
+        # a huge finite component must not overflow the norm check into an OverflowError
         with pytest.raises(ValueError):
             build()
 
@@ -124,7 +127,7 @@ class TestReducedDensity:
 class TestBlochVector:
     def test_ground_state(self):
         b = bloch_vector(DensityMatrix([[1, 0], [0, 0]]))
-        assert (b.rx, b.ry, b.rz) == (0.0, 0.0, 1.0)
+        assert (b.ex, b.ey, b.ez) == (0.0, 0.0, 1.0)
 
     def test_maximally_mixed(self):
         b = bloch_vector(DensityMatrix(np.eye(2) / 2))
@@ -133,7 +136,7 @@ class TestBlochVector:
     def test_direct_trace_evaluation(self):
         rho = DensityMatrix(0.5 * (np.eye(2) + 0.3 * PAULI_X + 0.4 * PAULI_Z))
         b = bloch_vector(rho)
-        np.testing.assert_allclose([b.rx, b.ry, b.rz], [0.3, 0.0, 0.4], atol=1e-14)
+        np.testing.assert_allclose([b.ex, b.ey, b.ez], [0.3, 0.0, 0.4], atol=1e-14)
         assert abs(b.r - 0.5) < 1e-14
 
     def test_round_trip_reconstruction(self):
@@ -141,9 +144,9 @@ class TestBlochVector:
         for _ in range(25):
             v = rng.standard_normal(3)
             v *= rng.uniform(0, 1) / np.linalg.norm(v)
-            rho = density_from_bloch(BlochVector(*v))
+            rho = density_from_bloch(PauliExpectations(*v))
             b = bloch_vector(rho)
-            np.testing.assert_allclose([b.rx, b.ry, b.rz], v, atol=1e-12)
+            np.testing.assert_allclose([b.ex, b.ey, b.ez], v, atol=1e-12)
 
     def test_requires_single_qubit(self):
         with pytest.raises(ValueError, match="single-qubit"):
