@@ -57,8 +57,27 @@ def _plain(value):
 
 
 def _conjugate(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u sigma u^dag for one 2x2 unitary or a (..., 2, 2) stack of them."""
-    return u @ sigma @ u.conj().swapaxes(-1, -2)
+    """u sigma u^dag for 2x2 matrices or (..., 2, 2) stacks, broadcast over the
+    leading axes of either, written out entry by entry: on 2x2 blocks a stacked
+    matmul costs more in gufunc dispatch than in arithmetic. The tests hold it
+    to ``u @ sigma @ u.conj().swapaxes(-1, -2)``.
+
+    Every product runs on equal-length 1-d operands, so one pair rounds as one
+    row of a stack does: NumPy's complex scalar arithmetic, and some of its
+    broadcast loops, round without the fused multiply-add of its array loops.
+    """
+    shape = np.broadcast_shapes(np.shape(sigma), np.shape(u))
+    s00, s01, s10, s11 = np.broadcast_to(sigma, shape).reshape(-1, 4).T
+    u00, u01, u10, u11 = np.broadcast_to(u, shape).reshape(-1, 4).T
+    a00, a01 = u00 * s00 + u01 * s10, u00 * s01 + u01 * s11  # u sigma
+    a10, a11 = u10 * s00 + u11 * s10, u10 * s01 + u11 * s11
+    c00, c01, c10, c11 = u00.conj(), u01.conj(), u10.conj(), u11.conj()
+    out = np.empty((len(s00), 4), dtype=complex)
+    out[:, 0] = a00 * c00 + a01 * c01
+    out[:, 1] = a00 * c10 + a01 * c11
+    out[:, 2] = a10 * c00 + a11 * c01
+    out[:, 3] = a10 * c10 + a11 * c11
+    return out.reshape(shape)
 
 
 def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) -> float:
@@ -86,13 +105,15 @@ def superoperator_fidelity(sigma, superop: np.ndarray):
     value per state of a (..., 2, 2) stack.
 
     The realigned matrix C[ab, cd] = sum_K K_ab conj(K_cd) is independent of
-    the Kraus decomposition, and F = vec(sigma^T) C vec(sigma^T)^dag, clamped
+    the Kraus decomposition, and F = vec(sigma^T) C vec(sigma^T)^dag, real and
+    summed entrywise as Re(w . conj(v)) with v = vec(sigma^T) and w = v C, clamped
     to [0, 1] against roundoff (an aligned pure state reads 1 + 4e-16).
     """
     choi = superop.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     mat = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
     v = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (4,))
-    vals = ((v @ choi)[..., None, :] @ v.conj()[..., :, None])[..., 0, 0].real.clip(0.0, 1.0)
+    w = v @ choi
+    vals = (w.real * v.real + w.imag * v.imag).sum(-1).clip(0.0, 1.0)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -246,7 +267,7 @@ def decay_rate(sigma: DensityMatrix, u, rates: DecayRates):
     if sigma.num_qubits != 1:
         raise ValueError("decay rate requires a single-qubit reduced state")
     um = _unitary_matrix(u)
-    if not np.all(np.abs(um.conj().swapaxes(-1, -2) @ um - ID2) <= ATOL):
+    if not np.all(np.abs(_conjugate(ID2, um.conj().swapaxes(-1, -2)) - ID2) <= ATOL):
         raise ValueError("matrix is not unitary within 1e-12")
     # one unitary goes through the stacked path too, so r_z**2 rounds as in a batch
     rotated = _conjugate(sigma.entries, um.reshape(-1, 2, 2))

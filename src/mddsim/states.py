@@ -19,6 +19,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 ATOL = 1e-12
+EIG_FLOOR = 1e-10  # the lowest eigenvalue a DensityMatrix accepts, against roundoff
+# The largest exact Bloch norm of a valid single-qubit state: its eigenvalues are
+# (Tr rho +- r)/2, with the trace within ATOL of 1, each off-diagonal within ATOL of
+# the other's conjugate, and the lower eigenvalue down to -EIG_FLOOR.
+MAX_EXACT_NORM = 1.0 + 2.0 * ATOL + 2.0 * EIG_FLOOR
 MAX_PURE_QUBITS = 12
 MAX_MIXED_QUBITS = 10
 
@@ -88,8 +93,8 @@ class DensityMatrix:
         tr = np.trace(mat).real
         if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {ATOL}")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        if np.min(np.linalg.eigvalsh(mat)) < -EIG_FLOOR:
+            raise ValueError(f"density matrix has an eigenvalue below {-EIG_FLOOR}")
         object.__setattr__(self, "entries", _freeze(mat))
         object.__setattr__(self, "num_qubits", n)
 
@@ -105,7 +110,9 @@ class DensityMatrix:
 class PauliExpectations:
     """Pauli expectations (<X>, <Y>, <Z>) of a single qubit, exact or measured.
 
-    ``shots`` is None for exact expectations, whose norm is at most 1;
+    ``shots`` is None for exact expectations, whose norm is at most 1 up to
+    the tolerances of a valid state (``MAX_EXACT_NORM``, unclamped, so that a
+    pure state keeps its r = 1 + 2e-16);
     otherwise each component came from binomial sampling with that many
     shots. Three independent estimates can reach any norm up to sqrt(3), so
     shot mode only checks that each component lies in [-1, 1].
@@ -120,7 +127,7 @@ class PauliExpectations:
         if self.shots is None:
             # hypot does not overflow on huge components, and NaN fails the comparison
             norm = math.hypot(self.ex, self.ey, self.ez)
-            if not norm <= math.sqrt(1.0 + 1e-12):
+            if not norm <= MAX_EXACT_NORM:
                 raise ValueError(f"expectation vector norm {norm!r} exceeds 1")
         elif not all(-1.0 <= e <= 1.0 for e in (self.ex, self.ey, self.ez)):
             raise ValueError("sampled expectations must lie in [-1, 1]")

@@ -23,7 +23,7 @@ from mddsim.sequences import (MEASURED_BASE, PulseSchedule, build_schedule, evol
 from mddsim.sqd import FciData
 from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
                            PureState, _apply_left, _as_matrix, _haar_batch, apply_matrix,
-                           entanglement_fidelity, reduced_density)
+                           bloch_vector, entanglement_fidelity, reduced_density)
 
 
 def random_channel(rng: np.random.Generator, num_kraus: int) -> KrausChannel:
@@ -192,6 +192,34 @@ def random_single_qubit_density(rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     m = z @ z.conj().T
     return m / np.trace(m)
+
+
+def conjugate_matmul(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u sigma u^dag as two stacked matmuls: the oracle for the entrywise
+    ``analysis._conjugate``."""
+    return u @ sigma @ u.conj().swapaxes(-1, -2)
+
+
+def superoperator_fidelity_matmul(stack: np.ndarray, superop: np.ndarray) -> np.ndarray:
+    """vec(sigma^T) C vec(sigma^T)^dag per state as a (1x4)(4x4)(4x1) matmul
+    chain: the oracle for ``superoperator_fidelity``'s entrywise inner product."""
+    choi = superop.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    v = stack.swapaxes(-1, -2).reshape(stack.shape[:-2] + (4,))
+    return ((v @ choi)[..., None, :] @ v.conj()[..., :, None])[..., 0, 0].real.clip(0.0, 1.0)
+
+
+def lemma_check_matmul(sigma: DensityMatrix, params: NoiseParams, t: float, trials: int,
+                       seed: int) -> dict:
+    """``lemma_check``'s values recomputed through the matmul oracles, on the
+    same aligning unitary and the same Haar batch."""
+    superop = combined_channel(params, t).superop
+    u_d = mdd_unitary(bloch_vector(sigma)).matrix
+    mdd_value = float(superoperator_fidelity_matmul(conjugate_matmul(sigma.entries, u_d), superop))
+    batch = _haar_batch(trials, np.random.default_rng(seed))
+    vals = superoperator_fidelity_matmul(conjugate_matmul(sigma.entries, batch), superop)
+    best = float(np.max(vals))
+    return {"mdd_value": mdd_value, "best_competitor": best, "margin": mdd_value - best,
+            "violations": int(np.sum(vals > mdd_value + 1e-10))}
 
 
 def fock_space_hamiltonian(fci) -> np.ndarray:

@@ -5,6 +5,7 @@ Every example is drawn from a fixed derandomized stream, so the suite is
 reproducible and writes no example database.
 """
 
+import math
 import time
 import tracemalloc
 
@@ -17,8 +18,10 @@ from mddsim import analysis, experiments
 from mddsim.analysis import (
     DecayRates,
     TwoQubitRates,
+    _conjugate,
     dd_entanglement_fidelity,
     decay_rate,
+    lemma_check,
     local_entanglement_fidelity,
     optimize_two_qubit_mdd,
     superoperator_fidelity,
@@ -69,10 +72,13 @@ from mddsim.states import (
 )
 
 from helpers import (
+    conjugate_matmul,
     insert_dd_replaying,
+    lemma_check_matmul,
     optimize_two_qubit_mdd_rowwise,
     random_channel,
     random_single_qubit_density,
+    superoperator_fidelity_matmul,
     toggled_frame_average,
     toggled_frame_average_loop,
 )
@@ -363,6 +369,62 @@ def any_channels(draw):
 @given(channel=any_channels())
 def test_superop_equals_kron_sum_exactly(channel):
     assert np.array_equal(channel.superop, sum(np.kron(m, m.conj()) for m in channel.operators))
+
+
+def density_stack(rng, shape):
+    return np.array([random_single_qubit_density(rng)
+                     for _ in range(math.prod(shape))]).reshape(shape + (2, 2))
+
+
+# leading axes of (sigma, u); "n" is the drawn stack length
+PAIRINGS = {"one-one": ((), ()), "one-stack": ((), ("n",)), "stack-one": (("n",), ()),
+            "stack-stack": (("n",), ("n",)), "outer": (("n", 1), (3,))}
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@PROPERTY
+@given(seed=seeds, count=st.integers(1, 64))
+def test_conjugate_matches_matmul_oracle(pairing, seed, count):
+    rng = np.random.default_rng(seed)
+    sigma_axes, u_axes = ([count if a == "n" else a for a in axes] for axes in PAIRINGS[pairing])
+    sigma = density_stack(rng, tuple(sigma_axes))
+    u = _haar_batch(math.prod(u_axes), rng).reshape(tuple(u_axes) + (2, 2))
+    fast, oracle = _conjugate(sigma, u), conjugate_matmul(sigma, u)
+    assert fast.shape == oracle.shape
+    assert np.max(np.abs(fast - oracle)) <= 1e-15
+
+
+@PROPERTY
+@given(seed=seeds, count=st.integers(1, 64))
+def test_conjugate_rows_equal_single_calls(seed, count):
+    rng = np.random.default_rng(seed)
+    sigmas = density_stack(rng, (count,))
+    unitaries = _haar_batch(count, rng)
+    both, one_sigma, one_u = (_conjugate(sigmas, unitaries), _conjugate(sigmas[0], unitaries),
+                              _conjugate(sigmas, unitaries[0]))
+    for i in range(count):
+        assert np.array_equal(both[i], _conjugate(sigmas[i], unitaries[i]))
+        assert np.array_equal(one_sigma[i], _conjugate(sigmas[0], unitaries[i]))
+        assert np.array_equal(one_u[i], _conjugate(sigmas[i], unitaries[0]))
+
+
+@PROPERTY
+@given(seed=seeds, channel=any_channels(), count=st.integers(1, 64))
+def test_superoperator_fidelity_matches_matmul_oracle(seed, channel, count):
+    stack = density_stack(np.random.default_rng(seed), (count,))
+    fast = superoperator_fidelity(stack, channel.superop)
+    assert np.max(np.abs(fast - superoperator_fidelity_matmul(stack, channel.superop))) <= 1e-15
+
+
+@pytest.mark.parametrize("state_seed, t, trials, seed", [
+    (3, 100.0, 2000, 5), (11, 1.0, 500, 0), (29, 400.0, 10_000, 42)])
+def test_lemma_check_matches_matmul_oracle(state_seed, t, trials, seed):
+    sigma = reduced_density(haar_random_state(2, seed=state_seed), [0])
+    report = lemma_check(sigma, NoiseParams(250.0, 170.0), t, trials, seed)
+    oracle = lemma_check_matmul(sigma, NoiseParams(250.0, 170.0), t, trials, seed)
+    for key in ("mdd_value", "best_competitor", "margin"):
+        assert abs(getattr(report, key) - oracle[key]) <= 1e-13
+    assert report.violations == oracle["violations"]
 
 
 @PROPERTY

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mddsim.states import (
+    ATOL,
+    EIG_FLOOR,
     DensityMatrix,
     PAULI_X,
     PAULI_Z,
@@ -56,6 +58,23 @@ class TestContainers:
     def test_bloch_vector_norm_validation(self):
         with pytest.raises(ValueError, match="norm"):
             PauliExpectations(1.0, 1.0, 0.0)
+
+    def test_state_at_the_eigenvalue_floor_measures(self):
+        # eigenvalues 1 + 5e-11 and -5e-11: a valid state whose Bloch norm is 1 + 1e-10
+        b = bloch_vector(DensityMatrix(0.5 * (np.eye(2) + (1 + 1e-10) * PAULI_Z)))
+        assert b.ez == pytest.approx(1 + 1e-10, abs=1e-15)
+        for norm in (1 + 1e-6, np.nan):
+            with pytest.raises(ValueError, match="norm"):
+                PauliExpectations(0.0, 0.0, norm)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_valid_state_measures(self, seed):
+        # trace, lower eigenvalue and off-diagonal asymmetry all near their tolerances
+        u = _haar_batch(1, np.random.default_rng(seed))[0]
+        lam = 0.99 * EIG_FLOOR
+        rho = u @ np.diag([1 + 0.99 * ATOL + lam, -lam]) @ u.conj().T
+        rho[0, 1] += 0.49 * ATOL * rho[0, 1] / abs(rho[0, 1])
+        assert bloch_vector(DensityMatrix(rho)).r > 1 + EIG_FLOOR
 
     def test_unitary_validation(self):
         with pytest.raises(ValueError, match="unitary"):
