@@ -51,14 +51,12 @@ from .analysis import (
 )
 from .circuits import (
     Gate,
-    GateDurations,
     IdleInterval,
     ScheduledCircuit,
     Slice,
     identify_idle,
     insert_dd,
     qft_circuit,
-    qft_success_probability,
     qft_success_scenario,
     sample_counts,
     simulate,

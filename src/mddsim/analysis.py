@@ -133,10 +133,6 @@ class LemmaReport:
     def to_dict(self) -> dict:
         return _plain(self.__dict__)
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
                 trials: int, seed: int) -> LemmaReport:
@@ -291,9 +287,6 @@ class AnsatzCoefficients:
                 1.0 - self.c1 + self.c2 - self.c3,
                 1.0 - self.c1 - self.c2 + self.c3)
 
-    def is_feasible(self, tol: float = 0.0) -> bool:
-        return all(m > tol for m in self.margins())
-
 
 @dataclass(frozen=True)
 class TwoQubitRates:
@@ -322,6 +315,7 @@ def c3_section_feasible(c3) -> bool:
 
 
 _RATE_EPS = 1e-9
+_STARTS = 20  # SLSQP starts of the two-qubit optimizer: the origin and 19 feasible draws
 
 
 def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
@@ -353,7 +347,7 @@ def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
 
 
 def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
-                           starts: int = 20, seed: int = 0) -> tuple[AnsatzCoefficients, float]:
+                           seed: int = 0) -> tuple[AnsatzCoefficients, float]:
     """Minimize the two-qubit decay rate over the positivity polytope.
 
     Multi-start SLSQP over the four linear constraints, relaxed to >= 1e-9
@@ -383,7 +377,7 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
     best_c, best_val = None, math.inf
     attempts = [np.zeros(3)]
     draws = 0
-    while len(attempts) < starts and draws < 100 * starts:
+    while len(attempts) < _STARTS and draws < 100 * _STARTS:
         draws += 1
         cand = rng.uniform(-1.0, 1.0, size=3)
         if np.all(1.0 + signs @ cand > _RATE_EPS):

@@ -33,6 +33,11 @@ _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype
 
 _TIME_EPS = 1e-9
 MAX_SIM_QUBITS = 10
+# slice durations (us) of the serialized transform scenario
+H_DURATION = 2.0
+CP_DURATION = 4.0
+SWAP_DURATION = 6.0
+PREP_DURATION = 2.0
 
 
 @dataclass(frozen=True)
@@ -323,22 +328,7 @@ def success_probability(samples: dict[str, int], target: str) -> float:
     return 100.0 * samples.get(target, 0) / total
 
 
-@dataclass(frozen=True)
-class GateDurations:
-    """Slice durations (us) for the serialized transform scenario."""
-
-    h: float = 2.0
-    cp: float = 4.0
-    swap: float = 6.0
-    prep: float = 2.0
-
-    def __post_init__(self) -> None:
-        # min() of a NaN depends on argument order, so test each value
-        if not all(d > 0 for d in (self.h, self.cp, self.swap, self.prep)):
-            raise ValueError("gate durations must be positive")
-
-
-def qft_circuit(n: int, durations: GateDurations = GateDurations()) -> ScheduledCircuit:
+def qft_circuit(n: int) -> ScheduledCircuit:
     """Fully serialized transform circuit: one gate per slice, so early
     qubits accumulate idle time while later ones are processed.
 
@@ -355,11 +345,11 @@ def qft_circuit(n: int, durations: GateDurations = GateDurations()) -> Scheduled
         raise ValueError(f"scenario supports 2..{MAX_SIM_QUBITS} qubits, got {n}")
     slices = []
     for j in range(n):
-        slices.append(Slice(durations.h, (h_gate(j),)))
+        slices.append(Slice(H_DURATION, (h_gate(j),)))
         for k in range(j + 1, n):
-            slices.append(Slice(durations.cp, (cp_gate(math.pi / 2 ** (k - j), k, j),)))
+            slices.append(Slice(CP_DURATION, (cp_gate(math.pi / 2 ** (k - j), k, j),)))
     for j in range(n // 2):
-        slices.append(Slice(durations.swap, (custom_gate(_SWAP, (j, n - 1 - j)),)))
+        slices.append(Slice(SWAP_DURATION, (custom_gate(_SWAP, (j, n - 1 - j)),)))
     return ScheduledCircuit(n, tuple(slices))
 
 
@@ -367,7 +357,7 @@ def alternating_target(n: int) -> str:
     return "".join("01"[i % 2] for i in range(n))
 
 
-def qft_success_scenario(n: int, durations: GateDurations = GateDurations()) -> tuple[ScheduledCircuit, str]:
+def qft_success_scenario(n: int) -> tuple[ScheduledCircuit, str]:
     """Transform scenario with a deterministic ideal outcome.
 
     Two parallel preparation slices (Hadamards, then single-qubit phases)
@@ -377,24 +367,24 @@ def qft_success_scenario(n: int, durations: GateDurations = GateDurations()) -> 
     """
     target = alternating_target(n)
     y = int(target, 2)
-    core = qft_circuit(n, durations)
-    prep_h = Slice(durations.prep, tuple(h_gate(q) for q in range(n)))
+    core = qft_circuit(n)
+    prep_h = Slice(PREP_DURATION, tuple(h_gate(q) for q in range(n)))
     phases = []
     for k in range(n):
         theta = -2.0 * math.pi * y / 2 ** (k + 1)
         phases.append(custom_gate(np.diag([1.0, cmath.exp(1j * theta)]), (k,)))
-    prep_p = Slice(durations.prep, tuple(phases))
+    prep_p = Slice(PREP_DURATION, tuple(phases))
     return ScheduledCircuit(n, (prep_h, prep_p) + core.slices), target
 
 
 def qft_final_state(n: int, noise: NoiseParams, strategy: str, threshold: float = 0.24,
-                    measure_shots: int | None = None, seed: int | None = None,
-                    durations: GateDurations = GateDurations()) -> tuple[DensityMatrix, str]:
+                    measure_shots: int | None = None,
+                    seed: int | None = None) -> tuple[DensityMatrix, str]:
     """Noisy final state of the transform scenario with the chosen sequence
     inserted into qualifying idle intervals, and its target string. Only
     sampled MDD expectations (``measure_shots``, keyed by ``seed``) make it
     depend on the seed."""
-    circuit, target = qft_success_scenario(n, durations)
+    circuit, target = qft_success_scenario(n)
     dressed = insert_dd(circuit, strategy, noise, threshold, shots=measure_shots, seed=seed)
     return simulate(dressed, noise), target
 
@@ -404,12 +394,3 @@ def qft_readout(rho: DensityMatrix, target: str, shots: int, seed: int) -> float
     drawn from a generator keyed by ``seed + 1``."""
     return success_probability(sample_counts(rho, shots, seed=seed + 1), target)
 
-
-def qft_success_probability(n: int, noise: NoiseParams, strategy: str,
-                            threshold: float = 0.24, shots: int = 100_000,
-                            seed: int = 0, measure_shots: int | None = None,
-                            durations: GateDurations = GateDurations()) -> float:
-    """End-to-end success probability of the transform scenario under noise,
-    with the chosen sequence inserted into qualifying idle intervals."""
-    rho, target = qft_final_state(n, noise, strategy, threshold, measure_shots, seed, durations)
-    return qft_readout(rho, target, shots, seed)

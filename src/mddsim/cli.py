@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -23,6 +22,8 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     VERIFY_SUITES,
+    _json_text,
+    _write,
     run,
 )
 from .noise import QuadratureError
@@ -87,9 +88,7 @@ def _cmd_verify(args) -> int:
     line = f"{report['claim_id']}: {'PASS' if report['passed'] else 'FAIL'} (margin {report['margin']:.3e})"
     print(line)
     if out is not None:
-        path = out / f"verify_{args.suite}.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(path)
+        print(_write(out / f"verify_{args.suite}.json", _json_text(report)))
     return EXIT_OK if report["passed"] else EXIT_VIOLATION
 
 

@@ -74,10 +74,11 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1,
            "threshold": 0}
 # each of these sizes an array held at once: grid_points^2 rates (and grid_points^3 steps)
-# in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch bit rows;
+# in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch bit rows,
+# num_states fidelity curves (theorem-gap at the default grid peaks near 265 MB at 10^4);
 # shots is the count of one multinomial draw, which must fit a C long (2^63 - 1)
 _MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6,
-           "shots": 10**18}
+           "shots": 10**18, "num_states": 10**4}
 
 
 class ConfigError(ValueError):
@@ -90,8 +91,9 @@ class ExperimentConfig:
     transmon processor: T1 = 250 us, T2 = 170 us, cutoff 0.1 /us, 1e4
     measurement shots, smoothness 0.01, 10 batches of 300 samples. Sequence
     names are read in any case and must be distinct. ``grid_points`` is at
-    most 1001; ``trials``, ``sample_shots`` and ``samples_per_batch`` are at
-    most 10^6, and ``shots`` at most 10^18 (``_MAXIMA``)."""
+    most 1001, ``num_states`` at most 10^4; ``trials``, ``sample_shots`` and
+    ``samples_per_batch`` are at most 10^6, and ``shots`` at most 10^18
+    (``_MAXIMA``)."""
 
     experiment: str
     t1: float = 250.0

@@ -75,13 +75,13 @@ def mdd_unitary(exp: PauliExpectations) -> SingleQubitUnitary:
     """
     r = exp.r
     if r < 1e-15:
-        return SingleQubitUnitary(ID2, theta=0.0, phi=0.0)
+        return SingleQubitUnitary(ID2)
     z = min(max(exp.ez / r, -1.0), 1.0)  # clamp shot-noise overshoot
     theta = math.acos(z)
     # a z-rotation acts trivially on a z-aligned state, so ignore the azimuth
     # of pure roundoff transverse components
     phi = 0.0 if math.hypot(exp.ex, exp.ey) < 1e-12 else math.atan2(exp.ey, exp.ex)
-    return SingleQubitUnitary(rot_y(-theta) @ rot_z(-phi), theta=theta, phi=phi)
+    return SingleQubitUnitary(rot_y(-theta) @ rot_z(-phi))
 
 
 def udd_times(n: int, t: float) -> np.ndarray:
@@ -123,7 +123,6 @@ class PulseSchedule:
 
     total_time: float
     pulses: tuple
-    kind: str
 
     def __post_init__(self) -> None:
         if self.total_time < 0:
@@ -155,18 +154,18 @@ def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) ->
     """
     kind = kind.lower()
     if kind == "none":
-        return PulseSchedule(t, (), kind)
+        return PulseSchedule(t, ())
     if kind == "xx":
-        return PulseSchedule(t, ((0.25 * t, _X_GATE), (0.75 * t, _X_GATE)), kind)
+        return PulseSchedule(t, ((0.25 * t, _X_GATE), (0.75 * t, _X_GATE)))
     if kind == "xy4":
         pulses = ((0.0, _Y_GATE), (0.25 * t, _X_GATE), (0.5 * t, _Y_GATE), (0.75 * t, _X_GATE))
-        return PulseSchedule(t, pulses, kind)
+        return PulseSchedule(t, pulses)
     if kind in MEASURED_BASE:
         if exp is None:
             raise ValueError(f"sequence {kind!r} requires Pauli expectations")
         u = mdd_unitary(exp)
         base = build_schedule(MEASURED_BASE[kind], t)
-        return PulseSchedule(t, ((0.0, u), *base.pulses, (t, u.dagger())), kind)
+        return PulseSchedule(t, ((0.0, u), *base.pulses, (t, u.dagger())))
     m = _KIND_RE.match(kind)
     if m is None:
         raise ValueError(f"unknown sequence kind {kind!r}")
@@ -177,10 +176,10 @@ def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) ->
         if n < 2 or n % 2 != 0:
             raise ValueError(f"udd order must be an even integer >= 2 for a closed sequence, got {n}")
         pulses = tuple((float(tj), _Y_GATE) for tj in udd_times(n, t))
-        return PulseSchedule(t, pulses, kind)
+        return PulseSchedule(t, pulses)
     gates = {"x": _X_GATE, "y": _Y_GATE}
     pulses = tuple((tm, gates[axis]) for tm, axis in qdd_times(n, t))
-    return PulseSchedule(t, pulses, kind)
+    return PulseSchedule(t, pulses)
 
 
 def flip_times(schedule: PulseSchedule) -> list[float]:

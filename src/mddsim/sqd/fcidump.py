@@ -5,7 +5,7 @@ Record conventions (the de-facto standard):
 
     value i j k l   two-electron integral (ij|kl), chemists' notation
     value i j 0 0   one-electron integral h_ij
-    value i 0 0 0   orbital energy (parsed, kept, unused downstream)
+    value i 0 0 0   orbital energy (range-checked, then dropped: nothing reads it)
     value 0 0 0 0   core energy
 
 Two-electron values are completed to the full 8-fold permutational symmetry
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class FciData:
     h: np.ndarray
     eri: np.ndarray
     core_energy: float
-    orbital_energies: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=float)
@@ -129,7 +128,6 @@ def parse_fcidump(text: str) -> FciData:
     h = np.full((norb, norb), np.nan)
     eri = np.full((norb,) * 4, np.nan)
     core = 0.0
-    orbital_energies: dict[int, float] = {}
 
     for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
         stripped = raw.strip()
@@ -157,13 +155,13 @@ def parse_fcidump(text: str) -> FciData:
             _set_with_conflict_check(h, (i - 1, j - 1), value, lineno)
             _set_with_conflict_check(h, (j - 1, i - 1), value, lineno)
         elif i and j == 0 and k == 0 and l == 0:
-            orbital_energies[i - 1] = value
+            pass  # an orbital energy: range-checked above, not kept
         else:
             raise ParseError(f"unrecognized index pattern {(i, j, k, l)}", lineno)
 
     return FciData(norb=norb, nelec=nelec, ms2=ms2,
                    h=np.nan_to_num(h, nan=0.0), eri=np.nan_to_num(eri, nan=0.0),
-                   core_energy=core, orbital_energies=orbital_energies)
+                   core_energy=core)
 
 
 def _pair_index(i: int, j: int) -> int:
@@ -195,7 +193,5 @@ def write_fcidump(fci: FciData) -> str:
         for j in range(i + 1):
             if fci.h[i, j] != 0.0:
                 out.append(record(fci.h[i, j], i + 1, j + 1, 0, 0))
-    for i, eps in sorted(fci.orbital_energies.items()):
-        out.append(record(eps, i + 1, 0, 0, 0))
     out.append(record(fci.core_energy, 0, 0, 0, 0))
     return "\n".join(out) + "\n"

@@ -26,8 +26,10 @@ def hubbard_dimer_energy(u: float = 4.0, hopping: float = 1.0) -> float:
     return (u - math.sqrt(u**2 + 16.0 * hopping**2)) / 2.0
 
 
-def random_fcidump(norb: int, nelec: int, ms2: int = 0, seed: int = 0,
-                   scale: float = 0.4) -> str:
+_ERI_SCALE = 0.4  # standard deviation of the random two-electron integrals
+
+
+def random_fcidump(norb: int, nelec: int, ms2: int = 0, seed: int = 0) -> str:
     """Random symmetric integral tables; useful for oracle cross-checks where
     only internal consistency matters, not chemistry."""
     rng = np.random.default_rng(seed)
@@ -40,7 +42,7 @@ def random_fcidump(norb: int, nelec: int, ms2: int = 0, seed: int = 0,
                 for l in range(k + 1):
                     if _pair_index(i, j) < _pair_index(k, l):
                         continue
-                    value = scale * rng.standard_normal()
+                    value = _ERI_SCALE * rng.standard_normal()
                     for perm in _EIGHTFOLD:
                         eri[tuple((i, j, k, l)[p] for p in perm)] = value
     data = FciData(norb=norb, nelec=nelec, ms2=ms2, h=h, eri=eri,

@@ -138,20 +138,17 @@ class PauliExpectations:
 
 
 class SingleQubitUnitary:
-    """A 2x2 unitary, optionally tagged with the (theta, phi) rotation angles
-    used to construct it from measured expectation values."""
+    """A 2x2 unitary."""
 
-    __slots__ = ("matrix", "theta", "phi")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, theta: float | None = None, phi: float | None = None) -> None:
+    def __init__(self, matrix) -> None:
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
         if not np.max(np.abs(mat.conj().T @ mat - ID2)) <= ATOL:
             raise ValueError("matrix is not unitary within 1e-12")
         object.__setattr__(self, "matrix", _freeze(mat))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
 
     def __setattr__(self, name, value):
         raise AttributeError("SingleQubitUnitary is immutable")

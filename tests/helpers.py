@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from mddsim.analysis import (_RATE_EPS, AnsatzCoefficients, TwoQubitRates, _conjugate,
+from mddsim.analysis import (_RATE_EPS, _STARTS, AnsatzCoefficients, TwoQubitRates, _conjugate,
                              _envelope_slope, _fidelity_table, _gap_passed, _plain,
                              decay_rate_quadratic, local_entanglement_fidelity,
                              superoperator_fidelity)
@@ -109,8 +109,7 @@ def toggled_frame_average_loop(psi, schedule, params, qubit: int = 0) -> float:
 
 
 def optimize_two_qubit_mdd_rowwise(r_i: float, r_j: float, rates: TwoQubitRates,
-                                   starts: int = 20, seed: int = 0
-                                   ) -> tuple[AnsatzCoefficients, float]:
+                                   seed: int = 0) -> tuple[AnsatzCoefficients, float]:
     """The multi-start SLSQP with the four positivity constraints passed as
     four scalar constraints, each finite-differenced on its own: the
     bit-identity oracle for the library's single vector constraint."""
@@ -138,7 +137,7 @@ def optimize_two_qubit_mdd_rowwise(r_i: float, r_j: float, rates: TwoQubitRates,
     best_c, best_val = None, math.inf
     attempts = [np.zeros(3)]
     draws = 0
-    while len(attempts) < starts and draws < 100 * starts:
+    while len(attempts) < _STARTS and draws < 100 * _STARTS:
         draws += 1
         cand = rng.uniform(-1.0, 1.0, size=3)
         if np.all(1.0 + signs @ cand > _RATE_EPS):

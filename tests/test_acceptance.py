@@ -25,7 +25,8 @@ from mddsim.analysis import (
     mixed_state_bounds,
     optimize_two_qubit_mdd,
 )
-from mddsim.circuits import qft_success_probability, qft_success_scenario, sample_counts, simulate, success_probability
+from mddsim.circuits import (qft_final_state, qft_readout, qft_success_scenario, sample_counts, simulate,
+                             success_probability)
 from mddsim.experiments import ExperimentConfig, _purification, colored_noise_fidelity, run
 from mddsim.noise import (
     NOISELESS,
@@ -407,9 +408,9 @@ def test_criterion_9_qft_toy(capsys):
         ideal = success_probability(sample_counts(simulate(circuit, NOISELESS), 10_000, seed=0),
                                     target)
         ordered = True
+        finals = {kind: qft_final_state(4, DEFAULT_NOISE, kind)[0] for kind in ("none", "xx", "mdd")}
         for seed in range(5):
-            values = {kind: qft_success_probability(4, DEFAULT_NOISE, kind, seed=seed)
-                      for kind in ("none", "xx", "mdd")}
+            values = {kind: qft_readout(rho, target, 100_000, seed) for kind, rho in finals.items()}
             ordered &= values["mdd"] >= values["xx"] >= values["none"]
     passed = ideal == 100.0 and ordered and clock.elapsed < 120.0
     announce(capsys, 9, passed, clock, f"ideal {ideal:.1f}%, ordering {'ok' if ordered else 'broken'}")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mddsim.circuits import (
-    GateDurations,
     IdleInterval,
     ScheduledCircuit,
     Slice,
@@ -17,7 +16,8 @@ from mddsim.circuits import (
     identify_idle,
     insert_dd,
     qft_circuit,
-    qft_success_probability,
+    qft_final_state,
+    qft_readout,
     qft_success_scenario,
     sample_counts,
     simulate,
@@ -57,11 +57,9 @@ class TestContainers:
     @pytest.mark.parametrize("build", [
         lambda: Slice(math.nan),
         lambda: circuit_from_dict({"num_qubits": 1, "slices": [{"duration": "nan"}]}),
-        lambda: GateDurations(h=math.nan),
-        lambda: GateDurations(prep=math.nan),
         lambda: identify_idle(qft_circuit(3), math.nan),
         lambda: insert_dd(qft_circuit(3), "xx", DEFAULT_NOISE, math.nan),
-    ], ids=["slice", "from-dict", "gate-h", "gate-prep", "identify-idle", "insert-dd"])
+    ], ids=["slice", "from-dict", "identify-idle", "insert-dd"])
     def test_nan_rejected(self, build):
         with pytest.raises(ValueError):
             build()
@@ -256,11 +254,17 @@ class TestQftScenario:
     def test_alternating_target(self):
         assert alternating_target(5) == "01010"
 
+    def test_scenario_timing(self):
+        # two preparation slices, then H, controlled phases and swaps at 2, 4 and 6 us
+        circuit, _ = qft_success_scenario(4)
+        assert [sl.duration for sl in circuit.slices] == [
+            2.0, 2.0, 2.0, 4.0, 4.0, 4.0, 2.0, 4.0, 4.0, 2.0, 4.0, 2.0, 6.0, 6.0]
+        assert circuit.total_duration == 48.0
+
     def test_strategy_ordering_under_noise(self):
-        rows = []
-        for seed in range(3):
-            rows.append({s: qft_success_probability(4, DEFAULT_NOISE, s, seed=seed, shots=20_000)
-                         for s in ("none", "xx", "mdd")})
+        finals = {s: qft_final_state(4, DEFAULT_NOISE, s) for s in ("none", "xx", "mdd")}
+        rows = [{s: qft_readout(rho, target, 20_000, seed) for s, (rho, target) in finals.items()}
+                for seed in range(3)]
         for row in rows:
             assert row["mdd"] >= row["xx"] >= row["none"]
 

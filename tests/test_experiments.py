@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mddsim.circuits import qft_success_probability
+from mddsim.circuits import qft_final_state, qft_readout
 from mddsim import experiments
 from mddsim.cli import main
 from mddsim.experiments import (
@@ -58,7 +58,7 @@ class TestConfig:
         assert config.sequences == ["none", "mdd+xx", "qdd2"]
 
     @pytest.mark.parametrize("field", ["grid_points", "trials", "sample_shots",
-                                       "samples_per_batch"])
+                                       "samples_per_batch", "num_states"])
     def test_sizes_above_maximum_rejected(self, field):
         # validation only: a run at these sizes would request memory the host lacks
         limit = experiments._MAXIMA[field]
@@ -223,10 +223,10 @@ class TestCliContract:
         main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         lines = (tmp_path / "out" / "qft_success.csv").read_text().splitlines()
         config = ExperimentConfig(experiment="qft-toy", num_qubits=num_qubits)
-        expected = [(seed, kind, qft_success_probability(num_qubits, config.noise, kind,
-                                                          threshold=config.threshold,
-                                                          shots=config.shots, seed=seed))
-                    for seed in range(11, 16) for kind in ("none", "xx", "mdd", "mdd+xx")]
+        finals = {kind: qft_final_state(num_qubits, config.noise, kind, config.threshold)
+                  for kind in ("none", "xx", "mdd", "mdd+xx")}
+        expected = [(seed, kind, qft_readout(rho, target, config.shots, seed))
+                    for seed in range(11, 16) for kind, (rho, target) in finals.items()]
         rows = [(int(seed), kind, float(p)) for seed, kind, p in (l.split(",") for l in lines[1:])]
         assert rows == expected
 
@@ -244,6 +244,12 @@ class TestCliContract:
         assert main(["verify", "--suite", "bounds", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_bounds.json").read_text())
         assert report["passed"] is True
+
+    def test_verify_report_is_sorted_indented_json(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "bounds", "--seed", "3", "--out", str(tmp_path)]) == 0
+        report = experiments.verify_bounds(seed=3)
+        expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "verify_bounds.json").read_bytes() == expected.encode()
 
     def test_csv_values_all_finite(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="filter-noise", num_states=2,
@@ -274,6 +280,8 @@ INVALID_CONFIGS = {
     "grid_points-1": ({"experiment": "two-qubit-opt", "grid_points": 1}, []),
     # rejected by validation: the grid certificate would ask for 71 PiB
     "grid_points-huge": ({"experiment": "two-qubit-opt", "grid_points": 100_000_000}, []),
+    # a sweep holds every state's curves at once: 10^7 states would need tens of GB
+    "num_states-huge": ({"experiment": "fidelity-sweep", "num_states": 10**7}, []),
     # rng.multinomial takes the shot count as a C long
     "shots-huge": ({"experiment": "qft-toy", "num_qubits": 2, "shots": 10**30}, []),
     "sequences-duplicate-case": ({"experiment": "fidelity-sweep", "sequences": ["xx", "xx", "XX"]},

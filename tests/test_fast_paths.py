@@ -198,6 +198,11 @@ class SerialExecutor:
         return map(fn, tasks)
 
 
+def _schedule_key(schedule):
+    """A schedule's duration, pulse times and pulse matrices."""
+    return schedule.total_time, tuple((tm, gate.matrix.tobytes()) for tm, gate in schedule.pulses)
+
+
 @pytest.mark.parametrize(("jobs", "blocks"), [(1, [5]), (2, [3, 2]), (3, [2, 2, 1])],
                          ids=["jobs1", "jobs2", "jobs3"])
 @settings(PROPERTY, max_examples=6)
@@ -213,7 +218,7 @@ def test_sweep_builds_fixed_superoperators_once_per_block(jobs, blocks, kinds):
         return fidelity_table(sigmas, *args)
 
     def counting(schedule, params):
-        key = (schedule.kind, schedule.total_time)
+        key = _schedule_key(schedule)
         built[key] = built.get(key, 0) + 1
         return schedule_superoperator(schedule, params)
 
@@ -227,7 +232,8 @@ def test_sweep_builds_fixed_superoperators_once_per_block(jobs, blocks, kinds):
         per_state = _run_state_tasks(config, kinds, t_grid, jobs)
     assert sizes == blocks and len(per_state) == 5
     bases = {MEASURED_BASE.get(kind, kind) for kind in kinds}
-    assert built == {(base, t): len(blocks) for base in bases for t in t_grid}
+    assert built == {_schedule_key(build_schedule(base, t)): len(blocks)
+                     for base in bases for t in t_grid}
 
 
 def test_sweep_measures_each_state_once(monkeypatch, tmp_path):

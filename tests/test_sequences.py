@@ -70,14 +70,15 @@ class TestPauliExpectations:
 
 class TestMddUnitary:
     def test_aligned_state_gives_identity(self):
-        u = mdd_unitary(PauliExpectations(0.0, 0.0, 0.7))
-        assert u.theta == pytest.approx(0.0)
-        assert equal_up_to_phase(u.matrix, np.eye(2))
+        exp = PauliExpectations(0.0, 0.0, 0.7)
+        u = mdd_unitary(exp).matrix
+        # U sigma U^dag is diagonal with the larger eigenvalue (1 + r)/2 first
+        out = u @ density_from_bloch(exp).entries @ u.conj().T
+        np.testing.assert_allclose(out, [[0.85, 0], [0, 0.15]], atol=1e-12)
+        assert equal_up_to_phase(u, np.eye(2))
 
     def test_equator_state_rotated_to_ground(self):
         u = mdd_unitary(PauliExpectations(1.0, 0.0, 0.0))
-        assert u.theta == pytest.approx(math.pi / 2)
-        assert u.phi == pytest.approx(0.0)
         plus = 0.5 * (np.eye(2) + PAULI_X)
         out = u.matrix @ plus @ u.matrix.conj().T
         np.testing.assert_allclose(out, [[1, 0], [0, 0]], atol=1e-14)
@@ -296,7 +297,7 @@ class TestEvolveWithSchedule:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             PulseSchedule(1.0, ((0.7, mdd_unitary(PauliExpectations(0, 0, 0))),
-                                (0.3, mdd_unitary(PauliExpectations(0, 0, 0)))), "bad")
+                                (0.3, mdd_unitary(PauliExpectations(0, 0, 0)))))
 
 
 class TestMeasureExpectations:

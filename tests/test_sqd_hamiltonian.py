@@ -82,6 +82,16 @@ class TestParse:
         with pytest.raises(ParseError, match="&FCI"):
             parse_fcidump("NORB=2\n&END\n")
 
+    def test_orbital_energy_records_are_range_checked_and_dropped(self):
+        energies = " -0.52    1 0 0 0\n  0.31    2 0 0 0\n"
+        fci, ref = parse_fcidump(MINIMAL + energies), parse_fcidump(MINIMAL)
+        assert np.array_equal(fci.h, ref.h) and np.array_equal(fci.eri, ref.eri)
+        assert fci.core_energy == ref.core_energy
+        with pytest.raises(ParseError, match="line 13: orbital index 3 out of range"):
+            parse_fcidump(MINIMAL + "  0.31    3 0 0 0\n")
+        with pytest.raises(ParseError, match="orbital index -1 out of range"):
+            parse_fcidump(MINIMAL + "  0.31   -1 0 0 0\n")
+
     def test_conflicting_duplicate_rejected(self):
         bad = MINIMAL + "  0.99    1 1 1 1\n"
         with pytest.raises(ParseError, match="conflicting"):
@@ -144,9 +154,7 @@ def fci_data(draw):
             value = draw(values)
             for p, q, r, s in ((i, j, k, l), (k, l, i, j)):
                 eri[p, q, r, s] = eri[q, p, r, s] = eri[p, q, s, r] = eri[q, p, s, r] = value
-    energies = draw(st.dictionaries(st.integers(0, norb - 1), values, max_size=norb))
-    return FciData(norb=norb, nelec=nelec, ms2=ms2, h=h, eri=eri,
-                   core_energy=draw(values), orbital_energies=energies)
+    return FciData(norb=norb, nelec=nelec, ms2=ms2, h=h, eri=eri, core_energy=draw(values))
 
 
 PARSE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -159,7 +167,6 @@ def test_parse_inverts_write(fci):
     assert (back.norb, back.nelec, back.ms2) == (fci.norb, fci.nelec, fci.ms2)
     assert np.array_equal(back.h, fci.h) and np.array_equal(back.eri, fci.eri)
     assert back.core_energy == fci.core_energy
-    assert back.orbital_energies == fci.orbital_energies
 
 
 junk_lines = (st.text(alphabet=" -+.0123456789eEdDnaifNORBLCMS=&/,", max_size=30)
