@@ -1,8 +1,8 @@
 """The combined relaxation + dephasing channel and its generator.
 
-Walks through the scalar decomposition of the channel, its fixed point, the
-semigroup property, and the agreement between the Kraus map and its Lindblad
-generator.
+Walks through the channel's closed form (a population matrix P and a
+coherence factor c), its fixed point, the semigroup property, and the
+agreement between the Kraus map and its Lindblad generator.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import numpy as np
 from mddsim import (
     DensityMatrix,
     NoiseParams,
+    PhaseCovariantChannel,
     combined_channel,
     lindblad_derivative,
     relaxation_dephasing_jumps,
@@ -21,12 +22,11 @@ params = NoiseParams(t1=250.0, t2=170.0)
 print(f"T1 = {params.t1} us, T2 = {params.t2} us  ->  pure-dephasing time Tp = {params.tp:.2f} us")
 
 channel = combined_channel(params, t=100.0)
-sc = channel.scalars
-print("\nchannel scalars at t = 100 us:")
-for key in ("s", "p", "gamma_p", "a", "b", "alpha", "beta"):
-    print(f"  {key:8s} = {sc[key]:.6f}")
-print(f"  consistency: s * gamma_p = {sc['s'] * sc['gamma_p']:.6f} "
-      f"= exp(-t/T2) = {np.exp(-100 / 170):.6f}")
+closed = PhaseCovariantChannel.relaxation(params, t=100.0)
+print("\nat t = 100 us the channel maps the populations by P = [[1, p], [0, 1 - p]]")
+print(closed.populations)
+print("and multiplies the coherence rho01 by c = s * gamma_p")
+print(f"  consistency: c = {closed.coherence.real:.6f} = exp(-t/T2) = {np.exp(-100 / 170):.6f}")
 
 ground = np.array([[1, 0], [0, 0]], dtype=complex)
 print("\nthe ground state is a fixed point:")

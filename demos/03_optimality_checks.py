@@ -11,9 +11,9 @@ import numpy as np
 from mddsim import (
     DecayRates,
     NoiseParams,
+    PhaseCovariantChannel,
     TwoQubitRates,
     c3_section_feasible,
-    combined_channel,
     decay_rate,
     grid_minimum_two_qubit,
     haar_random_state,
@@ -45,7 +45,7 @@ print(f"  aligned rate {aligned:.6e} /us, sampled minimum {min(sampled):.6e} /us
 print("\nfidelity bracket for a mixed subsystem (diagonalized, eigenvalues descending):")
 vals = np.linalg.eigvalsh(sigma.entries)[::-1]
 diag = DensityMatrix(np.diag(vals / vals.sum()))
-upper, lower = mixed_state_bounds(diag, combined_channel(params, 200.0))
+upper, lower = mixed_state_bounds(diag, PhaseCovariantChannel.relaxation(params, 200.0))
 print(f"  lower {lower:.6f} <= aligned fidelity <= upper {upper:.6f}")
 
 print("\ntwo-qubit crosstalk ansatz:")

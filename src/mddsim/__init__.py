@@ -17,11 +17,11 @@ from .noise import (
     JumpOperator,
     KrausChannel,
     NoiseParams,
+    PhaseCovariantChannel,
     SpectralDensity,
     apply_local,
     chi_integral,
     combined_channel,
-    dephasing_channel_from_chi,
     filter_function,
     lindblad_derivative,
     relaxation_dephasing_jumps,

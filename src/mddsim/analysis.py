@@ -1,9 +1,6 @@
 """Closed-form fidelity functionals, optimality verifiers, decay-rate
-formulas, and the two-qubit crosstalk ansatz optimizer.
-
-The closed-form fidelity quadratic f(r_z) in the aligned z-component, whose
-maximum at r_z = r is what the measurement-driven sequence achieves, backs
-no run: it lives in ``tests/helpers.py`` with the tests that check it.
+formulas, and the two-qubit crosstalk ansatz optimizer. The fidelity quadratic
+f(r_z) in the aligned z-component backs no run and lives in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -15,13 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._lazy import lazy_import
-from .noise import KrausChannel, NoiseParams, combined_channel, relaxation_dephasing_jumps
+from .noise import KrausChannel, NoiseParams, PhaseCovariantChannel, relaxation_dephasing_jumps
 from .sequences import (
     MEASURED_BASE,
     build_schedule,
     is_measurement_driven,
     mdd_unitary,
-    schedule_superoperator,
+    schedule_channel,
 )
 from .states import (
     ATOL,
@@ -85,7 +82,7 @@ def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) 
 
     Equals the full-space entanglement fidelity of the conjugated channel on
     any purification of ``sigma``; the equivalence is what the tests probe.
-    The library contracts :func:`superoperator_fidelity`; this Kraus sum stays as its
+    The library takes :meth:`PhaseCovariantChannel.fidelity`; this Kraus sum stays as its
     oracle and as what ``verify_decay`` differentiates, whose margin is its roundoff.
     """
     if sigma.num_qubits != 1:
@@ -96,25 +93,6 @@ def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) 
     for m in channel.operators:
         total += abs(np.trace(m @ rotated)) ** 2
     return float(total)
-
-
-def superoperator_fidelity(sigma, superop: np.ndarray):
-    """Entanglement fidelity sum_K |Tr(K sigma)|^2 of the single-qubit channel
-    with row-major superoperator ``superop`` (a :attr:`KrausChannel.superop` or
-    a composition of them), on any purification of ``sigma``: a float, or one
-    value per state of a (..., 2, 2) stack.
-
-    The realigned matrix C[ab, cd] = sum_K K_ab conj(K_cd) is independent of
-    the Kraus decomposition, and F = vec(sigma^T) C vec(sigma^T)^dag, real and
-    summed entrywise as Re(w . conj(v)) with v = vec(sigma^T) and w = v C, clamped
-    to [0, 1] against roundoff (an aligned pure state reads 1 + 4e-16).
-    """
-    choi = superop.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    mat = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    v = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (4,))
-    w = v @ choi
-    vals = (w.real * v.real + w.imag * v.imag).sum(-1).clip(0.0, 1.0)
-    return float(vals) if vals.ndim == 0 else vals
 
 
 @dataclass
@@ -140,12 +118,11 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
     Haar-random conjugation pairs for the given channel duration."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    superop = combined_channel(params, t).superop
+    channel = PhaseCovariantChannel.relaxation(params, t)
     b = bloch_vector(sigma)
-    u_d = mdd_unitary(b)
-    mdd_value = superoperator_fidelity(_conjugate(sigma.entries, u_d.matrix), superop)
+    mdd_value = channel.fidelity(_conjugate(sigma.entries, mdd_unitary(b).matrix))
     rng = np.random.default_rng(seed)
-    vals = superoperator_fidelity(_conjugate(sigma.entries, _haar_batch(trials, rng)), superop)
+    vals = channel.fidelity(_conjugate(sigma.entries, _haar_batch(trials, rng)))
     best = float(np.max(vals))
     violations = int(np.sum(vals > mdd_value + 1e-10))
     worst = {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t}
@@ -155,22 +132,22 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
                        best_competitor=best, violations=violations)
 
 
-def _fidelity_table(sigmas, kinds, t_grid, superop_of) -> list[dict]:
+def _fidelity_table(sigmas, kinds, t_grid, channel_of) -> list[dict]:
     """Each state's fidelity curve for each kind, from single-qubit reduced states;
-    ``superop_of`` maps a fixed schedule to its superoperator. U^dag E U on sigma has
-    the fidelity of E on U sigma U^dag, so a measured kind is its base kind on the states
-    its MDD unitaries U align, and one superoperator per base kind and duration serves all."""
+    ``channel_of`` maps a fixed schedule to its :class:`PhaseCovariantChannel`. U^dag E U on
+    sigma has the fidelity of E on U sigma U^dag, so a measured kind is its base kind on the
+    states its MDD unitaries U align, and one channel per base kind and duration serves all."""
     states = np.array([sigma.entries for sigma in sigmas])
     if any(map(is_measurement_driven, kinds)):
         aligned = _conjugate(states, np.array([mdd_unitary(bloch_vector(sigma)).matrix
                                                for sigma in sigmas]))
     bases = {kind: MEASURED_BASE.get(kind.lower(), kind) for kind in kinds}
-    superops = {(base, t): superop_of(build_schedule(base, t))
+    channels = {(base, t): channel_of(build_schedule(base, t))
                 for base in dict.fromkeys(bases.values()) for t in t_grid}
     table = [{} for _ in sigmas]
     for kind, base in bases.items():
         stack = aligned if is_measurement_driven(kind) else states
-        fids = np.array([superoperator_fidelity(stack, superops[base, t]) for t in t_grid])
+        fids = np.array([channels[base, t].fidelity(stack) for t in t_grid])
         for curves, row in zip(table, fids.T):
             curves[kind] = row.tolist()
     return table
@@ -186,7 +163,7 @@ def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: 
     """
     sigma = reduced_density(psi, [qubit])
     return _fidelity_table([sigma], [kind], [t],
-                           lambda s: schedule_superoperator(s, params))[0][kind][0]
+                           lambda s: schedule_channel(s, params))[0][kind][0]
 
 
 GAP_TOL = 1e-10
@@ -209,23 +186,24 @@ def _gap_passed(margin: float, slope: float | None) -> bool:
     return bool(margin >= -GAP_TOL or (slope is not None and slope >= 1.8))
 
 
-def mixed_state_bounds(sigma_d: DensityMatrix, channel: KrausChannel) -> tuple[float, float]:
-    """Upper and lower bounds on the entanglement fidelity of the aligned
-    sequence for a mixed input with diagonalized subsystem ``sigma_d``.
+def mixed_state_bounds(sigma_d: DensityMatrix,
+                       channel: PhaseCovariantChannel) -> tuple[float, float]:
+    """Upper and lower bounds on the entanglement fidelity of the aligned sequence for a
+    mixed input with diagonalized subsystem ``sigma_d`` = diag(l0, l1), mapped to diag(e0, e1):
 
-    upper = Tr(sigma_d E(sigma_d)) + 2 sqrt(det sigma_d det E(sigma_d))
-    lower = sum_jk |Tr(M_jk sigma_d)|^2, the local fidelity with no rotation
+    upper = Tr(sigma_d E(sigma_d)) + 2 sqrt(det sigma_d det E(sigma_d)), (e0, e1) = P (l0, l1)
+    lower = P00 l0^2 + P11 l1^2 + 2 Re(c) l0 l1, the fidelity with no rotation
     """
     mat = sigma_d.entries
     if np.max(np.abs(mat - np.diag(np.diagonal(mat)))) > 1e-12:
         raise ValueError("subsystem state must be diagonal")
     if mat[0, 0].real < mat[1, 1].real - 1e-12:
         raise ValueError("diagonal entries must be in descending order")
-    out = channel.apply(mat)
-    upper = float(np.trace(mat @ out).real
-                  + 2.0 * math.sqrt(max(np.linalg.det(mat).real, 0.0)
-                                    * max(np.linalg.det(out).real, 0.0)))
-    return upper, superoperator_fidelity(sigma_d, channel.superop)
+    l0, l1 = mat[0, 0].real, mat[1, 1].real
+    (p00, p01), (p10, p11) = channel.populations
+    e0, e1 = p00 * l0 + p01 * l1, p10 * l0 + p11 * l1
+    upper = float(l0 * e0 + l1 * e1 + 2.0 * math.sqrt(max(l0 * l1, 0.0) * max(e0 * e1, 0.0)))
+    return upper, channel.fidelity(mat)
 
 
 @dataclass(frozen=True)

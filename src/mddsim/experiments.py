@@ -33,16 +33,9 @@ from .analysis import (
     optimize_two_qubit_mdd,
 )
 from .circuits import qft_circuit, qft_final_state, qft_readout
-from .noise import (NoiseParams, SpectralDensity, chi_integral, combined_channel,
-                    dephasing_channel_from_chi)
-from .sequences import (
-    MEASURED_BASE,
-    build_schedule,
-    flip_times,
-    mdd_unitary,
-    schedule_superoperator,
-    superoperator,
-)
+from .noise import (NoiseParams, PhaseCovariantChannel, SpectralDensity, apply_local,
+                    chi_integral, combined_channel)
+from .sequences import MEASURED_BASE, build_schedule, flip_times, mdd_unitary, schedule_channel
 from .sqd import (
     MAX_DENSE_DIM,
     RecoveryConfig,
@@ -79,6 +72,7 @@ _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2
 # shots is the count of one multinomial draw, which must fit a C long (2^63 - 1)
 _MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6,
            "shots": 10**18, "num_states": 10**4}
+_MAX_DURATIONS = 10**4  # len(t_grid): each duration is a column of every fidelity curve
 
 
 class ConfigError(ValueError):
@@ -91,7 +85,8 @@ class ExperimentConfig:
     transmon processor: T1 = 250 us, T2 = 170 us, cutoff 0.1 /us, 1e4
     measurement shots, smoothness 0.01, 10 batches of 300 samples. Sequence
     names are read in any case and must be distinct. ``grid_points`` is at
-    most 1001, ``num_states`` at most 10^4; ``trials``, ``sample_shots`` and
+    most 1001, ``num_states`` and the length of ``t_grid`` at most 10^4
+    (``_MAX_DURATIONS``); ``trials``, ``sample_shots`` and
     ``samples_per_batch`` are at most 10^6, and ``shots`` at most 10^18
     (``_MAXIMA``)."""
 
@@ -144,6 +139,9 @@ class ExperimentConfig:
             grid = self.t_grid = [float(t) for t in self.t_grid]
             if any(not 0 < t < math.inf for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("t_grid must be finite, positive and strictly increasing")
+            if len(grid) > _MAX_DURATIONS:
+                raise ValueError(f"t_grid must hold at most {_MAX_DURATIONS} durations, "
+                                 f"got {len(grid)}")
             NoiseParams(t1=self.t1, t2=self.t2)
             SpectralDensity("ohmic", omega_c=self.omega_c)
             if any(not isinstance(kind, str) for kind in self.sequences):
@@ -230,8 +228,7 @@ def _sweep_block_task(args) -> list[dict]:
     seed, start, stop, num_qubits, params, sequences, t_grid = args
     sigmas = [reduced_density(haar_random_state(num_qubits, seed=(seed, i)), [0])
               for i in range(start, stop)]
-    return _fidelity_table(sigmas, sequences, t_grid,
-                           partial(schedule_superoperator, params=params))
+    return _fidelity_table(sigmas, sequences, t_grid, partial(schedule_channel, params=params))
 
 
 def _run_state_tasks(config: ExperimentConfig, sequences, t_grid, jobs: int):
@@ -286,14 +283,14 @@ def _theorem_verdicts(config: ExperimentConfig, jobs: int = 1) -> tuple[list[lis
     per_state = _run_state_tasks(config, ["mdd"] + sequences, t_grid, jobs)
     rows, verdicts = [], []
     for kind in sequences:
-        points = [(t, idx, f_mdd, f_seq, f_mdd - f_seq) for idx, curves in enumerate(per_state)
-                  for t, f_mdd, f_seq in zip(t_grid, curves["mdd"], curves[kind])]
-        rows += [[t, kind, idx, f_mdd, f_seq, gap] for t, idx, f_mdd, f_seq, gap in points]
-        gaps = [gap for *_, gap in points]
+        block = [[t, kind, idx, f_mdd, f_seq, f_mdd - f_seq] for idx, curves in enumerate(per_state)
+                 for t, f_mdd, f_seq in zip(t_grid, curves["mdd"], curves[kind])]
+        rows += block
+        gaps = np.array([row[5] for row in block])
         worst = int(np.argmin(gaps))
-        slope = _envelope_slope([t for t, *_ in points], gaps)
-        verdicts.append({"claim_id": f"theorem-gap-{kind}", "margin": gaps[worst],
-                         "worst_case": {"t": points[worst][0], "state": points[worst][1]},
+        slope = _envelope_slope([row[0] for row in block], gaps)
+        verdicts.append({"claim_id": f"theorem-gap-{kind}", "margin": block[worst][5],
+                         "worst_case": {"t": block[worst][0], "state": block[worst][2]},
                          "seed": config.seed, "envelope_slope": slope,
                          "passed": _gap_passed(gaps[worst], slope)})
     return rows, verdicts
@@ -317,23 +314,18 @@ def colored_noise_fidelity(psi: PureState, kind: str, t1: float,
                            spectrum: SpectralDensity, t: float, qubit: int = 0,
                            chi: float | None = None) -> float:
     """Entanglement fidelity of one state at one duration under relaxation plus
-    filter-shaped dephasing: the per-point reference for ``filter-noise``.
-
-    Model choice: relaxation acts as a single untoggled T1 channel over the
-    full interval, while the pulse train shapes only the colored dephasing
-    through its filter function; pulses act on the dephasing alone. As in
-    every fidelity table, a measurement-driven kind is its base sequence on
-    the state its MDD unitary aligns.
-    """
+    filter-shaped dephasing, the per-point reference for ``filter-noise``: one untoggled
+    T1 channel over [0, t], and pulses that act on the dephasing alone, through chi. A
+    measurement-driven kind is its base sequence on the state its MDD unitary aligns."""
     sigma = reduced_density(psi, [qubit])
-    return _fidelity_table([sigma], [kind], [t], lambda s: _colored_superoperator(
+    return _fidelity_table([sigma], [kind], [t], lambda s: _colored_channel(
         t1, t, chi_integral(spectrum, flip_times(s), t) if chi is None else chi))[0][kind][0]
 
 
-def _colored_superoperator(t1: float, t: float, chi: float) -> np.ndarray:
-    """The model's superoperator over [0, t]: T1 damping, then dephasing of exponent ``chi``."""
-    return superoperator(combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t),
-                         dephasing_channel_from_chi(chi))
+def _colored_channel(t1: float, t: float, chi: float) -> PhaseCovariantChannel:
+    """The model's channel over [0, t]: T1 damping, then dephasing of exponent ``chi``."""
+    damping = PhaseCovariantChannel.relaxation(NoiseParams(t1=t1, t2=2.0 * t1), t)
+    return PhaseCovariantChannel(damping.populations, damping.coherence * math.exp(-chi))
 
 
 def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
@@ -351,7 +343,7 @@ def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> 
                 if key not in chis:
                     chis[key] = chi_integral(spectrum, *key)
                 chi_rows.append([spec_kind, kind, t, chis[key]])
-        table = _fidelity_table(sigmas, sequences, t_grid, lambda s: _colored_superoperator(
+        table = _fidelity_table(sigmas, sequences, t_grid, lambda s: _colored_channel(
             config.t1, s.total_time, chis[tuple(flip_times(s)), s.total_time]))
         fid_rows += [[spec_kind, kind, t, *stats] for kind in sequences
                      for t, stats in zip(t_grid, _curve_stats(table, kind))]
@@ -532,7 +524,6 @@ def verify_decay(seed: int = 0, trials: int = 100) -> dict:
 
 def verify_bounds(seed: int = 0, trials: int = 100) -> dict:
     rng = np.random.default_rng(seed)
-    from .noise import apply_local
     violations = 0
     worst_slack = math.inf
     for _ in range(trials):
@@ -542,10 +533,10 @@ def verify_bounds(seed: int = 0, trials: int = 100) -> dict:
         diag = DensityMatrix(np.diag(np.maximum(vals[::-1], 0) / np.maximum(vals, 0).sum()))
         t1 = float(rng.uniform(50, 500))
         params = NoiseParams(t1=t1, t2=float(rng.uniform(10, 2 * t1)))
-        channel = combined_channel(params, float(rng.uniform(1, 400)))
-        upper, lower = mixed_state_bounds(diag, channel)
+        t = float(rng.uniform(1, 400))
+        upper, lower = mixed_state_bounds(diag, PhaseCovariantChannel.relaxation(params, t))
         phi = PureState(_purification(diag.entries))
-        simulated = entanglement_fidelity(phi, apply_local(channel, phi, qubit=0))
+        simulated = entanglement_fidelity(phi, apply_local(combined_channel(params, t), phi, 0))
         slack = min(upper + 1e-10 - simulated, simulated - lower + 1e-10)
         worst_slack = min(worst_slack, slack)
         violations += not (lower - 1e-10 <= simulated <= upper + 1e-10)

@@ -10,9 +10,9 @@ Scalar conventions used throughout (durations in microseconds):
     alpha, beta = (1 +- gamma_p) / 2
 
 With these, the channel maps rho to
-[[rho00 + p rho11, e^{-t/T2} rho01], [e^{-t/T2} rho10, (1-p) rho11]],
-so the off-diagonal factor factorizes as s * gamma_p = e^{-t/T2} and the
-ground state |0><0| is an exact fixed point.
+[[rho00 + p rho11, e^{-t/T2} rho01], [e^{-t/T2} rho10, (1-p) rho11]]:
+populations P = [[1, p], [0, 1 - p]] and coherence c = s * gamma_p = e^{-t/T2},
+and the ground state |0><0| is an exact fixed point.
 """
 
 from __future__ import annotations
@@ -88,15 +88,10 @@ class KrausChannel:
     through it. The row-major vec(rho) of N qubits is a 2N-qubit register,
     and on qubit q ``superop`` acts on its axes q and N + q, the row and
     column bits of q.
-    Channels built by :func:`combined_channel` and
-    :func:`dephasing_channel_from_chi` also carry the scalar decomposition
-    (s, p, gamma_p, a, b, alpha, beta) used by the closed-form fidelity
-    expressions; ad-hoc channels leave ``scalars`` as None. Channels
-    compare and hash by identity, since their fields are arrays.
+    Channels compare and hash by identity, since their fields are arrays.
     """
 
     operators: tuple
-    scalars: dict | None = None
     superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -116,7 +111,16 @@ class KrausChannel:
         return _apply_local_raw(self, rho, 0, 1)
 
 
-def _channel_from_scalars(s: float, gamma_p: float) -> KrausChannel:
+def _survival(params: NoiseParams, t: float) -> tuple[float, float]:
+    """The scalars s and gamma_p of a duration t >= 0."""
+    if t < 0:
+        raise ValueError(f"duration must be nonnegative, got {t}")
+    return math.exp(-t / (2.0 * params.t1)), math.exp(-t / params.tp)
+
+
+def combined_channel(params: NoiseParams, t: float) -> KrausChannel:
+    """Simultaneous amplitude damping and dephasing over a duration t >= 0."""
+    s, gamma_p = _survival(params, t)
     p = 1.0 - s * s
     a = (1.0 + s) / 2.0
     b = (1.0 - s) / 2.0
@@ -128,24 +132,44 @@ def _channel_from_scalars(s: float, gamma_p: float) -> KrausChannel:
     m12 = math.sqrt(alpha) * k_ad2
     m21 = math.sqrt(beta) * (b * ID2 + a * PAULI_Z)   # diag(1, -s) scaled
     m22 = math.sqrt(beta) * k_ad2
-    scalars = {"s": s, "p": p, "gamma_p": gamma_p, "a": a, "b": b, "alpha": alpha, "beta": beta}
-    return KrausChannel(operators=(m11, m12, m21, m22), scalars=scalars)
+    return KrausChannel(operators=(m11, m12, m21, m22))
 
 
-def combined_channel(params: NoiseParams, t: float) -> KrausChannel:
-    """Simultaneous amplitude damping and dephasing over a duration t >= 0."""
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
-    s = math.exp(-t / (2.0 * params.t1))
-    gamma_p = math.exp(-t / params.tp)
-    return _channel_from_scalars(s, gamma_p)
+@dataclass(frozen=True, eq=False)
+class PhaseCovariantChannel:
+    """A single-qubit channel that commutes with z-rotations: the read-only,
+    column-stochastic ``populations`` P maps (rho00, rho11), and ``coherence``
+    c multiplies rho01 (rho10 by conj(c)). Relaxation plus dephasing is one, and
+    so is any X/Y pulse train between such gaps. Compared by identity."""
 
+    populations: np.ndarray
+    coherence: complex
 
-def dephasing_channel_from_chi(chi: float) -> KrausChannel:
-    """Pure phase damping that multiplies off-diagonals by exp(-chi)."""
-    if chi < 0:
-        raise ValueError(f"chi must be nonnegative, got {chi}")
-    return _channel_from_scalars(s=1.0, gamma_p=math.exp(-chi))
+    def __post_init__(self) -> None:
+        pops = np.array(self.populations, dtype=float).reshape(2, 2)
+        pops.flags.writeable = False
+        object.__setattr__(self, "populations", pops)
+        object.__setattr__(self, "coherence", complex(self.coherence))
+
+    @classmethod
+    def relaxation(cls, params: NoiseParams, t: float) -> "PhaseCovariantChannel":
+        """:func:`combined_channel` in closed form: P = [[1, p], [0, 1 - p]], c = s gamma_p."""
+        s, gamma_p = _survival(params, t)
+        p = 1.0 - s * s
+        return cls([[1.0, p], [0.0, 1.0 - p]], s * gamma_p)
+
+    def fidelity(self, sigma):
+        """sum_K |Tr(K sigma)|^2 on any purification of a 2x2 ``sigma`` (a float) or
+        of each state of a (..., 2, 2) stack: P00 s00^2 + P11 s11^2 + (P01 + P10)|s01|^2
+        + 2 Re(c) s00 s11, clamped to [0, 1] against roundoff. Real arithmetic entry
+        by entry, so a state rounds alike alone and in any stack."""
+        mat = np.asarray(sigma)
+        s00, s11, s01 = mat[..., 0, 0].real, mat[..., 1, 1].real, mat[..., 0, 1]
+        (p00, p01), (p10, p11) = self.populations
+        vals = np.clip(p00 * s00 * s00 + p11 * s11 * s11
+                       + (p01 + p10) * (s01.real * s01.real + s01.imag * s01.imag)
+                       + 2.0 * self.coherence.real * s00 * s11, 0.0, 1.0)
+        return float(vals) if vals.ndim == 0 else vals
 
 
 def apply_local(channel: KrausChannel, state: PureState | DensityMatrix, qubit: int) -> DensityMatrix:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import KrausChannel, NoiseParams, _apply_local_raw, combined_channel
+from .noise import (KrausChannel, NoiseParams, PhaseCovariantChannel, _apply_local_raw,
+                    combined_channel)
 from .states import (
     DensityMatrix,
     ID2,
@@ -219,7 +220,7 @@ def evolve_with_schedule(state: PureState | DensityMatrix, schedule: PulseSchedu
     time to ``qubit`` of the full state; an empty schedule is the bare channel.
 
     No run calls it. It is the full-space oracle the tests hold
-    :func:`schedule_superoperator` to, and it stays here because the
+    :func:`schedule_channel` to, and it stays here because the
     benchmark's tracer (``perfbench/tracer.py``) looks it up in this module."""
     rho, n = _as_matrix(state)
     if not 0 <= qubit < n:
@@ -229,15 +230,20 @@ def evolve_with_schedule(state: PureState | DensityMatrix, schedule: PulseSchedu
     return DensityMatrix(rho)
 
 
-def superoperator(*channels: KrausChannel) -> np.ndarray:
-    """Row-major 4x4 superoperator of single-qubit channels applied in the
-    order given: the product of their ``superop`` matrices, last one leftmost."""
-    total = np.eye(4, dtype=complex)
-    for channel in channels:
-        total = channel.superop @ total
-    return total
-
-
-def schedule_superoperator(schedule: PulseSchedule, params: NoiseParams) -> np.ndarray:
-    """The target-qubit action of :func:`evolve_with_schedule` as one superoperator."""
-    return superoperator(*_schedule_maps(schedule, params))
+def schedule_channel(schedule: PulseSchedule, params: NoiseParams) -> PhaseCovariantChannel:
+    """The target-qubit action of :func:`evolve_with_schedule` for an even number of X
+    and of Y pulses, composed in their toggling frame: a gap after an odd number of pulses
+    is flipped, X E X = Y E Y, which swaps P's rows and columns and conjugates c."""
+    xs, ys = (sum(np.array_equal(gate.matrix, m) for _, gate in schedule.pulses)
+              for m in (PAULI_X, PAULI_Y))
+    if xs + ys < len(schedule.pulses) or xs % 2 or ys % 2:
+        raise ValueError(f"a schedule channel needs X and Y pulses, an even number of each; "
+                         f"got {xs} X and {ys} Y of {len(schedule.pulses)} pulses")
+    times = [0.0, *(tm for tm, _ in schedule.pulses), schedule.total_time]
+    pops, coherence = np.eye(2), 1.0
+    for k, (start, stop) in enumerate(zip(times, times[1:])):
+        if stop > start:
+            gap = PhaseCovariantChannel.relaxation(params, stop - start)
+            pops = (gap.populations[::-1, ::-1] if k % 2 else gap.populations) @ pops
+            coherence *= gap.coherence.conjugate() if k % 2 else gap.coherence
+    return PhaseCovariantChannel(pops, coherence)

@@ -11,15 +11,14 @@ from scipy import optimize
 
 from mddsim.analysis import (_RATE_EPS, _STARTS, AnsatzCoefficients, TwoQubitRates, _conjugate,
                              _envelope_slope, _fidelity_table, _gap_passed, _plain,
-                             decay_rate_quadratic, local_entanglement_fidelity,
-                             superoperator_fidelity)
+                             decay_rate_quadratic, local_entanglement_fidelity)
 from mddsim.circuits import (Gate, ScheduledCircuit, Slice, _insert_pulse, _pulse_gate,
                              _simulate_raw, cp_gate, custom_gate, h_gate, identify_idle,
                              x_gate, y_gate)
-from mddsim.noise import KrausChannel, NoiseParams, combined_channel
-from mddsim.sequences import (MEASURED_BASE, PulseSchedule, build_schedule, evolve_with_schedule,
-                              is_measurement_driven, mdd_unitary, measure_expectations,
-                              schedule_superoperator)
+from mddsim.noise import KrausChannel, NoiseParams, PhaseCovariantChannel, combined_channel
+from mddsim.sequences import (MEASURED_BASE, PulseSchedule, _schedule_maps, build_schedule,
+                              evolve_with_schedule, is_measurement_driven, mdd_unitary,
+                              measure_expectations, schedule_channel)
 from mddsim.sqd import FciData
 from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
                            PureState, _apply_left, _as_matrix, _haar_batch, apply_matrix,
@@ -84,15 +83,75 @@ def embed_operator(op: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     return tensor.reshape(2**num_qubits, 2**num_qubits)
 
 
-def channel_from_p_gamma(p: float, gamma_p: float):
-    """Combined channel with a prescribed damping probability and dephasing
-    factor, built through the public time-parameterized constructor."""
+def _p_gamma_params(p: float, gamma_p: float) -> NoiseParams:
+    """Noise whose channel over t = 1 has damping probability p and
+    pure-dephasing factor gamma_p."""
     s = math.sqrt(1.0 - p)
     t1 = math.inf if s == 1.0 else -1.0 / (2.0 * math.log(s))
     tp = math.inf if gamma_p == 1.0 else -1.0 / math.log(gamma_p)
     inv_t2 = (0.0 if math.isinf(tp) else 1.0 / tp) + 1.0 / (2.0 * t1)
     t2 = math.inf if inv_t2 == 0.0 else 1.0 / inv_t2
-    return combined_channel(NoiseParams(t1=t1, t2=t2), t=1.0)
+    return NoiseParams(t1=t1, t2=t2)
+
+
+def channel_from_p_gamma(p: float, gamma_p: float) -> KrausChannel:
+    """Combined channel with a prescribed damping probability and dephasing
+    factor, built through the public time-parameterized constructor."""
+    return combined_channel(_p_gamma_params(p, gamma_p), t=1.0)
+
+
+def covariant_from_p_gamma(p: float, gamma_p: float) -> PhaseCovariantChannel:
+    """The same channel as :func:`channel_from_p_gamma`, as P and c."""
+    return PhaseCovariantChannel.relaxation(_p_gamma_params(p, gamma_p), t=1.0)
+
+
+def dephasing_channel_from_chi(chi: float) -> KrausChannel:
+    """Pure phase damping that multiplies off-diagonals by exp(-chi): the Kraus
+    pair (sqrt(alpha) I, sqrt(beta) Z), alpha, beta = (1 +- exp(-chi)) / 2. The
+    colored-noise model's dephasing, as the dense oracle applies it."""
+    if chi < 0:
+        raise ValueError(f"chi must be nonnegative, got {chi}")
+    gamma = math.exp(-chi)
+    return KrausChannel((math.sqrt((1.0 + gamma) / 2.0) * ID2,
+                         math.sqrt((1.0 - gamma) / 2.0) * PAULI_Z))
+
+
+def superoperator(*channels: KrausChannel) -> np.ndarray:
+    """Row-major 4x4 superoperator of single-qubit channels applied in the
+    order given: the product of their ``superop`` matrices, last one leftmost."""
+    total = np.eye(4, dtype=complex)
+    for channel in channels:
+        total = channel.superop @ total
+    return total
+
+
+def schedule_superoperator(schedule: PulseSchedule, params: NoiseParams) -> np.ndarray:
+    """The target-qubit action of ``evolve_with_schedule`` as one superoperator,
+    gap channels and pulses multiplied in time order: the oracle for
+    ``schedule_channel``, for any pulses."""
+    return superoperator(*_schedule_maps(schedule, params))
+
+
+def superoperator_fidelity(sigma, superop: np.ndarray):
+    """Entanglement fidelity sum_K |Tr(K sigma)|^2 of the single-qubit channel
+    with row-major superoperator ``superop``, on any purification of ``sigma``:
+    a float, or one value per state of a (..., 2, 2) stack. The realigned matrix
+    C[ab, cd] = sum_K K_ab conj(K_cd) is independent of the Kraus decomposition,
+    and F = vec(sigma^T) C vec(sigma^T)^dag, summed entrywise as Re(w . conj(v))
+    with v = vec(sigma^T) and w = v C, clamped to [0, 1]: the oracle for
+    ``PhaseCovariantChannel.fidelity``, for any channel."""
+    choi = superop.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    mat = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
+    v = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (4,))
+    w = v @ choi
+    vals = (w.real * v.real + w.imag * v.imag).sum(-1).clip(0.0, 1.0)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def covariant_from_superop(superop: np.ndarray) -> PhaseCovariantChannel:
+    """P and c read off a z-covariant channel's row-major superoperator:
+    P from the entries that map rho00 and rho11, c the factor on rho01."""
+    return PhaseCovariantChannel(superop[np.ix_([0, 3], [0, 3])].real, superop[1, 1])
 
 
 def toggled_frame_average_loop(psi, schedule, params, qubit: int = 0) -> float:
@@ -526,14 +585,17 @@ class QuadraticFidelity:
     beta: float
 
     @classmethod
-    def from_channel(cls, channel: KrausChannel, r: float) -> "QuadraticFidelity":
-        if channel.scalars is None:
-            raise ValueError("channel carries no scalar decomposition")
+    def from_channel(cls, channel: PhaseCovariantChannel, r: float) -> "QuadraticFidelity":
+        """The scalars of a relaxation channel, P = [[1, p], [0, s^2]] and c = s gamma_p."""
+        (p00, p), (p10, s2) = channel.populations
+        if p00 != 1.0 or p10 != 0.0 or channel.coherence.imag != 0.0:
+            raise ValueError("channel is not relaxation plus dephasing")
         if not 0.0 <= r <= 1.0 + 1e-12:
             raise ValueError(f"Bloch norm must be in [0, 1], got {r}")
-        sc = channel.scalars
-        return cls(r=min(r, 1.0), s=sc["s"], p=sc["p"], gamma_p=sc["gamma_p"],
-                   a=sc["a"], b=sc["b"], alpha=sc["alpha"], beta=sc["beta"])
+        s = math.sqrt(s2)
+        gamma_p = channel.coherence.real / s
+        return cls(r=min(r, 1.0), s=s, p=p, gamma_p=gamma_p, a=(1.0 + s) / 2.0, b=(1.0 - s) / 2.0,
+                   alpha=(1.0 + gamma_p) / 2.0, beta=(1.0 - gamma_p) / 2.0)
 
     def __call__(self, r_z: float) -> float:
         return (self.alpha * (self.a + self.b * r_z) ** 2
@@ -563,7 +625,7 @@ class QuadraticFidelity:
         return self.r
 
 
-def quadratic_f(r_z: float, r: float, channel: KrausChannel) -> float:
+def quadratic_f(r_z: float, r: float, channel: PhaseCovariantChannel) -> float:
     """Evaluate the closed-form fidelity quadratic at a given z-component."""
     if abs(r_z) > r + 1e-12:
         raise ValueError(f"|r_z| = {abs(r_z)} exceeds the Bloch norm {r}")
@@ -623,7 +685,7 @@ def first_order_gap(psi: PureState, kind: str, params: NoiseParams, t_grid,
     if max(t_grid) > params.t2 / 50.0:
         raise ValueError(f"grid extends beyond the small-time regime T2/50 = {params.t2 / 50.0}")
     curves = _fidelity_table([reduced_density(psi, [qubit])], ["mdd", kind], t_grid,
-                             lambda s: schedule_superoperator(s, params))[0]
+                             lambda s: schedule_channel(s, params))[0]
     return _gap_report(f"first-order-gap-{kind}", t_grid, curves["mdd"], curves[kind], seed, "t",
                        kind=kind)
 
@@ -654,19 +716,17 @@ def first_order_residual(psi: PureState, kind: str, params: NoiseParams, t_grid,
     return residuals, _loglog_slope(np.asarray(t_grid, dtype=float), residuals)
 
 
-def gate_error_delta(r: float, delta: float, channel: KrausChannel) -> float:
+def gate_error_delta(r: float, delta: float, channel: PhaseCovariantChannel) -> float:
     """Leading-order fidelity loss when the aligning rotation is tilted by a
-    small angle delta, so the aligned z-component becomes r cos(delta):
+    small angle delta, so the aligned z-component becomes r cos(delta), for a
+    relaxation channel (P01 = p, c = gamma_p s):
 
         (r delta^2 / 4) [ (1 - 2r) p + 2r (1 - gamma_p s) ]
     """
     if not 0.0 <= r <= 1.0 + 1e-12:
         raise ValueError(f"Bloch norm must be in [0, 1], got {r}")
-    sc = channel.scalars
-    if sc is None:
-        raise ValueError("channel carries no scalar decomposition")
-    return (r * delta**2 / 4.0) * ((1.0 - 2.0 * r) * sc["p"]
-                                   + 2.0 * r * (1.0 - sc["gamma_p"] * sc["s"]))
+    return (r * delta**2 / 4.0) * ((1.0 - 2.0 * r) * channel.populations[0, 1]
+                                   + 2.0 * r * (1.0 - channel.coherence.real))
 
 
 def two_qubit_decay_rate(c: AnsatzCoefficients, r_i: float, r_j: float,

@@ -31,6 +31,7 @@ from mddsim.experiments import ExperimentConfig, _purification, colored_noise_fi
 from mddsim.noise import (
     NOISELESS,
     NoiseParams,
+    PhaseCovariantChannel,
     SpectralDensity,
     apply_local,
     chi_integral,
@@ -229,14 +230,16 @@ def test_criterion_5_mixed_state_bounds(capsys):
             diag = DensityMatrix(np.diag(vals / vals.sum()))
             t1 = float(rng.uniform(50.0, 500.0))
             params = NoiseParams(t1=t1, t2=float(rng.uniform(10.0, 2.0 * t1)))
-            channel = combined_channel(params, float(rng.uniform(1.0, 400.0)))
-            upper, lower = mixed_state_bounds(diag, channel)
+            t = float(rng.uniform(1.0, 400.0))
+            channel = combined_channel(params, t)
+            upper, lower = mixed_state_bounds(diag, PhaseCovariantChannel.relaxation(params, t))
             phi = PureState(_purification(diag.entries))
             simulated = entanglement_fidelity(phi, apply_local(channel, phi, qubit=0))
             if not (lower - 1e-10 <= simulated <= upper + 1e-10):
                 violations += 1
-        channel = combined_channel(DEFAULT_NOISE, 120.0)
-        p, gp = channel.scalars["p"], channel.scalars["gamma_p"]
+        channel = PhaseCovariantChannel.relaxation(DEFAULT_NOISE, 120.0)
+        # the scalars from the noise times, not from the channel
+        p, gp = 1 - math.exp(-120.0 / DEFAULT_NOISE.t1), math.exp(-120.0 / DEFAULT_NOISE.tp)
         upper, lower = mixed_state_bounds(DensityMatrix(np.eye(2) / 2), channel)
         upper_err = abs(upper - (1 + math.sqrt(1 - p**2)) / 2)
         lower_err = abs(lower - (2 - p + 2 * gp * math.sqrt(1 - p)) / 4)

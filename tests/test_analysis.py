@@ -36,7 +36,7 @@ from mddsim.states import (
 )
 
 from helpers import (FeasibilityError, QuadraticFidelity, apply_unitary, channel_from_p_gamma,
-                     first_order_gap, first_order_residual, gate_error_delta, multi_dd_fidelity,
+                     covariant_from_p_gamma, first_order_gap, first_order_residual, gate_error_delta, multi_dd_fidelity,
                      multi_subsystem_bound_check, quadratic_f, random_single_qubit_density,
                      two_qubit_decay_rate)
 
@@ -59,10 +59,11 @@ class TestLocalEntanglementFidelity:
 
     def test_maximally_mixed_closed_form(self):
         ch = channel_from_p_gamma(p=0.3, gamma_p=0.8)
-        sc = ch.scalars
+        cov = covariant_from_p_gamma(p=0.3, gamma_p=0.8)
         sigma = DensityMatrix(np.eye(2) / 2)
         u = mdd_unitary(PauliExpectations(0, 0, 0))
-        expected = sc["alpha"] * sc["a"] ** 2 + sc["beta"] * sc["b"] ** 2
+        # alpha a^2 + beta b^2 = (P00 + P11) / 4 + Re(c) / 2
+        expected = (cov.populations[0, 0] + cov.populations[1, 1]) / 4 + cov.coherence.real / 2
         assert local_entanglement_fidelity(sigma, ch, u) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_purification_oracle(self):
@@ -98,14 +99,14 @@ class TestQuadraticFidelity:
     def test_pure_input_reaches_one(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            ch = channel_from_p_gamma(p=rng.uniform(0, 1), gamma_p=rng.uniform(0, 1))
+            ch = covariant_from_p_gamma(p=rng.uniform(0, 1), gamma_p=rng.uniform(0, 1))
             assert quadratic_f(1.0, 1.0, ch) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_dephasing_degenerate_maxima(self):
         # without damping (s = 1) the quadratic is even in r_z, so both ends
         # of the domain attain the maximum and the extreme point sits at 0
-        ch = channel_from_p_gamma(p=0.0, gamma_p=0.5)
-        assert ch.scalars["s"] == 1.0
+        ch = covariant_from_p_gamma(p=0.0, gamma_p=0.5)
+        assert ch.populations[1, 1] == 1.0
         r = 0.7
         assert quadratic_f(r, r, ch) == pytest.approx(quadratic_f(-r, r, ch), abs=1e-12)
         quad = QuadraticFidelity.from_channel(ch, r)
@@ -115,7 +116,7 @@ class TestQuadraticFidelity:
     def test_grid_argmax_is_at_r(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            ch = channel_from_p_gamma(p=rng.uniform(0, 1), gamma_p=rng.uniform(0, 1))
+            ch = covariant_from_p_gamma(p=rng.uniform(0, 1), gamma_p=rng.uniform(0, 1))
             r = rng.uniform(0, 1)
             quad = QuadraticFidelity.from_channel(ch, r)
             grid = np.linspace(-r, r, 501)
@@ -126,7 +127,7 @@ class TestQuadraticFidelity:
         rng = np.random.default_rng(6)
         seen = set()
         for _ in range(500):
-            ch = channel_from_p_gamma(p=rng.uniform(0, 1), gamma_p=rng.uniform(0, 1))
+            ch = covariant_from_p_gamma(p=rng.uniform(0, 1), gamma_p=rng.uniform(0, 1))
             case = QuadraticFidelity.from_channel(ch, 1.0).case()
             assert case in ("C1", "C2", "C3")
             seen.add(case)
@@ -141,13 +142,14 @@ class TestQuadraticFidelity:
         assert "C1" in seen and "C2" in seen
 
     def test_second_derivative_closed_form(self):
-        ch = channel_from_p_gamma(p=0.4, gamma_p=0.5)
+        ch = covariant_from_p_gamma(p=0.4, gamma_p=0.5)
         quad = QuadraticFidelity.from_channel(ch, 0.9)
-        sc = ch.scalars
-        assert quad.second_derivative() == pytest.approx(sc["s"] * (sc["s"] - sc["gamma_p"]), abs=1e-14)
+        # s (s - gamma_p) = P11 - Re(c)
+        assert quad.second_derivative() == pytest.approx(ch.populations[1, 1] - ch.coherence.real,
+                                                         abs=1e-14)
 
     def test_domain_validation(self):
-        ch = channel_from_p_gamma(p=0.4, gamma_p=0.5)
+        ch = covariant_from_p_gamma(p=0.4, gamma_p=0.5)
         with pytest.raises(ValueError, match="exceeds"):
             quadratic_f(0.8, 0.5, ch)
 
@@ -244,15 +246,15 @@ class TestFirstOrderGap:
 
 class TestGateErrorDelta:
     def test_zero_tilt(self):
-        ch = channel_from_p_gamma(0.2, 0.9)
+        ch = covariant_from_p_gamma(0.2, 0.9)
         assert gate_error_delta(0.7, 0.0, ch) == 0.0
 
     def test_maximally_mixed_insensitive(self):
-        ch = channel_from_p_gamma(0.2, 0.9)
+        ch = covariant_from_p_gamma(0.2, 0.9)
         assert gate_error_delta(0.0, 0.3, ch) == 0.0
 
     def test_matches_exact_difference_to_fourth_order(self):
-        ch = channel_from_p_gamma(p=0.2, gamma_p=0.9)
+        ch = covariant_from_p_gamma(p=0.2, gamma_p=0.9)
         r = 1.0
         quad = QuadraticFidelity.from_channel(ch, r)
         residual_ratio = []
@@ -267,13 +269,13 @@ class TestGateErrorDelta:
 class TestMixedStateBounds:
     def test_pure_subsystem_bounds_collapse_to_one(self):
         sigma = DensityMatrix([[1, 0], [0, 0]])
-        upper, lower = mixed_state_bounds(sigma, channel_from_p_gamma(0.3, 0.7))
+        upper, lower = mixed_state_bounds(sigma, covariant_from_p_gamma(0.3, 0.7))
         assert upper == pytest.approx(1.0, abs=1e-12)
         assert lower == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_closed_forms(self):
         p, gp = 0.35, 0.6
-        ch = channel_from_p_gamma(p, gp)
+        ch = covariant_from_p_gamma(p, gp)
         upper, lower = mixed_state_bounds(DensityMatrix(np.eye(2) / 2), ch)
         assert upper == pytest.approx((1 + math.sqrt(1 - p**2)) / 2, abs=1e-12)
         assert lower == pytest.approx((2 - p + 2 * gp * math.sqrt(1 - p)) / 4, abs=1e-12)
@@ -284,17 +286,18 @@ class TestMixedStateBounds:
             sigma = random_single_qubit_density(rng)
             vals, vecs = np.linalg.eigh(sigma)
             diag = DensityMatrix(np.diag(np.maximum(vals[::-1], 0) / np.maximum(vals, 0).sum()))
-            ch = channel_from_p_gamma(rng.uniform(0, 0.9), rng.uniform(0.1, 1.0))
-            upper, lower = mixed_state_bounds(diag, ch)
+            p, gp = rng.uniform(0, 0.9), rng.uniform(0.1, 1.0)
+            upper, lower = mixed_state_bounds(diag, covariant_from_p_gamma(p, gp))
             psi = PureState(_purification(diag.entries))
-            out = apply_local(ch, psi, qubit=0)  # already aligned: conjugation is trivial
+            # already aligned: conjugation is trivial
+            out = apply_local(channel_from_p_gamma(p, gp), psi, qubit=0)
             fe = entanglement_fidelity(psi, out)
             assert lower - 1e-10 <= fe <= upper + 1e-10
 
     def test_rejects_non_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             mixed_state_bounds(DensityMatrix(0.5 * (np.eye(2) + 0.5 * np.array([[0, 1], [1, 0]]))),
-                               channel_from_p_gamma(0.1, 0.9))
+                               covariant_from_p_gamma(0.1, 0.9))
 
 
 class TestDecayRate:

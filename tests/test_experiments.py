@@ -66,6 +66,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be at most {limit}"):
             ExperimentConfig.from_dict({"experiment": "two-qubit-opt", field: limit + 1})
 
+    def test_t_grid_above_maximum_rejected(self):
+        # validation only: every duration is a column of every fidelity curve
+        limit = experiments._MAX_DURATIONS
+        grid = [float(k) for k in range(1, limit + 2)]
+        config = ExperimentConfig(experiment="fidelity-sweep", t_grid=grid[:limit])
+        assert len(config.t_grid) == limit
+        with pytest.raises(ConfigError, match=f"t_grid must hold at most {limit} durations, "
+                                              f"got {limit + 1}"):
+            ExperimentConfig(experiment="fidelity-sweep", t_grid=grid)
+
     def test_missing_experiment_rejected(self):
         with pytest.raises(ConfigError, match="name an experiment"):
             ExperimentConfig.from_dict({})

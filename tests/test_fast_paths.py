@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mddsim import analysis, experiments
+from mddsim import analysis, experiments, sequences
 from mddsim.analysis import (
     DecayRates,
     TwoQubitRates,
@@ -24,7 +24,6 @@ from mddsim.analysis import (
     lemma_check,
     local_entanglement_fidelity,
     optimize_two_qubit_mdd,
-    superoperator_fidelity,
 )
 from mddsim.circuits import (
     ScheduledCircuit,
@@ -44,20 +43,22 @@ from mddsim.experiments import (
 from mddsim.noise import (
     KrausChannel,
     NoiseParams,
+    PhaseCovariantChannel,
     SpectralDensity,
     _apply_local_raw,
     chi_integral,
     combined_channel,
-    dephasing_channel_from_chi,
 )
 from mddsim.sequences import (
+    _X_GATE,
     MEASURED_BASE,
+    PulseSchedule,
     build_schedule,
     evolve_with_schedule,
     flip_times,
     measure_expectations,
-    schedule_superoperator,
-    superoperator,
+    rot_z,
+    schedule_channel,
 )
 from mddsim.states import (
     DensityMatrix,
@@ -73,11 +74,16 @@ from mddsim.states import (
 
 from helpers import (
     conjugate_matmul,
+    covariant_from_superop,
+    dephasing_channel_from_chi,
     insert_dd_replaying,
     lemma_check_matmul,
     optimize_two_qubit_mdd_rowwise,
     random_channel,
     random_single_qubit_density,
+    schedule_superoperator,
+    superoperator,
+    superoperator_fidelity,
     superoperator_fidelity_matmul,
     toggled_frame_average,
     toggled_frame_average_loop,
@@ -208,7 +214,7 @@ def _schedule_key(schedule):
 @settings(PROPERTY, max_examples=6)
 @given(kinds=st.lists(st.sampled_from(SWEEP_KINDS), min_size=1, max_size=5, unique=True))
 def test_sweep_builds_fixed_superoperators_once_per_block(jobs, blocks, kinds):
-    # every kind contracts its base kind's superoperator, built once per duration and
+    # every kind contracts its base kind's channel, built once per duration and
     # block: mdd shares none's and mdd+xx shares xx's, and no mdd schedule is built
     fidelity_table = experiments._fidelity_table
     sizes, built = [], {}
@@ -220,12 +226,12 @@ def test_sweep_builds_fixed_superoperators_once_per_block(jobs, blocks, kinds):
     def counting(schedule, params):
         key = _schedule_key(schedule)
         built[key] = built.get(key, 0) + 1
-        return schedule_superoperator(schedule, params)
+        return schedule_channel(schedule, params)
 
     t_grid = [1.0, 10.0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "_fidelity_table", table)
-        patch.setattr(experiments, "schedule_superoperator", counting)
+        patch.setattr(experiments, "schedule_channel", counting)
         patch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
         patch.setattr(experiments.os, "cpu_count", lambda: 64)
         config = ExperimentConfig(experiment="fidelity-sweep", num_states=5, num_qubits=2)
@@ -448,6 +454,94 @@ def test_batched_superoperator_fidelity_rows_equal_single_calls(seed, channel, c
         assert row == superoperator_fidelity(rho, superop)
         assert abs(row - local_entanglement_fidelity(sigma, channel, u)) <= 1e-12
     assert isinstance(superoperator_fidelity(sigma, superop), float)
+
+
+FIXED_KINDS = ["none", "xx", "xy4", "udd2", "udd4", "udd8", "qdd2", "qdd4"]
+
+
+def rz_superop(angle):
+    """Row-major superoperator of the z-rotation R_z(angle)."""
+    u = rot_z(angle)
+    return np.kron(u, u.conj())
+
+
+@pytest.mark.parametrize("kind", FIXED_KINDS)
+@PROPERTY
+@given(params=noise_params(), t=durations, angle=st.floats(-math.pi, math.pi))
+def test_schedule_channel_matches_superoperator_oracle(kind, params, t, angle):
+    schedule = build_schedule(kind, t)
+    superop = schedule_superoperator(schedule, params)
+    # the oracle is z-covariant, so P and c are all of it
+    rz = rz_superop(angle)
+    assert np.max(np.abs(superop @ rz - rz @ superop)) <= 1e-15
+    channel, oracle = schedule_channel(schedule, params), covariant_from_superop(superop)
+    assert np.max(np.abs(channel.populations - oracle.populations)) <= 1e-14
+    assert abs(channel.coherence - oracle.coherence) <= 1e-14
+
+
+def _detuned(detuning, gap):
+    """A gap constructor followed by R_z(detuning * d): coherences pick up a phase."""
+    def build(params, d):
+        channel = gap(params, d)
+        if isinstance(channel, KrausChannel):
+            return KrausChannel(tuple(rot_z(detuning * d) @ m for m in channel.operators))
+        return PhaseCovariantChannel(channel.populations,
+                                     channel.coherence * np.exp(-1j * detuning * d))
+    return build
+
+
+@pytest.mark.parametrize("kind", FIXED_KINDS)
+@PROPERTY
+@given(params=noise_params(), t=durations, detuning=st.floats(-0.5, 0.5))
+def test_schedule_channel_flips_a_complex_coherence(kind, params, t, detuning):
+    # a static detuning makes c complex, so a flipped frame must conjugate it
+    schedule = build_schedule(kind, t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "combined_channel", _detuned(detuning, combined_channel))
+        patch.setattr(PhaseCovariantChannel, "relaxation",
+                      _detuned(detuning, PhaseCovariantChannel.relaxation))
+        channel = schedule_channel(schedule, params)
+        oracle = covariant_from_superop(schedule_superoperator(schedule, params))
+    assert np.max(np.abs(channel.populations - oracle.populations)) <= 1e-14
+    assert abs(channel.coherence - oracle.coherence) <= 1e-14
+
+
+@st.composite
+def covariant_channels(draw):
+    """A relaxation channel over some duration, rotated about z, with its Kraus form."""
+    params, t, angle = draw(noise_params()), draw(durations), draw(st.floats(-math.pi, math.pi))
+    kraus = KrausChannel(tuple(rot_z(angle) @ m for m in combined_channel(params, t).operators))
+    return covariant_from_superop(kraus.superop), kraus
+
+
+@PROPERTY
+@given(seed=seeds, pair=covariant_channels(), count=st.integers(1, 64))
+def test_phase_covariant_fidelity_matches_superoperator_fidelity(seed, pair, count):
+    channel, kraus = pair
+    stack = density_stack(np.random.default_rng(seed), (count,))
+    batch = channel.fidelity(stack)
+    assert batch.shape == (count,)
+    assert np.max(np.abs(batch - superoperator_fidelity(stack, kraus.superop))) <= 1e-14
+    # rows round alike alone and in any stack, so output cannot depend on --jobs
+    assert np.array_equal(channel.fidelity(stack[None]), batch[None])
+    for row, rho in zip(batch, stack):
+        assert row == channel.fidelity(rho)
+    assert isinstance(channel.fidelity(stack[0]), float)
+
+
+def test_schedule_channel_rejects_other_pulses():
+    params = NoiseParams(250.0, 170.0)
+    mdd = build_schedule("mdd", 40.0, PauliExpectations(0.3, -0.2, 0.5))
+    with pytest.raises(ValueError, match="X and Y pulses"):
+        schedule_channel(mdd, params)
+    with pytest.raises(ValueError, match="even number"):
+        schedule_channel(PulseSchedule(40.0, ((20.0, _X_GATE),)), params)
+
+
+def test_phase_covariant_populations_are_read_only():
+    channel = PhaseCovariantChannel.relaxation(NoiseParams(250.0, 170.0), 40.0)
+    with pytest.raises(ValueError, match="read-only"):
+        channel.populations[0, 1] = 0.0
 
 
 @PROPERTY

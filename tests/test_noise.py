@@ -9,11 +9,11 @@ from mddsim.noise import (
     JumpOperator,
     KrausChannel,
     NoiseParams,
+    PhaseCovariantChannel,
     SpectralDensity,
     apply_local,
     chi_integral,
     combined_channel,
-    dephasing_channel_from_chi,
     filter_function,
     lindblad_derivative,
     relaxation_dephasing_jumps,
@@ -21,7 +21,7 @@ from mddsim.noise import (
 from mddsim.sequences import udd_times
 from mddsim.states import DensityMatrix, PAULI_X, PAULI_Z, PureState, haar_random_state
 
-from helpers import random_single_qubit_density
+from helpers import dephasing_channel_from_chi, random_single_qubit_density
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 
@@ -42,11 +42,10 @@ class TestNoiseParams:
         assert NoiseParams(t1=100.0, t2=200.0).tp == math.inf
 
     def test_scalar_factorization(self):
-        # s * gamma_p must reproduce the total off-diagonal factor e^{-t/T2}
+        # the coherence c = s * gamma_p must reproduce the total off-diagonal factor e^{-t/T2}
         for t in (0.0, 1.0, 37.5, 400.0):
-            ch = combined_channel(DEFAULT_NOISE, t)
-            sc = ch.scalars
-            assert sc["s"] * sc["gamma_p"] == pytest.approx(math.exp(-t / 170.0), rel=1e-12)
+            c = PhaseCovariantChannel.relaxation(DEFAULT_NOISE, t).coherence
+            assert c == pytest.approx(math.exp(-t / 170.0), rel=1e-12)
 
 
 class TestCombinedChannel:
@@ -121,15 +120,20 @@ class TestCombinedChannel:
 
     def test_operator_forms_from_scalars(self):
         # the four operators combine the damping pair (aI + bZ, sqrt(p) |0><1|)
-        # with the dephasing pair (sqrt(alpha) I, sqrt(beta) Z)
+        # with the dephasing pair (sqrt(alpha) I, sqrt(beta) Z); the scalars are read
+        # off the same channel's P = [[1, p], [0, s^2]] and c = s gamma_p
         ch = combined_channel(DEFAULT_NOISE, 80.0)
-        sc = ch.scalars
+        cov = PhaseCovariantChannel.relaxation(DEFAULT_NOISE, 80.0)
+        p, s = cov.populations[0, 1], math.sqrt(cov.populations[1, 1])
+        gamma_p = cov.coherence.real / s
+        a, b = (1 + s) / 2, (1 - s) / 2
+        alpha, beta = (1 + gamma_p) / 2, (1 - gamma_p) / 2
         lower = np.array([[0, 1], [0, 0]], dtype=complex)
         expected = (
-            math.sqrt(sc["alpha"]) * (sc["a"] * np.eye(2) + sc["b"] * PAULI_Z),
-            math.sqrt(sc["alpha"]) * math.sqrt(sc["p"]) * lower,
-            math.sqrt(sc["beta"]) * (sc["b"] * np.eye(2) + sc["a"] * PAULI_Z),
-            math.sqrt(sc["beta"]) * math.sqrt(sc["p"]) * lower,
+            math.sqrt(alpha) * (a * np.eye(2) + b * PAULI_Z),
+            math.sqrt(alpha) * math.sqrt(p) * lower,
+            math.sqrt(beta) * (b * np.eye(2) + a * PAULI_Z),
+            math.sqrt(beta) * math.sqrt(p) * lower,
         )
         for op, want in zip(ch.operators, expected):
             np.testing.assert_allclose(op, want, atol=1e-15)
