@@ -1,6 +1,5 @@
 """Closed-form fidelity functionals, optimality verifiers, decay-rate
-formulas, and the two-qubit crosstalk ansatz optimizer. The fidelity quadratic
-f(r_z) in the aligned z-component backs no run and lives in ``tests/helpers.py``.
+formulas, and the two-qubit crosstalk ansatz optimizer.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ from .sequences import (
     MEASURED_BASE,
     build_schedule,
     is_measurement_driven,
-    mdd_unitary,
     schedule_channel,
 )
 from .states import (
     ATOL,
-    ID2,
     DensityMatrix,
     PureState,
     SingleQubitUnitary,
@@ -53,28 +50,26 @@ def _plain(value):
     return value
 
 
-def _conjugate(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u sigma u^dag for 2x2 matrices or (..., 2, 2) stacks, broadcast over the
-    leading axes of either, written out entry by entry: on 2x2 blocks a stacked
-    matmul costs more in gufunc dispatch than in arithmetic. The tests hold it
-    to ``u @ sigma @ u.conj().swapaxes(-1, -2)``.
+def _gram(u, sign: float):
+    """(G00, G11, Re G01, Im G01) of G = u^dag diag(1, sign) u for a 2x2 ``u`` or a
+    (..., 2, 2) stack, in real arithmetic entry by entry: U^dag U for sign 1, u^dag Z u
+    for sign -1. No stacked matmul, so one unitary rounds as one row of a stack."""
+    (a0, a1), (c0, c1) = np.moveaxis(np.asarray(u).real, (-2, -1), (0, 1))
+    (b0, b1), (d0, d1) = np.moveaxis(np.asarray(u).imag, (-2, -1), (0, 1))
+    return (a0 * a0 + b0 * b0 + sign * (c0 * c0 + d0 * d0),
+            a1 * a1 + b1 * b1 + sign * (c1 * c1 + d1 * d1),
+            a0 * a1 + b0 * b1 + sign * (c0 * c1 + d0 * d1),
+            a0 * b1 - b0 * a1 + sign * (c0 * d1 - d0 * c1))
 
-    Every product runs on equal-length 1-d operands, so one pair rounds as one
-    row of a stack does: NumPy's complex scalar arithmetic, and some of its
-    broadcast loops, round without the fused multiply-add of its array loops.
-    """
-    shape = np.broadcast_shapes(np.shape(sigma), np.shape(u))
-    s00, s01, s10, s11 = np.broadcast_to(sigma, shape).reshape(-1, 4).T
-    u00, u01, u10, u11 = np.broadcast_to(u, shape).reshape(-1, 4).T
-    a00, a01 = u00 * s00 + u01 * s10, u00 * s01 + u01 * s11  # u sigma
-    a10, a11 = u10 * s00 + u11 * s10, u10 * s01 + u11 * s11
-    c00, c01, c10, c11 = u00.conj(), u01.conj(), u10.conj(), u11.conj()
-    out = np.empty((len(s00), 4), dtype=complex)
-    out[:, 0] = a00 * c00 + a01 * c01
-    out[:, 1] = a00 * c10 + a01 * c11
-    out[:, 2] = a10 * c00 + a11 * c01
-    out[:, 3] = a10 * c10 + a11 * c11
-    return out.reshape(shape)
+
+def _rotated_z(sigma, u):
+    """Tr(Z u sigma u^dag) = Tr(G sigma), G = u^dag Z u, for 2x2 arrays or (..., 2, 2)
+    stacks broadcast over the leading axes of either: the z-component that u leaves."""
+    g00, g11, g01_re, g01_im = _gram(u, -1.0)
+    s = np.asarray(sigma)
+    s10 = s[..., 1, 0]
+    return (g00 * s[..., 0, 0].real + g11 * s[..., 1, 1].real
+            + 2.0 * (g01_re * s10.real - g01_im * s10.imag))
 
 
 def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) -> float:
@@ -120,9 +115,9 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
         raise ValueError(f"trials must be at least 1, got {trials}")
     channel = PhaseCovariantChannel.relaxation(params, t)
     b = bloch_vector(sigma)
-    mdd_value = channel.fidelity(_conjugate(sigma.entries, mdd_unitary(b).matrix))
+    mdd_value = channel.fidelity(b.r, b.r)  # the aligned state has z = r
     rng = np.random.default_rng(seed)
-    vals = channel.fidelity(_conjugate(sigma.entries, _haar_batch(trials, rng)))
+    vals = channel.fidelity(_rotated_z(sigma.entries, _haar_batch(trials, rng)), b.r)
     best = float(np.max(vals))
     violations = int(np.sum(vals > mdd_value + 1e-10))
     worst = {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t}
@@ -132,25 +127,19 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
                        best_competitor=best, violations=violations)
 
 
-def _fidelity_table(sigmas, kinds, t_grid, channel_of) -> list[dict]:
-    """Each state's fidelity curve for each kind, from single-qubit reduced states;
-    ``channel_of`` maps a fixed schedule to its :class:`PhaseCovariantChannel`. U^dag E U on
-    sigma has the fidelity of E on U sigma U^dag, so a measured kind is its base kind on the
-    states its MDD unitaries U align, and one channel per base kind and duration serves all."""
-    states = np.array([sigma.entries for sigma in sigmas])
-    if any(map(is_measurement_driven, kinds)):
-        aligned = _conjugate(states, np.array([mdd_unitary(bloch_vector(sigma)).matrix
-                                               for sigma in sigmas]))
+def _fidelity_table(sigmas, kinds, t_grid, channel_of) -> dict[str, np.ndarray]:
+    """Each kind's (states x durations) fidelities of single-qubit reduced states;
+    ``channel_of`` maps a fixed schedule to its :class:`PhaseCovariantChannel`. Each
+    state's z and r are read once. U^dag E U on sigma has the fidelity of E on
+    U sigma U^dag, so a measured kind is its base kind at the aligned z = r, and one
+    channel per base kind and duration serves all states."""
+    blochs = [bloch_vector(sigma) for sigma in sigmas]
+    z, r = np.array([b.ez for b in blochs]), np.array([b.r for b in blochs])
     bases = {kind: MEASURED_BASE.get(kind.lower(), kind) for kind in kinds}
     channels = {(base, t): channel_of(build_schedule(base, t))
                 for base in dict.fromkeys(bases.values()) for t in t_grid}
-    table = [{} for _ in sigmas]
-    for kind, base in bases.items():
-        stack = aligned if is_measurement_driven(kind) else states
-        fids = np.array([channels[base, t].fidelity(stack) for t in t_grid])
-        for curves, row in zip(table, fids.T):
-            curves[kind] = row.tolist()
-    return table
+    return {kind: np.stack([channels[base, t].fidelity(r if is_measurement_driven(kind) else z, r)
+                            for t in t_grid], axis=1) for kind, base in bases.items()}
 
 
 def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: float,
@@ -162,8 +151,8 @@ def dd_entanglement_fidelity(psi: PureState, kind: str, params: NoiseParams, t: 
     is the full-space definition this equals.
     """
     sigma = reduced_density(psi, [qubit])
-    return _fidelity_table([sigma], [kind], [t],
-                           lambda s: schedule_channel(s, params))[0][kind][0]
+    return float(_fidelity_table([sigma], [kind], [t],
+                                 lambda s: schedule_channel(s, params))[kind][0, 0])
 
 
 GAP_TOL = 1e-10
@@ -192,7 +181,7 @@ def mixed_state_bounds(sigma_d: DensityMatrix,
     mixed input with diagonalized subsystem ``sigma_d`` = diag(l0, l1), mapped to diag(e0, e1):
 
     upper = Tr(sigma_d E(sigma_d)) + 2 sqrt(det sigma_d det E(sigma_d)), (e0, e1) = P (l0, l1)
-    lower = P00 l0^2 + P11 l1^2 + 2 Re(c) l0 l1, the fidelity with no rotation
+    lower = fidelity(l0 - l1, l0 - l1), the fidelity with no rotation
     """
     mat = sigma_d.entries
     if np.max(np.abs(mat - np.diag(np.diagonal(mat)))) > 1e-12:
@@ -203,7 +192,7 @@ def mixed_state_bounds(sigma_d: DensityMatrix,
     (p00, p01), (p10, p11) = channel.populations
     e0, e1 = p00 * l0 + p01 * l1, p10 * l0 + p11 * l1
     upper = float(l0 * e0 + l1 * e1 + 2.0 * math.sqrt(max(l0 * l1, 0.0) * max(e0 * e1, 0.0)))
-    return upper, channel.fidelity(mat)
+    return upper, channel.fidelity(l0 - l1, l0 - l1)
 
 
 @dataclass(frozen=True)
@@ -236,16 +225,16 @@ def decay_rate_quadratic(r: float, r_z: float, rates: DecayRates) -> float:
 
 def decay_rate(sigma: DensityMatrix, u, rates: DecayRates):
     """Initial decay rate |dF/dt| of the conjugated channel, via the variance of the
-    jump operators in the rotated state, whose r_z is the diagonal difference of
-    u sigma u^dag: a float for one unitary, or one rate per unitary of a (..., 2, 2) stack."""
+    jump operators in the rotated state, whose r_z is Tr(Z u sigma u^dag): a float for
+    one unitary, or one rate per unitary of a (..., 2, 2) stack."""
     if sigma.num_qubits != 1:
         raise ValueError("decay rate requires a single-qubit reduced state")
     um = _unitary_matrix(u)
-    if not np.all(np.abs(_conjugate(ID2, um.conj().swapaxes(-1, -2)) - ID2) <= ATOL):
+    g00, g11, g01_re, g01_im = _gram(um, 1.0)  # U^dag U
+    if not np.all(np.abs([g00 - 1.0, g11 - 1.0, np.hypot(g01_re, g01_im)]) <= ATOL):
         raise ValueError("matrix is not unitary within 1e-12")
     # one unitary goes through the stacked path too, so r_z**2 rounds as in a batch
-    rotated = _conjugate(sigma.entries, um.reshape(-1, 2, 2))
-    r_z = (rotated[:, 0, 0] - rotated[:, 1, 1]).real
+    r_z = _rotated_z(sigma.entries, um.reshape(-1, 2, 2))
     rate = decay_rate_quadratic(bloch_vector(sigma).r, r_z, rates)
     return float(rate[0]) if um.ndim == 2 else rate.reshape(um.shape[:-2])
 

@@ -63,7 +63,7 @@ EXIT_VIOLATION = 3
 
 EXPERIMENTS = ("fidelity-sweep", "lemma-check", "theorem-gap", "filter-noise",
                "two-qubit-opt", "qft-toy", "sqd-recover")
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "list[str]": list, "list[float]": list}
 _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1,
            "threshold": 0}
 # each of these sizes an array held at once: grid_points^2 rates (and grid_points^3 steps)
@@ -200,7 +200,7 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -217,13 +217,12 @@ def default_t_grid() -> list[float]:
 
 # ----------------------------------------------------------------- sweeps
 
-def _curve_stats(table, kind) -> list[tuple[float, float, float]]:
-    """Mean, minimum and maximum over the states of one kind's fidelity, per duration."""
-    stacked = np.array([curves[kind] for curves in table])
-    return [(float(col.mean()), float(col.min()), float(col.max())) for col in stacked.T]
+def _curve_stats(fids: np.ndarray):
+    """Mean, minimum and maximum over the states (rows) of a fidelity table, per duration."""
+    return zip(fids.mean(axis=0).tolist(), fids.min(axis=0).tolist(), fids.max(axis=0).tolist())
 
 
-def _sweep_block_task(args) -> list[dict]:
+def _sweep_block_task(args) -> dict[str, np.ndarray]:
     """The fidelity curves of the run's states start..stop-1."""
     seed, start, stop, num_qubits, params, sequences, t_grid = args
     sigmas = [reduced_density(haar_random_state(num_qubits, seed=(seed, i)), [0])
@@ -243,16 +242,16 @@ def _run_state_tasks(config: ExperimentConfig, sequences, t_grid, jobs: int):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_sweep_block_task, tasks))
     else:
-        blocks = map(_sweep_block_task, tasks)
-    return [curves for block in blocks for curves in block]
+        blocks = list(map(_sweep_block_task, tasks))
+    return {kind: np.concatenate([block[kind] for block in blocks]) for kind in sequences}
 
 
 def run_fidelity_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
     sequences = config.sequences or ["none", "xx", "udd8", "mdd"]
     t_grid = config.t_grid or default_t_grid()
-    per_state = _run_state_tasks(config, sequences, t_grid, jobs)
+    table = _run_state_tasks(config, sequences, t_grid, jobs)
     rows = [[t, kind, *stats] for kind in sequences
-            for t, stats in zip(t_grid, _curve_stats(per_state, kind))]
+            for t, stats in zip(t_grid, _curve_stats(table[kind]))]
     rows.sort(key=lambda r: (r[0], r[1]))
     path = _write(out_dir / "fidelity_sweep.csv",
                   _csv(["t", "sequence", "mean_F", "min_F", "max_F"], rows))
@@ -276,23 +275,23 @@ def run_lemma_check(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
     return RunResult(code, [path], f"{violations} violations over {len(reports)} checks")
 
 
-def _theorem_verdicts(config: ExperimentConfig, jobs: int = 1) -> tuple[list[list], list[dict]]:
-    """Gap-table rows and one verdict per sequence compared against mdd."""
+def _theorem_verdicts(config: ExperimentConfig, jobs: int = 1):
+    """Lazy gap-table rows and one verdict per sequence compared against mdd."""
     sequences = config.sequences or ["xx", "xy4", "udd8", "qdd2"]
     t_grid = config.t_grid or default_t_grid()
-    per_state = _run_state_tasks(config, ["mdd"] + sequences, t_grid, jobs)
-    rows, verdicts = [], []
-    for kind in sequences:
-        block = [[t, kind, idx, f_mdd, f_seq, f_mdd - f_seq] for idx, curves in enumerate(per_state)
-                 for t, f_mdd, f_seq in zip(t_grid, curves["mdd"], curves[kind])]
-        rows += block
-        gaps = np.array([row[5] for row in block])
-        worst = int(np.argmin(gaps))
-        slope = _envelope_slope([row[0] for row in block], gaps)
-        verdicts.append({"claim_id": f"theorem-gap-{kind}", "margin": block[worst][5],
-                         "worst_case": {"t": block[worst][0], "state": block[worst][2]},
+    table = _run_state_tasks(config, ["mdd"] + sequences, t_grid, jobs)
+    gaps = {kind: table["mdd"] - table[kind] for kind in sequences}
+    verdicts = []
+    for kind, gap in gaps.items():  # (states x durations), flattened state by state
+        state, ti = divmod(int(np.argmin(gap)), len(t_grid))
+        slope = _envelope_slope(np.tile(t_grid, len(gap)), gap.ravel())
+        verdicts.append({"claim_id": f"theorem-gap-{kind}", "margin": gap[state, ti].item(),
+                         "worst_case": {"t": t_grid[ti], "state": state},
                          "seed": config.seed, "envelope_slope": slope,
-                         "passed": _gap_passed(gaps[worst], slope)})
+                         "passed": _gap_passed(gap[state, ti], slope)})
+    rows = ([t, kind, idx, *point] for kind, gap in gaps.items() for idx in range(len(gap))
+            for t, *point in zip(t_grid, table["mdd"][idx].tolist(), table[kind][idx].tolist(),
+                                 gap[idx].tolist()))
     return rows, verdicts
 
 
@@ -318,8 +317,8 @@ def colored_noise_fidelity(psi: PureState, kind: str, t1: float,
     T1 channel over [0, t], and pulses that act on the dephasing alone, through chi. A
     measurement-driven kind is its base sequence on the state its MDD unitary aligns."""
     sigma = reduced_density(psi, [qubit])
-    return _fidelity_table([sigma], [kind], [t], lambda s: _colored_channel(
-        t1, t, chi_integral(spectrum, flip_times(s), t) if chi is None else chi))[0][kind][0]
+    return float(_fidelity_table([sigma], [kind], [t], lambda s: _colored_channel(
+        t1, t, chi_integral(spectrum, flip_times(s), t) if chi is None else chi))[kind][0, 0])
 
 
 def _colored_channel(t1: float, t: float, chi: float) -> PhaseCovariantChannel:
@@ -346,7 +345,7 @@ def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> 
         table = _fidelity_table(sigmas, sequences, t_grid, lambda s: _colored_channel(
             config.t1, s.total_time, chis[tuple(flip_times(s)), s.total_time]))
         fid_rows += [[spec_kind, kind, t, *stats] for kind in sequences
-                     for t, stats in zip(t_grid, _curve_stats(table, kind))]
+                     for t, stats in zip(t_grid, _curve_stats(table[kind]))]
     files = [
         _write(out_dir / "chi_curves.csv", _csv(["spectrum", "sequence", "t", "chi"], chi_rows)),
         _write(out_dir / "filter_fidelity.csv",

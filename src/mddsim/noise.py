@@ -158,17 +158,17 @@ class PhaseCovariantChannel:
         p = 1.0 - s * s
         return cls([[1.0, p], [0.0, 1.0 - p]], s * gamma_p)
 
-    def fidelity(self, sigma):
-        """sum_K |Tr(K sigma)|^2 on any purification of a 2x2 ``sigma`` (a float) or
-        of each state of a (..., 2, 2) stack: P00 s00^2 + P11 s11^2 + (P01 + P10)|s01|^2
-        + 2 Re(c) s00 s11, clamped to [0, 1] against roundoff. Real arithmetic entry
-        by entry, so a state rounds alike alone and in any stack."""
-        mat = np.asarray(sigma)
-        s00, s11, s01 = mat[..., 0, 0].real, mat[..., 1, 1].real, mat[..., 0, 1]
+    def fidelity(self, z, r):
+        """sum_K |Tr(K sigma)|^2 on any purification of a state of Bloch norm ``r`` whose
+        z-component is ``z`` (floats, or arrays that broadcast): the quadratic
+        (P00 (1 + z)^2 + P11 (1 - z)^2 + (P01 + P10)(r^2 - z^2) + 2 Re(c)(1 - z^2)) / 4,
+        clamped to [0, 1] against roundoff. A z-rotation changes only z, and the state
+        it aligns has z = r. Real arithmetic, so a state rounds alike alone and in any stack."""
         (p00, p01), (p10, p11) = self.populations
-        vals = np.clip(p00 * s00 * s00 + p11 * s11 * s11
-                       + (p01 + p10) * (s01.real * s01.real + s01.imag * s01.imag)
-                       + 2.0 * self.coherence.real * s00 * s11, 0.0, 1.0)
+        z, r = np.asarray(z, dtype=float), np.asarray(r, dtype=float)
+        up, down, zz = 1.0 + z, 1.0 - z, z * z
+        vals = np.clip((p00 * up * up + p11 * down * down + (p01 + p10) * (r * r - zz)
+                        + 2.0 * self.coherence.real * (1.0 - zz)) / 4.0, 0.0, 1.0)
         return float(vals) if vals.ndim == 0 else vals
 
 
@@ -292,8 +292,8 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
     The integral is truncated at 10 * omega_c, where the Gaussian cutoff makes
     the tail negligible, and the w -> 0 endpoint is evaluated at its analytic
     limit (the integrand vanishes there for the Ohmic spectrum and stays
-    finite for 1/f because F grows at least quadratically in w). A duration
-    whose floor 1e-9 / t is not below 10 * omega_c raises QuadratureError.
+    finite for 1/f because F grows at least quadratically in w). QuadratureError:
+    a floor 1e-9 / t not below 10 * omega_c, or a NaN, infinite or unconverged estimate.
     """
     if t <= 0:
         raise ValueError(f"duration must be positive, got {t}")
@@ -312,7 +312,7 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
         integrand, 0.0, upper, epsabs=_CHI_ABS_TOL, epsrel=1e-10,
         limit=_CHI_MAX_SUBDIVISIONS, full_output=True,
     )[:3]
-    if abserr > max(1e-7, 1e-5 * abs(result)):
+    if not (math.isfinite(result) and abserr <= max(1e-7, 1e-5 * abs(result))):  # NaN fails
         raise QuadratureError(
             f"chi integral did not converge: estimate {result!r}, error {abserr!r}, "
             f"{info['last']} subdivisions used of {_CHI_MAX_SUBDIVISIONS}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from mddsim.analysis import (_RATE_EPS, _STARTS, AnsatzCoefficients, TwoQubitRates, _conjugate,
+from mddsim.analysis import (_RATE_EPS, _STARTS, AnsatzCoefficients, TwoQubitRates,
                              _envelope_slope, _fidelity_table, _gap_passed, _plain,
                              decay_rate_quadratic, local_entanglement_fidelity)
 from mddsim.circuits import (Gate, ScheduledCircuit, Slice, _insert_pulse, _pulse_gate,
@@ -253,9 +253,40 @@ def random_single_qubit_density(rng: np.random.Generator) -> np.ndarray:
 
 
 def conjugate_matmul(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u sigma u^dag as two stacked matmuls: the oracle for the entrywise
-    ``analysis._conjugate``."""
+    """u sigma u^dag as two stacked matmuls: the oracle for ``analysis._rotated_z``
+    (its diagonal difference) and for :func:`conjugate_entrywise`."""
     return u @ sigma @ u.conj().swapaxes(-1, -2)
+
+
+def conjugate_entrywise(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u sigma u^dag for 2x2 matrices or (..., 2, 2) stacks, broadcast over the
+    leading axes of either, written out entry by entry on equal-length 1-d operands,
+    so that one pair rounds as one row of a stack."""
+    shape = np.broadcast_shapes(np.shape(sigma), np.shape(u))
+    s00, s01, s10, s11 = np.broadcast_to(sigma, shape).reshape(-1, 4).T
+    u00, u01, u10, u11 = np.broadcast_to(u, shape).reshape(-1, 4).T
+    a00, a01 = u00 * s00 + u01 * s10, u00 * s01 + u01 * s11  # u sigma
+    a10, a11 = u10 * s00 + u11 * s10, u10 * s01 + u11 * s11
+    c00, c01, c10, c11 = u00.conj(), u01.conj(), u10.conj(), u11.conj()
+    out = np.empty((len(s00), 4), dtype=complex)
+    out[:, 0] = a00 * c00 + a01 * c01
+    out[:, 1] = a00 * c10 + a01 * c11
+    out[:, 2] = a10 * c00 + a11 * c01
+    out[:, 3] = a10 * c10 + a11 * c11
+    return out.reshape(shape)
+
+
+def covariant_fidelity_entrywise(channel: PhaseCovariantChannel, sigma):
+    """``PhaseCovariantChannel.fidelity`` read from the entries of a 2x2 ``sigma`` or of
+    each state of a (..., 2, 2) stack: P00 s00^2 + P11 s11^2 + (P01 + P10)|s01|^2
+    + 2 Re(c) s00 s11, clamped to [0, 1]. The oracle for the quadratic in (z, r)."""
+    mat = np.asarray(sigma)
+    s00, s11, s01 = mat[..., 0, 0].real, mat[..., 1, 1].real, mat[..., 0, 1]
+    (p00, p01), (p10, p11) = channel.populations
+    vals = np.clip(p00 * s00 * s00 + p11 * s11 * s11
+                   + (p01 + p10) * (s01.real * s01.real + s01.imag * s01.imag)
+                   + 2.0 * channel.coherence.real * s00 * s11, 0.0, 1.0)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def superoperator_fidelity_matmul(stack: np.ndarray, superop: np.ndarray) -> np.ndarray:
@@ -684,10 +715,10 @@ def first_order_gap(psi: PureState, kind: str, params: NoiseParams, t_grid,
     t_grid = [float(t) for t in t_grid]
     if max(t_grid) > params.t2 / 50.0:
         raise ValueError(f"grid extends beyond the small-time regime T2/50 = {params.t2 / 50.0}")
-    curves = _fidelity_table([reduced_density(psi, [qubit])], ["mdd", kind], t_grid,
-                             lambda s: schedule_channel(s, params))[0]
-    return _gap_report(f"first-order-gap-{kind}", t_grid, curves["mdd"], curves[kind], seed, "t",
-                       kind=kind)
+    table = _fidelity_table([reduced_density(psi, [qubit])], ["mdd", kind], t_grid,
+                            lambda s: schedule_channel(s, params))
+    return _gap_report(f"first-order-gap-{kind}", t_grid, table["mdd"][0].tolist(),
+                       table[kind][0].tolist(), seed, "t", kind=kind)
 
 
 def toggled_frame_average(psi: PureState, schedule: PulseSchedule, params: NoiseParams,
@@ -698,7 +729,7 @@ def toggled_frame_average(psi: PureState, schedule: PulseSchedule, params: Noise
     sigma = reduced_density(psi, [qubit])
     frames, durations = zip(*frame_durations(schedule))
     superop = combined_channel(params, schedule.total_time).superop
-    fids = superoperator_fidelity(_conjugate(sigma.entries, np.array(frames)), superop)
+    fids = superoperator_fidelity(conjugate_entrywise(sigma.entries, np.array(frames)), superop)
     return float(np.dot(np.array(durations) / schedule.total_time, fids))
 
 

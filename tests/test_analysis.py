@@ -122,6 +122,8 @@ class TestQuadraticFidelity:
             grid = np.linspace(-r, r, 501)
             vals = [quad(rz) for rz in grid]
             assert grid[int(np.argmax(vals))] >= r - 2 * r / 500 - 1e-12
+            # the library's fidelity is this quadratic, read from P and c
+            assert np.max(np.abs(ch.fidelity(grid, r) - vals)) <= 1e-14
 
     def test_case_classification_exhaustive_and_consistent(self):
         rng = np.random.default_rng(6)

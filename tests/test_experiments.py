@@ -318,7 +318,21 @@ INVALID_CONFIGS = {
                          "sequences": ["none"], "threshold": False}, []),
     "t_grid-true": ({"experiment": "fidelity-sweep", "num_qubits": 2, "num_states": 1,
                      "t_grid": [True], "sequences": ["none"]}, []),
+    # a string is not a list, though each of its characters is a duration or a name
+    "t_grid-digits": ({"experiment": "fidelity-sweep", "num_states": 1, "num_qubits": 2,
+                       "t_grid": "25"}, []),
+    "sequences-string": ({"experiment": "fidelity-sweep", "num_states": 1, "num_qubits": 2,
+                          "sequences": "udd"}, []),
+    # omega t overflows in the filter function, so every chi is NaN
+    "chi-nan": ({"experiment": "filter-noise", "num_states": 1, "omega_c": 1e300,
+                 "t_grid": [1e300]}, []),
 }
+
+
+@pytest.mark.parametrize("name", ["t_grid", "sequences"])
+def test_list_fields_reject_strings(name):
+    with pytest.raises(ConfigError, match=f"^{name} must be of type list"):
+        ExperimentConfig(experiment="fidelity-sweep", **{name: "25" if name == "t_grid" else "udd"})
 
 
 @pytest.mark.parametrize(("config", "extra"), INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys())
@@ -413,7 +427,8 @@ def test_gap_reports_share_one_rule(monkeypatch, gaps, slope, passed):
     grid = [1.0, 2.0, 4.0]
     report = _gap_report("gap", grid, gaps, [0.0] * 3, None, "t")
     monkeypatch.setattr(experiments, "_run_state_tasks",
-                        lambda config, kinds, t_grid, jobs: [{"mdd": gaps, "xx": [0.0] * 3}])
+                        lambda config, kinds, t_grid, jobs: {"mdd": np.array([gaps]),
+                                                             "xx": np.zeros((1, 3))})
     config = ExperimentConfig(experiment="theorem-gap", num_states=1, t_grid=grid,
                               sequences=["xx"])
     _, (verdict,) = experiments._theorem_verdicts(config)
@@ -421,6 +436,21 @@ def test_gap_reports_share_one_rule(monkeypatch, gaps, slope, passed):
         assert got == (None if slope is None else pytest.approx(slope, abs=1e-9))
     assert report.passed() is verdict["passed"] is passed
     assert report.margin == verdict["margin"] == min(gaps)
+
+
+def test_theorem_verdicts_agree_with_their_rows():
+    # the verdicts read the gap arrays and the rows are formatted lazily from them
+    config = ExperimentConfig(experiment="theorem-gap", num_states=3, num_qubits=2,
+                              t_grid=[1.0, 10.0, 100.0, 1000.0], sequences=["xx", "udd8"])
+    rows, verdicts = experiments._theorem_verdicts(config)
+    rows = list(rows)
+    assert len(rows) == 2 * 3 * 4
+    # Python floats, whose repr the CSV writes
+    assert all(type(v) is float for row in rows for v in (row[0], *row[3:]))
+    for kind, verdict in zip(config.sequences, verdicts):
+        worst = min((row for row in rows if row[1] == kind), key=lambda row: row[5])
+        assert verdict["margin"] == worst[5] == worst[3] - worst[4]
+        assert verdict["worst_case"] == {"t": worst[0], "state": worst[2]}
 
 
 numbers = st.integers(-3, 12) | st.integers(-2**1100, 2**1100) | st.floats()

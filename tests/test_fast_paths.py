@@ -18,7 +18,7 @@ from mddsim import analysis, experiments, sequences
 from mddsim.analysis import (
     DecayRates,
     TwoQubitRates,
-    _conjugate,
+    _rotated_z,
     dd_entanglement_fidelity,
     decay_rate,
     lemma_check,
@@ -56,6 +56,7 @@ from mddsim.sequences import (
     build_schedule,
     evolve_with_schedule,
     flip_times,
+    mdd_unitary,
     measure_expectations,
     rot_z,
     schedule_channel,
@@ -73,7 +74,9 @@ from mddsim.states import (
 )
 
 from helpers import (
+    conjugate_entrywise,
     conjugate_matmul,
+    covariant_fidelity_entrywise,
     covariant_from_superop,
     dephasing_channel_from_chi,
     insert_dd_replaying,
@@ -180,12 +183,14 @@ def test_sweep_curves_equal_per_point_fidelities(num_qubits, num_states, seed, p
     config = ExperimentConfig(experiment="fidelity-sweep", t1=params.t1, t2=params.t2,
                               sequences=sequences, t_grid=t_grid, num_states=num_states,
                               num_qubits=num_qubits, seed=seed)
-    per_state = _run_state_tasks(config, sequences, t_grid, jobs=1)
-    assert len(per_state) == num_states
-    for index, curves in enumerate(per_state):
+    table = _run_state_tasks(config, sequences, t_grid, jobs=1)
+    assert list(table) == sequences
+    for index in range(num_states):
         psi = haar_random_state(num_qubits, seed=(seed, index))
         for kind in sequences:
-            assert curves[kind] == [dd_entanglement_fidelity(psi, kind, params, t) for t in t_grid]
+            assert table[kind].shape == (num_states, len(t_grid))
+            assert (table[kind][index].tolist()
+                    == [dd_entanglement_fidelity(psi, kind, params, t) for t in t_grid])
 
 
 class SerialExecutor:
@@ -235,15 +240,15 @@ def test_sweep_builds_fixed_superoperators_once_per_block(jobs, blocks, kinds):
         patch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
         patch.setattr(experiments.os, "cpu_count", lambda: 64)
         config = ExperimentConfig(experiment="fidelity-sweep", num_states=5, num_qubits=2)
-        per_state = _run_state_tasks(config, kinds, t_grid, jobs)
-    assert sizes == blocks and len(per_state) == 5
+        table = _run_state_tasks(config, kinds, t_grid, jobs)
+    assert sizes == blocks and [fids.shape for fids in table.values()] == [(5, 2)] * len(kinds)
     bases = {MEASURED_BASE.get(kind, kind) for kind in kinds}
     assert built == {_schedule_key(build_schedule(base, t)): len(blocks)
                      for base in bases for t in t_grid}
 
 
 def test_sweep_measures_each_state_once(monkeypatch, tmp_path):
-    # the expectations do not depend on t, so mdd reads them once per state
+    # the table reads each state's z and r once, whatever the kinds and durations
     calls = []
 
     def counting(rho):
@@ -255,7 +260,7 @@ def test_sweep_measures_each_state_once(monkeypatch, tmp_path):
     _run_state_tasks(config, ["xx", "mdd", "mdd+xx"], [1.0, 10.0, 100.0], jobs=1)
     assert calls == [1, 1, 1]
     _run_state_tasks(config, ["none", "xx"], [1.0, 10.0, 100.0], jobs=1)
-    assert calls == [1, 1, 1]
+    assert calls == [1] * 6
     # filter-noise reads them once per state for each of its two spectra
     calls.clear()
     config = ExperimentConfig(experiment="filter-noise", num_states=3, t_grid=[20.0, 70.0],
@@ -393,15 +398,21 @@ PAIRINGS = {"one-one": ((), ()), "one-stack": ((), ("n",)), "stack-one": (("n",)
             "stack-stack": (("n",), ("n",)), "outer": (("n", 1), (3,))}
 
 
+def _pair(pairing, seed, count):
+    """A state or stack of states and a unitary or stack of unitaries, as PAIRINGS lays out."""
+    rng = np.random.default_rng(seed)
+    sigma_axes, u_axes = ([count if a == "n" else a for a in axes] for axes in PAIRINGS[pairing])
+    sigma = density_stack(rng, tuple(sigma_axes))
+    return sigma, _haar_batch(math.prod(u_axes), rng).reshape(tuple(u_axes) + (2, 2))
+
+
 @pytest.mark.parametrize("pairing", PAIRINGS)
 @PROPERTY
 @given(seed=seeds, count=st.integers(1, 64))
 def test_conjugate_matches_matmul_oracle(pairing, seed, count):
-    rng = np.random.default_rng(seed)
-    sigma_axes, u_axes = ([count if a == "n" else a for a in axes] for axes in PAIRINGS[pairing])
-    sigma = density_stack(rng, tuple(sigma_axes))
-    u = _haar_batch(math.prod(u_axes), rng).reshape(tuple(u_axes) + (2, 2))
-    fast, oracle = _conjugate(sigma, u), conjugate_matmul(sigma, u)
+    # the entrywise oracle that toggled_frame_average conjugates its frames with
+    sigma, u = _pair(pairing, seed, count)
+    fast, oracle = conjugate_entrywise(sigma, u), conjugate_matmul(sigma, u)
     assert fast.shape == oracle.shape
     assert np.max(np.abs(fast - oracle)) <= 1e-15
 
@@ -412,12 +423,65 @@ def test_conjugate_rows_equal_single_calls(seed, count):
     rng = np.random.default_rng(seed)
     sigmas = density_stack(rng, (count,))
     unitaries = _haar_batch(count, rng)
-    both, one_sigma, one_u = (_conjugate(sigmas, unitaries), _conjugate(sigmas[0], unitaries),
-                              _conjugate(sigmas, unitaries[0]))
+    both, one_sigma, one_u = (conjugate_entrywise(sigmas, unitaries),
+                              conjugate_entrywise(sigmas[0], unitaries),
+                              conjugate_entrywise(sigmas, unitaries[0]))
     for i in range(count):
-        assert np.array_equal(both[i], _conjugate(sigmas[i], unitaries[i]))
-        assert np.array_equal(one_sigma[i], _conjugate(sigmas[0], unitaries[i]))
-        assert np.array_equal(one_u[i], _conjugate(sigmas[i], unitaries[0]))
+        assert np.array_equal(both[i], conjugate_entrywise(sigmas[i], unitaries[i]))
+        assert np.array_equal(one_sigma[i], conjugate_entrywise(sigmas[0], unitaries[i]))
+        assert np.array_equal(one_u[i], conjugate_entrywise(sigmas[i], unitaries[0]))
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@PROPERTY
+@given(seed=seeds, count=st.integers(1, 64))
+def test_rotated_z_matches_matmul_oracle(pairing, seed, count):
+    sigma, u = _pair(pairing, seed, count)
+    rotated = conjugate_matmul(sigma, u)
+    fast, oracle = _rotated_z(sigma, u), (rotated[..., 0, 0] - rotated[..., 1, 1]).real
+    assert np.shape(fast) == oracle.shape
+    assert np.max(np.abs(fast - oracle)) <= 1e-15
+
+
+@PROPERTY
+@given(seed=seeds, count=st.integers(1, 64))
+def test_rotated_z_rows_equal_single_calls(seed, count):
+    rng = np.random.default_rng(seed)
+    sigmas = density_stack(rng, (count,))
+    unitaries = _haar_batch(count, rng)
+    both, one_sigma, one_u = (_rotated_z(sigmas, unitaries), _rotated_z(sigmas[0], unitaries),
+                              _rotated_z(sigmas, unitaries[0]))
+    assert np.array_equal(_rotated_z(sigmas[None], unitaries), both[None])
+    for i in range(count):
+        assert both[i] == _rotated_z(sigmas[i], unitaries[i])
+        assert one_sigma[i] == _rotated_z(sigmas[0], unitaries[i])
+        assert one_u[i] == _rotated_z(sigmas[i], unitaries[0])
+
+
+@st.composite
+def single_qubit_states(draw):
+    """A random mixed state, a near-pure one, one with r near 0, or one on the +z or -z axis."""
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["mixed", "near-pure", "near-center", "z-axis"]))
+    if kind == "z-axis":
+        p = draw(st.floats(0.0, 1.0))
+        return DensityMatrix(np.diag([p, 1.0 - p]))
+    pure = haar_random_state(1, seed=draw(seeds)).density().entries
+    if kind == "mixed":
+        return DensityMatrix(random_single_qubit_density(rng))
+    weight = draw(st.floats(0.0, 1e-6)) if kind == "near-pure" else draw(st.floats(1.0 - 1e-6, 1.0))
+    return DensityMatrix((1.0 - weight) * pure + weight * np.eye(2) / 2)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(sigma=single_qubit_states())
+def test_mdd_unitary_aligns_z_with_r(sigma):
+    # the table reads a measured kind at z = r: the state mdd_unitary aligns
+    b = bloch_vector(sigma)
+    u = mdd_unitary(b).matrix
+    rotated = conjugate_matmul(sigma.entries, u)
+    assert abs((rotated[0, 0] - rotated[1, 1]).real - b.r) <= 1e-14
+    assert abs(_rotated_z(sigma.entries, u) - b.r) <= 1e-14
 
 
 @PROPERTY
@@ -514,19 +578,43 @@ def covariant_channels(draw):
     return covariant_from_superop(kraus.superop), kraus
 
 
+def z_and_r(stack):
+    """The z-component and Bloch norm of each state of a (..., 2, 2) stack."""
+    z = (stack[..., 0, 0] - stack[..., 1, 1]).real
+    return z, np.sqrt(z * z + 4.0 * np.abs(stack[..., 0, 1]) ** 2)
+
+
+def _check_covariant_fidelity(channel, superop, stack):
+    """fidelity(z, r) against both oracles, and its rows against single calls."""
+    z, r = z_and_r(stack)
+    batch = channel.fidelity(z, r)
+    assert batch.shape == z.shape
+    assert np.max(np.abs(batch - superoperator_fidelity(stack, superop))) <= 1e-14
+    assert np.max(np.abs(batch - covariant_fidelity_entrywise(channel, stack))) <= 1e-14
+    # rows round alike alone and in any stack, so output cannot depend on --jobs
+    assert np.array_equal(channel.fidelity(z[None], r[None]), batch[None])
+    assert np.array_equal(channel.fidelity(r, r), [channel.fidelity(x, x) for x in r.tolist()])
+    for row, zi, ri in zip(batch, z.tolist(), r.tolist()):
+        assert row == channel.fidelity(zi, ri)
+    assert isinstance(channel.fidelity(z[0], r[0]), float)
+
+
 @PROPERTY
 @given(seed=seeds, pair=covariant_channels(), count=st.integers(1, 64))
 def test_phase_covariant_fidelity_matches_superoperator_fidelity(seed, pair, count):
     channel, kraus = pair
-    stack = density_stack(np.random.default_rng(seed), (count,))
-    batch = channel.fidelity(stack)
-    assert batch.shape == (count,)
-    assert np.max(np.abs(batch - superoperator_fidelity(stack, kraus.superop))) <= 1e-14
-    # rows round alike alone and in any stack, so output cannot depend on --jobs
-    assert np.array_equal(channel.fidelity(stack[None]), batch[None])
-    for row, rho in zip(batch, stack):
-        assert row == channel.fidelity(rho)
-    assert isinstance(channel.fidelity(stack[0]), float)
+    _check_covariant_fidelity(channel, kraus.superop,
+                              density_stack(np.random.default_rng(seed), (count,)))
+
+
+@pytest.mark.parametrize("kind", FIXED_KINDS)
+@PROPERTY
+@given(seed=seeds, params=noise_params(), t=durations, count=st.integers(1, 64))
+def test_schedule_channel_fidelity_matches_oracles(kind, seed, params, t, count):
+    schedule = build_schedule(kind, t)
+    _check_covariant_fidelity(schedule_channel(schedule, params),
+                              schedule_superoperator(schedule, params),
+                              density_stack(np.random.default_rng(seed), (count,)))
 
 
 def test_schedule_channel_rejects_other_pulses():
@@ -572,6 +660,18 @@ def test_decay_rate_rejects_non_unitary(seed, count, index, size, scale):
     unitaries[index % count] = bad
     with pytest.raises(ValueError, match="not unitary"):
         decay_rate(sigma, unitaries, rates)
+
+
+@pytest.mark.parametrize("skew", [1e-9, 0.3, 1.0])
+def test_decay_rate_rejects_unit_columns_that_are_not_orthogonal(skew):
+    # U^dag U has a unit diagonal here, so only its off-diagonal entry shows the fault
+    sigma = DensityMatrix(np.eye(2) / 2)
+    rates = DecayRates.from_noise(NoiseParams(250.0, 170.0))
+    bad = np.array([[1.0, math.sin(skew)], [0.0, math.cos(skew)]], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        decay_rate(sigma, bad, rates)
+    with pytest.raises(ValueError, match="not unitary"):
+        decay_rate(sigma, np.stack([np.eye(2), bad]), rates)
 
 
 @PROPERTY

@@ -10,6 +10,7 @@ from mddsim.noise import (
     KrausChannel,
     NoiseParams,
     PhaseCovariantChannel,
+    QuadratureError,
     SpectralDensity,
     apply_local,
     chi_integral,
@@ -275,6 +276,13 @@ class TestChiIntegral:
         spec = SpectralDensity("one_over_f", omega_c=0.1)
         val = chi_integral(spec, [], 100.0)
         assert math.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("kind", ["ohmic", "one_over_f"])
+    @pytest.mark.parametrize("flips", [[], [0.25e300, 0.75e300]], ids=["none", "xx"])
+    def test_non_finite_estimate_raises(self, kind, flips):
+        # omega t overflows in the filter function, so quad returns NaN with a NaN error
+        with pytest.warns(RuntimeWarning), pytest.raises(QuadratureError, match="estimate nan"):
+            chi_integral(SpectralDensity(kind, omega_c=1e300), flips, 1e300)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
