@@ -31,8 +31,9 @@ print("random-unitary search against the aligning pair (2000 candidates per stat
 for i in range(3):
     sigma = reduced_density(haar_random_state(2, seed=(10, i)), [0])
     report = lemma_check(sigma, params, t=120.0, trials=2000, seed=i)
-    print(f"  state {i}: aligned {report.mdd_value:.6f}, best random {report.best_competitor:.6f}, "
-          f"margin {report.margin:.2e}, violations {report.violations}")
+    print(f"  state {i}: aligned {report['mdd_value']:.6f}, "
+          f"best random {report['best_competitor']:.6f}, "
+          f"margin {report['margin']:.2e}, violations {report['violations']}")
 
 print("\ninitial decay rate is minimized by the aligning rotation:")
 rates = DecayRates.from_noise(params)
@@ -52,9 +53,9 @@ print("\ntwo-qubit crosstalk ansatz:")
 two = TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.005, 0.0015), gamma_zz=0.01)
 coeffs, rate = optimize_two_qubit_mdd(0.8, 0.55, two, seed=0)
 grid_c, grid_rate = grid_minimum_two_qubit(0.8, 0.55, two, points=101)
-print(f"  optimizer: c = ({coeffs.c1:+.4f}, {coeffs.c2:+.4f}, {coeffs.c3:+.4f}), "
+print(f"  optimizer: c = ({coeffs[0]:+.4f}, {coeffs[1]:+.4f}, {coeffs[2]:+.4f}), "
       f"rate {rate:.6e} /us")
-print(f"  101^3 grid: c = ({grid_c.c1:+.4f}, {grid_c.c2:+.4f}, {grid_c.c3:+.4f}), "
+print(f"  101^3 grid: c = ({grid_c[0]:+.4f}, {grid_c[1]:+.4f}, {grid_c[2]:+.4f}), "
       f"rate {grid_rate:.6e} /us")
 print(f"  pure inputs collapse to (1, 1, 1) with rate 0: "
       f"{optimize_two_qubit_mdd(1.0, 1.0, two)}")

@@ -44,9 +44,9 @@ print(f"  {samples.shape[0]} samples, {valid} preserve both sector counts")
 
 config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300, seed=1)
 report = self_consistent_recovery(samples, fci, config)
-print(f"  status: {report.status}")
+print(f"  status: {report['status']}")
 print("  iteration   pool   mean E0 (Ha)   |error| (Ha)")
-for it, (mean_e, pool) in enumerate(zip(report.mean_energies, report.pool_sizes)):
+for it, (mean_e, pool) in enumerate(zip(report["mean_energies"], report["pool_sizes"])):
     print(f"  {it:9d} {pool:6d} {mean_e:14.6f} {abs(mean_e - e_ref):14.6f}")
 print("\ncorrected configurations widen the diagonalization subspaces, pulling the")
 print("variational error toward the reference; batch resampling adds some wobble")

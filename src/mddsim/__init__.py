@@ -36,7 +36,6 @@ from .sequences import (
     udd_times,
 )
 from .analysis import (
-    AnsatzCoefficients,
     DecayRates,
     TwoQubitRates,
     c3_section_feasible,

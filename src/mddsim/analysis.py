@@ -37,19 +37,6 @@ def _unitary_matrix(u) -> np.ndarray:
     return np.asarray(u, dtype=complex)
 
 
-def _plain(value):
-    """Recursively convert numpy containers to plain Python for JSON."""
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _gram(u, sign: float):
     """(G00, G11, Re G01, Im G01) of G = u^dag diag(1, sign) u for a 2x2 ``u`` or a
     (..., 2, 2) stack, in real arithmetic entry by entry: U^dag U for sign 1, u^dag Z u
@@ -90,41 +77,23 @@ def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) 
     return float(total)
 
 
-@dataclass
-class LemmaReport:
-    """Outcome of a random-unitary search against the diagonalizing pair."""
-
-    claim_id: str
-    margin: float
-    worst_case: dict
-    seed: int
-    trials: int
-    mdd_value: float
-    best_competitor: float
-    violations: int
-
-    def to_dict(self) -> dict:
-        return _plain(self.__dict__)
-
-
 def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
-                trials: int, seed: int) -> LemmaReport:
+                trials: int, seed: int) -> dict:
     """Verify that the diagonalizing conjugation pair beats ``trials``
-    Haar-random conjugation pairs for the given channel duration."""
+    Haar-random conjugation pairs for the given channel duration; returns the
+    record that ``lemma_report.json`` holds."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     channel = PhaseCovariantChannel.relaxation(params, t)
     b = bloch_vector(sigma)
-    mdd_value = channel.fidelity(b.r, b.r)  # the aligned state has z = r
+    mdd_value = float(channel.fidelity(b.r, b.r))  # the aligned state has z = r
     rng = np.random.default_rng(seed)
     vals = channel.fidelity(_rotated_z(sigma.entries, _haar_batch(trials, rng)), b.r)
     best = float(np.max(vals))
-    violations = int(np.sum(vals > mdd_value + 1e-10))
-    worst = {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t}
-    return LemmaReport(claim_id="lemma-max-entanglement-fidelity",
-                       margin=float(mdd_value - best), worst_case=worst, seed=seed,
-                       trials=trials, mdd_value=float(mdd_value),
-                       best_competitor=best, violations=violations)
+    return {"claim_id": "lemma-max-entanglement-fidelity", "margin": mdd_value - best,
+            "worst_case": {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t},
+            "seed": seed, "trials": trials, "mdd_value": mdd_value, "best_competitor": best,
+            "violations": int(np.sum(vals > mdd_value + 1e-10))}
 
 
 def _fidelity_table(sigmas, kinds, t_grid, channel_of) -> dict[str, np.ndarray]:
@@ -240,22 +209,6 @@ def decay_rate(sigma: DensityMatrix, u, rates: DecayRates):
 
 
 @dataclass(frozen=True)
-class AnsatzCoefficients:
-    """Diagonal two-qubit ansatz coefficients (c1, c2, c3)."""
-
-    c1: float
-    c2: float
-    c3: float
-
-    def margins(self) -> tuple[float, float, float, float]:
-        """Slack of the four positivity constraints 1 +- c1 +- c2 +- c3 > 0."""
-        return (1.0 + self.c1 + self.c2 + self.c3,
-                1.0 + self.c1 - self.c2 - self.c3,
-                1.0 - self.c1 + self.c2 - self.c3,
-                1.0 - self.c1 - self.c2 + self.c3)
-
-
-@dataclass(frozen=True)
 class TwoQubitRates:
     """Per-qubit decay rates plus the shared ZZ crosstalk rate."""
 
@@ -286,7 +239,7 @@ _STARTS = 20  # SLSQP starts of the two-qubit optimizer: the origin and 19 feasi
 
 
 def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
-                           points: int = 201) -> tuple[AnsatzCoefficients, float]:
+                           points: int = 201) -> tuple[tuple[float, float, float], float]:
     """Dense-grid minimum of the two-qubit decay rate over the closed
     positivity polytope: the enumerative certificate the optimizer is held to.
     Needs ``points >= 2``, so that the grid holds the feasible vertex (1, 1, 1)."""
@@ -309,20 +262,20 @@ def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
         idx = np.unravel_index(np.argmin(vals), vals.shape)
         if vals[idx] < best_val:
             best_val = float(vals[idx])
-            best = AnsatzCoefficients(float(c1), float(axis[idx[0]]), float(axis[idx[1]]))
+            best = (float(c1), float(axis[idx[0]]), float(axis[idx[1]]))
     return best, best_val
 
 
 def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
-                           seed: int = 0) -> tuple[AnsatzCoefficients, float]:
-    """Minimize the two-qubit decay rate over the positivity polytope.
+                           seed: int = 0) -> tuple[tuple[float, float, float], float]:
+    """Minimize the two-qubit decay rate over the positivity polytope: ((c1, c2, c3), rate).
 
     Multi-start SLSQP over the four linear constraints, relaxed to >= 1e-9
     and passed as one vector constraint; for pure inputs the boundary point
     (1, 1, 1) is the exact optimum with rate zero and is returned directly.
     """
     if r_i >= 1.0 - 1e-12 and r_j >= 1.0 - 1e-12:
-        return AnsatzCoefficients(1.0, 1.0, 1.0), 0.0
+        return (1.0, 1.0, 1.0), 0.0
 
     signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
@@ -360,5 +313,4 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
             val = objective(cand)
             if val < best_val:
                 best_val, best_c = val, cand
-    coeffs = AnsatzCoefficients(*[float(v) for v in best_c])
-    return coeffs, float(best_val)
+    return tuple(float(v) for v in best_c), float(best_val)

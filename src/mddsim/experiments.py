@@ -24,7 +24,6 @@ from .analysis import (
     _envelope_slope,
     _fidelity_table,
     _gap_passed,
-    _plain,
     decay_rate,
     grid_minimum_two_qubit,
     lemma_check,
@@ -61,8 +60,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 
-EXPERIMENTS = ("fidelity-sweep", "lemma-check", "theorem-gap", "filter-noise",
-               "two-qubit-opt", "qft-toy", "sqd-recover")
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "list[str]": list, "list[float]": list}
 _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1,
            "threshold": 0}
@@ -207,6 +204,19 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain(value):
+    """Recursively convert numpy containers to plain Python for JSON."""
+    if isinstance(value, np.ndarray):
+        return [_plain(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _json_text(payload) -> str:
     return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
 
@@ -268,8 +278,8 @@ def run_lemma_check(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
         for ti, t in enumerate(t_grid):
             report = lemma_check(sigma, config.noise, t, config.trials,
                                  seed=config.seed * 1_000_003 + i * 1009 + ti)
-            violations += report.violations
-            reports.append(report.to_dict())
+            violations += report["violations"]
+            reports.append(report)
     path = _write(out_dir / "lemma_report.json", _json_text(reports))
     code = EXIT_OK if violations == 0 else EXIT_VIOLATION
     return RunResult(code, [path], f"{violations} violations over {len(reports)} checks")
@@ -373,8 +383,8 @@ def run_two_qubit_opt(config: ExperimentConfig, out_dir: Path, jobs: int = 1) ->
             "claim_id": f"two-qubit-opt-{i}", "margin": grid_rate - rate,
             "worst_case": {"r_i": r_i, "r_j": r_j},
             "seed": config.seed + i,
-            "optimizer": {"c": [coeffs.c1, coeffs.c2, coeffs.c3], "rate": rate},
-            "grid": {"c": [grid_best.c1, grid_best.c2, grid_best.c3], "rate": grid_rate},
+            "optimizer": {"c": coeffs, "rate": rate},
+            "grid": {"c": grid_best, "rate": grid_rate},
             "passed": bool(ok),
         })
     path = _write(out_dir / "two_qubit_opt.json", _json_text(records))
@@ -438,16 +448,15 @@ def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
                               delta=config.delta, seed=config.seed)
     report = self_consistent_recovery(samples, fci, recovery)
     rows = []
-    for iteration, batch_energies in enumerate(report.energies):
+    for iteration, batch_energies in enumerate(report["energies"]):
         for batch, e0 in enumerate(batch_energies):
             rows.append([iteration, batch, e0, abs(e0 - e_ref)])
     files = [
         _write(out_dir / "sqd_recovery.csv", _csv(["iteration", "batch", "E0", "abs_error"], rows)),
         _write(out_dir / "sqd_report.json",
-               _json_text({"reference_energy": e_ref, "status": report.status,
-                           **report.to_dict()})),
+               _json_text({"reference_energy": e_ref, **report})),
     ]
-    return RunResult(EXIT_OK, files, f"status {report.status}, {len(rows)} batch energies")
+    return RunResult(EXIT_OK, files, f"status {report['status']}, {len(rows)} batch energies")
 
 
 _RUNNERS = {
@@ -459,6 +468,7 @@ _RUNNERS = {
     "qft-toy": run_qft_toy,
     "sqd-recover": run_sqd_recover,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunResult:
@@ -476,8 +486,8 @@ def verify_lemma(seed: int = 0, num_states: int = 20, trials: int = 10_000) -> d
         sigma = reduced_density(psi, [0])
         report = lemma_check(sigma, NoiseParams(250.0, 170.0), t=100.0,
                              trials=trials, seed=seed + i)
-        violations += report.violations
-        worst_margin = min(worst_margin, report.margin)
+        violations += report["violations"]
+        worst_margin = min(worst_margin, report["margin"])
     return {"claim_id": "lemma-suite", "margin": worst_margin,
             "worst_case": {"states": num_states, "trials": trials},
             "seed": seed, "violations": violations, "passed": violations == 0}
@@ -528,13 +538,16 @@ def verify_bounds(seed: int = 0, trials: int = 100) -> dict:
     for _ in range(trials):
         psi = haar_random_state(2, seed=int(rng.integers(1 << 31)))
         sigma = reduced_density(psi, [0])
-        vals, vecs = np.linalg.eigh(sigma.entries)
-        diag = DensityMatrix(np.diag(np.maximum(vals[::-1], 0) / np.maximum(vals, 0).sum()))
+        vals = np.linalg.eigvalsh(sigma.entries)
+        l0, l1 = np.maximum(vals[::-1], 0) / np.maximum(vals, 0).sum()
+        diag = DensityMatrix(np.diag([l0, l1]))
         t1 = float(rng.uniform(50, 500))
         params = NoiseParams(t1=t1, t2=float(rng.uniform(10, 2 * t1)))
         t = float(rng.uniform(1, 400))
         upper, lower = mixed_state_bounds(diag, PhaseCovariantChannel.relaxation(params, t))
-        phi = PureState(_purification(diag.entries))
+        # diag(l0, l1) purified as sqrt(l0)|00> + sqrt(l1)|11>, normalized
+        amps = np.array([math.sqrt(l0), 0.0, 0.0, math.sqrt(l1)], dtype=complex)
+        phi = PureState(amps / np.linalg.norm(amps))
         simulated = entanglement_fidelity(phi, apply_local(combined_channel(params, t), phi, 0))
         slack = min(upper + 1e-10 - simulated, simulated - lower + 1e-10)
         worst_slack = min(worst_slack, slack)
@@ -542,15 +555,6 @@ def verify_bounds(seed: int = 0, trials: int = 100) -> dict:
     return {"claim_id": "bounds-suite", "margin": worst_slack,
             "worst_case": {"trials": trials}, "seed": seed,
             "violations": violations, "passed": violations == 0}
-
-
-def _purification(sigma: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(sigma)
-    vals = np.maximum(vals, 0.0)
-    psi = np.zeros(4, dtype=complex)
-    for k in range(2):
-        psi += math.sqrt(vals[k]) * np.kron(vecs[:, k], np.eye(2)[k])
-    return psi / np.linalg.norm(psi)
 
 
 VERIFY_SUITES = {

@@ -308,10 +308,12 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
     if not w_floor < upper:  # the floor would replace the whole range; (w / omega_c)^2 may overflow
         raise QuadratureError(f"chi integral is empty: its floor 1e-9 / t = {w_floor!r} is not "
                               f"below its upper limit 10 * omega_c = {upper!r}")
-    result, abserr, info = integrate.quad(
-        integrand, 0.0, upper, epsabs=_CHI_ABS_TOL, epsrel=1e-10,
-        limit=_CHI_MAX_SUBDIVISIONS, full_output=True,
-    )[:3]
+    # an omega t that overflows the filter function yields NaN, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, abserr, info = integrate.quad(
+            integrand, 0.0, upper, epsabs=_CHI_ABS_TOL, epsrel=1e-10,
+            limit=_CHI_MAX_SUBDIVISIONS, full_output=True,
+        )[:3]
     if not (math.isfinite(result) and abserr <= max(1e-7, 1e-5 * abs(result))):  # NaN fails
         raise QuadratureError(
             f"chi integral did not converge: estimate {result!r}, error {abserr!r}, "

@@ -6,7 +6,6 @@ from .fcidump import FciData, ParseError, parse_fcidump, write_fcidump
 from .hamiltonian import MAX_DENSE_DIM, all_determinants, project_and_diagonalize
 from .recovery import (
     RecoveryConfig,
-    RecoveryReport,
     noisy_sampler,
     recover_configuration,
     self_consistent_recovery,

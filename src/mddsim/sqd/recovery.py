@@ -10,7 +10,7 @@ occupancy itself is refined over batched subspace diagonalizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,29 +89,6 @@ class RecoveryConfig:
             raise ValueError(f"smoothness must lie in (0, 1), got {self.delta}")
 
 
-@dataclass
-class RecoveryReport:
-    """Per-iteration energies, occupancy estimates, and pool sizes."""
-
-    status: str
-    energies: list[list[float]] = field(default_factory=list)
-    occupancies: list[np.ndarray] = field(default_factory=list)
-    pool_sizes: list[int] = field(default_factory=list)
-
-    @property
-    def mean_energies(self) -> list[float]:
-        return [float(np.mean(batch)) for batch in self.energies]
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "energies": [[float(e) for e in batch] for batch in self.energies],
-            "occupancies": [occ.tolist() for occ in self.occupancies],
-            "pool_sizes": list(self.pool_sizes),
-            "mean_energies": self.mean_energies,
-        }
-
-
 def _valid_mask(samples: np.ndarray, fci: FciData) -> np.ndarray:
     norb = fci.norb
     alpha_counts = samples[:, :norb].sum(axis=1)
@@ -137,7 +114,7 @@ def _batch_energy_and_occupancy(pool: np.ndarray, fci: FciData, size: int,
 
 
 def self_consistent_recovery(samples: np.ndarray, fci: FciData,
-                             config: RecoveryConfig) -> RecoveryReport:
+                             config: RecoveryConfig) -> dict:
     """Iterative feedback loop over noisy samples.
 
     Iteration 0 keeps only the symmetry-preserving samples, splits them into
@@ -146,6 +123,9 @@ def self_consistent_recovery(samples: np.ndarray, fci: FciData,
     the current occupancy, merges them with the valid pool, and repeats.
     Originally valid samples are never discarded. Fully deterministic for a
     fixed seed; batches use derived seeds so they may run in any order.
+    Returns the record ``sqd_report.json`` holds, less the reference energy:
+    per iteration the batch energies, the occupancy estimate, the pool size
+    and the mean batch energy.
     """
     samples = np.asarray(samples, dtype=np.uint8)
     if samples.ndim != 2 or samples.shape[1] != fci.num_spin_orbitals:
@@ -155,10 +135,11 @@ def self_consistent_recovery(samples: np.ndarray, fci: FciData,
     valid = samples[_valid_mask(samples, fci)]
     invalid = samples[~_valid_mask(samples, fci)]
     if valid.shape[0] == 0:
-        return RecoveryReport(status="no-valid-configurations")
+        return {"status": "no-valid-configurations", "energies": [], "occupancies": [],
+                "pool_sizes": [], "mean_energies": []}
 
     norb = fci.norb
-    report = RecoveryReport(status="ok")
+    energies, occupancies, pool_sizes = [], [], []
     occupancy = None
     for iteration in range(config.iterations):
         if iteration == 0 or invalid.shape[0] == 0:
@@ -175,18 +156,19 @@ def self_consistent_recovery(samples: np.ndarray, fci: FciData,
                 recovered[row_idx, :norb] = fixed_a
                 recovered[row_idx, norb:] = fixed_b
             pool = np.concatenate([valid, recovered], axis=0)
-        report.pool_sizes.append(pool.shape[0])
-        energies = []
+        pool_sizes.append(pool.shape[0])
+        batch = []
         occ_sum = np.zeros(fci.num_spin_orbitals)
         for batch_idx in range(config.num_batches):
             rng_batch = np.random.default_rng((config.seed, iteration, batch_idx))
             energy, occ = _batch_energy_and_occupancy(pool, fci, config.samples_per_batch, rng_batch)
-            energies.append(energy)
+            batch.append(energy)
             occ_sum += occ
         occupancy = occ_sum / config.num_batches
-        report.energies.append(energies)
-        report.occupancies.append(occupancy)
-    return report
+        energies.append(batch)
+        occupancies.append(occupancy.tolist())
+    return {"status": "ok", "energies": energies, "occupancies": occupancies,
+            "pool_sizes": pool_sizes, "mean_energies": [float(np.mean(batch)) for batch in energies]}
 
 
 def noisy_sampler(ground: np.ndarray, dets: np.ndarray, flip_rate: float, shots: int,

@@ -64,17 +64,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    @classmethod
-    def computational(cls, bits: str) -> "PureState":
-        """Basis state from a bit string, e.g. ``"01"`` -> |01>."""
-        n = len(bits)
-        amps = np.zeros(2**n, dtype=complex)
-        amps[int(bits, 2)] = 1.0
-        return cls(amps)
-
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix (N <= 10 qubits)."""

@@ -9,12 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from mddsim.analysis import (_RATE_EPS, _STARTS, AnsatzCoefficients, TwoQubitRates,
-                             _envelope_slope, _fidelity_table, _gap_passed, _plain,
-                             decay_rate_quadratic, local_entanglement_fidelity)
+from mddsim.analysis import (_RATE_EPS, _STARTS, TwoQubitRates, _envelope_slope,
+                             _fidelity_table, _gap_passed, decay_rate_quadratic,
+                             local_entanglement_fidelity)
 from mddsim.circuits import (Gate, ScheduledCircuit, Slice, _insert_pulse, _pulse_gate,
                              _simulate_raw, cp_gate, custom_gate, h_gate, identify_idle,
                              x_gate, y_gate)
+from mddsim.experiments import _plain
 from mddsim.noise import KrausChannel, NoiseParams, PhaseCovariantChannel, combined_channel
 from mddsim.sequences import (MEASURED_BASE, PulseSchedule, _schedule_maps, build_schedule,
                               evolve_with_schedule, is_measurement_driven, mdd_unitary,
@@ -168,12 +169,12 @@ def toggled_frame_average_loop(psi, schedule, params, qubit: int = 0) -> float:
 
 
 def optimize_two_qubit_mdd_rowwise(r_i: float, r_j: float, rates: TwoQubitRates,
-                                   seed: int = 0) -> tuple[AnsatzCoefficients, float]:
+                                   seed: int = 0) -> tuple[tuple[float, float, float], float]:
     """The multi-start SLSQP with the four positivity constraints passed as
     four scalar constraints, each finite-differenced on its own: the
     bit-identity oracle for the library's single vector constraint."""
     if r_i >= 1.0 - 1e-12 and r_j >= 1.0 - 1e-12:
-        return AnsatzCoefficients(1.0, 1.0, 1.0), 0.0
+        return (1.0, 1.0, 1.0), 0.0
 
     signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
@@ -212,8 +213,7 @@ def optimize_two_qubit_mdd_rowwise(r_i: float, r_j: float, rates: TwoQubitRates,
             val = objective(cand)
             if val < best_val:
                 best_val, best_c = val, cand
-    coeffs = AnsatzCoefficients(*[float(v) for v in best_c])
-    return coeffs, float(best_val)
+    return tuple(float(v) for v in best_c), float(best_val)
 
 
 def insert_dd_replaying(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
@@ -520,6 +520,29 @@ def fidelity(x: DensityMatrix, y: DensityMatrix) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def pure_density(psi: PureState) -> DensityMatrix:
+    """|psi><psi| as a density matrix."""
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def purification(sigma: np.ndarray) -> np.ndarray:
+    """A two-qubit purification sum_k sqrt(l_k) |v_k>|k> of a single-qubit
+    density matrix from its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(sigma)
+    vals = np.maximum(vals, 0.0)
+    psi = np.zeros(4, dtype=complex)
+    for k in range(2):
+        psi += math.sqrt(vals[k]) * np.kron(vecs[:, k], np.eye(2)[k])
+    return psi / np.linalg.norm(psi)
+
+
+def basis_state(bits: str) -> PureState:
+    """Computational basis state from a bit string, e.g. ``"01"`` -> |01>."""
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return PureState(amps)
+
+
 def density_from_bloch(b: PauliExpectations) -> DensityMatrix:
     """Inverse of :func:`bloch_vector`: rho = (I + r . sigma) / 2."""
     mat = 0.5 * (ID2 + b.ex * PAULI_X + b.ey * PAULI_Y + b.ez * PAULI_Z)
@@ -760,19 +783,27 @@ def gate_error_delta(r: float, delta: float, channel: PhaseCovariantChannel) -> 
                                    + 2.0 * r * (1.0 - channel.coherence.real))
 
 
-def two_qubit_decay_rate(c: AnsatzCoefficients, r_i: float, r_j: float,
-                         rates: TwoQubitRates) -> float:
-    """Decay rate of the diagonal two-qubit ansatz: two single-qubit
-    quadratics in (c1, c2) plus the crosstalk term G_zz (1 - c3^2).
+def ansatz_margins(c) -> tuple[float, float, float, float]:
+    """Slack of the four positivity constraints 1 +- c1 +- c2 +- c3 > 0 of the
+    diagonal two-qubit ansatz coefficients ``c`` = (c1, c2, c3)."""
+    c1, c2, c3 = c
+    return (1.0 + c1 + c2 + c3, 1.0 + c1 - c2 - c3, 1.0 - c1 + c2 - c3, 1.0 - c1 - c2 + c3)
+
+
+def two_qubit_decay_rate(c, r_i: float, r_j: float, rates: TwoQubitRates) -> float:
+    """Decay rate of the diagonal two-qubit ansatz ``c`` = (c1, c2, c3): two
+    single-qubit quadratics in (c1, c2) plus the crosstalk term G_zz (1 - c3^2).
 
     Boundary points of the positivity polytope are accepted; points outside
     it raise :class:`FeasibilityError`.
     """
-    if min(c.margins()) < -1e-12:
-        raise FeasibilityError(f"coefficients {c} violate positivity: margins {c.margins()}")
-    return (decay_rate_quadratic(r_i, c.c1, rates.qubit_i)
-            + decay_rate_quadratic(r_j, c.c2, rates.qubit_j)
-            + rates.gamma_zz * (1.0 - c.c3**2))
+    margins = ansatz_margins(c)
+    if min(margins) < -1e-12:
+        raise FeasibilityError(f"coefficients {tuple(c)} violate positivity: margins {margins}")
+    c1, c2, c3 = c
+    return (decay_rate_quadratic(r_i, c1, rates.qubit_i)
+            + decay_rate_quadratic(r_j, c2, rates.qubit_j)
+            + rates.gamma_zz * (1.0 - c3**2))
 
 
 def multi_dd_fidelity(psi: PureState, qubits, kinds, times, params: NoiseParams) -> float:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from mddsim.analysis import (
-    AnsatzCoefficients,
     DecayRates,
     TwoQubitRates,
     _haar_batch,
@@ -27,7 +26,7 @@ from mddsim.analysis import (
 )
 from mddsim.circuits import (qft_final_state, qft_readout, qft_success_scenario, sample_counts, simulate,
                              success_probability)
-from mddsim.experiments import ExperimentConfig, _purification, colored_noise_fidelity, run
+from mddsim.experiments import ExperimentConfig, colored_noise_fidelity, run
 from mddsim.noise import (
     NOISELESS,
     NoiseParams,
@@ -61,7 +60,7 @@ from mddsim.states import (
     reduced_density,
 )
 
-from helpers import apply_unitary, fock_index, fock_space_hamiltonian
+from helpers import apply_unitary, fock_index, fock_space_hamiltonian, purification
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 
@@ -233,7 +232,7 @@ def test_criterion_5_mixed_state_bounds(capsys):
             t = float(rng.uniform(1.0, 400.0))
             channel = combined_channel(params, t)
             upper, lower = mixed_state_bounds(diag, PhaseCovariantChannel.relaxation(params, t))
-            phi = PureState(_purification(diag.entries))
+            phi = PureState(purification(diag.entries))
             simulated = entanglement_fidelity(phi, apply_local(channel, phi, qubit=0))
             if not (lower - 1e-10 <= simulated <= upper + 1e-10):
                 violations += 1
@@ -258,7 +257,7 @@ def test_criterion_6_two_qubit_optimizer(capsys):
         rng = np.random.default_rng(6)
         pure_rates = TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.005, 0.0015), 0.02)
         coeffs, rate = optimize_two_qubit_mdd(1.0, 1.0, pure_rates)
-        pure_ok = (coeffs.c1, coeffs.c2, coeffs.c3) == (1.0, 1.0, 1.0) and rate == 0.0
+        pure_ok = coeffs == (1.0, 1.0, 1.0) and rate == 0.0
         pinned_infeasible = not c3_section_feasible(1)
         worst_excess = -math.inf
         for trial in range(20):
@@ -390,7 +389,7 @@ def test_criterion_8_sqd_pipeline(capsys):
             config = RecoveryConfig(iterations=5, num_batches=10,
                                     samples_per_batch=300, seed=seed)
             report = self_consistent_recovery(samples, fci, config)
-            errors = [abs(m - e_ref) for m in report.mean_energies]
+            errors = [abs(m - e_ref) for m in report["mean_energies"]]
             wins += errors[-1] < errors[0]
     passed = (worst_element <= 1e-10 and dimer_err <= 1e-10 and wins >= 19
               and clock.elapsed < 180.0)

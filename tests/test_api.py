@@ -1,7 +1,9 @@
-"""The library is what runs: every exported name has a caller in the library
-or a demo, and no library module imports a name it does not use."""
+"""The library is what runs: every exported name, and every public method and
+property of an exported class, has a caller in the library or a demo, and no
+library module imports a name it does not use."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -31,6 +33,16 @@ def test_every_export_is_reached_from_the_library_or_a_demo():
                 if not isinstance(getattr(mddsim, name), types.ModuleType)]
     used = set().union(*map(_references, MODULES + DEMOS))
     assert [name for name in exported if name not in used] == []
+
+
+def test_every_public_method_is_reached_from_the_library_or_a_demo():
+    used = set().union(*map(_references, MODULES + DEMOS))
+    classes = [(name, value) for name, value in vars(mddsim).items()
+               if name in mddsim.__all__ and inspect.isclass(value)]
+    members = [f"{name}.{attr}" for name, cls in classes for attr, value in vars(cls).items()
+               if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(
+                   value, (property, classmethod, staticmethod)))]
+    assert [member for member in members if member.split(".")[1] not in used] == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -25,9 +25,10 @@ from mddsim.circuits import (
     x_gate,
 )
 from mddsim.noise import NOISELESS, NoiseParams, apply_local, combined_channel
-from mddsim.states import DensityMatrix, PureState, haar_random_state, reduced_density
+from mddsim.states import DensityMatrix, haar_random_state, reduced_density
 
-from helpers import circuit_from_dict, circuit_from_json, circuit_unitary, fidelity, gate_from_dict
+from helpers import (basis_state, circuit_from_dict, circuit_from_json, circuit_unitary, fidelity,
+                     gate_from_dict, pure_density)
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 
@@ -119,7 +120,7 @@ class TestSimulate:
         psi = haar_random_state(2, seed=1)
         circuit = ScheduledCircuit(2, (Slice(0.0, ()),))
         out = simulate(circuit, DEFAULT_NOISE, initial=psi)
-        np.testing.assert_allclose(out.entries, psi.density().entries, atol=1e-14)
+        np.testing.assert_allclose(out.entries, pure_density(psi).entries, atol=1e-14)
 
     def test_single_idle_slice_equals_bare_channel(self):
         psi = haar_random_state(1, seed=2)
@@ -213,7 +214,7 @@ class TestInsertDd:
 
 class TestSampling:
     def test_all_shots_hit_target(self):
-        counts = sample_counts(PureState.computational("01").density(), 500, seed=1)
+        counts = sample_counts(pure_density(basis_state("01")), 500, seed=1)
         assert counts == {"01": 500}
         assert success_probability(counts, "01") == 100.0
 

@@ -338,10 +338,15 @@ def test_list_fields_reject_strings(name):
 @pytest.mark.parametrize(("config", "extra"), INVALID_CONFIGS.values(), ids=INVALID_CONFIGS.keys())
 def test_invalid_config_exits_2_without_traceback(tmp_path, capsys, config, extra):
     cfg = write_config(tmp_path, **config)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
+    # a warning would print its own lines to the terminal before the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -31,7 +31,7 @@ from mddsim.states import (
     reduced_density,
 )
 
-from helpers import density_from_bloch, frame_durations
+from helpers import density_from_bloch, frame_durations, pure_density
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 
@@ -272,7 +272,7 @@ class TestEvolveWithSchedule:
         exp = measure_expectations(psi, 0)
         for kind in ("none", "xx", "xy4", "udd8", "qdd2", "mdd", "mdd+xx"):
             out = evolve_with_schedule(psi, build_schedule(kind, 100.0, exp), NOISELESS, qubit=0)
-            np.testing.assert_allclose(out.entries, psi.density().entries, atol=1e-12)
+            np.testing.assert_allclose(out.entries, pure_density(psi).entries, atol=1e-12)
 
     def test_concatenated_aligned_blocks_equal_single_block(self):
         psi = haar_random_state(2, seed=12)

@@ -150,9 +150,9 @@ class TestSelfConsistentRecovery:
         samples = noisy_sampler(ground, dets, flip_rate=0.0, shots=400, seed=10)
         config = RecoveryConfig(iterations=2, num_batches=4, samples_per_batch=400, seed=0)
         report = self_consistent_recovery(samples, fci, config)
-        assert report.status == "ok"
+        assert report["status"] == "ok"
         exact = hubbard_dimer_energy(4.0, 1.0)
-        for batch_energy in report.energies[0]:
+        for batch_energy in report["energies"][0]:
             assert batch_energy == pytest.approx(exact, abs=1e-10)
 
     def test_noise_recovery_improves_energy(self, toy):
@@ -162,7 +162,7 @@ class TestSelfConsistentRecovery:
             samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
             config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300, seed=seed)
             report = self_consistent_recovery(samples, fci, config)
-            errors = [abs(m - e_fci) for m in report.mean_energies]
+            errors = [abs(m - e_fci) for m in report["mean_energies"]]
             wins += errors[-1] < errors[0]
         assert wins >= 7
 
@@ -172,7 +172,7 @@ class TestSelfConsistentRecovery:
         config = RecoveryConfig(iterations=3, num_batches=5, samples_per_batch=120, seed=4)
         a = self_consistent_recovery(samples, fci, config)
         b = self_consistent_recovery(samples, fci, config)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_valid_configurations_never_discarded(self, toy):
         fci, dets, _, ground = toy
@@ -181,23 +181,23 @@ class TestSelfConsistentRecovery:
                        & (samples[:, 4:].sum(axis=1) == 2)).sum())
         config = RecoveryConfig(iterations=4, num_batches=3, samples_per_batch=100, seed=1)
         report = self_consistent_recovery(samples, fci, config)
-        assert report.pool_sizes[0] == n_valid
-        assert all(size >= n_valid for size in report.pool_sizes)
-        assert all(size == samples.shape[0] for size in report.pool_sizes[1:])
+        assert report["pool_sizes"][0] == n_valid
+        assert all(size >= n_valid for size in report["pool_sizes"])
+        assert all(size == samples.shape[0] for size in report["pool_sizes"][1:])
 
     def test_no_valid_configurations_reports_failure(self, toy):
         fci, _, _, _ = toy
         bad = np.ones((10, 8), dtype=np.uint8)  # every sector overfull
         report = self_consistent_recovery(bad, fci, RecoveryConfig())
-        assert report.status == "no-valid-configurations"
-        assert report.energies == []
+        assert report["status"] == "no-valid-configurations"
+        assert report["energies"] == []
 
     def test_occupancy_sums_to_electron_count(self, toy):
         fci, dets, _, ground = toy
         samples = noisy_sampler(ground, dets, flip_rate=0.02, shots=300, seed=13)
         config = RecoveryConfig(iterations=3, num_batches=6, samples_per_batch=300, seed=2)
         report = self_consistent_recovery(samples, fci, config)
-        for occ in report.occupancies:
+        for occ in np.array(report["occupancies"]):
             assert occ.sum() == pytest.approx(fci.nelec, abs=1e-8)
             assert np.all(occ >= -1e-12) and np.all(occ <= 1 + 1e-12)
 

@@ -20,7 +20,8 @@ from mddsim.states import (
 )
 from mddsim.noise import KrausChannel, apply_local
 
-from helpers import channel_from_p_gamma, density_from_bloch, embed_operator, fidelity, naive_reduced
+from helpers import (basis_state, channel_from_p_gamma, density_from_bloch, embed_operator,
+                     fidelity, naive_reduced, pure_density)
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -50,7 +51,7 @@ class TestContainers:
             DensityMatrix([[1.5, 0.0], [0.0, -0.5]])
 
     def test_qubit_zero_is_leftmost_factor(self):
-        psi = PureState.computational("01")
+        psi = basis_state("01")
         assert psi.amplitudes[1] == 1.0
         np.testing.assert_allclose(reduced_density(psi, [0]).entries, [[1, 0], [0, 0]], atol=1e-14)
         np.testing.assert_allclose(reduced_density(psi, [1]).entries, [[0, 0], [0, 1]], atol=1e-14)
@@ -98,7 +99,7 @@ class TestContainers:
 
 class TestReducedDensity:
     def test_product_state(self):
-        psi = PureState.computational("00")
+        psi = basis_state("00")
         np.testing.assert_allclose(reduced_density(psi, [0]).entries, [[1, 0], [0, 0]], atol=1e-14)
 
     def test_bell_state_maximally_mixed(self):
@@ -136,7 +137,7 @@ class TestReducedDensity:
         rng = np.random.default_rng(12)
         for n in range(1, 8):
             psi = haar_random_state(n, seed=int(rng.integers(1 << 31)))
-            rho = psi.density()
+            rho = pure_density(psi)
             for _ in range(4):
                 keep = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False))
                 np.testing.assert_allclose(reduced_density(psi, keep).entries,
@@ -206,11 +207,11 @@ class TestFidelity:
 class TestEntanglementFidelity:
     def test_identity_channel(self):
         psi = haar_random_state(3, seed=2)
-        assert entanglement_fidelity(psi, psi.density()) == pytest.approx(1.0, abs=1e-12)
+        assert entanglement_fidelity(psi, pure_density(psi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bit_flip_on_ground_state(self):
         psi = PureState([1.0, 0.0])
-        flipped = DensityMatrix(PAULI_X @ psi.density().entries @ PAULI_X)
+        flipped = DensityMatrix(PAULI_X @ pure_density(psi).entries @ PAULI_X)
         assert entanglement_fidelity(psi, flipped) == pytest.approx(0.0, abs=1e-14)
 
     def test_bell_state_combined_channel_closed_form(self):
@@ -228,7 +229,7 @@ class TestEntanglementFidelity:
             channel = channel_from_p_gamma(p=rng.uniform(0, 0.9), gamma_p=rng.uniform(0.1, 1))
             rho = apply_local(channel, psi, qubit=0)
             fe = entanglement_fidelity(psi, rho)
-            f = fidelity(psi.density(), rho)
+            f = fidelity(pure_density(psi), rho)
             assert fe <= f + 1e-10
             assert f <= 1 + 1e-12
 
