@@ -1,24 +1,20 @@
-"""Deferred imports for the heavy scipy submodules that only some experiments use."""
+"""Deferred imports for the heavy modules that only some runs use."""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
+import importlib
 import types
 
 
-def lazy_import(name: str) -> types.ModuleType:
-    """Module ``name``, executed on its first attribute access.
+class _Deferred(types.ModuleType):
+    """Stand-in for a module that is imported on its first attribute access."""
 
-    The object is entered in ``sys.modules``, so a later plain import returns
-    it, and once loaded it is the module itself.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self.__name__), attr)
+
+
+def lazy_import(name: str) -> types.ModuleType:
+    """A proxy for module ``name``: nothing is imported until an attribute the
+    proxy lacks is read, and such a read returns the module's own attribute.
+    The proxy is not the module, and it is not entered in ``sys.modules``."""
+    return _Deferred(name)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -228,13 +227,14 @@ def c3_section_feasible(c3) -> bool:
     Adding the second and third constraints gives 2 - 2 c3 > 0, adding the
     first and fourth gives 2 + 2 c3 > 0, so c3 must lie strictly inside
     (-1, 1); conversely (c1, c2) = (0, 0) witnesses any such section. Pinning
-    c3 = 1 forces both c1 > c2 and c2 > c1, an exact contradiction.
+    c3 = 1 forces both c1 > c2 and c2 > c1, an exact contradiction. Python
+    compares int, float and ``Fraction`` exactly, so no conversion is needed.
     """
-    c3 = Fraction(c3)
-    return Fraction(-1) < c3 < Fraction(1)
+    return -1 < c3 < 1
 
 
 _RATE_EPS = 1e-9
+_GRID_BLOCK = 64  # c1 rows of the grid certificate held at once
 _STARTS = 20  # SLSQP starts of the two-qubit optimizer: the origin and 19 feasible draws
 
 
@@ -242,28 +242,37 @@ def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
                            points: int = 201) -> tuple[tuple[float, float, float], float]:
     """Dense-grid minimum of the two-qubit decay rate over the closed
     positivity polytope: the enumerative certificate the optimizer is held to.
-    Needs ``points >= 2``, so that the grid holds the feasible vertex (1, 1, 1)."""
+    Needs ``points >= 2``, so that the grid holds the feasible vertex (1, 1, 1).
+
+    Equal, bit for bit, to scanning all points^3 grid points in C order for
+    the first smallest fl(fl(f1 + f2) + fz) under the four float constraints
+    ((1 +- c1) +- c2) +- c3 >= 0, in O(points^2). A rounded sum has the sign
+    of the exact sum, so each constraint bounds c3 by a float, and each
+    (c1, c2) row is feasible on one index interval [lo, hi] of the axis.
+    fz is unimodal with a maximum, so a row's minimum sits at lo or hi.
+    """
     if points < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {points}")
     axis = np.linspace(-1.0, 1.0, points)
     f1 = decay_rate_quadratic(r_i, axis, rates.qubit_i)
     f2 = decay_rate_quadratic(r_j, axis, rates.qubit_j)
     fz = rates.gamma_zz * (1.0 - axis**2)
-    c2g, c3g = np.meshgrid(axis, axis, indexing="ij")
     best_val = math.inf
     best = None
-    for i1, c1 in enumerate(axis):
-        feasible = ((1.0 + c1 + c2g + c3g >= 0.0) & (1.0 + c1 - c2g - c3g >= 0.0)
-                    & (1.0 - c1 + c2g - c3g >= 0.0) & (1.0 - c1 - c2g + c3g >= 0.0))
-        if not feasible.any():
-            continue
-        vals = f1[i1] + f2[:, None] + fz[None, :]
-        vals = np.where(feasible, vals, math.inf)
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best = (float(c1), float(axis[idx[0]]), float(axis[idx[1]]))
-    return best, best_val
+    for start in range(0, points, _GRID_BLOCK):  # c1 rows a block at a time
+        c1 = axis[start:start + _GRID_BLOCK, None]
+        plus, minus = 1.0 + c1, 1.0 - c1
+        lo = np.searchsorted(axis, -np.minimum(plus + axis, minus - axis), side="left")
+        hi = np.searchsorted(axis, np.minimum(plus - axis, minus + axis), side="right") - 1
+        ends = np.minimum(fz.take(lo, mode="clip"), fz.take(hi, mode="clip"))
+        rows = np.where(lo <= hi, (f1[start:start + _GRID_BLOCK, None] + f2) + ends, math.inf)
+        k = int(np.argmin(rows))
+        if rows.flat[k] < best_val:
+            i1, i2 = divmod(k, points)
+            best_val, best = float(rows.flat[k]), (start + i1, i2, int(lo[i1, i2]), int(hi[i1, i2]))
+    i1, i2, lo, hi = best
+    i3 = lo + int(np.argmin(f1[i1] + f2[i2] + fz[lo:hi + 1]))  # the row's first minimum
+    return (float(axis[i1]), float(axis[i2]), float(axis[i3])), best_val
 
 
 def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,

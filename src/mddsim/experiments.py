@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ._lazy import lazy_import
 from .analysis import (
     DecayRates,
     TwoQubitRates,
@@ -56,6 +56,8 @@ from .states import (
     reduced_density,
 )
 
+futures = lazy_import("concurrent.futures")  # the --jobs process pool
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
@@ -63,10 +65,10 @@ EXIT_VIOLATION = 3
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "list[str]": list, "list[float]": list}
 _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2, "sample_shots": 1,
            "threshold": 0}
-# each of these sizes an array held at once: grid_points^2 rates (and grid_points^3 steps)
-# in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch bit rows,
-# num_states fidelity curves (theorem-gap at the default grid peaks near 265 MB at 10^4);
-# shots is the count of one multinomial draw, which must fit a C long (2^63 - 1)
+# each of these sizes an array held at once: 64 rows of grid_points rates (and grid_points^2
+# steps) in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch
+# bit rows, num_states fidelity curves (theorem-gap at the default grid peaks near 265 MB at
+# 10^4); shots is the count of one multinomial draw, which must fit a C long (2^63 - 1)
 _MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6,
            "shots": 10**18, "num_states": 10**4}
 _MAX_DURATIONS = 10**4  # len(t_grid): each duration is a column of every fidelity curve
@@ -249,7 +251,7 @@ def _run_state_tasks(config: ExperimentConfig, sequences, t_grid, jobs: int):
     tasks = [(config.seed, start, stop, config.num_qubits, config.noise, tuple(sequences),
               tuple(t_grid)) for start, stop in zip(bounds, bounds[1:])]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_sweep_block_task, tasks))
     else:
         blocks = list(map(_sweep_block_task, tasks))

@@ -216,6 +216,34 @@ def optimize_two_qubit_mdd_rowwise(r_i: float, r_j: float, rates: TwoQubitRates,
     return tuple(float(v) for v in best_c), float(best_val)
 
 
+def grid_minimum_two_qubit_dense(r_i: float, r_j: float, rates: TwoQubitRates,
+                                 points: int = 201) -> tuple[tuple[float, float, float], float]:
+    """The grid certificate by scanning all points^3 grid points: four float
+    masks and one value slice per c1, the first minimum in C order. The
+    bit-identity oracle for the library's per-row c3 intervals."""
+    if points < 2:
+        raise ValueError(f"grid needs at least 2 points per axis, got {points}")
+    axis = np.linspace(-1.0, 1.0, points)
+    f1 = decay_rate_quadratic(r_i, axis, rates.qubit_i)
+    f2 = decay_rate_quadratic(r_j, axis, rates.qubit_j)
+    fz = rates.gamma_zz * (1.0 - axis**2)
+    c2g, c3g = np.meshgrid(axis, axis, indexing="ij")
+    best_val = math.inf
+    best = None
+    for i1, c1 in enumerate(axis):
+        feasible = ((1.0 + c1 + c2g + c3g >= 0.0) & (1.0 + c1 - c2g - c3g >= 0.0)
+                    & (1.0 - c1 + c2g - c3g >= 0.0) & (1.0 - c1 - c2g + c3g >= 0.0))
+        if not feasible.any():
+            continue
+        vals = f1[i1] + f2[:, None] + fz[None, :]
+        vals = np.where(feasible, vals, math.inf)
+        idx = np.unravel_index(np.argmin(vals), vals.shape)
+        if vals[idx] < best_val:
+            best_val = float(vals[idx])
+            best = (float(c1), float(axis[idx[0]]), float(axis[idx[1]]))
+    return best, best_val
+
+
 def insert_dd_replaying(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
                         threshold: float, shots: int | None = None,
                         seed: int | None = None) -> ScheduledCircuit:

@@ -8,6 +8,7 @@ import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,7 +183,8 @@ class TestCliContract:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(experiments, "futures",
+                            SimpleNamespace(ProcessPoolExecutor=SerialExecutor))
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
         cfg = write_config(tmp_path, experiment="fidelity-sweep", num_states=num_states,
                            num_qubits=2, t_grid=[5.0, 50.0], sequences=["none", "mdd"])

@@ -8,6 +8,7 @@ reproducible and writes no example database.
 import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mddsim.analysis import (
     _rotated_z,
     dd_entanglement_fidelity,
     decay_rate,
+    grid_minimum_two_qubit,
     lemma_check,
     local_entanglement_fidelity,
     optimize_two_qubit_mdd,
@@ -79,6 +81,7 @@ from helpers import (
     covariant_fidelity_entrywise,
     covariant_from_superop,
     dephasing_channel_from_chi,
+    grid_minimum_two_qubit_dense,
     insert_dd_replaying,
     lemma_check_matmul,
     optimize_two_qubit_mdd_rowwise,
@@ -238,7 +241,7 @@ def test_sweep_builds_fixed_superoperators_once_per_block(jobs, blocks, kinds):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "_fidelity_table", table)
         patch.setattr(experiments, "schedule_channel", counting)
-        patch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
+        patch.setattr(experiments, "futures", SimpleNamespace(ProcessPoolExecutor=SerialExecutor))
         patch.setattr(experiments.os, "cpu_count", lambda: 64)
         config = ExperimentConfig(experiment="fidelity-sweep", num_states=5, num_qubits=2)
         table = _run_state_tasks(config, kinds, t_grid, jobs)
@@ -342,6 +345,67 @@ def test_two_qubit_opt_bytes_equal_rowwise_oracle(tmp_path, monkeypatch, seed):
     run_two_qubit_opt(config, tmp_path / "oracle")
     assert ((tmp_path / "library" / "two_qubit_opt.json").read_bytes()
             == (tmp_path / "oracle" / "two_qubit_opt.json").read_bytes())
+
+
+def _two_qubit_instance(rng):
+    """Rates and Bloch radii drawn as ``run_two_qubit_opt`` draws them."""
+    rates = TwoQubitRates(DecayRates(rng.uniform(0.001, 0.01), rng.uniform(0.0005, 0.005)),
+                          DecayRates(rng.uniform(0.001, 0.01), rng.uniform(0.0005, 0.005)),
+                          rng.uniform(0.0, 0.02))
+    return float(rng.uniform(0, 1)), float(rng.uniform(0, 1)), rates
+
+
+@pytest.mark.parametrize("points", [2, 3, 5, 64, 65, 101, 201, 2 * analysis._GRID_BLOCK + 1])
+def test_grid_minimum_equals_dense_scan(points):
+    # the per-row c3 intervals pick the dense scan's point and rate, bit for bit
+    rng = np.random.default_rng(points)
+    cases = [_two_qubit_instance(rng) for _ in range(4)]
+    r_i, r_j, rates = cases[0]
+    zero = DecayRates(0.0, 0.0)
+    cases += [(r_i, r_j, TwoQubitRates(rates.qubit_i, rates.qubit_j, 0.0)),
+              (0.0, r_j, rates), (r_i, 1.0, rates), (1.0, 0.0, rates), (1.0, 1.0, rates),
+              # a qubit at rate zero ties every c1 (or c2) row: the first one wins
+              (r_i, r_j, TwoQubitRates(zero, rates.qubit_j, rates.gamma_zz)),
+              (r_i, r_j, TwoQubitRates(rates.qubit_i, zero, 0.0)),
+              (r_i, r_j, TwoQubitRates(zero, zero, 0.0))]
+    # a minimum at c1 = c2 = 1/2, where c3 may lie anywhere in [0, 1]; a ZZ rate of 2e-18
+    # rounds away near c3 = 1, so the row's first minimum lies before the interval's end
+    inner = SimpleNamespace(gamma1=0.01, gamma2=-0.0025)
+    cases += [(0.5, 0.5, SimpleNamespace(qubit_i=inner, qubit_j=inner, gamma_zz=gamma_zz))
+              for gamma_zz in (0.0, 2e-18, 0.01)]
+    for r_i, r_j, rates in cases:
+        assert (grid_minimum_two_qubit(r_i, r_j, rates, points)
+                == grid_minimum_two_qubit_dense(r_i, r_j, rates, points))
+
+
+# physical rates put the minimum on a vertex, whose c3 interval is one point; negative
+# single-qubit rates (built without DecayRates' check) move it onto rows whose interval is
+# wide, so both of its ends and the first minimum inside it are exercised too
+signed_rates = st.builds(SimpleNamespace, gamma1=st.floats(-0.05, 0.05),
+                         gamma2=st.floats(-0.05, 0.05))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(qubit_i=st.one_of(decay_rates(), signed_rates),
+       qubit_j=st.one_of(decay_rates(), signed_rates),
+       gamma_zz=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+       r_i=st.floats(0.0, 1.0), r_j=st.floats(0.0, 1.0), points=st.integers(2, 40))
+def test_grid_minimum_equals_dense_scan_property(qubit_i, qubit_j, gamma_zz, r_i, r_j, points):
+    rates = SimpleNamespace(qubit_i=qubit_i, qubit_j=qubit_j, gamma_zz=gamma_zz)
+    assert (grid_minimum_two_qubit(r_i, r_j, rates, points)
+            == grid_minimum_two_qubit_dense(r_i, r_j, rates, points))
+
+
+def test_grid_minimum_memory_is_quadratic():
+    # the dense scan held 35 MB at 1001 points; a block of c1 rows holds about 3 MB
+    r_i, r_j, rates = _two_qubit_instance(np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        grid_minimum_two_qubit(r_i, r_j, rates, points=1001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @PROPERTY

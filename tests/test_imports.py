@@ -1,5 +1,7 @@
-"""Import cost: scipy's optimize, integrate and linalg load on first use, not
-at ``import mddsim``, and each deferred name stays the scipy module itself."""
+"""Import cost: ``import mddsim`` loads numpy and nothing heavy. scipy's
+optimize, integrate and linalg and the ``--jobs`` process pool load on first
+use; each deferred name is a proxy, not the module, whose attributes resolve
+to the module's own."""
 
 import json
 import os
@@ -18,8 +20,9 @@ from mddsim.sqd import hamiltonian
 ROOT = Path(__file__).resolve().parents[1]
 
 # loaded by the first chi_integral, optimize_two_qubit_mdd and project_and_diagonalize
-# call; the lazy stub of scipy.optimize itself may be present earlier
-DEFERRED = ("scipy.special", "scipy.optimize._minimize", "scipy.linalg._decomp")
+# call, and by the first --jobs pool; fractions is not needed for exact comparisons
+DEFERRED = ("scipy", "scipy.special", "scipy.optimize._minimize", "scipy.linalg._decomp",
+            "multiprocessing", "concurrent.futures.process", "fractions")
 
 COLD_RUN = """
 import contextlib, io, json, sys, tempfile
