@@ -38,6 +38,7 @@ from .sequences import MEASURED_BASE, build_schedule, flip_times, mdd_unitary, s
 from .sqd import (
     MAX_DENSE_DIM,
     RecoveryConfig,
+    SpaceHamiltonian,
     all_determinants,
     hubbard_dimer_fcidump,
     noisy_sampler,
@@ -439,16 +440,17 @@ def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
                           f"{dim} exceeds dense limit {MAX_DENSE_DIM}")
     dets = all_determinants(fci.norb, fci.n_alpha, fci.n_beta)
     try:
-        e_ref, ground = project_and_diagonalize(dets, fci)
+        space = SpaceHamiltonian(dets, fci)
+        e_ref, ground = project_and_diagonalize(dets, space)
     except ValueError as exc:
-        # every batch matrix is a submatrix of this one, so only it can fail
+        # every batch matrix is gathered from this one, so only it can fail
         raise ConfigError(f"cannot diagonalize integrals {config.fcidump!r}: {exc}") from None
     samples = noisy_sampler(ground, dets, config.flip_rate,
                             shots=config.sample_shots, seed=config.seed)
     recovery = RecoveryConfig(iterations=config.iterations, num_batches=config.num_batches,
                               samples_per_batch=config.samples_per_batch,
                               delta=config.delta, seed=config.seed)
-    report = self_consistent_recovery(samples, fci, recovery)
+    report = self_consistent_recovery(samples, space, recovery)
     rows = []
     for iteration, batch_energies in enumerate(report["energies"]):
         for batch, e0 in enumerate(batch_energies):

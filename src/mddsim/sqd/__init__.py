@@ -3,7 +3,7 @@ determinant-space Hamiltonians over occupation bit rows, and self-consistent
 configuration recovery."""
 
 from .fcidump import FciData, ParseError, parse_fcidump, write_fcidump
-from .hamiltonian import MAX_DENSE_DIM, all_determinants, project_and_diagonalize
+from .hamiltonian import MAX_DENSE_DIM, SpaceHamiltonian, all_determinants, project_and_diagonalize
 from .recovery import (
     RecoveryConfig,
     noisy_sampler,

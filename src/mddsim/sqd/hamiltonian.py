@@ -44,24 +44,31 @@ def all_determinants(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
     return np.hstack([np.repeat(alpha, len(beta), axis=0), np.tile(beta, (len(alpha), 1))])
 
 
-def _check_rows(dets, fci: FciData) -> np.ndarray:
-    """The subspace as (dim, 2*norb) int8 bits, after checking the dtype, the
-    width, the 0/1 values and that every row places n_alpha and n_beta
-    electrons in its sectors; the vectorized build relies on these fixed
-    counts. Duplicate rows are found by the build's screen."""
+def _bit_rows(dets, norb: int) -> np.ndarray:
+    """The subspace as an array, after checking that it is nonempty, holds
+    integers or booleans, has shape (dim, 2*norb) and only 0/1 values."""
     rows = np.asarray(dets)
-    norb = fci.norb
     if rows.shape[:1] == (0,):
         raise ValueError("subspace is empty")
     if rows.dtype != bool and not np.issubdtype(rows.dtype, np.integer):
         raise ValueError(f"occupation rows must hold integers or booleans, not {rows.dtype}")
     if rows.ndim != 2 or rows.shape[1] != 2 * norb:
         raise ValueError(f"occupation rows must have shape (dim, {2 * norb}), got {rows.shape}")
-    if len(rows) > MAX_DENSE_DIM:
-        raise ValueError(f"subspace dimension {len(rows)} exceeds dense limit {MAX_DENSE_DIM}")
     bad = np.flatnonzero(((rows != 0) & (rows != 1)).any(axis=1))
     if bad.size:
         raise ValueError(f"row {bad[0]} {rows[bad[0]].tolist()} holds a value other than 0 or 1")
+    return rows
+
+
+def _check_rows(dets, fci: FciData) -> np.ndarray:
+    """The subspace as (dim, 2*norb) int8 bits, after the checks of
+    ``_bit_rows``, the dense limit and that every row places n_alpha and
+    n_beta electrons in its sectors; the vectorized build relies on these
+    fixed counts. Duplicate rows are found by the build's screen."""
+    rows = _bit_rows(dets, fci.norb)
+    norb = fci.norb
+    if len(rows) > MAX_DENSE_DIM:
+        raise ValueError(f"subspace dimension {len(rows)} exceeds dense limit {MAX_DENSE_DIM}")
     bits = rows.astype(np.int8)
     bad = np.flatnonzero((bits[:, :norb].sum(axis=1) != fci.n_alpha)
                          | (bits[:, norb:].sum(axis=1) != fci.n_beta))
@@ -69,6 +76,14 @@ def _check_rows(dets, fci: FciData) -> np.ndarray:
         raise ValueError(f"row {bad[0]} {bits[bad[0]].tolist()} does not place {fci.n_alpha} "
                          f"alpha and {fci.n_beta} beta electrons in {norb} orbitals")
     return bits
+
+
+def occupation_keys(rows: np.ndarray, norb: int) -> np.ndarray:
+    """One uint64 per 0/1 occupation row: its alpha bits above its beta bits,
+    each sector's top orbital most significant. Ascending keys are the rows in
+    ascending (alpha, beta) bitmask order; 2*norb <= 64 bits fit."""
+    shifts = np.concatenate([np.arange(norb, 2 * norb), np.arange(norb)]).astype(np.uint64)
+    return (np.asarray(rows).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
 
 
 def _positions(bits: np.ndarray, count: int) -> np.ndarray:
@@ -149,12 +164,14 @@ def _mixed_double_elements(frm_a: np.ndarray, to_a: np.ndarray, frm_b: np.ndarra
     return sign_a * sign_b * fci.eri[hole_a, part_a, hole_b, part_b]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
     """Dense subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>.
 
     Pairs are screened by excitation degree, read from common-occupation
     counts; only the upper-triangle pairs of degree <= 2 are evaluated, one
-    element class at a time, each as vector operations over its pairs.
+    element class at a time, each as vector operations over its pairs. A
+    matrix that overflows to inf or nan raises ValueError.
     """
     bits = _check_rows(dets, fci)
     norb, n_a, n_b = fci.norb, fci.n_alpha, fci.n_beta
@@ -188,28 +205,75 @@ def _hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
     fill(d_beta == 2, lambda to, frm: _double_elements(beta[frm], beta[to], fci))
     fill((d_alpha == 1) & (d_beta == 1),
          lambda to, frm: _mixed_double_elements(alpha[frm], alpha[to], beta[frm], beta[to], fci))
+    if not np.isfinite(matrix).all():
+        raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
     return matrix
 
 
-def project_and_diagonalize(dets, fci: FciData) -> tuple[float, np.ndarray]:
+class SpaceHamiltonian:
+    """The Hamiltonian on the span of ``dets``, built once; ``matrix`` is the
+    dense matrix in the row order of ``dets``.
+
+    The matrix of a subspace spanned by some of these rows is gathered from
+    it, ``matrix[np.ix_(idx, idx)]``, instead of being built again. A pair's
+    element does not depend on which of its rows comes first when the
+    integrals are exactly 8-fold symmetric, as parsed ones are (each record
+    sets its whole permutation orbit), so the gather is then bitwise the
+    build in the subspace's own row order. A matrix that overflows to inf or
+    nan raises ValueError here, so no gathered one can.
+    """
+
+    def __init__(self, dets, fci: FciData):
+        self.fci = fci
+        self.matrix = _hamiltonian_matrix(dets, fci)
+        keys = occupation_keys(dets, fci.norb)
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+
+    def submatrix(self, dets) -> np.ndarray:
+        """The matrix of the subspace spanned by ``dets``, a (dim, 2*norb)
+        array of distinct 0/1 rows that are all in the space, in their order."""
+        rows = _bit_rows(dets, self.fci.norb)
+        keys = occupation_keys(rows, self.fci.norb)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        bad = np.flatnonzero(self._keys[at] != keys)
+        if bad.size:
+            raise ValueError(f"row {bad[0]} {rows[bad[0]].tolist()} is not a determinant "
+                             "of the space the Hamiltonian was built on")
+        order = np.argsort(at, kind="stable")
+        same = np.flatnonzero(at[order[1:]] == at[order[:-1]])
+        if same.size:
+            raise ValueError(f"row {order[same[0] + 1]} repeats row {order[same[0]]}: "
+                             "determinants must be distinct")
+        idx = self._order[at]
+        return self.matrix[np.ix_(idx, idx)]
+
+
+def project_and_diagonalize(dets, hamiltonian: FciData | SpaceHamiltonian
+                            ) -> tuple[float, np.ndarray]:
     """Ground eigenpair of the Hamiltonian projected on the subspace spanned
     by ``dets``, a (dim, 2*norb) array of distinct 0/1 occupation rows (bool
     or any integer dtype).
 
-    Returns the lowest eigenvalue including the core energy and the
-    normalized ground eigenvector in the row basis. Enlarging the subspace
-    can only lower the returned energy (variational). Every row must hold
-    the integrals' electron counts in their orbitals, and a subspace matrix
-    that overflows to inf or nan raises ValueError.
+    ``hamiltonian`` is either the integrals, from which the subspace matrix
+    is built, or a :class:`SpaceHamiltonian` whose space holds every row,
+    from which it is gathered. Returns the lowest eigenvalue including the
+    core energy and the normalized ground eigenvector in the row basis.
+    Enlarging the subspace can only lower the returned energy (variational).
+    Every row must hold the integrals' electron counts in their orbitals,
+    and a subspace matrix that overflows to inf or nan raises ValueError.
 
     Only the lowest eigenpair is computed (LAPACK ``syevr`` through
     ``scipy.linalg.eigh`` with ``subset_by_index``), never the whole
     spectrum. The vector's sign is arbitrary, and for a degenerate ground
     state it is some unit vector in the ground eigenspace.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _hamiltonian_matrix(dets, fci)
-    if not np.isfinite(matrix).all():
-        raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
-    vals, vecs = linalg.eigh(matrix, subset_by_index=[0, 0])
+    if isinstance(hamiltonian, SpaceHamiltonian):
+        fci, matrix = hamiltonian.fci, hamiltonian.submatrix(dets)
+    else:
+        fci, matrix = hamiltonian, _hamiltonian_matrix(dets, hamiltonian)
+    # the matrix is exactly symmetric (each pair's element is written to both
+    # triangles), so its transpose is the same matrix in the Fortran order
+    # that LAPACK overwrites in place, with no copy beside it
+    vals, vecs = linalg.eigh(matrix.T, subset_by_index=[0, 0], overwrite_a=True)
     return float(vals[0] + fci.core_energy), vecs[:, 0]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fcidump import FciData
-from .hamiltonian import project_and_diagonalize
+from .hamiltonian import (SpaceHamiltonian, all_determinants, occupation_keys,
+                          project_and_diagonalize)
 
 _RECOVER_SALT = 10_007
 
@@ -40,7 +41,9 @@ def recover_configuration(bits: np.ndarray, occupancy: np.ndarray, n_target: int
     When the sector holds too few electrons only 0 -> 1 flips occur, and vice
     versa; flip candidates are drawn sequentially without replacement with
     probability proportional to w(|bit - occupancy|) at filling n_target / m.
-    A sample that already matches the target is returned unchanged.
+    A sample that already matches the target is returned unchanged, and an
+    empty or a full sector leaves no choice. An occupancy is a sum of squared
+    amplitudes and can read one ulp above 1, so a deviation is clamped to 1.
     """
     bits = np.asarray(bits, dtype=np.uint8).copy()
     occupancy = np.asarray(occupancy, dtype=float)
@@ -52,6 +55,8 @@ def recover_configuration(bits: np.ndarray, occupancy: np.ndarray, n_target: int
     count = int(bits.sum())
     if count == n_target:
         return bits
+    if n_target in (0, m):
+        return np.full(m, n_target // m, dtype=np.uint8)
     fill = n_target / m
     if count < n_target:
         candidates = np.flatnonzero(bits == 0)
@@ -59,7 +64,7 @@ def recover_configuration(bits: np.ndarray, occupancy: np.ndarray, n_target: int
     else:
         candidates = np.flatnonzero(bits == 1)
         new_value = 0
-    weights = np.array([weight_w(abs(float(bits[i]) - occupancy[i]), fill, delta)
+    weights = np.array([weight_w(min(abs(float(bits[i]) - occupancy[i]), 1.0), fill, delta)
                         for i in candidates])
     for _ in range(abs(count - n_target)):
         total = weights.sum()
@@ -96,16 +101,16 @@ def _valid_mask(samples: np.ndarray, fci: FciData) -> np.ndarray:
     return (alpha_counts == fci.n_alpha) & (beta_counts == fci.n_beta)
 
 
-def _batch_energy_and_occupancy(pool: np.ndarray, fci: FciData, size: int,
-                                rng: np.random.Generator) -> tuple[float, np.ndarray]:
+def _batch_energy_and_occupancy(pool: np.ndarray, hamiltonian: FciData | SpaceHamiltonian,
+                                size: int, rng: np.random.Generator) -> tuple[float, np.ndarray]:
     replace = pool.shape[0] < size
     idx = rng.choice(pool.shape[0], size=size, replace=replace)
-    norb = fci.norb
-    # with each sector's bits read from its top orbital down, the sorted
-    # distinct rows are the distinct determinants in ascending (alpha, beta) order
-    top_down = (pool[idx] != 0).reshape(size, 2, norb)[:, :, ::-1].reshape(size, 2 * norb)
-    rows = np.unique(top_down, axis=0).reshape(-1, 2, norb)[:, :, ::-1].reshape(-1, 2 * norb)
-    energy, ground = project_and_diagonalize(rows, fci)
+    bits = pool[idx] != 0
+    # the ascending distinct keys are the distinct determinants in ascending
+    # (alpha, beta) bitmask order
+    _, first = np.unique(occupation_keys(bits, pool.shape[1] // 2), return_index=True)
+    rows = bits[first]
+    energy, ground = project_and_diagonalize(rows, hamiltonian)
     # amplitude**2 of a numpy scalar calls pow(), which can differ in the last
     # bit from the x*x of an array square; cumsum adds the rows in order
     probs = np.array([amplitude**2 for amplitude in ground])
@@ -113,7 +118,7 @@ def _batch_energy_and_occupancy(pool: np.ndarray, fci: FciData, size: int,
     return energy, occupancy
 
 
-def self_consistent_recovery(samples: np.ndarray, fci: FciData,
+def self_consistent_recovery(samples: np.ndarray, hamiltonian: FciData | SpaceHamiltonian,
                              config: RecoveryConfig) -> dict:
     """Iterative feedback loop over noisy samples.
 
@@ -123,10 +128,19 @@ def self_consistent_recovery(samples: np.ndarray, fci: FciData,
     the current occupancy, merges them with the valid pool, and repeats.
     Originally valid samples are never discarded. Fully deterministic for a
     fixed seed; batches use derived seeds so they may run in any order.
-    Returns the record ``sqd_report.json`` holds, less the reference energy:
-    per iteration the batch energies, the occupancy estimate, the pool size
-    and the mean batch energy.
+
+    ``hamiltonian`` is a :class:`SpaceHamiltonian` of the whole determinant
+    space, or the integrals, of which that space's Hamiltonian is then built
+    here. Either way it is built once, and every batch matrix is gathered
+    from it. Returns the record ``sqd_report.json`` holds, less the
+    reference energy: per iteration the batch energies, the occupancy
+    estimate, the pool size and the mean batch energy.
     """
+    if isinstance(hamiltonian, SpaceHamiltonian):
+        fci = hamiltonian.fci
+    else:
+        fci = hamiltonian
+        hamiltonian = SpaceHamiltonian(all_determinants(fci.norb, fci.n_alpha, fci.n_beta), fci)
     samples = np.asarray(samples, dtype=np.uint8)
     if samples.ndim != 2 or samples.shape[1] != fci.num_spin_orbitals:
         raise ValueError("samples must be a (count, 2*norb) bit array")
@@ -161,7 +175,8 @@ def self_consistent_recovery(samples: np.ndarray, fci: FciData,
         occ_sum = np.zeros(fci.num_spin_orbitals)
         for batch_idx in range(config.num_batches):
             rng_batch = np.random.default_rng((config.seed, iteration, batch_idx))
-            energy, occ = _batch_energy_and_occupancy(pool, fci, config.samples_per_batch, rng_batch)
+            energy, occ = _batch_energy_and_occupancy(pool, hamiltonian, config.samples_per_batch,
+                                                       rng_batch)
             batch.append(energy)
             occ_sum += occ
         occupancy = occ_sum / config.num_batches

@@ -382,6 +382,37 @@ def test_overflowing_integrals_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def sector_integrals(nelec: int, ms2: int) -> FciData:
+    base = parse_fcidump(random_fcidump(4, 4, seed=3))
+    return FciData(norb=4, nelec=nelec, ms2=ms2, h=base.h, eri=base.eri,
+                   core_energy=base.core_energy)
+
+
+def deep_core_integrals() -> FciData:
+    # orbital 0 sits 50 Hartree down, so every batch row holds it twice and
+    # its occupancy, a sum of squared amplitudes, can read one ulp above 1
+    base = parse_fcidump(random_fcidump(5, 6, seed=7))
+    h = base.h.copy()
+    h[0, 0] -= 50.0
+    return FciData(norb=5, nelec=6, ms2=0, h=h, eri=base.eri, core_energy=base.core_energy)
+
+
+@pytest.mark.parametrize("fci,seed", [
+    (sector_integrals(1, 1), 0),     # no beta electrons
+    (sector_integrals(5, 3), 0),     # four alpha electrons in four orbitals
+    (sector_integrals(0, 0), 0),     # no electrons at all
+    (deep_core_integrals(), 7),
+], ids=["empty-beta", "full-alpha", "nelec-0", "deep-core"])
+def test_sqd_recover_edge_spaces_exit_0(tmp_path, capsys, fci, seed):
+    dump = tmp_path / "edge.fcidump"
+    dump.write_text(write_fcidump(fci))
+    cfg = write_config(tmp_path, experiment="sqd-recover", fcidump=str(dump))
+    assert main(["run", "--config", cfg, "--seed", str(seed), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "sqd_report.json").read_text())
+    assert report["status"] == "ok" and len(report["pool_sizes"]) == 5
+
+
 def test_space_above_dense_limit_exits_2(tmp_path, capsys):
     # 8 orbitals at half filling span 4,900 determinants, above MAX_DENSE_DIM
     dump = tmp_path / "wide.fcidump"

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mddsim.sqd import (
     FciData,
     ParseError,
+    SpaceHamiltonian,
     all_determinants,
     hubbard_dimer_energy,
     hubbard_dimer_fcidump,
@@ -26,7 +27,8 @@ from mddsim.sqd import (
     random_fcidump,
     write_fcidump,
 )
-from mddsim.sqd.fcidump import MAX_NORB
+from mddsim.sqd import hamiltonian
+from mddsim.sqd.fcidump import MAX_NORB, SYM_TOL
 from mddsim.sqd.hamiltonian import _hamiltonian_matrix
 
 from helpers import (
@@ -480,3 +482,139 @@ def test_malformed_rows_raise_and_dtypes_agree(data):
         message = "subspace is empty"
     with pytest.raises(ValueError, match=message):
         project_and_diagonalize(bad, fci)
+
+
+GATHER_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def draw_sectors(data):
+    norb = data.draw(st.integers(1, 6), label="norb")
+    return (norb, data.draw(st.integers(0, norb), label="n_alpha"),
+            data.draw(st.integers(0, norb), label="n_beta"))
+
+
+@GATHER_PROPERTY
+@given(data=st.data())
+def test_gathered_subspace_is_bit_identical_to_build(data):
+    # parsed integrals are exactly 8-fold symmetric, so a pair's element does
+    # not depend on which row comes first: the gather is the build, signed
+    # zeros included, in any row order
+    norb, n_alpha, n_beta = draw_sectors(data)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    space = all_determinants(norb, n_alpha, n_beta)
+    full = SpaceHamiltonian(space, fci)
+    dim = data.draw(st.integers(1, len(space)), label="dim")
+    rows = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(seed))
+    for order in (rows, rows[::-1], space[::-1][:dim]):
+        gathered, built = full.submatrix(order), _hamiltonian_matrix(order, fci)
+        assert np.array_equal(gathered, built)
+        assert np.array_equal(np.signbit(gathered), np.signbit(built))
+
+
+def test_gather_keeps_signed_zeros():
+    # a zero integral times a -1 parity is -0.0: a dense gather keeps its sign
+    # bit, where adding into zeros (as a sparse toarray does) would not
+    fci = parse_fcidump(random_fcidump(4, 4, seed=1))
+    fci = FciData(norb=4, nelec=4, ms2=0, h=np.where(np.eye(4) > 0, fci.h, 0.0),
+                  eri=np.zeros((4,) * 4), core_energy=0.0)
+    dets = all_determinants(4, 2, 2)
+    built = _hamiltonian_matrix(dets, fci)
+    assert np.signbit(built[built == 0]).any()
+    gathered = SpaceHamiltonian(dets, fci).submatrix(dets[::-1])
+    assert np.array_equal(np.signbit(gathered), np.signbit(built[::-1, ::-1]))
+
+
+@GATHER_PROPERTY
+@given(data=st.data())
+def test_gather_agrees_with_build_within_symmetry_tolerance(data):
+    # integrals symmetric only to SYM_TOL: which row comes first changes each
+    # integral an element adds by at most SYM_TOL. An element adds at most
+    # 2 nelec + 1 of them (a single's h term, two per common orbital of its
+    # sector and one per orbital of the other), so a flat 1e-12 would not hold
+    norb, n_alpha, n_beta = draw_sectors(data)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = perturbed_integrals(norb, n_alpha, n_beta, seed)
+    assert np.max(np.abs(fci.h - fci.h.T)) <= SYM_TOL
+    space = all_determinants(norb, n_alpha, n_beta)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
+                           np.random.default_rng(seed))
+    np.testing.assert_allclose(SpaceHamiltonian(space, fci).submatrix(rows),
+                               _hamiltonian_matrix(rows, fci), rtol=0,
+                               atol=(2 * fci.nelec + 1) * SYM_TOL)
+
+
+@GATHER_PROPERTY
+@given(data=st.data())
+def test_gather_rejects_rows_outside_the_space(data):
+    norb, n_alpha, n_beta = draw_sectors(data)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    space = all_determinants(norb, n_alpha, n_beta)
+    full = SpaceHamiltonian(space, fci)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
+                           np.random.default_rng(seed)).astype(np.int64)
+    at = data.draw(st.integers(0, len(rows) - 1), label="at")
+    col = data.draw(st.integers(0, 2 * norb - 1), label="col")
+    kind = data.draw(st.sampled_from(["count", "value", "carry", "duplicate"]), label="kind")
+    bad = rows.copy()
+    if kind == "count":
+        bad[at, col] ^= 1
+        message = re.escape(f"row {at} {bad[at].tolist()} is not a determinant of the space")
+    elif kind == "value":
+        bad[at, col] = data.draw(st.sampled_from([2, -1, 3, 2**40]), label="value")
+        message = re.escape(f"row {at} {bad[at].tolist()} holds a value other than 0 or 1")
+    elif kind == "carry":
+        # a 2 in a sector's top orbital would set bit norb of that sector's
+        # key, in the beta sector the alpha sector's bit 0
+        top = data.draw(st.sampled_from([norb - 1, 2 * norb - 1]), label="top")
+        bad[at, top] = 2
+        message = re.escape(f"row {at} {bad[at].tolist()} holds a value other than 0 or 1")
+    else:
+        bad = np.insert(bad, 0, bad[at], axis=0)
+        message = f"row {at + 1} repeats row 0: determinants must be distinct"
+    with pytest.raises(ValueError, match=message):
+        full.submatrix(bad)
+    with pytest.raises(ValueError, match=message):
+        project_and_diagonalize(bad, full)
+
+
+def test_gather_rejects_rows_outside_a_partial_span():
+    fci = parse_fcidump(random_fcidump(4, 4, seed=2))
+    space = all_determinants(4, 2, 2)
+    half = SpaceHamiltonian(space[::2], fci)
+    assert np.array_equal(half.submatrix(space[2:8:2]), _hamiltonian_matrix(space[2:8:2], fci))
+    message = re.escape(f"row 1 {space[3].tolist()} is not a determinant")
+    with pytest.raises(ValueError, match=message):
+        half.submatrix(space[2:4])
+
+
+def test_gathered_eigenpair_is_the_built_one():
+    fci = parse_fcidump(random_fcidump(5, 6, seed=4))
+    space = all_determinants(5, 3, 3)
+    full = SpaceHamiltonian(space, fci)
+    rows = random_subspace(5, 3, 3, 40, np.random.default_rng(4))
+    gathered_energy, gathered_ground = project_and_diagonalize(rows, full)
+    built_energy, built_ground = project_and_diagonalize(rows, fci)
+    assert gathered_energy == built_energy and np.array_equal(gathered_ground, built_ground)
+    # the space's own matrix is gathered, never handed to LAPACK to overwrite
+    before = full.matrix.copy()
+    project_and_diagonalize(space, full)
+    assert np.array_equal(full.matrix, before)
+
+
+def test_one_hamiltonian_build_per_sqd_recover_run(tmp_path, monkeypatch):
+    from mddsim.cli import main
+
+    calls = []
+    build = hamiltonian._hamiltonian_matrix
+
+    def counted(dets, fci):
+        calls.append(len(dets))
+        return build(dets, fci)
+
+    monkeypatch.setattr(hamiltonian, "_hamiltonian_matrix", counted)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"experiment": "sqd-recover", "fcidump": "random-8"}')
+    assert main(["run", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    assert calls == [36]

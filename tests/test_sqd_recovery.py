@@ -100,6 +100,23 @@ class TestRecoverConfiguration:
         with pytest.raises(ValueError, match="cannot place"):
             recover_configuration(np.zeros(3, dtype=np.uint8), np.zeros(3), 5, rng)
 
+    def test_occupancy_one_ulp_above_one_is_clamped(self):
+        # a batch occupancy is a sum of squared amplitudes, so an orbital held
+        # by every batch row can read 1 + 2^-52; its empty bit must still flip
+        occupancy = np.array([np.nextafter(1.0, 2.0), 1.0, 1.0, 0.0, 0.0])
+        bits = np.array([0, 1, 1, 0, 0], dtype=np.uint8)
+        out = recover_configuration(bits, occupancy, 3, np.random.default_rng(7))
+        np.testing.assert_array_equal(out, [1, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize("n_target", [0, 4])
+    def test_empty_or_full_sector_leaves_no_choice(self, n_target):
+        # the filling factor would be 0 or 1, where the flip weight is undefined
+        for bits in ([1, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 0]):
+            out = recover_configuration(np.array(bits, dtype=np.uint8), np.full(4, 0.5),
+                                        n_target, np.random.default_rng(8))
+            np.testing.assert_array_equal(out, np.full(4, n_target // 4))
+            assert out.dtype == np.uint8
+
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="lengths"):
