@@ -43,7 +43,6 @@ from .sqd import (
     hubbard_dimer_fcidump,
     noisy_sampler,
     parse_fcidump,
-    project_and_diagonalize,
     random_fcidump,
     self_consistent_recovery,
 )
@@ -441,9 +440,10 @@ def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
     dets = all_determinants(fci.norb, fci.n_alpha, fci.n_beta)
     try:
         space = SpaceHamiltonian(dets, fci)
-        e_ref, ground = project_and_diagonalize(dets, space)
+        e_ref, ground = space.ground_state()
     except ValueError as exc:
-        # every batch matrix is gathered from this one, so only it can fail
+        # every batch matrix is gathered from this one, so only it and its
+        # ground state can fail
         raise ConfigError(f"cannot diagonalize integrals {config.fcidump!r}: {exc}") from None
     samples = noisy_sampler(ground, dets, config.flip_rate,
                             shots=config.sample_shots, seed=config.seed)

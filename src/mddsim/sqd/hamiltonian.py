@@ -27,7 +27,15 @@ from .fcidump import FciData
 
 MAX_DENSE_DIM = 4000
 
-linalg = lazy_import("scipy.linalg")  # project_and_diagonalize's eigh
+# The Lanczos ground state stops once its Ritz residual is at most this
+# fraction of the matrix's largest absolute row sum, a bound on its norm.
+_LANCZOS_TOL = 1e-12
+_LANCZOS_SEED = 0  # of the Gaussian start vector
+# dim steps span the space, so the iteration takes at most min(dim, this):
+# its basis never outgrows the dense limit's matrix
+_LANCZOS_STEPS = MAX_DENSE_DIM
+
+linalg = lazy_import("scipy.linalg")  # the eigh of subspaces and of Lanczos' tridiagonal
 
 
 def all_determinants(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
@@ -248,6 +256,58 @@ class SpaceHamiltonian:
         idx = self._order[at]
         return self.matrix[np.ix_(idx, idx)]
 
+    def ground_state(self) -> tuple[float, np.ndarray]:
+        """Ground eigenpair of the whole space: the lowest eigenvalue
+        including the core energy, and a unit ground vector in the row order
+        the space was built in, by :func:`_lanczos_ground` on the matrix's
+        nonzeros. Raises ValueError if the iteration does not converge."""
+        rows, cols = np.divmod(np.flatnonzero(self.matrix != 0), len(self.matrix))
+        value, vector = _lanczos_ground(rows, cols, self.matrix[rows, cols], len(self.matrix))
+        return float(value + self.fci.core_energy), vector
+
+
+@np.errstate(invalid="ignore")  # a NaN raises ValueError below, without a warning first
+def _lanczos_ground(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                    dim: int) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the symmetric dim x dim matrix whose nonzero
+    entries are ``values`` at (``rows``, ``cols``), by Lanczos iteration.
+
+    The start vector is Gaussian with a fixed seed, so it has a component in
+    every eigenvector, whatever symmetry the ground state has, and the result
+    is the same bytes on every call. Each product sums the entries row by row
+    with ``np.bincount``, and each new basis vector is orthogonalized against
+    the whole basis twice. The iteration stops once the Ritz residual, |beta|
+    times the last entry of the tridiagonal's ground vector, is at most
+    ``_LANCZOS_TOL`` times the largest absolute row sum; a breakdown, when
+    the basis spans an invariant subspace, meets that at once. It raises
+    ValueError if it meets a value that is not finite (a NaN or infinite
+    entry), or has not converged after min(dim, ``_LANCZOS_STEPS``) steps.
+    """
+    # scaled by a power of two, which is exact, so that its entries lie below
+    # 1 in magnitude and no sum or norm of the iteration under- or overflows
+    exponent = np.frexp(np.abs(values).max(initial=0.0))[1]
+    values = np.ldexp(values, -exponent)
+    scale = np.bincount(rows, weights=np.abs(values), minlength=dim).max()
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
+    basis = (start / np.linalg.norm(start))[None, :]
+    alphas, betas = [], []
+    for _ in range(min(dim, _LANCZOS_STEPS)):
+        w = np.bincount(rows, weights=values * basis[-1][cols], minlength=dim)
+        overlaps = basis @ w
+        alphas.append(overlaps[-1])
+        w = w - overlaps @ basis
+        w = w - (basis @ w) @ basis
+        beta = np.linalg.norm(w)
+        if not np.isfinite(beta):
+            raise ValueError("the Lanczos iteration met a value that is not finite")
+        theta, ritz = linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        if beta * abs(ritz[-1, 0]) <= _LANCZOS_TOL * scale:
+            vector = ritz[:, 0] @ basis
+            return float(np.ldexp(theta[0], exponent)), vector / np.linalg.norm(vector)
+        betas.append(beta)
+        basis = np.vstack([basis, w / beta])
+    raise ValueError(f"the Lanczos ground state did not converge in {len(alphas)} steps")
+
 
 def project_and_diagonalize(dets, hamiltonian: FciData | SpaceHamiltonian
                             ) -> tuple[float, np.ndarray]:
@@ -267,6 +327,10 @@ def project_and_diagonalize(dets, hamiltonian: FciData | SpaceHamiltonian
     ``scipy.linalg.eigh`` with ``subset_by_index``), never the whole
     spectrum. The vector's sign is arbitrary, and for a degenerate ground
     state it is some unit vector in the ground eigenspace.
+
+    The recovery loop calls it on each batch subspace. The reference ground
+    state of the whole space is :meth:`SpaceHamiltonian.ground_state`, whose
+    sparse Lanczos iteration costs far less than this dense solve there.
     """
     if isinstance(hamiltonian, SpaceHamiltonian):
         fci, matrix = hamiltonian.fci, hamiltonian.submatrix(dets)

@@ -29,6 +29,7 @@ from mddsim.experiments import (
 )
 from mddsim.noise import NoiseParams, SpectralDensity, combined_channel
 from mddsim.sqd import MAX_DENSE_DIM, FciData, parse_fcidump, random_fcidump, write_fcidump
+from mddsim.sqd import hamiltonian
 from mddsim.states import haar_random_state
 
 from helpers import _gap_report
@@ -381,6 +382,19 @@ def test_overflowing_integrals_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
+
+
+def test_unconverged_reference_exits_2(tmp_path, capsys, monkeypatch):
+    # two Lanczos steps cannot converge on random-8's 36 determinants: the
+    # reference ground state fails as a config error, like a failed build
+    monkeypatch.setattr(hamiltonian, "_LANCZOS_STEPS", 2)
+    cfg = write_config(tmp_path, experiment="sqd-recover", fcidump="random-8")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot diagonalize integrals 'random-8'")
+    assert "did not converge in 2 steps" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 def sector_integrals(nelec: int, ms2: int) -> FciData:
     base = parse_fcidump(random_fcidump(4, 4, seed=3))

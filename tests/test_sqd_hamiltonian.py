@@ -29,7 +29,7 @@ from mddsim.sqd import (
 )
 from mddsim.sqd import hamiltonian
 from mddsim.sqd.fcidump import MAX_NORB, SYM_TOL
-from mddsim.sqd.hamiltonian import _hamiltonian_matrix
+from mddsim.sqd.hamiltonian import _hamiltonian_matrix, _lanczos_ground
 
 from helpers import (
     Determinant,
@@ -602,6 +602,130 @@ def test_gathered_eigenpair_is_the_built_one():
     project_and_diagonalize(space, full)
     assert np.array_equal(full.matrix, before)
 
+
+def assert_ground_state_matches_dense(space: SpaceHamiltonian):
+    """``ground_state`` against ``np.linalg.eigh`` of the space's matrix: the
+    energy to 1e-12, a unit vector with residual at most 1e-9, and, where the
+    ground state is separated by more than 1e-6, the dense vector up to sign."""
+    vals, vecs = np.linalg.eigh(space.matrix)
+    energy, ground = space.ground_state()
+    core = space.fci.core_energy
+    assert energy == pytest.approx(vals[0] + core, abs=1e-12)
+    assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(space.matrix @ ground - (energy - core) * ground) <= 1e-9
+    if len(vals) == 1 or vals[1] - vals[0] > 1e-6:
+        assert abs(ground @ vecs[:, 0]) == pytest.approx(1.0, abs=1e-10)
+    return energy, ground
+
+
+LANCZOS_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@LANCZOS_PROPERTY
+@given(data=st.data())
+def test_lanczos_ground_state_matches_dense_eigh(data):
+    # whole parsed spaces of up to 7 orbitals at any filling
+    norb = data.draw(st.integers(1, 7), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    assert_ground_state_matches_dense(SpaceHamiltonian(all_determinants(norb, n_alpha, n_beta),
+                                                       fci))
+
+
+@pytest.mark.parametrize("n_alpha,n_beta,seed", [(3, 3, 0), (3, 3, 7), (4, 3, 1)])
+def test_lanczos_ground_state_at_the_benchmark_size(n_alpha, n_beta, seed):
+    # 7 orbitals hold 1,225 determinants at these fillings, the sqd-large space
+    fci = parse_fcidump(random_fcidump(7, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    space = SpaceHamiltonian(all_determinants(7, n_alpha, n_beta), fci)
+    assert len(space.matrix) == 1225
+    assert_ground_state_matches_dense(space)
+
+
+def diagonal_triplets(diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows = np.flatnonzero(diagonal)
+    return rows, rows, diagonal[rows]
+
+
+@pytest.mark.parametrize("diagonal,want", [
+    (np.arange(600.0), 0.0),                          # ARPACK's eigsh returned 1
+    (np.repeat([0.0, 1.0], 300), 0.0),                # ARPACK's eigsh returned 1
+    (np.ones(600), 1.0),                              # ARPACK's vector changed per call
+], ids=["diag-0-to-599", "zeros-and-ones", "identity"])
+def test_lanczos_on_the_arpack_failures(diagonal, want):
+    value, vector = _lanczos_ground(*diagonal_triplets(diagonal), len(diagonal))
+    assert value == pytest.approx(want, abs=1e-12)
+    assert np.linalg.norm(diagonal * vector - value * vector) <= 1e-9
+    again = _lanczos_ground(*diagonal_triplets(diagonal), len(diagonal))
+    assert again[0] == value and again[1].tobytes() == vector.tobytes()
+
+
+@pytest.mark.parametrize("magnitude", [1e-300, 1e-170, 1e160, 1e300])
+def test_lanczos_at_extreme_magnitudes(magnitude):
+    # the entries are scaled by a power of two first: unscaled, the squares
+    # of 1e-170 entries underflow to a false breakdown at the first step, and
+    # those of 1e160 entries overflow
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((30, 30))
+    matrix = matrix + matrix.T
+    rows, cols = np.nonzero(matrix)
+    value, vector = _lanczos_ground(rows, cols, magnitude * matrix[rows, cols], 30)
+    want = np.linalg.eigvalsh(matrix)[0]
+    assert value / magnitude == pytest.approx(want, rel=1e-13)
+    assert np.linalg.norm(matrix @ vector - want * vector) <= 1e-9
+
+
+def test_lanczos_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            _lanczos_ground(np.array([0, 1]), np.array([0, 1]), np.array([1.0, bad]), 2)
+
+def test_ground_state_repeats_bytes():
+    fci = parse_fcidump(random_fcidump(6, 6, seed=1))
+    space = SpaceHamiltonian(all_determinants(6, 3, 3), fci)
+    energy, ground = space.ground_state()
+    for again in (space.ground_state(), SpaceHamiltonian(all_determinants(6, 3, 3),
+                                                         fci).ground_state()):
+        assert again[0] == energy and again[1].tobytes() == ground.tobytes()
+
+
+@pytest.mark.parametrize("norb,nelec,ms2", [(2, 4, 0), (3, 6, 0), (2, 1, 1), (2, 3, -1)],
+                         ids=["dim-1", "dim-1-norb-3", "dim-2", "dim-2-beta"])
+def test_ground_state_of_one_and_two_determinants(norb, nelec, ms2):
+    # the Krylov space fills the whole space at once: a breakdown, not a failure
+    fci = parse_fcidump(random_fcidump(norb, nelec, ms2=ms2, seed=5))
+    space = SpaceHamiltonian(all_determinants(norb, fci.n_alpha, fci.n_beta), fci)
+    assert len(space.matrix) == (1 if nelec == 2 * norb else 2)
+    assert_ground_state_matches_dense(space)
+
+
+def test_ground_state_in_a_degenerate_eigenspace():
+    # the matrix is h, with eigenvalues -1, -1 and +1 (as in the dense test
+    # above): any unit vector orthogonal to (1, 1, 0) is a ground state
+    h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    fci = FciData(norb=3, nelec=1, ms2=1, h=h, eri=np.zeros((3,) * 4), core_energy=0.5)
+    energy, ground = assert_ground_state_matches_dense(
+        SpaceHamiltonian(all_determinants(3, 1, 0), fci))
+    assert energy == pytest.approx(-0.5, abs=1e-14)
+    assert abs(ground @ np.array([1.0, 1.0, 0.0])) < 1e-10
+
+
+def test_ground_state_odd_under_spin_exchange():
+    # with spin-free integrals and n_alpha = n_beta, H commutes with the row
+    # permutation that swaps each row's alpha and beta halves. Here the ground
+    # state is odd under it, so a start vector even under it would never reach
+    # it; the Gaussian start does
+    fci = parse_fcidump(random_fcidump(3, 2, seed=1))
+    dets = all_determinants(3, 1, 1)
+    swap = [dets.tolist().index(row[3:] + row[:3]) for row in dets.tolist()]
+    space = SpaceHamiltonian(dets, fci)
+    assert np.array_equal(space.matrix[np.ix_(swap, swap)], space.matrix)
+    vals, vecs = np.linalg.eigh(space.matrix)
+    assert vecs[swap, 0] @ vecs[:, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert vals[1] - vals[0] > 0.1
+    _, ground = assert_ground_state_matches_dense(space)
+    assert np.allclose(ground[swap], -ground, atol=1e-10)
 
 def test_one_hamiltonian_build_per_sqd_recover_run(tmp_path, monkeypatch):
     from mddsim.cli import main

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mddsim.sqd import (
     RecoveryConfig,
+    SpaceHamiltonian,
     all_determinants,
     hubbard_dimer_fcidump,
     hubbard_dimer_energy,
@@ -241,3 +244,27 @@ class TestSelfConsistentRecovery:
             RecoveryConfig(iterations=0)
         with pytest.raises(ValueError):
             RecoveryConfig(delta=1.5)
+
+
+VARIATIONAL_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@VARIATIONAL_PROPERTY
+@given(data=st.data())
+def test_batch_energies_lie_above_the_lanczos_reference(data):
+    # a subspace's lowest eigenvalue is never below the whole space's, and a
+    # Lanczos iteration stopped early leaves its Ritz value above that too: a
+    # batch that spans (nearly) the whole space then falls below the reference
+    norb = data.draw(st.integers(1, 6), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    dets = all_determinants(norb, n_alpha, n_beta)
+    space = SpaceHamiltonian(dets, fci)
+    reference, ground = space.ground_state()
+    samples = noisy_sampler(ground, dets, flip_rate=0.02, shots=400, seed=seed)
+    config = RecoveryConfig(iterations=2, num_batches=3, samples_per_batch=200, seed=seed)
+    report = self_consistent_recovery(samples, space, config)
+    batches = [energy for batch in report["energies"] for energy in batch]
+    assert report["status"] != "ok" or min(batches) >= reference - 1e-10
