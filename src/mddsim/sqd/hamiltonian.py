@@ -190,7 +190,7 @@ def _hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
     matrix = np.zeros((len(bits), len(bits)))
     # the degree is the electron count minus the common occupations; the int8
     # dim x dim products are exact below 128 orbitals
-    i, j = np.nonzero(np.triu(alpha @ alpha.T + beta @ beta.T >= n_a + n_b - 2, k=1))
+    i, j = np.divmod(np.flatnonzero(np.triu(alpha @ alpha.T + beta @ beta.T >= n_a + n_b - 2, k=1)), len(bits))
     d_alpha = n_a - (alpha[i] & alpha[j]).sum(axis=1)
     d_beta = n_b - (beta[i] & beta[j]).sum(axis=1)
     same = np.flatnonzero((d_alpha == 0) & (d_beta == 0))

@@ -26,6 +26,8 @@ EIG_FLOOR = 1e-10  # the lowest eigenvalue a DensityMatrix accepts, against roun
 MAX_EXACT_NORM = 1.0 + 2.0 * ATOL + 2.0 * EIG_FLOOR
 MAX_PURE_QUBITS = 12
 MAX_MIXED_QUBITS = 10
+# _apply_left's axis orders per (targets, N), stored once the targets pass its checks
+_AXIS_ORDERS: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def _num_qubits(dim: int) -> int:
@@ -235,20 +237,24 @@ def _apply_left(op: np.ndarray, mat: np.ndarray, targets, num_qubits: int) -> np
     """Return M @ mat for M = ``op`` on the ``targets`` row axes of the 2^N-row
     ``mat`` (first target = leftmost factor of ``op``), contracting only those
     axes instead of forming the 2^N x 2^N operator."""
-    targets = [int(q) for q in targets]
+    targets = tuple(int(q) for q in targets)
     k = len(targets)
     op = np.asarray(op, dtype=complex)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} target qubits")
-    if len(set(targets)) != k:
-        raise ValueError("target qubits must be distinct")
-    if any(q < 0 or q >= num_qubits for q in targets):
-        raise ValueError(f"target qubits {targets} out of range for {num_qubits} qubits")
+    orders = _AXIS_ORDERS.get((targets, num_qubits))
+    if orders is None:
+        if len(set(targets)) != k:
+            raise ValueError("target qubits must be distinct")
+        if any(q < 0 or q >= num_qubits for q in targets):
+            raise ValueError(f"target qubits {list(targets)} out of range for {num_qubits} qubits")
+        forward = targets + tuple(q for q in range(num_qubits + 1) if q not in targets)
+        orders = _AXIS_ORDERS[targets, num_qubits] = forward, tuple(map(forward.index, range(num_qubits + 1)))
     if mat.shape[0] != 2**num_qubits:
         raise ValueError(f"matrix with {mat.shape[0]} rows does not act on {num_qubits} qubits")
-    tensor = np.moveaxis(mat.reshape([2] * num_qubits + [-1]), targets, range(k))
+    tensor = mat.reshape((2,) * num_qubits + (-1,)).transpose(orders[0])
     out = (op @ tensor.reshape(2**k, -1)).reshape(tensor.shape)
-    return np.moveaxis(out, range(k), targets).reshape(mat.shape)
+    return out.transpose(orders[1]).reshape(mat.shape)
 
 
 def apply_matrix(op: np.ndarray, rho: np.ndarray, targets, num_qubits: int) -> np.ndarray:

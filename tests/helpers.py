@@ -84,6 +84,15 @@ def embed_operator(op: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     return tensor.reshape(2**num_qubits, 2**num_qubits)
 
 
+def apply_left_moveaxis(op: np.ndarray, mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:
+    """The local-operator kernel in its ``np.moveaxis`` form, the bitwise oracle
+    for ``_apply_left``: the same data movement and the same ``op @ X`` call."""
+    k = len(targets)
+    tensor = np.moveaxis(mat.reshape([2] * num_qubits + [-1]), targets, range(k))
+    out = (np.asarray(op, dtype=complex) @ tensor.reshape(2**k, -1)).reshape(tensor.shape)
+    return np.moveaxis(out, range(k), targets).reshape(mat.shape)
+
+
 def _p_gamma_params(p: float, gamma_p: float) -> NoiseParams:
     """Noise whose channel over t = 1 has damping probability p and
     pure-dephasing factor gamma_p."""

@@ -5,6 +5,7 @@ Every example is drawn from a fixed derandomized stream, so the suite is
 reproducible and writes no example database.
 """
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mddsim import analysis, experiments, sequences
+from mddsim import analysis, circuits, experiments, sequences
 from mddsim.analysis import (
     DecayRates,
     TwoQubitRates,
@@ -34,6 +35,7 @@ from mddsim.circuits import (
     custom_gate,
     insert_dd,
     qft_success_scenario,
+    simulate,
 )
 from mddsim.experiments import (
     ExperimentConfig,
@@ -66,6 +68,7 @@ from mddsim.sequences import (
 from mddsim.states import (
     DensityMatrix,
     PauliExpectations,
+    PureState,
     _as_matrix,
     _haar_batch,
     apply_matrix,
@@ -779,6 +782,69 @@ def test_insert_dd_matches_prefix_replay(strategy, circuit, params, threshold, s
     fast = insert_dd(circuit, strategy, params, threshold, shots=shots, seed=seed)
     oracle = insert_dd_replaying(circuit, strategy, params, threshold, shots=shots, seed=seed)
     assert fast.to_dict() == oracle.to_dict()
+
+
+def full_pass(circuit, noise, initial=None):
+    """The dressed slices simulated from the start, on a circuit rebuilt
+    without a checkpoint."""
+    return simulate(ScheduledCircuit(circuit.num_qubits, circuit.slices), noise, initial).entries
+
+
+@pytest.mark.parametrize("strategy", KINDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(circuit=scheduled_circuits(), params=noise_params(), threshold=st.floats(0.0, 10.0),
+       shots=st.none() | st.integers(1, 2000), seed=seeds)
+def test_simulate_finishes_bitwise_from_the_checkpoint(strategy, circuit, params, threshold,
+                                                       shots, seed):
+    seed = None if shots is None else seed
+    dressed = insert_dd(circuit, strategy, params, threshold, shots=shots, seed=seed)
+    if dressed.checkpoint is not None:
+        assert dressed.checkpoint[0] == params
+        assert not dressed.checkpoint[1].flags.writeable
+    assert np.array_equal(simulate(dressed, params).entries, full_pass(dressed, params))
+
+
+QFT_NOISE = NoiseParams(100.0, 80.0)
+
+
+def count_passes(monkeypatch) -> list[int]:
+    """Record the slice count of every simulation pass."""
+    passes, simulate_raw = [], circuits._simulate_raw
+    monkeypatch.setattr(circuits, "_simulate_raw",
+                        lambda c, *args: passes.append(len(c.slices)) or simulate_raw(c, *args))
+    return passes
+
+
+def test_qft_mdd_final_pass_runs_only_the_slices_after_the_checkpoint(monkeypatch):
+    dressed = insert_dd(qft_success_scenario(5)[0], "mdd", QFT_NOISE, 0.24)
+    done = dressed.checkpoint[2]
+    assert 0 < done < len(dressed.slices)
+    passes, channels, combined = count_passes(monkeypatch), [], circuits.combined_channel
+    monkeypatch.setattr(circuits, "combined_channel",
+                        lambda p, t: channels.append(t) or combined(p, t))
+    simulate(dressed, NoiseParams(QFT_NOISE.t1, QFT_NOISE.t2))  # equal, not the same object
+    assert passes == [len(dressed.slices) - done]
+    # one channel per distinct duration of the pass
+    assert sorted(channels) == sorted({sl.duration for sl in dressed.slices[done:] if sl.duration > 0})
+
+
+IGNORED_CHECKPOINT = {
+    "other-noise": (lambda c: c, NoiseParams(50.0, 30.0), None),
+    "explicit-initial": (lambda c: c, QFT_NOISE, PureState(np.eye(32)[7])),
+    "explicit-ground-state": (lambda c: c, QFT_NOISE, PureState(np.eye(32)[0])),
+    "replaced": (dataclasses.replace, QFT_NOISE, None),
+}
+
+
+@pytest.mark.parametrize(("rebuild", "noise", "initial"), IGNORED_CHECKPOINT.values(),
+                         ids=IGNORED_CHECKPOINT.keys())
+def test_checkpoint_serves_only_its_own_noise_and_no_initial(rebuild, noise, initial, monkeypatch):
+    dressed = insert_dd(qft_success_scenario(5)[0], "mdd+xx", QFT_NOISE, 0.24)
+    target = rebuild(dressed)
+    passes = count_passes(monkeypatch)
+    got = simulate(target, noise, initial).entries
+    assert passes == [len(dressed.slices)]
+    assert np.array_equal(got, full_pass(dressed, noise, initial))
 
 
 def test_twelve_qubits_cost_one_partial_trace():

@@ -14,7 +14,7 @@ from mddsim.circuits import ScheduledCircuit, Slice, custom_gate
 from mddsim.noise import JumpOperator, KrausChannel, _apply_local_raw, lindblad_derivative
 from mddsim.states import _apply_left, _haar_batch, apply_matrix, haar_random_state
 
-from helpers import circuit_unitary, embed_operator, random_channel
+from helpers import apply_left_moveaxis, circuit_unitary, embed_operator, random_channel
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -46,6 +46,29 @@ def test_left_product_matches_embedding(case):
     mat = complex_gaussian(rng, (2**n, 2**n))
     expected = embed_operator(op, targets, n) @ mat
     np.testing.assert_allclose(_apply_left(op, mat, targets, n), expected, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(case=local_ops(), columns=st.sampled_from([1, None]))
+@example(case=(np.arange(16).reshape(4, 4) / 16.0, [1, 0], 2, np.random.default_rng(3)), columns=None)
+def test_left_product_is_bitwise_the_moveaxis_kernel(case, columns):
+    op, targets, n, rng = case
+    mat = complex_gaussian(rng, (2**n, columns or 2**n))
+    assert np.array_equal(_apply_left(op, mat, targets, n), apply_left_moveaxis(op, mat, targets, n))
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), seed=seeds, num_kraus=st.integers(1, 4), data=st.data())
+def test_local_channel_axes_are_bitwise_the_moveaxis_kernel(n, seed, num_kraus, data):
+    """The local channel's [q, N + q] on the 2N axes of vec(rho), and those
+    targets swapped."""
+    rng = np.random.default_rng(seed)
+    superop = random_channel(rng, num_kraus).superop
+    q = data.draw(st.integers(0, n - 1))
+    targets = data.draw(st.sampled_from([[q, n + q], [n + q, q]]))
+    vec = complex_gaussian(rng, (4**n, 1))
+    assert np.array_equal(_apply_left(superop, vec, targets, 2 * n),
+                          apply_left_moveaxis(superop, vec, targets, 2 * n))
 
 
 @PROPERTY
