@@ -2,13 +2,17 @@
 
 Samples an exact ground state through a bit-flip readout channel, then runs
 the batched subspace-diagonalization loop and watches the energy error shrink
-as corrupted configurations are corrected.
+as corrupted configurations are corrected. The whole space's Hamiltonian is
+built once, as a ``SpaceHamiltonian``, and every batch gathers its matrix from
+it; each iteration corrects all corrupted samples in one
+``recover_configuration`` call.
 """
 
 import numpy as np
 
 from mddsim.sqd import (
     RecoveryConfig,
+    SpaceHamiltonian,
     all_determinants,
     hubbard_dimer_energy,
     hubbard_dimer_fcidump,
@@ -23,7 +27,7 @@ from mddsim.sqd import (
 print("two-site model sanity check:")
 dimer = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
 dets = all_determinants(2, 1, 1)
-energy, _ = project_and_diagonalize(dets, dimer)
+energy, _ = project_and_diagonalize(dets, SpaceHamiltonian(dets, dimer))
 print(f"  computed {energy:.12f} Ha vs closed form {hubbard_dimer_energy(4.0, 1.0):.12f} Ha")
 
 print("\nflip-weight profile (filling factor 0.5): w(0) = 0, w(h) = 0.01, w(1) = 1")
@@ -34,7 +38,8 @@ print("  w(y): " + "  ".join(f"{weight_w(y, 0.5):.3f}" for y in ys))
 print("\n8-spin-orbital random system, 5% readout flips, 300 shots:")
 fci = parse_fcidump(random_fcidump(4, 4, seed=42))
 dets = all_determinants(4, 2, 2)
-e_ref, ground = project_and_diagonalize(dets, fci)
+space = SpaceHamiltonian(dets, fci)  # built once; every batch gathers its matrix from it
+e_ref, ground = project_and_diagonalize(dets, space)
 print(f"  reference energy {e_ref:.6f} Ha over {len(dets)} determinants "
       f"(occupation rows, alpha orbitals first: {dets[0].tolist()}, ...)")
 
@@ -43,7 +48,7 @@ valid = ((samples[:, :4].sum(axis=1) == 2) & (samples[:, 4:].sum(axis=1) == 2)).
 print(f"  {samples.shape[0]} samples, {valid} preserve both sector counts")
 
 config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300, seed=1)
-report = self_consistent_recovery(samples, fci, config)
+report = self_consistent_recovery(samples, space, config)
 print(f"  status: {report['status']}")
 print("  iteration   pool   mean E0 (Ha)   |error| (Ha)")
 for it, (mean_e, pool) in enumerate(zip(report["mean_energies"], report["pool_sizes"])):

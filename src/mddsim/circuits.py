@@ -277,12 +277,14 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
     strategy the Pauli expectations are read from the noisy state at the
     interval start (exact, or binomially sampled when ``shots`` is given, which
     then needs a ``seed``), mirroring the iterated measure-compute-insert
-    workflow. That state is carried forward as a checkpoint: the state after
-    the first ``done`` dressed slices, which last ``now``. Each interval
-    advances it over the slices that end by its start and are not yet
-    simulated. Pulses go in at or after an interval start, and starts never
-    decrease, so insertion never changes a slice before the checkpoint, and
-    :func:`simulate` finishes from the last one, which the result carries.
+    workflow; they read the raw state array, whose reduced 2x2 state is
+    validated, not the whole state at every interval. That state is carried
+    forward as a checkpoint: the state after the first ``done`` dressed
+    slices, which last ``now``. Each interval advances it over the slices
+    that end by its start and are not yet simulated. Pulses go in at or
+    after an interval start, and starts never decrease, so insertion never
+    changes a slice before the checkpoint, and :func:`simulate` finishes
+    from the last one, which the result carries.
     """
     strategy = strategy.lower()
     if shots is not None and seed is None:
@@ -306,7 +308,7 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
             done += len(tail)
             for sl in tail:
                 now += sl.duration
-            exp = measure_expectations(DensityMatrix(rho), iv.qubit, shots=shots, rng=rng)
+            exp = measure_expectations(rho, iv.qubit, shots=shots, rng=rng)
         schedule = build_schedule(strategy, iv.duration, exp)
         for offset, pulse in schedule.pulses:
             _insert_pulse(slices, iv.start + offset, _pulse_gate(pulse.matrix, iv.qubit))

@@ -68,9 +68,10 @@ _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2
 # each of these sizes an array held at once: 64 rows of grid_points rates (and grid_points^2
 # steps) in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch
 # bit rows, num_states fidelity curves (theorem-gap at the default grid peaks near 265 MB at
-# 10^4); shots is the count of one multinomial draw, which must fit a C long (2^63 - 1)
+# 10^4); shots is the count of one multinomial draw, which must fit a C long (2^63 - 1);
+# sqd-recover runs iterations x num_batches batch eigensolves
 _MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6,
-           "shots": 10**18, "num_states": 10**4}
+           "shots": 10**18, "num_states": 10**4, "iterations": 100, "num_batches": 100}
 _MAX_DURATIONS = 10**4  # len(t_grid): each duration is a column of every fidelity curve
 
 
@@ -86,8 +87,9 @@ class ExperimentConfig:
     names are read in any case and must be distinct. ``grid_points`` is at
     most 1001, ``num_states`` and the length of ``t_grid`` at most 10^4
     (``_MAX_DURATIONS``); ``trials``, ``sample_shots`` and
-    ``samples_per_batch`` are at most 10^6, and ``shots`` at most 10^18
-    (``_MAXIMA``)."""
+    ``samples_per_batch`` are at most 10^6, ``iterations`` and
+    ``num_batches`` at most 100, and ``shots`` at most 10^18 (``_MAXIMA``).
+    ``t_grid`` entries must be JSON numbers."""
 
     experiment: str
     t1: float = 250.0
@@ -133,7 +135,7 @@ class ExperimentConfig:
                 haar_random_state(self.num_qubits, seed=0)  # 1 to 12 qubits
             elif self.experiment == "qft-toy":
                 qft_circuit(self.num_qubits)  # 2 to 10 qubits
-            if any(isinstance(t, bool) for t in self.t_grid):
+            if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in self.t_grid):
                 raise TypeError(f"t_grid entries must be numbers, got {self.t_grid!r}")
             grid = self.t_grid = [float(t) for t in self.t_grid]
             if any(not 0 < t < math.inf for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):

@@ -45,7 +45,7 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * angle / 2.0), 0], [0, np.exp(1j * angle / 2.0)]], dtype=complex)
 
 
-def measure_expectations(state: PureState | DensityMatrix, qubit: int,
+def measure_expectations(state: PureState | DensityMatrix | np.ndarray, qubit: int,
                          shots: int | None = None,
                          rng: np.random.Generator | None = None) -> PauliExpectations:
     """Pauli expectations of one qubit, exact or shot-sampled.

@@ -309,19 +309,16 @@ def _lanczos_ground(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     raise ValueError(f"the Lanczos ground state did not converge in {len(alphas)} steps")
 
 
-def project_and_diagonalize(dets, hamiltonian: FciData | SpaceHamiltonian
-                            ) -> tuple[float, np.ndarray]:
+def project_and_diagonalize(dets, space: SpaceHamiltonian) -> tuple[float, np.ndarray]:
     """Ground eigenpair of the Hamiltonian projected on the subspace spanned
     by ``dets``, a (dim, 2*norb) array of distinct 0/1 occupation rows (bool
-    or any integer dtype).
+    or any integer dtype), all in the span of ``space``.
 
-    ``hamiltonian`` is either the integrals, from which the subspace matrix
-    is built, or a :class:`SpaceHamiltonian` whose space holds every row,
-    from which it is gathered. Returns the lowest eigenvalue including the
-    core energy and the normalized ground eigenvector in the row basis.
-    Enlarging the subspace can only lower the returned energy (variational).
-    Every row must hold the integrals' electron counts in their orbitals,
-    and a subspace matrix that overflows to inf or nan raises ValueError.
+    The subspace matrix is gathered from ``space``; build that once, on the
+    rows themselves or on a space that holds them. Returns the lowest
+    eigenvalue including the core energy and the normalized ground
+    eigenvector in the row basis. Enlarging the subspace can only lower the
+    returned energy (variational).
 
     Only the lowest eigenpair is computed (LAPACK ``syevr`` through
     ``scipy.linalg.eigh`` with ``subset_by_index``), never the whole
@@ -332,12 +329,8 @@ def project_and_diagonalize(dets, hamiltonian: FciData | SpaceHamiltonian
     state of the whole space is :meth:`SpaceHamiltonian.ground_state`, whose
     sparse Lanczos iteration costs far less than this dense solve there.
     """
-    if isinstance(hamiltonian, SpaceHamiltonian):
-        fci, matrix = hamiltonian.fci, hamiltonian.submatrix(dets)
-    else:
-        fci, matrix = hamiltonian, _hamiltonian_matrix(dets, hamiltonian)
-    # the matrix is exactly symmetric (each pair's element is written to both
-    # triangles), so its transpose is the same matrix in the Fortran order
-    # that LAPACK overwrites in place, with no copy beside it
-    vals, vecs = linalg.eigh(matrix.T, subset_by_index=[0, 0], overwrite_a=True)
-    return float(vals[0] + fci.core_energy), vecs[:, 0]
+    # the gathered matrix is a fresh array, exactly symmetric (each pair's
+    # element is written to both triangles), so its transpose is the same
+    # matrix in the Fortran order that LAPACK overwrites in place
+    vals, vecs = linalg.eigh(space.submatrix(dets).T, subset_by_index=[0, 0], overwrite_a=True)
+    return float(vals[0] + space.fci.core_energy), vecs[:, 0]

@@ -15,68 +15,81 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fcidump import FciData
-from .hamiltonian import (SpaceHamiltonian, all_determinants, occupation_keys,
-                          project_and_diagonalize)
+from .hamiltonian import SpaceHamiltonian, occupation_keys, project_and_diagonalize
 
 _RECOVER_SALT = 10_007
 
 
-def weight_w(y: float, h: float, delta: float = 0.01) -> float:
+def weight_w(y, h: float, delta: float = 0.01):
     """Piecewise-linear flip weight: delta/h * y up to the filling factor h,
     then rising linearly to 1 at y = 1. Continuous, monotone, and anchored at
-    w(0) = 0, w(h) = delta, w(1) = 1."""
+    w(0) = 0, w(h) = delta, w(1) = 1. ``y`` is a float or an array of
+    deviations; the weight is a float or an array of the same shape."""
     if not 0.0 < h < 1.0:
         raise ValueError(f"filling factor must lie in (0, 1), got {h}")
-    if not 0.0 <= y <= 1.0:
+    y = np.asarray(y, dtype=float)
+    if not ((0.0 <= y) & (y <= 1.0)).all():
         raise ValueError(f"deviation must lie in [0, 1], got {y}")
-    if y <= h:
-        return delta / h * y
-    return delta + (1.0 - delta) * (y - h) / (1.0 - h)
+    w = np.where(y <= h, delta / h * y, delta + (1.0 - delta) * (y - h) / (1.0 - h))
+    return w if w.ndim else float(w)
 
 
-def recover_configuration(bits: np.ndarray, occupancy: np.ndarray, n_target: int,
+def recover_configuration(rows: np.ndarray, occupancy: np.ndarray, targets,
                           rng: np.random.Generator, delta: float = 0.01) -> np.ndarray:
-    """Restore the electron count of one spin sector by weighted bit flips.
+    """Restore the electron count of every spin sector of every row of
+    ``rows``, a (count, S*m) 0/1 block of S sectors of m orbitals, by
+    weighted bit flips; ``targets`` holds one electron count per sector.
 
-    When the sector holds too few electrons only 0 -> 1 flips occur, and vice
-    versa; flip candidates are drawn sequentially without replacement with
-    probability proportional to w(|bit - occupancy|) at filling n_target / m.
-    A sample that already matches the target is returned unchanged, and an
-    empty or a full sector leaves no choice. An occupancy is a sum of squared
-    amplitudes and can read one ulp above 1, so a deviation is clamped to 1.
+    A sector with too few electrons only gains them, and vice versa; flip
+    candidates are drawn one by one without replacement, with probability
+    proportional to w(|bit - occupancy|) at filling target / m, or uniformly
+    if all weigh zero. An occupancy is a sum of squared amplitudes and can
+    read one ulp above 1, so a deviation is clamped to 1. A sector at its
+    target is unchanged, and an empty or a full one leaves no choice.
+
+    One ``rng.random`` call draws a number per flip, rows in order and
+    sectors in order within a row, and each flip searches it as
+    ``Generator.choice(p=...)`` does (a cumulative sum divided by its last
+    entry, searched on the right): bit for bit the draws of a ``choice`` per
+    flip, row by row. A sector's rows are grouped by electron count, so each
+    flip is one vector step over a group, and drawn candidates are removed,
+    not zeroed, so every row sum adds the terms of a single row's.
     """
-    bits = np.asarray(bits, dtype=np.uint8).copy()
+    rows = np.array(rows, dtype=np.uint8)
     occupancy = np.asarray(occupancy, dtype=float)
-    if bits.shape != occupancy.shape:
-        raise ValueError("bit string and occupancy vector lengths differ")
-    m = bits.size
-    if n_target > m or n_target < 0:
-        raise ValueError(f"cannot place {n_target} electrons in {m} orbitals")
-    count = int(bits.sum())
-    if count == n_target:
-        return bits
-    if n_target in (0, m):
-        return np.full(m, n_target // m, dtype=np.uint8)
-    fill = n_target / m
-    if count < n_target:
-        candidates = np.flatnonzero(bits == 0)
-        new_value = 1
-    else:
-        candidates = np.flatnonzero(bits == 1)
-        new_value = 0
-    weights = np.array([weight_w(min(abs(float(bits[i]) - occupancy[i]), 1.0), fill, delta)
-                        for i in candidates])
-    for _ in range(abs(count - n_target)):
-        total = weights.sum()
-        if total <= 0.0:
-            probs = np.full(len(candidates), 1.0 / len(candidates))
-        else:
-            probs = weights / total
-        pick = rng.choice(len(candidates), p=probs)
-        bits[candidates[pick]] = new_value
-        candidates = np.delete(candidates, pick)
-        weights = np.delete(weights, pick)
-    return bits
+    if rows.ndim != 2 or occupancy.shape != rows.shape[1:]:
+        raise ValueError("row and occupancy vector lengths differ")
+    targets = np.asarray(targets)
+    m = rows.shape[1] // len(targets)
+    for target in targets:
+        if not 0 <= target <= m:
+            raise ValueError(f"cannot place {target} electrons in {m} orbitals")
+    sectors = rows.reshape(len(rows), len(targets), m)  # a view: flips write into rows
+    counts = sectors.sum(axis=2, dtype=np.int64)
+    flips = np.where((targets == 0) | (targets == m), 0, np.abs(counts - targets))
+    draws = rng.random(int(flips.sum()))
+    first = np.cumsum(flips).reshape(flips.shape) - flips  # each sector's first draw
+    for s, target in enumerate(targets):
+        bits, occ = sectors[:, s], occupancy[s * m:(s + 1) * m]
+        if target in (0, m):
+            bits[...] = target == m
+            continue
+        for count in np.setdiff1d(counts[:, s], [target]):
+            group = np.flatnonzero(counts[:, s] == count)
+            old = 0 if count < target else 1
+            cand = np.nonzero(bits[group] == old)[1].reshape(len(group), -1)
+            w = weight_w(np.minimum(np.abs(float(old) - occ[cand]), 1.0), target / m, delta)
+            for j in range(abs(count - target)):
+                total = w.sum(axis=1, keepdims=True)
+                cdf = np.divide(w, total, out=np.full(w.shape, 1.0 / w.shape[1]),
+                                where=total > 0.0).cumsum(axis=1)
+                cdf /= cdf[:, -1:]
+                pick = (cdf <= draws[first[group, s] + j][:, None]).sum(axis=1, keepdims=True)
+                bits[group[:, None], np.take_along_axis(cand, pick, axis=1)] = 1 - old
+                keep = np.arange(w.shape[1]) != pick
+                cand = cand[keep].reshape(len(group), -1)
+                w = w[keep].reshape(len(group), -1)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -95,14 +108,12 @@ class RecoveryConfig:
 
 
 def _valid_mask(samples: np.ndarray, fci: FciData) -> np.ndarray:
-    norb = fci.norb
-    alpha_counts = samples[:, :norb].sum(axis=1)
-    beta_counts = samples[:, norb:].sum(axis=1)
-    return (alpha_counts == fci.n_alpha) & (beta_counts == fci.n_beta)
+    counts = samples.reshape(len(samples), 2, fci.norb).sum(axis=2)
+    return (counts == (fci.n_alpha, fci.n_beta)).all(axis=1)
 
 
-def _batch_energy_and_occupancy(pool: np.ndarray, hamiltonian: FciData | SpaceHamiltonian,
-                                size: int, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+def _batch_energy_and_occupancy(pool: np.ndarray, space: SpaceHamiltonian, size: int,
+                                rng: np.random.Generator) -> tuple[float, np.ndarray]:
     replace = pool.shape[0] < size
     idx = rng.choice(pool.shape[0], size=size, replace=replace)
     bits = pool[idx] != 0
@@ -110,7 +121,7 @@ def _batch_energy_and_occupancy(pool: np.ndarray, hamiltonian: FciData | SpaceHa
     # (alpha, beta) bitmask order
     _, first = np.unique(occupation_keys(bits, pool.shape[1] // 2), return_index=True)
     rows = bits[first]
-    energy, ground = project_and_diagonalize(rows, hamiltonian)
+    energy, ground = project_and_diagonalize(rows, space)
     # amplitude**2 of a numpy scalar calls pow(), which can differ in the last
     # bit from the x*x of an array square; cumsum adds the rows in order
     probs = np.array([amplitude**2 for amplitude in ground])
@@ -118,64 +129,53 @@ def _batch_energy_and_occupancy(pool: np.ndarray, hamiltonian: FciData | SpaceHa
     return energy, occupancy
 
 
-def self_consistent_recovery(samples: np.ndarray, hamiltonian: FciData | SpaceHamiltonian,
+def self_consistent_recovery(samples: np.ndarray, space: SpaceHamiltonian,
                              config: RecoveryConfig) -> dict:
     """Iterative feedback loop over noisy samples.
 
     Iteration 0 keeps only the symmetry-preserving samples, splits them into
     batches, diagonalizes each batch subspace, and averages the batch
     occupancies. Every later iteration re-corrects the invalid samples with
-    the current occupancy, merges them with the valid pool, and repeats.
-    Originally valid samples are never discarded. Fully deterministic for a
-    fixed seed; batches use derived seeds so they may run in any order.
+    the current occupancy, in one :func:`recover_configuration` call, merges
+    them with the valid pool, and repeats. Originally valid samples are never
+    discarded. Fully deterministic for a fixed seed; batches use derived
+    seeds so they may run in any order.
 
-    ``hamiltonian`` is a :class:`SpaceHamiltonian` of the whole determinant
-    space, or the integrals, of which that space's Hamiltonian is then built
-    here. Either way it is built once, and every batch matrix is gathered
-    from it. Returns the record ``sqd_report.json`` holds, less the
-    reference energy: per iteration the batch energies, the occupancy
-    estimate, the pool size and the mean batch energy.
+    ``space`` is the :class:`SpaceHamiltonian` of the whole determinant
+    space, and every batch matrix is gathered from it. Returns the record
+    ``sqd_report.json`` holds, less the reference energy: per iteration the
+    batch energies, the occupancy estimate, the pool size and the mean batch
+    energy.
     """
-    if isinstance(hamiltonian, SpaceHamiltonian):
-        fci = hamiltonian.fci
-    else:
-        fci = hamiltonian
-        hamiltonian = SpaceHamiltonian(all_determinants(fci.norb, fci.n_alpha, fci.n_beta), fci)
+    fci = space.fci
     samples = np.asarray(samples, dtype=np.uint8)
     if samples.ndim != 2 or samples.shape[1] != fci.num_spin_orbitals:
         raise ValueError("samples must be a (count, 2*norb) bit array")
     if samples.shape[0] == 0:
         raise ValueError("sample set is empty")
-    valid = samples[_valid_mask(samples, fci)]
-    invalid = samples[~_valid_mask(samples, fci)]
+    mask = _valid_mask(samples, fci)
+    valid, invalid = samples[mask], samples[~mask]
     if valid.shape[0] == 0:
         return {"status": "no-valid-configurations", "energies": [], "occupancies": [],
                 "pool_sizes": [], "mean_energies": []}
 
-    norb = fci.norb
     energies, occupancies, pool_sizes = [], [], []
     occupancy = None
     for iteration in range(config.iterations):
         if iteration == 0 or invalid.shape[0] == 0:
             pool = valid
         else:
-            recovered = np.empty_like(invalid)
             # salt separates the correction stream from the batch streams
             rng_rec = np.random.default_rng((config.seed, iteration, _RECOVER_SALT))
-            for row_idx, row in enumerate(invalid):
-                fixed_a = recover_configuration(row[:norb], occupancy[:norb],
-                                                fci.n_alpha, rng_rec, delta=config.delta)
-                fixed_b = recover_configuration(row[norb:], occupancy[norb:],
-                                                fci.n_beta, rng_rec, delta=config.delta)
-                recovered[row_idx, :norb] = fixed_a
-                recovered[row_idx, norb:] = fixed_b
+            recovered = recover_configuration(invalid, occupancy, (fci.n_alpha, fci.n_beta),
+                                              rng_rec, delta=config.delta)
             pool = np.concatenate([valid, recovered], axis=0)
         pool_sizes.append(pool.shape[0])
         batch = []
         occ_sum = np.zeros(fci.num_spin_orbitals)
         for batch_idx in range(config.num_batches):
             rng_batch = np.random.default_rng((config.seed, iteration, batch_idx))
-            energy, occ = _batch_energy_and_occupancy(pool, hamiltonian, config.samples_per_batch,
+            energy, occ = _batch_energy_and_occupancy(pool, space, config.samples_per_batch,
                                                        rng_batch)
             batch.append(energy)
             occ_sum += occ

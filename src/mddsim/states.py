@@ -158,7 +158,7 @@ def _as_matrix(state: PureState | DensityMatrix | np.ndarray) -> tuple[np.ndarra
     return mat, _num_qubits(mat.shape[0])
 
 
-def reduced_density(state: PureState | DensityMatrix, qubits) -> DensityMatrix:
+def reduced_density(state: PureState | DensityMatrix | np.ndarray, qubits) -> DensityMatrix:
     """Partial trace onto the given qubit subset.
 
     The complement of ``qubits`` is traced out; the reduced system keeps the

@@ -541,6 +541,81 @@ def slater_condon_matrix(rows, fci) -> np.ndarray:
 
 # moved from the library: no run, verify suite or demo reaches these
 
+def weight_w_scalar(y: float, h: float, delta: float = 0.01) -> float:
+    """Piecewise-linear flip weight: delta/h * y up to the filling factor h,
+    then rising linearly to 1 at y = 1. Continuous, monotone, and anchored at
+    w(0) = 0, w(h) = delta, w(1) = 1. The scalar form of ``sqd.weight_w``,
+    which took only floats, kept as its oracle."""
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"filling factor must lie in (0, 1), got {h}")
+    if not 0.0 <= y <= 1.0:
+        raise ValueError(f"deviation must lie in [0, 1], got {y}")
+    if y <= h:
+        return delta / h * y
+    return delta + (1.0 - delta) * (y - h) / (1.0 - h)
+
+
+def recover_configuration_row(bits: np.ndarray, occupancy: np.ndarray, n_target: int,
+                              rng: np.random.Generator, delta: float = 0.01) -> np.ndarray:
+    """Restore the electron count of one spin sector by weighted bit flips:
+    the scalar form of ``sqd.recover_configuration``, one ``rng.choice`` per flip.
+
+    When the sector holds too few electrons only 0 -> 1 flips occur, and vice
+    versa; flip candidates are drawn sequentially without replacement with
+    probability proportional to w(|bit - occupancy|) at filling n_target / m.
+    A sample that already matches the target is returned unchanged, and an
+    empty or a full sector leaves no choice. An occupancy is a sum of squared
+    amplitudes and can read one ulp above 1, so a deviation is clamped to 1.
+    """
+    bits = np.asarray(bits, dtype=np.uint8).copy()
+    occupancy = np.asarray(occupancy, dtype=float)
+    if bits.shape != occupancy.shape:
+        raise ValueError("bit string and occupancy vector lengths differ")
+    m = bits.size
+    if n_target > m or n_target < 0:
+        raise ValueError(f"cannot place {n_target} electrons in {m} orbitals")
+    count = int(bits.sum())
+    if count == n_target:
+        return bits
+    if n_target in (0, m):
+        return np.full(m, n_target // m, dtype=np.uint8)
+    fill = n_target / m
+    if count < n_target:
+        candidates = np.flatnonzero(bits == 0)
+        new_value = 1
+    else:
+        candidates = np.flatnonzero(bits == 1)
+        new_value = 0
+    weights = np.array([weight_w_scalar(min(abs(float(bits[i]) - occupancy[i]), 1.0), fill, delta)
+                        for i in candidates])
+    for _ in range(abs(count - n_target)):
+        total = weights.sum()
+        if total <= 0.0:
+            probs = np.full(len(candidates), 1.0 / len(candidates))
+        else:
+            probs = weights / total
+        pick = rng.choice(len(candidates), p=probs)
+        bits[candidates[pick]] = new_value
+        candidates = np.delete(candidates, pick)
+        weights = np.delete(weights, pick)
+    return bits
+
+
+def recover_configuration_loop(rows: np.ndarray, occupancy: np.ndarray, targets,
+                               rng: np.random.Generator, delta: float = 0.01) -> np.ndarray:
+    """The oracle of ``sqd.recover_configuration``: each row corrected in
+    turn, one sector at a time, by :func:`recover_configuration_row`."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    m = rows.shape[1] // len(targets)
+    recovered = np.empty_like(rows)
+    for row_idx, row in enumerate(rows):
+        for s, target in enumerate(targets):
+            part = slice(s * m, (s + 1) * m)
+            recovered[row_idx, part] = recover_configuration_row(row[part], occupancy[part],
+                                                                 target, rng, delta=delta)
+    return recovered
+
+
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     # Hermitian eigendecomposition with eigenvalue clamping at 0.
     vals, vecs = np.linalg.eigh(mat)

@@ -40,6 +40,7 @@ from mddsim.noise import (
 from mddsim.sequences import build_schedule, flip_times, mdd_unitary, udd_times
 from mddsim.sqd import (
     RecoveryConfig,
+    SpaceHamiltonian,
     all_determinants,
     hubbard_dimer_energy,
     hubbard_dimer_fcidump,
@@ -380,15 +381,17 @@ def test_criterion_8_sqd_pipeline(capsys):
                                              - full[np.ix_(idx, idx)])))
         dimer = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
         dimer_dets = all_determinants(2, 1, 1)
-        dimer_energy, _ = project_and_diagonalize(dimer_dets, dimer)
+        dimer_energy, _ = project_and_diagonalize(dimer_dets,
+                                                   SpaceHamiltonian(dimer_dets, dimer))
         dimer_err = abs(dimer_energy - hubbard_dimer_energy(4.0, 1.0))
-        e_ref, ground = project_and_diagonalize(dets, fci)
+        space = SpaceHamiltonian(dets, fci)
+        e_ref, ground = project_and_diagonalize(dets, space)
         wins = 0
         for seed in range(20):
             samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
             config = RecoveryConfig(iterations=5, num_batches=10,
                                     samples_per_batch=300, seed=seed)
-            report = self_consistent_recovery(samples, fci, config)
+            report = self_consistent_recovery(samples, space, config)
             errors = [abs(m - e_ref) for m in report["mean_energies"]]
             wins += errors[-1] < errors[0]
     passed = (worst_element <= 1e-10 and dimer_err <= 1e-10 and wins >= 19

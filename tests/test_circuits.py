@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mddsim import circuits
 from mddsim.circuits import (
     IdleInterval,
     ScheduledCircuit,
@@ -25,6 +26,7 @@ from mddsim.circuits import (
     x_gate,
 )
 from mddsim.noise import NOISELESS, NoiseParams, apply_local, combined_channel
+from mddsim.sequences import measure_expectations
 from mddsim.states import DensityMatrix, haar_random_state, reduced_density
 
 from helpers import (basis_state, circuit_from_dict, circuit_from_json, circuit_unitary, fidelity,
@@ -204,6 +206,23 @@ class TestInsertDd:
         circuit, _ = qft_success_scenario(4)
         dressed = insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24, shots=30, seed=seed)
         assert dressed.total_duration == pytest.approx(circuit.total_duration, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("shots", [None, 200])
+    def test_every_checkpoint_is_a_valid_state(self, n, shots, monkeypatch):
+        # insert_dd reads each interval's expectations from the raw carried
+        # state; the whole-state check it no longer makes holds at each one
+        checked = []
+
+        def measure(state, qubit, **kwargs):
+            checked.append(DensityMatrix(state))
+            return measure_expectations(state, qubit, **kwargs)
+
+        monkeypatch.setattr(circuits, "measure_expectations", measure)
+        circuit, _ = qft_success_scenario(n)
+        for strategy in ("mdd", "mdd+xx"):
+            insert_dd(circuit, strategy, DEFAULT_NOISE, 0.24, shots=shots, seed=n)
+        assert len(checked) == 2 * len(identify_idle(circuit, 0.24))
 
     @pytest.mark.parametrize("strategy", ["mdd", "xx"])
     def test_shot_mode_needs_a_seed(self, strategy):

@@ -60,7 +60,8 @@ class TestConfig:
         assert config.sequences == ["none", "mdd+xx", "qdd2"]
 
     @pytest.mark.parametrize("field", ["grid_points", "trials", "sample_shots",
-                                       "samples_per_batch", "num_states"])
+                                       "samples_per_batch", "num_states", "iterations",
+                                       "num_batches"])
     def test_sizes_above_maximum_rejected(self, field):
         # validation only: a run at these sizes would request memory the host lacks
         limit = experiments._MAXIMA[field]
@@ -287,6 +288,9 @@ INVALID_CONFIGS = {
     "t1-t2-tiny": ({"experiment": "qft-toy", "t1": 1e-310, "t2": 1e-310}, []),
     "qft-one-qubit": ({"experiment": "qft-toy", "num_qubits": 1}, []),
     "iterations-0": ({"experiment": "sqd-recover", "iterations": 0}, []),
+    # a run does iterations x num_batches batch eigensolves
+    "iterations-101": ({"experiment": "sqd-recover", "iterations": 101}, []),
+    "num_batches-101": ({"experiment": "sqd-recover", "num_batches": 101}, []),
     "seed-negative": ({"experiment": "fidelity-sweep", "seed": -1}, []),
     "trials-0": ({"experiment": "lemma-check", "trials": 0}, []),
     "t_grid-string": ({"experiment": "fidelity-sweep", "t_grid": "abc"}, []),
@@ -321,6 +325,9 @@ INVALID_CONFIGS = {
                          "sequences": ["none"], "threshold": False}, []),
     "t_grid-true": ({"experiment": "fidelity-sweep", "num_qubits": 2, "num_states": 1,
                      "t_grid": [True], "sequences": ["none"]}, []),
+    # JSON strings are not numbers, though float() reads these two
+    "t_grid-numeric-strings": ({"experiment": "fidelity-sweep", "num_qubits": 2, "num_states": 1,
+                                "t_grid": [" 5 ", "10"], "sequences": ["none"]}, []),
     # a string is not a list, though each of its characters is a duration or a name
     "t_grid-digits": ({"experiment": "fidelity-sweep", "num_states": 1, "num_qubits": 2,
                        "t_grid": "25"}, []),

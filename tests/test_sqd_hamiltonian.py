@@ -112,7 +112,7 @@ class TestParse:
         idx = [fock_index(row) for row in dets]
         block = full[np.ix_(idx, idx)]
         expected = np.linalg.eigvalsh(block)[0] + fci.core_energy
-        energy, _ = project_and_diagonalize(dets, fci)
+        energy, _ = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
         assert energy == pytest.approx(expected, abs=1e-10)
 
     def test_non_finite_values_rejected(self):
@@ -237,14 +237,15 @@ class TestProjectAndDiagonalize:
     def test_full_space_recovers_fci_energy(self):
         fci = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
         dets = all_determinants(2, 1, 1)
-        energy, ground = project_and_diagonalize(dets, fci)
+        energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
         assert energy == pytest.approx(hubbard_dimer_energy(4.0, 1.0), abs=1e-10)
         assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_determinant_gives_diagonal(self):
         fci = parse_fcidump(MINIMAL)
         det = hartree_fock_determinant(2, 1, 1)
-        energy, ground = project_and_diagonalize(np.array([[1, 0, 1, 0]]), fci)
+        row = np.array([[1, 0, 1, 0]])
+        energy, ground = project_and_diagonalize(row, SpaceHamiltonian(row, fci))
         assert energy == pytest.approx(slater_condon(det, det, fci) + fci.core_energy, abs=1e-14)
         assert abs(ground[0]) == pytest.approx(1.0)
 
@@ -253,9 +254,10 @@ class TestProjectAndDiagonalize:
         dets = all_determinants(4, 2, 2)
         rng = np.random.default_rng(3)
         order = rng.permutation(len(dets))
+        space = SpaceHamiltonian(dets, fci)
         previous = np.inf
         for size in (1, 4, 9, 16, 25, len(dets)):
-            energy, _ = project_and_diagonalize(dets[order[:size]], fci)
+            energy, _ = project_and_diagonalize(dets[order[:size]], space)
             assert energy <= previous + 1e-12
             previous = energy
 
@@ -263,12 +265,13 @@ class TestProjectAndDiagonalize:
         fci = parse_fcidump(MINIMAL)
         for empty in ([], np.empty((0, 4), dtype=np.uint8)):
             with pytest.raises(ValueError, match="empty"):
-                project_and_diagonalize(empty, fci)
+                project_and_diagonalize(empty, SpaceHamiltonian(empty, fci))
 
     def test_duplicates_rejected(self):
         fci = parse_fcidump(MINIMAL)
+        rows = np.array([[1, 0, 1, 0], [1, 0, 1, 0]])
         with pytest.raises(ValueError, match="row 1 repeats row 0: determinants must be distinct"):
-            project_and_diagonalize(np.array([[1, 0, 1, 0], [1, 0, 1, 0]]), fci)
+            project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
 
     @pytest.mark.parametrize("dets,culprit", [
         (np.array([[1, 1, 0, 0, 2, 0, 0, 0]]), 0),                                 # a 2 in a bit
@@ -279,7 +282,7 @@ class TestProjectAndDiagonalize:
     def test_foreign_determinants_rejected(self, dets, culprit):
         fci = parse_fcidump(random_fcidump(4, 4, seed=2))
         with pytest.raises(ValueError, match=re.escape(f"row {culprit} {dets[culprit].tolist()}")):
-            project_and_diagonalize(dets, fci)
+            project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
 
     @pytest.mark.parametrize("rows", [
         [[1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]],
@@ -292,7 +295,7 @@ class TestProjectAndDiagonalize:
         # bool rows are integers here: they are accepted below
         fci = parse_fcidump(random_fcidump(4, 4, seed=2))
         with pytest.raises(ValueError, match="must hold integers or booleans"):
-            project_and_diagonalize(rows, fci)
+            project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
 
     def test_numpy_integer_masks_accepted(self):
         # a plain list, numpy integer and bool rows all give the scalar element
@@ -302,7 +305,7 @@ class TestProjectAndDiagonalize:
         want = slater_condon(plain, plain, fci) + fci.core_energy
         for rows in ([row], np.array([row], dtype=np.int64), np.array([row], dtype=np.uint16),
                      np.array([row], dtype=bool)):
-            energy, ground = project_and_diagonalize(rows, fci)
+            energy, ground = project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
             assert energy == want
             assert abs(ground[0]) == 1.0
 
@@ -314,7 +317,7 @@ class TestProjectAndDiagonalize:
         fci = FciData(norb=3, nelec=1, ms2=1, h=h, eri=np.zeros((3,) * 4), core_energy=0.5)
         dets = all_determinants(3, 1, 0)
         assert np.array_equal(_hamiltonian_matrix(dets, fci), h)
-        energy, ground = project_and_diagonalize(dets, fci)
+        energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
         assert energy == pytest.approx(-0.5, abs=1e-14)
         assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
         assert abs(ground @ np.array([1.0, 1.0, 0.0])) / np.sqrt(2) < 1e-10
@@ -400,7 +403,7 @@ def assert_matches_full_spectrum_oracle(dets, fci):
     ground state is separated from the rest, the oracle's vector up to sign."""
     matrix = _hamiltonian_matrix(dets, fci)
     vals, vecs = np.linalg.eigh(matrix)
-    energy, ground = project_and_diagonalize(dets, fci)
+    energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
     assert energy == pytest.approx(vals[0] + fci.core_energy, abs=1e-12)
     assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
     residual = matrix @ ground - (energy - fci.core_energy) * ground
@@ -453,9 +456,11 @@ def test_malformed_rows_raise_and_dtypes_agree(data):
                            np.random.default_rng(seed))
 
     # the same subspace as bool, uint8 and int64 rows: the same eigenpair
-    energy, ground = project_and_diagonalize(rows.astype(bool), fci)
+    bits = rows.astype(bool)
+    energy, ground = project_and_diagonalize(bits, SpaceHamiltonian(bits, fci))
     for dtype in (np.uint8, np.int64):
-        other_energy, other_ground = project_and_diagonalize(rows.astype(dtype), fci)
+        other = rows.astype(dtype)
+        other_energy, other_ground = project_and_diagonalize(other, SpaceHamiltonian(other, fci))
         assert other_energy == energy and np.array_equal(other_ground, ground)
 
     kind = data.draw(st.sampled_from(["width", "value", "count", "duplicate", "empty"]),
@@ -481,7 +486,7 @@ def test_malformed_rows_raise_and_dtypes_agree(data):
         bad = bad[:0]
         message = "subspace is empty"
     with pytest.raises(ValueError, match=message):
-        project_and_diagonalize(bad, fci)
+        project_and_diagonalize(bad, SpaceHamiltonian(bad, fci))
 
 
 GATHER_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -595,7 +600,7 @@ def test_gathered_eigenpair_is_the_built_one():
     full = SpaceHamiltonian(space, fci)
     rows = random_subspace(5, 3, 3, 40, np.random.default_rng(4))
     gathered_energy, gathered_ground = project_and_diagonalize(rows, full)
-    built_energy, built_ground = project_and_diagonalize(rows, fci)
+    built_energy, built_ground = project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
     assert gathered_energy == built_energy and np.array_equal(gathered_ground, built_ground)
     # the space's own matrix is gathered, never handed to LAPACK to overwrite
     before = full.matrix.copy()
