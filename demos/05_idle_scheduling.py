@@ -4,6 +4,8 @@ Builds the serialized transform scenario, lists its idle intervals, inserts
 pulse sequences into them, and compares end-to-end success probabilities.
 """
 
+from collections import Counter
+
 from mddsim import NoiseParams, identify_idle, insert_dd, qft_success_scenario
 from mddsim.circuits import qft_final_state, qft_readout, sample_counts, simulate, success_probability
 from mddsim.noise import NOISELESS
@@ -29,8 +31,7 @@ for seed in range(5):
     print(f"  {seed:4d} " + "".join(f"{v:9.3f}" for v in row))
 
 dressed = insert_dd(circuit, "mdd", noise, threshold=0.24)
-pulses = sum(1 for sl in dressed.slices if sl.duration == 0.0)
-print(f"\nthe measurement-driven pass inserted {pulses} zero-duration pulse slices "
-      f"(total duration unchanged: {dressed.total_duration:.0f} us)")
-print("\nround-trip through JSON:")
-print(dressed.to_json()[:120] + " ...")
+per_qubit = Counter(sl.gates[0].qubits[0] for sl in dressed.slices if sl.duration == 0.0)
+print(f"\nthe measurement-driven pass inserted {sum(per_qubit.values())} zero-duration pulse "
+      f"slices (total duration unchanged: {dressed.total_duration:.0f} us)")
+print("pulses per qubit: " + ", ".join(f"q{q} {k}" for q, k in sorted(per_qubit.items())))

@@ -11,7 +11,6 @@ duration.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,14 +18,7 @@ import numpy as np
 
 from .noise import NoiseParams, _apply_local_raw, combined_channel
 from .sequences import build_schedule, is_measurement_driven, measure_expectations
-from .states import (
-    DensityMatrix,
-    PAULI_X,
-    PAULI_Y,
-    PureState,
-    _as_matrix,
-    apply_matrix,
-)
+from .states import DensityMatrix, PureState, _as_matrix, apply_matrix
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -42,12 +34,10 @@ PREP_DURATION = 2.0
 
 @dataclass(frozen=True)
 class Gate:
-    """A named unitary on an ordered tuple of qubits."""
+    """A unitary on an ordered tuple of qubits."""
 
-    name: str
     qubits: tuple[int, ...]
     matrix: np.ndarray
-    param: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
@@ -56,42 +46,10 @@ class Gate:
             raise ValueError(f"gate matrix shape {mat.shape} does not match {len(self.qubits)} qubits")
         object.__setattr__(self, "matrix", mat)
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "qubits": list(self.qubits)}
-        if self.name == "cp":
-            out["param"] = self.param
-        elif self.name == "custom":
-            out["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix]
-        return out
 
-
-def h_gate(q: int) -> Gate:
-    return Gate("h", (q,), _H)
-
-
-def x_gate(q: int) -> Gate:
-    return Gate("x", (q,), PAULI_X)
-
-
-def y_gate(q: int) -> Gate:
-    return Gate("y", (q,), PAULI_Y)
-
-
-def cp_gate(lam: float, control: int, target: int) -> Gate:
-    mat = np.diag([1.0, 1.0, 1.0, cmath.exp(1j * lam)]).astype(complex)
-    return Gate("cp", (control, target), mat, param=float(lam))
-
-
-def custom_gate(matrix, qubits) -> Gate:
-    return Gate("custom", tuple(qubits), matrix)
-
-
-def _pulse_gate(matrix: np.ndarray, qubit: int) -> Gate:
-    if np.array_equal(matrix, PAULI_X):
-        return x_gate(qubit)
-    if np.array_equal(matrix, PAULI_Y):
-        return y_gate(qubit)
-    return custom_gate(matrix, (qubit,))
+def _cp_matrix(lam: float) -> np.ndarray:
+    """Controlled phase exp(i lam) on |11>."""
+    return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * lam)]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -101,12 +59,14 @@ class Slice:
 
     ``shielded`` lists qubits occupied by a gate for the whole slice they were
     split out of; they take no idle noise and are not considered idle. It only
-    appears on tail fragments produced by pulse insertion.
+    appears on tail fragments produced by pulse insertion. ``occupied`` is the
+    set of gated and shielded qubits, computed once.
     """
 
     duration: float
     gates: tuple[Gate, ...] = ()
     shielded: tuple[int, ...] = ()
+    occupied: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.duration >= 0:  # also rejects NaN
@@ -115,25 +75,17 @@ class Slice:
         object.__setattr__(self, "shielded", tuple(int(q) for q in self.shielded))
         touched: set[int] = set()
         for gate in self.gates:
-            if touched & set(gate.qubits):
+            if not touched.isdisjoint(gate.qubits):
                 raise ValueError("gate qubit sets within a slice must be disjoint")
-            touched |= set(gate.qubits)
-
-    def occupied(self) -> set[int]:
-        out = set(self.shielded)
-        for gate in self.gates:
-            out |= set(gate.qubits)
-        return out
-
-    def touches(self, qubit: int) -> bool:
-        return qubit in self.occupied()
+            touched.update(gate.qubits)
+        object.__setattr__(self, "occupied", frozenset(touched.union(self.shielded)))
 
 
 @dataclass(frozen=True)
 class ScheduledCircuit:
     num_qubits: int
     slices: tuple[Slice, ...]
-    # insert_dd's (noise, rho, done): the read-only state after the first done slices
+    # insert_dd's (rho, done): the read-only state after the first done slices
     checkpoint: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -148,18 +100,6 @@ class ScheduledCircuit:
     @property
     def total_duration(self) -> float:
         return float(sum(sl.duration for sl in self.slices))
-
-    def to_dict(self) -> dict:
-        out = []
-        for sl in self.slices:
-            entry: dict = {"duration": sl.duration, "gates": [g.to_dict() for g in sl.gates]}
-            if sl.shielded:
-                entry["shielded"] = list(sl.shielded)
-            out.append(entry)
-        return {"num_qubits": self.num_qubits, "slices": out}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -180,13 +120,13 @@ def identify_idle(circuit: ScheduledCircuit, threshold: float) -> list[IdleInter
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     intervals = []
     for q in range(circuit.num_qubits):
-        if not any(sl.touches(q) for sl in circuit.slices):
+        if not any(q in sl.occupied for sl in circuit.slices):
             continue
         seen_gate = False
         run_start, run_length = 0.0, 0.0
         now = 0.0
         for sl in circuit.slices:
-            if sl.touches(q):
+            if q in sl.occupied:
                 if seen_gate and run_length > threshold:
                     intervals.append(IdleInterval(q, run_start, run_length))
                 seen_gate = True
@@ -232,7 +172,7 @@ def _simulate_raw(circuit: ScheduledCircuit, noise: NoiseParams,
         for gate in sl.gates:
             rho = apply_matrix(gate.matrix, rho, gate.qubits, n)
         if sl.duration > 0:
-            for q in sorted(set(range(n)) - sl.occupied()):
+            for q in sorted(set(range(n)) - sl.occupied):
                 rho = _apply_local_raw(channels[sl.duration], rho, q, n)
     return rho
 
@@ -240,11 +180,8 @@ def _simulate_raw(circuit: ScheduledCircuit, noise: NoiseParams,
 def simulate(circuit: ScheduledCircuit, noise: NoiseParams,
              initial: PureState | DensityMatrix | None = None) -> DensityMatrix:
     """Deterministic slice-by-slice evolution: ideal gates, then the combined
-    channel for the slice duration on every idle qubit. Without ``initial``, a
-    circuit whose checkpoint was taken under ``noise`` finishes from it."""
-    resume = circuit.checkpoint
-    if initial is None and resume is not None and resume[0] == noise:
-        circuit, initial = ScheduledCircuit(circuit.num_qubits, circuit.slices[resume[2]:]), resume[1]
+    channel for the slice duration on every idle qubit, over every slice from
+    ``initial`` (the ground state by default); ``checkpoint`` is not read."""
     return DensityMatrix(_simulate_raw(circuit, noise, initial))
 
 
@@ -260,7 +197,7 @@ def _insert_pulse(slices: list[Slice], when: float, gate: Gate) -> None:
             # gates fire at the original slice start and occupy their qubits
             # for the whole slice, so the tail fragment shields them
             head = Slice(when - now, sl.gates, sl.shielded)
-            tail = Slice(end - when, (), tuple(sorted(sl.occupied())))
+            tail = Slice(end - when, (), tuple(sorted(sl.occupied)))
             slices[i:i + 1] = [head, pulse, tail]
         else:
             slices.insert(i, pulse)
@@ -283,8 +220,9 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
     slices, which last ``now``. Each interval advances it over the slices
     that end by its start and are not yet simulated. Pulses go in at or
     after an interval start, and starts never decrease, so insertion never
-    changes a slice before the checkpoint, and :func:`simulate` finishes
-    from the last one, which the result carries.
+    changes a slice before the checkpoint. The result carries the last one
+    as ``checkpoint``, the read-only state and ``done``, taken under
+    ``noise``; :func:`qft_final_state` finishes from it.
     """
     strategy = strategy.lower()
     if shots is not None and seed is None:
@@ -311,11 +249,11 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
             exp = measure_expectations(rho, iv.qubit, shots=shots, rng=rng)
         schedule = build_schedule(strategy, iv.duration, exp)
         for offset, pulse in schedule.pulses:
-            _insert_pulse(slices, iv.start + offset, _pulse_gate(pulse.matrix, iv.qubit))
+            _insert_pulse(slices, iv.start + offset, Gate((iv.qubit,), pulse.matrix))
     dressed = ScheduledCircuit(n, tuple(slices))
     if rho is not None:
         rho.flags.writeable = False
-        object.__setattr__(dressed, "checkpoint", (noise, rho, done))
+        object.__setattr__(dressed, "checkpoint", (rho, done))
     return dressed
 
 
@@ -356,11 +294,11 @@ def qft_circuit(n: int) -> ScheduledCircuit:
         raise ValueError(f"scenario supports 2..{MAX_SIM_QUBITS} qubits, got {n}")
     slices = []
     for j in range(n):
-        slices.append(Slice(H_DURATION, (h_gate(j),)))
+        slices.append(Slice(H_DURATION, (Gate((j,), _H),)))
         for k in range(j + 1, n):
-            slices.append(Slice(CP_DURATION, (cp_gate(math.pi / 2 ** (k - j), k, j),)))
+            slices.append(Slice(CP_DURATION, (Gate((k, j), _cp_matrix(math.pi / 2 ** (k - j))),)))
     for j in range(n // 2):
-        slices.append(Slice(SWAP_DURATION, (custom_gate(_SWAP, (j, n - 1 - j)),)))
+        slices.append(Slice(SWAP_DURATION, (Gate((j, n - 1 - j), _SWAP),)))
     return ScheduledCircuit(n, tuple(slices))
 
 
@@ -379,11 +317,11 @@ def qft_success_scenario(n: int) -> tuple[ScheduledCircuit, str]:
     target = alternating_target(n)
     y = int(target, 2)
     core = qft_circuit(n)
-    prep_h = Slice(PREP_DURATION, tuple(h_gate(q) for q in range(n)))
+    prep_h = Slice(PREP_DURATION, tuple(Gate((q,), _H) for q in range(n)))
     phases = []
     for k in range(n):
         theta = -2.0 * math.pi * y / 2 ** (k + 1)
-        phases.append(custom_gate(np.diag([1.0, cmath.exp(1j * theta)]), (k,)))
+        phases.append(Gate((k,), np.diag([1.0, cmath.exp(1j * theta)])))
     prep_p = Slice(PREP_DURATION, tuple(phases))
     return ScheduledCircuit(n, (prep_h, prep_p) + core.slices), target
 
@@ -394,10 +332,12 @@ def qft_final_state(n: int, noise: NoiseParams, strategy: str, threshold: float 
     """Noisy final state of the transform scenario with the chosen sequence
     inserted into qualifying idle intervals, and its target string. Only
     sampled MDD expectations (``measure_shots``, keyed by ``seed``) make it
-    depend on the seed."""
+    depend on the seed. The pass finishes from ``insert_dd``'s checkpoint,
+    bitwise the same state as simulating every dressed slice."""
     circuit, target = qft_success_scenario(n)
     dressed = insert_dd(circuit, strategy, noise, threshold, shots=measure_shots, seed=seed)
-    return simulate(dressed, noise), target
+    rho, done = dressed.checkpoint or (None, 0)
+    return simulate(ScheduledCircuit(n, dressed.slices[done:]), noise, rho), target
 
 
 def qft_readout(rho: DensityMatrix, target: str, shots: int, seed: int) -> float:

@@ -154,8 +154,7 @@ class ExperimentConfig:
                 build_schedule(MEASURED_BASE.get(kind, kind), 1.0)
             if not 0.0 <= self.flip_rate < 1.0:
                 raise ValueError(f"flip_rate must lie in [0, 1), got {self.flip_rate}")
-            RecoveryConfig(iterations=self.iterations, num_batches=self.num_batches,
-                           samples_per_batch=self.samples_per_batch, delta=self.delta, seed=self.seed)
+            self.recovery  # dry run: RecoveryConfig checks the recovery fields
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
 
@@ -186,6 +185,12 @@ class ExperimentConfig:
     @property
     def noise(self) -> NoiseParams:
         return NoiseParams(t1=self.t1, t2=self.t2)
+
+    @property
+    def recovery(self) -> RecoveryConfig:
+        return RecoveryConfig(iterations=self.iterations, num_batches=self.num_batches,
+                              samples_per_batch=self.samples_per_batch, delta=self.delta,
+                              seed=self.seed)
 
 
 @dataclass
@@ -449,10 +454,7 @@ def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
         raise ConfigError(f"cannot diagonalize integrals {config.fcidump!r}: {exc}") from None
     samples = noisy_sampler(ground, dets, config.flip_rate,
                             shots=config.sample_shots, seed=config.seed)
-    recovery = RecoveryConfig(iterations=config.iterations, num_batches=config.num_batches,
-                              samples_per_batch=config.samples_per_batch,
-                              delta=config.delta, seed=config.seed)
-    report = self_consistent_recovery(samples, space, recovery)
+    report = self_consistent_recovery(samples, space, config.recovery)
     rows = []
     for iteration, batch_energies in enumerate(report["energies"]):
         for batch, e0 in enumerate(batch_energies):

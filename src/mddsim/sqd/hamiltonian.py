@@ -254,7 +254,7 @@ class SpaceHamiltonian:
             raise ValueError(f"row {order[same[0] + 1]} repeats row {order[same[0]]}: "
                              "determinants must be distinct")
         idx = self._order[at]
-        return self.matrix[np.ix_(idx, idx)]
+        return self.matrix.take(idx, 0).take(idx, 1)
 
     def ground_state(self) -> tuple[float, np.ndarray]:
         """Ground eigenpair of the whole space: the lowest eigenvalue
@@ -332,5 +332,6 @@ def project_and_diagonalize(dets, space: SpaceHamiltonian) -> tuple[float, np.nd
     # the gathered matrix is a fresh array, exactly symmetric (each pair's
     # element is written to both triangles), so its transpose is the same
     # matrix in the Fortran order that LAPACK overwrites in place
-    vals, vecs = linalg.eigh(space.submatrix(dets).T, subset_by_index=[0, 0], overwrite_a=True)
+    vals, vecs = linalg.eigh(space.submatrix(dets).T, subset_by_index=[0, 0], overwrite_a=True,
+                             check_finite=False)
     return float(vals[0] + space.fci.core_energy), vecs[:, 0]

@@ -2,7 +2,7 @@
 they are used to check, and the library functions that no run, verify suite
 or demo reaches, kept as they were next to the tests that check them."""
 
-import json
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -12,9 +12,8 @@ from scipy import optimize
 from mddsim.analysis import (_RATE_EPS, _STARTS, TwoQubitRates, _envelope_slope,
                              _fidelity_table, _gap_passed, decay_rate_quadratic,
                              local_entanglement_fidelity)
-from mddsim.circuits import (Gate, ScheduledCircuit, Slice, _insert_pulse, _pulse_gate,
-                             _simulate_raw, cp_gate, custom_gate, h_gate, identify_idle,
-                             x_gate, y_gate)
+from mddsim.circuits import (Gate, ScheduledCircuit, _insert_pulse, _simulate_raw,
+                             identify_idle)
 from mddsim.experiments import _plain
 from mddsim.noise import KrausChannel, NoiseParams, PhaseCovariantChannel, combined_channel
 from mddsim.sequences import (MEASURED_BASE, PulseSchedule, _schedule_maps, build_schedule,
@@ -279,7 +278,7 @@ def insert_dd_replaying(circuit: ScheduledCircuit, strategy: str, noise: NoisePa
             exp = measure_expectations(DensityMatrix(rho), iv.qubit, shots=shots, rng=rng)
         schedule = build_schedule(strategy, iv.duration, exp)
         for offset, pulse in schedule.pulses:
-            _insert_pulse(slices, iv.start + offset, _pulse_gate(pulse.matrix, iv.qubit))
+            _insert_pulse(slices, iv.start + offset, Gate((iv.qubit,), pulse.matrix))
     return ScheduledCircuit(circuit.num_qubits, tuple(slices))
 
 
@@ -699,38 +698,25 @@ def circuit_unitary(circuit: ScheduledCircuit) -> np.ndarray:
     return total
 
 
-def gate_from_dict(data: dict) -> Gate:
-    """Inverse of :meth:`Gate.to_dict`."""
-    name = data["name"]
-    qubits = tuple(data["qubits"])
-    if name == "h":
-        return h_gate(*qubits)
-    if name == "x":
-        return x_gate(*qubits)
-    if name == "y":
-        return y_gate(*qubits)
-    if name == "cp":
-        return cp_gate(float(data["param"]), *qubits)
-    if name == "custom":
-        mat = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-        return custom_gate(mat, qubits)
-    raise ValueError(f"unknown gate name {name!r}")
+def h_gate(q: int) -> Gate:
+    return Gate((q,), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
-def circuit_from_dict(data: dict) -> ScheduledCircuit:
-    """Inverse of :meth:`ScheduledCircuit.to_dict`."""
-    slices = tuple(
-        Slice(float(s["duration"]),
-              tuple(gate_from_dict(g) for g in s.get("gates", ())),
-              tuple(s.get("shielded", ())))
-        for s in data["slices"]
-    )
-    return ScheduledCircuit(int(data["num_qubits"]), slices)
+def x_gate(q: int) -> Gate:
+    return Gate((q,), PAULI_X)
 
 
-def circuit_from_json(text: str) -> ScheduledCircuit:
-    """Inverse of :meth:`ScheduledCircuit.to_json`."""
-    return circuit_from_dict(json.loads(text))
+def cp_gate(lam: float, control: int, target: int) -> Gate:
+    return Gate((control, target), np.diag([1, 1, 1, cmath.exp(1j * lam)]))
+
+
+def circuit_key(circuit: ScheduledCircuit) -> tuple:
+    """Everything a simulation reads from a circuit, comparable with ``==``:
+    the qubit count, and per slice its duration, shielded qubits, and each
+    gate's qubits and matrix bytes."""
+    return circuit.num_qubits, tuple(
+        (sl.duration, sl.shielded, tuple((g.qubits, g.matrix.tobytes()) for g in sl.gates))
+        for sl in circuit.slices)
 
 
 class FeasibilityError(ValueError):

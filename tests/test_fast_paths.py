@@ -29,11 +29,11 @@ from mddsim.analysis import (
     optimize_two_qubit_mdd,
 )
 from mddsim.circuits import (
+    Gate,
     ScheduledCircuit,
     Slice,
-    cp_gate,
-    custom_gate,
     insert_dd,
+    qft_final_state,
     qft_success_scenario,
     simulate,
 )
@@ -79,10 +79,12 @@ from mddsim.states import (
 )
 
 from helpers import (
+    circuit_key,
     conjugate_entrywise,
     conjugate_matmul,
     covariant_fidelity_entrywise,
     covariant_from_superop,
+    cp_gate,
     dephasing_channel_from_chi,
     grid_minimum_two_qubit_dense,
     insert_dd_replaying,
@@ -767,7 +769,7 @@ def scheduled_circuits(draw):
         gates = []
         if len(gated) >= 2 and draw(st.booleans()):
             gates.append(cp_gate(draw(st.floats(-3.0, 3.0)), gated.pop(), gated.pop()))
-        gates += [custom_gate(_haar_batch(1, rng, 2)[0], (q,)) for q in gated]
+        gates += [Gate((q,), _haar_batch(1, rng, 2)[0]) for q in gated]
         duration = draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 60.0))
         slices.append(Slice(duration, tuple(gates)))
     return ScheduledCircuit(n, tuple(slices))
@@ -781,7 +783,7 @@ def test_insert_dd_matches_prefix_replay(strategy, circuit, params, threshold, s
     seed = None if shots is None else seed
     fast = insert_dd(circuit, strategy, params, threshold, shots=shots, seed=seed)
     oracle = insert_dd_replaying(circuit, strategy, params, threshold, shots=shots, seed=seed)
-    assert fast.to_dict() == oracle.to_dict()
+    assert circuit_key(fast) == circuit_key(oracle)
 
 
 def full_pass(circuit, noise, initial=None):
@@ -798,9 +800,12 @@ def test_simulate_finishes_bitwise_from_the_checkpoint(strategy, circuit, params
                                                        shots, seed):
     seed = None if shots is None else seed
     dressed = insert_dd(circuit, strategy, params, threshold, shots=shots, seed=seed)
-    if dressed.checkpoint is not None:
-        assert dressed.checkpoint[0] == params
-        assert not dressed.checkpoint[1].flags.writeable
+    rho, done = dressed.checkpoint or (None, 0)
+    if rho is not None:
+        assert not rho.flags.writeable
+    rest = ScheduledCircuit(circuit.num_qubits, dressed.slices[done:])
+    assert np.array_equal(simulate(rest, params, rho).entries, full_pass(dressed, params))
+    # simulate never reads the checkpoint: the dressed circuit is one full pass
     assert np.array_equal(simulate(dressed, params).entries, full_pass(dressed, params))
 
 
@@ -817,15 +822,28 @@ def count_passes(monkeypatch) -> list[int]:
 
 def test_qft_mdd_final_pass_runs_only_the_slices_after_the_checkpoint(monkeypatch):
     dressed = insert_dd(qft_success_scenario(5)[0], "mdd", QFT_NOISE, 0.24)
-    done = dressed.checkpoint[2]
+    done = dressed.checkpoint[1]
     assert 0 < done < len(dressed.slices)
+    monkeypatch.setattr(circuits, "insert_dd", lambda *args, **kwargs: dressed)
     passes, channels, combined = count_passes(monkeypatch), [], circuits.combined_channel
     monkeypatch.setattr(circuits, "combined_channel",
                         lambda p, t: channels.append(t) or combined(p, t))
-    simulate(dressed, NoiseParams(QFT_NOISE.t1, QFT_NOISE.t2))  # equal, not the same object
+    qft_final_state(5, QFT_NOISE, "mdd")
     assert passes == [len(dressed.slices) - done]
     # one channel per distinct duration of the pass
     assert sorted(channels) == sorted({sl.duration for sl in dressed.slices[done:] if sl.duration > 0})
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("shots", [None, 200])
+def test_qft_final_state_matches_a_full_pass(n, shots):
+    seed = None if shots is None else n
+    circuit, target = qft_success_scenario(n)
+    for kind in ("none", "xx", "xy4", "udd4", "qdd2", "mdd", "mdd+xx"):
+        rho, got = qft_final_state(n, QFT_NOISE, kind, measure_shots=shots, seed=seed)
+        dressed = insert_dd(circuit, kind, QFT_NOISE, 0.24, shots=shots, seed=seed)
+        assert got == target
+        assert np.array_equal(rho.entries, full_pass(dressed, QFT_NOISE))
 
 
 IGNORED_CHECKPOINT = {

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mddsim.circuits import ScheduledCircuit, Slice, custom_gate
+from mddsim.circuits import Gate, ScheduledCircuit, Slice
 from mddsim.noise import JumpOperator, KrausChannel, _apply_local_raw, lindblad_derivative
 from mddsim.states import _apply_left, _haar_batch, apply_matrix, haar_random_state
 
@@ -89,7 +89,7 @@ def test_circuit_unitary_matches_embedded_product(n, seed, num_gates):
     slices, expected = [], np.eye(2**n, dtype=complex)
     for _ in range(num_gates):
         qubits = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, min(2, n) + 1))]]
-        gate = custom_gate(_haar_batch(1, rng, 2 ** len(qubits))[0], qubits)
+        gate = Gate(qubits, _haar_batch(1, rng, 2 ** len(qubits))[0])
         slices.append(Slice(1.0, (gate,)))
         expected = embed_operator(gate.matrix, gate.qubits, n) @ expected
     got = circuit_unitary(ScheduledCircuit(n, tuple(slices)))
