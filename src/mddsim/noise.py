@@ -272,9 +272,12 @@ def filter_function(pulse_times, t: float, omega: float) -> float:
         F(w t) = |1 + (-1)^(n+1) e^{i w t} + 2 sum_j (-1)^j e^{i w t_j}|^2
 
     With no pulses this reduces to 4 sin^2(w t / 2), and F(0) = 0 for every
-    pulse configuration.
+    pulse configuration. Pulse times or a duration that are not finite raise
+    ValueError.
     """
     times = [float(tj) for tj in pulse_times]
+    if not (math.isfinite(t) and all(map(math.isfinite, times))):
+        raise ValueError(f"pulse times and the duration must be finite, got {times} and {t}")
     if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
         raise ValueError("pulse times must be strictly increasing")
     if times and (times[0] <= 0 or times[-1] >= t):
@@ -292,11 +295,13 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
     The integral is truncated at 10 * omega_c, where the Gaussian cutoff makes
     the tail negligible, and the w -> 0 endpoint is evaluated at its analytic
     limit (the integrand vanishes there for the Ohmic spectrum and stays
-    finite for 1/f because F grows at least quadratically in w). QuadratureError:
-    a floor 1e-9 / t not below 10 * omega_c, or a NaN, infinite or unconverged estimate.
+    finite for 1/f because F grows at least quadratically in w). ValueError: a
+    duration that is not positive and finite, or a pulse time that is not
+    finite. QuadratureError: a floor 1e-9 / t not below 10 * omega_c, or a NaN,
+    infinite or unconverged estimate.
     """
-    if t <= 0:
-        raise ValueError(f"duration must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"duration must be positive and finite, got {t}")
     times = list(pulse_times)
     w_floor = 1e-9 / t
 

@@ -71,8 +71,9 @@ def _bit_rows(dets, norb: int) -> np.ndarray:
 def _check_rows(dets, fci: FciData) -> np.ndarray:
     """The subspace as (dim, 2*norb) int8 bits, after the checks of
     ``_bit_rows``, the dense limit and that every row places n_alpha and
-    n_beta electrons in its sectors; the vectorized build relies on these
-    fixed counts. Duplicate rows are found by the build's screen."""
+    n_beta electrons in its sectors. With these fixed counts a string pair's
+    excitation degree is its electron count less its common occupations.
+    Duplicate rows are found by the build, from the rows' string indices."""
     rows = _bit_rows(dets, fci.norb)
     norb = fci.norb
     if len(rows) > MAX_DENSE_DIM:
@@ -139,20 +140,6 @@ def _diagonal_elements(occ_a: np.ndarray, occ_b: np.ndarray, fci: FciData) -> np
     return energy
 
 
-def _single_elements(frm: np.ndarray, to: np.ndarray, count: int, other: np.ndarray,
-                     fci: FciData) -> np.ndarray:
-    """Single excitations in a sector of ``count`` electrons; ``other`` holds
-    the occupied orbitals of the other sector."""
-    h, eri = fci.h, fci.eri
-    hole, part, sign = _excitation(frm, to)
-    value = h[hole, part]
-    for r in _positions(frm & to, count - 1).T:
-        value = value + (eri[hole, part, r, r] - eri[hole, r, r, part])
-    for r in other.T:
-        value = value + eri[hole, part, r, r]
-    return sign * value
-
-
 def _double_elements(frm: np.ndarray, to: np.ndarray, fci: FciData) -> np.ndarray:
     """Same-sector doubles, signed as two sequential singles."""
     m, n = _positions(frm > to, 2).T
@@ -165,56 +152,135 @@ def _double_elements(frm: np.ndarray, to: np.ndarray, fci: FciData) -> np.ndarra
     return sign * (fci.eri[m, p, n, q] - fci.eri[m, q, n, p])
 
 
-def _mixed_double_elements(frm_a: np.ndarray, to_a: np.ndarray, frm_b: np.ndarray,
-                           to_b: np.ndarray, fci: FciData) -> np.ndarray:
-    hole_a, part_a, sign_a = _excitation(frm_a, to_a)
-    hole_b, part_b, sign_b = _excitation(frm_b, to_b)
-    return sign_a * sign_b * fci.eri[hole_a, part_a, hole_b, part_b]
+class _Sector:
+    """One spin sector of a subspace, by its distinct occupation strings.
+
+    ``index`` maps each row to its string and ``occ`` holds each string's
+    occupied orbitals. ``pairs[d]`` lists the ordered string pairs (frm, to)
+    of excitation degree d = 0, 1, 2, ascending in (frm, to), and
+    ``reverse[d]`` the id of each pair's reverse. Over the degree-1 pairs the
+    sector tabulates hole, particle and sign, and the single element's
+    one-body and same-sector terms; over the degree-2 pairs, the double
+    element.
+    """
+
+    def __init__(self, bits: np.ndarray, count: int, fci: FciData):
+        weights = np.left_shift(1, np.arange(bits.shape[1], dtype=np.int64))
+        _, first, self.index = np.unique(bits @ weights, return_index=True, return_inverse=True)
+        strings = bits[first]
+        self.occ = _positions(strings, count)
+        # int8 products are exact below 128 orbitals
+        degree = count - strings @ strings.T
+        self.pairs = [np.nonzero(degree == d) for d in range(3)]
+        n = len(strings)
+        self._keys = [frm * n + to for frm, to in self.pairs]
+        self.reverse = [np.searchsorted(key, to * n + frm)
+                        for key, (frm, to) in zip(self._keys, self.pairs)]
+        frm, to = strings[self.pairs[1][0]], strings[self.pairs[1][1]]
+        self.hole, self.part, self.sign = _excitation(frm, to)
+        self.single = fci.h[self.hole, self.part]
+        # a sector without electrons has no pairs, and no common orbitals to list
+        for r in _positions(frm & to, max(count - 1, 0)).T:
+            self.single = self.single + (fci.eri[self.hole, self.part, r, r]
+                                         - fci.eri[self.hole, r, r, self.part])
+        self.double = _double_elements(strings[self.pairs[2][0]], strings[self.pairs[2][1]], fci)
+
+    def links(self, degree: int, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the first id and the number of the pairs of this degree
+        from its string; if ``upper``, only those to a later string."""
+        n = len(self.occ)
+        frm = np.arange(n)
+        start = np.searchsorted(self._keys[degree], frm * n + (frm + 1 if upper else 0))
+        stop = np.searchsorted(self._keys[degree], frm * n + n)
+        return start[self.index], (stop - start)[self.index]
+
+
+def _join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int,
+          row_of: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every row pair (to, frm), to < frm, whose alpha strings differ in
+    ``d_alpha`` orbitals and beta strings in ``d_beta``, with the ids of its
+    alpha and beta string pairs from frm to to. Each row's alpha pairs of
+    degree d_alpha are joined with its beta pairs of degree d_beta, and the
+    strings they reach are looked up in ``row_of``, which holds dim where no
+    row has them. One sector of nonzero degree lists only its pairs to a later
+    string, so each row pair is met once, then oriented."""
+    start_a, count_a = alpha.links(d_alpha, upper=d_alpha > 0)
+    start_b, count_b = beta.links(d_beta, upper=d_alpha == 0)
+    per_row = count_a * count_b
+    dim = len(per_row)
+    frm = np.repeat(np.arange(dim), per_row)
+    k_a, k_b = np.divmod(np.arange(len(frm)) - np.repeat(np.cumsum(per_row) - per_row, per_row),
+                         count_b[frm])
+    pair_a, pair_b = start_a[frm] + k_a, start_b[frm] + k_b
+    to = row_of[alpha.pairs[d_alpha][1][pair_a], beta.pairs[d_beta][1][pair_b]]
+    found = to < dim
+    to, frm, pair_a, pair_b = to[found], frm[found], pair_a[found], pair_b[found]
+    flip = to > frm
+    return (np.where(flip, frm, to), np.where(flip, to, frm),
+            np.where(flip, alpha.reverse[d_alpha][pair_a], pair_a),
+            np.where(flip, beta.reverse[d_beta][pair_b], pair_b))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
     """Dense subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>.
 
-    Pairs are screened by excitation degree, read from common-occupation
-    counts; only the upper-triangle pairs of degree <= 2 are evaluated, one
-    element class at a time, each as vector operations over its pairs. A
-    matrix that overflows to inf or nan raises ValueError.
+    A pair's excitation depends only on its pair of alpha strings and its
+    pair of beta strings, so each sector tabulates its string pairs of degree
+    <= 2 once (``_Sector``). The row pairs of degree <= 2, the nonzero
+    pattern, are those string pairs joined across the sectors (``_join``),
+    one element class at a time, and each class gathers its elements from
+    the tables. Any subset of rows, in any order, builds this way. A matrix
+    that overflows to inf or nan raises ValueError.
     """
     bits = _check_rows(dets, fci)
-    norb, n_a, n_b = fci.norb, fci.n_alpha, fci.n_beta
-    alpha, beta = bits[:, :norb], bits[:, norb:]
-    occ_a, occ_b = _positions(alpha, n_a), _positions(beta, n_b)
-    # allocated first, so that the screening temporaries are freed on top of it
-    # and a repeated build reuses their heap space instead of growing past it
-    matrix = np.zeros((len(bits), len(bits)))
-    # the degree is the electron count minus the common occupations; the int8
-    # dim x dim products are exact below 128 orbitals
-    i, j = np.divmod(np.flatnonzero(np.triu(alpha @ alpha.T + beta @ beta.T >= n_a + n_b - 2, k=1)), len(bits))
-    d_alpha = n_a - (alpha[i] & alpha[j]).sum(axis=1)
-    d_beta = n_b - (beta[i] & beta[j]).sum(axis=1)
-    same = np.flatnonzero((d_alpha == 0) & (d_beta == 0))
+    norb, dim = fci.norb, len(bits)
+    alpha = _Sector(bits[:, :norb], fci.n_alpha, fci)
+    beta = _Sector(bits[:, norb:], fci.n_beta, fci)
+    cells = alpha.index * len(beta.occ) + beta.index
+    order = np.argsort(cells, kind="stable")
+    same = np.flatnonzero(cells[order[1:]] == cells[order[:-1]])
     if same.size:
-        raise ValueError(f"row {j[same[0]]} repeats row {i[same[0]]}: "
+        # the stable sort lists each cell's rows in row order: name the first
+        # repeated pair (i, j), i < j, in row-major order
+        first = same[np.argmin(order[same])]
+        raise ValueError(f"row {order[first + 1]} repeats row {order[first]}: "
                          "determinants must be distinct")
-    np.fill_diagonal(matrix, _diagonal_elements(occ_a, occ_b, fci))
+    # each sector has at most dim strings, so the table has at most dim x dim
+    # entries; int32 halves it, and dim is below the dense limit
+    row_of = np.full((len(alpha.occ), len(beta.occ)), dim, dtype=np.int32)
+    row_of[alpha.index, beta.index] = np.arange(dim)
+    occ_a, occ_b = alpha.occ[alpha.index], beta.occ[beta.index]
 
+    def single(sector, pair, other):
+        hole, part = sector.hole[pair], sector.part[pair]
+        value = sector.single[pair]
+        for r in other.T:
+            value = value + fci.eri[hole, part, r, r]
+        return sector.sign[pair] * value
+
+    def mixed(a, b):
+        return (alpha.sign[a] * beta.sign[b]
+                * fci.eri[alpha.hole[a], alpha.part[a], beta.hole[b], beta.part[b]])
+
+    rows = np.arange(dim)
+    entries = [(rows, rows, _diagonal_elements(occ_a, occ_b, fci))]
+    for d_alpha, d_beta, element in (
+            (1, 0, lambda frm, a, b: single(alpha, a, occ_b[frm])),
+            (0, 1, lambda frm, a, b: single(beta, b, occ_a[frm])),
+            (2, 0, lambda frm, a, b: alpha.double[a]),
+            (0, 2, lambda frm, a, b: beta.double[b]),
+            (1, 1, lambda frm, a, b: mixed(a, b))):
+        to, frm, a, b = _join(alpha, beta, d_alpha, d_beta, row_of)
+        entries.append((to, frm, element(frm, a, b)))
+    # allocated once the joins' temporaries are freed, so that they never
+    # coexist with it
+    matrix = np.zeros((dim, dim))
     # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i
-    def fill(select, build):
-        if select.any():
-            to, frm = i[select], j[select]
-            matrix[to, frm] = matrix[frm, to] = build(to, frm)
-
-    fill((d_alpha == 1) & (d_beta == 0),
-         lambda to, frm: _single_elements(alpha[frm], alpha[to], n_a, occ_b[frm], fci))
-    fill((d_alpha == 0) & (d_beta == 1),
-         lambda to, frm: _single_elements(beta[frm], beta[to], n_b, occ_a[frm], fci))
-    fill(d_alpha == 2, lambda to, frm: _double_elements(alpha[frm], alpha[to], fci))
-    fill(d_beta == 2, lambda to, frm: _double_elements(beta[frm], beta[to], fci))
-    fill((d_alpha == 1) & (d_beta == 1),
-         lambda to, frm: _mixed_double_elements(alpha[frm], alpha[to], beta[frm], beta[to], fci))
-    if not np.isfinite(matrix).all():
-        raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
+    for to, frm, values in entries:
+        if not np.isfinite(values).all():
+            raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
+        matrix[to, frm] = matrix[frm, to] = values
     return matrix
 
 
@@ -223,12 +289,12 @@ class SpaceHamiltonian:
     dense matrix in the row order of ``dets``.
 
     The matrix of a subspace spanned by some of these rows is gathered from
-    it, ``matrix[np.ix_(idx, idx)]``, instead of being built again. A pair's
-    element does not depend on which of its rows comes first when the
+    it, ``matrix.take(idx, 0).take(idx, 1)``, instead of being built again. A
+    pair's element does not depend on which of its rows comes first when the
     integrals are exactly 8-fold symmetric, as parsed ones are (each record
-    sets its whole permutation orbit), so the gather is then bitwise the
-    build in the subspace's own row order. A matrix that overflows to inf or
-    nan raises ValueError here, so no gathered one can.
+    sets its whole permutation orbit), so the gather is then bitwise the build
+    in the subspace's own row order. A matrix that overflows to inf or nan
+    raises ValueError here, so no gathered one can.
     """
 
     def __init__(self, dets, fci: FciData):

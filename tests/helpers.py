@@ -20,6 +20,8 @@ from mddsim.sequences import (MEASURED_BASE, PulseSchedule, _schedule_maps, buil
                               evolve_with_schedule, is_measurement_driven, mdd_unitary,
                               measure_expectations, schedule_channel)
 from mddsim.sqd import FciData
+from mddsim.sqd.hamiltonian import (_check_rows, _diagonal_elements, _double_elements,
+                                    _excitation, _positions)
 from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
                            PureState, _apply_left, _as_matrix, _haar_batch, apply_matrix,
                            bloch_vector, entanglement_fidelity, reduced_density)
@@ -535,6 +537,70 @@ def slater_condon_matrix(rows, fci) -> np.ndarray:
         matrix[a, a] = slater_condon(dets[a], dets[a], fci)
         for b in range(a + 1, dim):
             matrix[a, b] = matrix[b, a] = slater_condon(dets[a], dets[b], fci)
+    return matrix
+
+
+def _row_pair_single(frm: np.ndarray, to: np.ndarray, count: int, other: np.ndarray,
+                     fci: FciData) -> np.ndarray:
+    """Single excitations between rows of a sector of ``count`` electrons;
+    ``other`` holds the occupied orbitals of the other sector."""
+    h, eri = fci.h, fci.eri
+    hole, part, sign = _excitation(frm, to)
+    value = h[hole, part]
+    for r in _positions(frm & to, count - 1).T:
+        value = value + (eri[hole, part, r, r] - eri[hole, r, r, part])
+    for r in other.T:
+        value = value + eri[hole, part, r, r]
+    return sign * value
+
+
+def _row_pair_mixed_double(frm_a: np.ndarray, to_a: np.ndarray, frm_b: np.ndarray,
+                           to_b: np.ndarray, fci: FciData) -> np.ndarray:
+    hole_a, part_a, sign_a = _excitation(frm_a, to_a)
+    hole_b, part_b, sign_b = _excitation(frm_b, to_b)
+    return sign_a * sign_b * fci.eri[hole_a, part_a, hole_b, part_b]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def row_pair_hamiltonian(dets, fci: FciData) -> np.ndarray:
+    """The subspace matrix built row pair by row pair, the oracle of the
+    string-pair build: every row pair is screened by its excitation degree,
+    read from dim x dim common-occupation counts, and each upper-triangle pair
+    of degree <= 2 recomputes its hole, particle and parity from its own rows.
+    Its checks and messages are the string-pair build's."""
+    bits = _check_rows(dets, fci)
+    norb, n_a, n_b = fci.norb, fci.n_alpha, fci.n_beta
+    alpha, beta = bits[:, :norb], bits[:, norb:]
+    occ_a, occ_b = _positions(alpha, n_a), _positions(beta, n_b)
+    matrix = np.zeros((len(bits), len(bits)))
+    # the degree is the electron count minus the common occupations; the int8
+    # dim x dim products are exact below 128 orbitals
+    i, j = np.divmod(np.flatnonzero(np.triu(alpha @ alpha.T + beta @ beta.T >= n_a + n_b - 2, k=1)),
+                     len(bits))
+    d_alpha = n_a - (alpha[i] & alpha[j]).sum(axis=1)
+    d_beta = n_b - (beta[i] & beta[j]).sum(axis=1)
+    same = np.flatnonzero((d_alpha == 0) & (d_beta == 0))
+    if same.size:
+        raise ValueError(f"row {j[same[0]]} repeats row {i[same[0]]}: "
+                         "determinants must be distinct")
+    np.fill_diagonal(matrix, _diagonal_elements(occ_a, occ_b, fci))
+
+    # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i
+    def fill(select, build):
+        if select.any():
+            to, frm = i[select], j[select]
+            matrix[to, frm] = matrix[frm, to] = build(to, frm)
+
+    fill((d_alpha == 1) & (d_beta == 0),
+         lambda to, frm: _row_pair_single(alpha[frm], alpha[to], n_a, occ_b[frm], fci))
+    fill((d_alpha == 0) & (d_beta == 1),
+         lambda to, frm: _row_pair_single(beta[frm], beta[to], n_b, occ_a[frm], fci))
+    fill(d_alpha == 2, lambda to, frm: _double_elements(alpha[frm], alpha[to], fci))
+    fill(d_beta == 2, lambda to, frm: _double_elements(beta[frm], beta[to], fci))
+    fill((d_alpha == 1) & (d_beta == 1),
+         lambda to, frm: _row_pair_mixed_double(alpha[frm], alpha[to], beta[frm], beta[to], fci))
+    if not np.isfinite(matrix).all():
+        raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
     return matrix
 
 

@@ -230,6 +230,17 @@ class TestFilterFunction:
         with pytest.raises(ValueError, match="inside"):
             filter_function([0.5, 1.0], 1.0, 1.0)
 
+    @pytest.mark.parametrize("times,t", [
+        ([math.nan], 1.0), ([0.25, math.nan, 0.75], 1.0), ([0.25, math.inf], 1.0),
+        ([-math.inf, 0.5], 1.0), ([0.5], math.nan), ([0.5], math.inf), ([], math.nan),
+        ([], math.inf),
+    ])
+    def test_non_finite_times_rejected(self, times, t):
+        # a NaN compares false with everything, so the order checks alone
+        # would let it through to a NaN result
+        with pytest.raises(ValueError, match="must be finite"):
+            filter_function(times, t, 1.0)
+
     def test_single_echo_low_frequency_slope(self):
         ws = np.geomspace(1e-4, 1e-3, 12)
         fs = [filter_function([0.5], 1.0, w) for w in ws]
@@ -288,6 +299,16 @@ class TestChiIntegral:
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError, match="estimate nan"):
                 chi_integral(SpectralDensity(kind, omega_c=1e300), flips, 1e300)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, t):
+        # before the quadrature, not as an empty range or a NaN estimate
+        with pytest.raises(ValueError, match="positive and finite"):
+            chi_integral(SpectralDensity("ohmic", omega_c=0.1), [], t)
+
+    def test_non_finite_pulse_time_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            chi_integral(SpectralDensity("one_over_f", omega_c=0.1), [math.nan], 40.0)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ the vectorized build over occupation rows.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from helpers import (
     fock_index,
     fock_space_hamiltonian,
     hartree_fock_determinant,
+    row_pair_hamiltonian,
     slater_condon,
     slater_condon_matrix,
 )
@@ -395,6 +397,114 @@ def test_build_matches_fock_space_oracle(norb, n_alpha, n_beta):
     full = fock_space_hamiltonian(fci)
     np.testing.assert_allclose(_hamiltonian_matrix(dets, fci), full[np.ix_(idx, idx)],
                                rtol=0, atol=1e-10)
+
+
+def benchmark_ring(seed: int) -> FciData:
+    """The integrals of the ``sqd-large`` benchmark workload at ``seed``: a
+    7-site Hubbard ring (hopping -1, on-site repulsion 2) with every hopping,
+    on-site energy and repulsion perturbed by a seeded 20% spread, holding 6
+    electrons at ms2 = 0. Its space has 1,225 determinants."""
+    rng = np.random.default_rng([seed, 7])
+    h = np.diag(0.2 * rng.standard_normal(7))
+    for i in range(7):
+        j = (i + 1) % 7
+        h[i, j] = h[j, i] = -(1.0 + 0.2 * rng.standard_normal())
+    eri = np.zeros((7,) * 4)
+    for i in range(7):
+        eri[i, i, i, i] = 2.0 * (1.0 + 0.2 * rng.standard_normal())
+    return parse_fcidump(write_fcidump(FciData(norb=7, nelec=6, ms2=0, h=h, eri=eri,
+                                               core_energy=float(rng.standard_normal()))))
+
+
+def assert_build_is_the_row_pair_build(dets, fci):
+    built, oracle = _hamiltonian_matrix(dets, fci), row_pair_hamiltonian(dets, fci)
+    assert built.shape == oracle.shape and built.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("rows", ["full", "shuffled", "subset-300"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_build_is_the_row_pair_build_on_the_benchmark_ring(seed, rows):
+    # the scalar loop is too slow at 1,225 rows; the row-pair build is its
+    # bitwise equal on every smaller case above
+    dets = all_determinants(7, 3, 3)
+    if rows != "full":
+        dets = dets[np.random.default_rng(seed).permutation(len(dets))]
+    assert_build_is_the_row_pair_build(dets[:300] if rows == "subset-300" else dets,
+                                       benchmark_ring(seed))
+
+
+BENCHMARK_SIZE_PROPERTY = settings(max_examples=10, deadline=None, derandomize=True,
+                                   database=None)
+
+
+@BENCHMARK_SIZE_PROPERTY
+@given(data=st.data())
+def test_build_is_the_row_pair_build_at_the_benchmark_size(data):
+    # perturbed random integrals make every element class nonzero and an
+    # index slip visible; 7 orbitals hold 1,225 determinants at both fillings
+    n_alpha = data.draw(st.sampled_from([3, 4]), label="n_alpha")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    dim = data.draw(st.sampled_from([1225, 300, data.draw(st.integers(1, 1225), label="size")]),
+                    label="dim")
+    dets = random_subspace(7, n_alpha, 3, dim, np.random.default_rng(seed))
+    assert_build_is_the_row_pair_build(dets, perturbed_integrals(7, n_alpha, 3, seed))
+
+
+@pytest.mark.parametrize("sector", ["alpha", "beta"])
+@pytest.mark.parametrize("norb,n_alpha,n_beta", [(7, 3, 3), (6, 2, 4), (4, 4, 1), (7, 3, 7)],
+                         ids=["benchmark", "unequal", "full-alpha", "full-beta"])
+def test_build_with_one_string_in_a_sector(sector, norb, n_alpha, n_beta):
+    # every row shares one alpha (or one beta) string, so that sector has no
+    # string pairs of nonzero degree and only the other sector's join is met
+    fci = perturbed_integrals(norb, n_alpha, n_beta, seed=norb)
+    space = all_determinants(norb, n_alpha, n_beta)
+    rng = np.random.default_rng(norb)
+    half = slice(0, norb) if sector == "alpha" else slice(norb, 2 * norb)
+    pick = space[rng.integers(len(space)), half]
+    dets = space[(space[:, half] == pick).all(axis=1)]
+    dets = dets[rng.permutation(len(dets))]
+    built = _hamiltonian_matrix(dets, fci)
+    assert np.array_equal(built, slater_condon_matrix(dets, fci))
+    assert_build_is_the_row_pair_build(dets, fci)
+
+
+DUPLICATES_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@DUPLICATES_PROPERTY
+@given(data=st.data())
+def test_repeated_rows_are_named_as_by_the_row_pair_build(data):
+    # several repeats, of several rows: both builds name the repeat of the
+    # earliest repeated row, and its first repeat
+    norb, n_alpha, n_beta = draw_sectors(data)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    rng = np.random.default_rng(seed)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, 20), label="dim"), rng)
+    for _ in range(data.draw(st.integers(1, 4), label="repeats")):
+        rows = np.insert(rows, rng.integers(len(rows) + 1), rows[rng.integers(len(rows))], axis=0)
+    messages = []
+    for build in (_hamiltonian_matrix, row_pair_hamiltonian):
+        with pytest.raises(ValueError, match="repeats row") as error:
+            build(rows, fci)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+
+
+def test_build_memory_at_the_benchmark_size():
+    # the string-pair build peaks at 16.8 MB here, 1.40 times its 12.0 MB
+    # matrix, where the row-pair screen peaked at 27.3 MB (2.27 times); the
+    # bound is 1.5 times the matrix, a 1.2 MB margin
+    fci, dets = benchmark_ring(0), all_determinants(7, 3, 3)
+    _hamiltonian_matrix(dets, fci)
+    tracemalloc.start()
+    try:
+        matrix = _hamiltonian_matrix(dets, fci)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.nbytes == 1225 * 1225 * 8
+    assert peak < 1.5 * matrix.nbytes
 
 
 def assert_matches_full_spectrum_oracle(dets, fci):
