@@ -69,7 +69,7 @@ _MINIMA = {"num_states": 1, "seed": 0, "trials": 1, "shots": 1, "grid_points": 2
 # steps) in the grid certificate, trials Haar unitaries, sample_shots and samples_per_batch
 # bit rows, num_states fidelity curves (theorem-gap at the default grid peaks near 265 MB at
 # 10^4); shots is the count of one multinomial draw, which must fit a C long (2^63 - 1);
-# sqd-recover runs iterations x num_batches batch eigensolves
+# sqd-recover runs at most iterations x num_batches batch eigensolves
 _MAXIMA = {"grid_points": 1001, "trials": 10**6, "sample_shots": 10**6, "samples_per_batch": 10**6,
            "shots": 10**18, "num_states": 10**4, "iterations": 100, "num_batches": 100}
 _MAX_DURATIONS = 10**4  # len(t_grid): each duration is a column of every fidelity curve

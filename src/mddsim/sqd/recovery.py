@@ -112,15 +112,20 @@ def _valid_mask(samples: np.ndarray, fci: FciData) -> np.ndarray:
     return (counts == (fci.n_alpha, fci.n_beta)).all(axis=1)
 
 
-def _batch_energy_and_occupancy(pool: np.ndarray, space: SpaceHamiltonian, size: int,
-                                rng: np.random.Generator) -> tuple[float, np.ndarray]:
+def _draw_batch(pool: np.ndarray, size: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct keys of ``size`` rows drawn from ``pool``, and
+    their 0/1 rows: the distinct determinants in ascending (alpha, beta)
+    bitmask order. Equal keys are equal rows in the same order."""
     replace = pool.shape[0] < size
     idx = rng.choice(pool.shape[0], size=size, replace=replace)
     bits = pool[idx] != 0
-    # the ascending distinct keys are the distinct determinants in ascending
-    # (alpha, beta) bitmask order
-    _, first = np.unique(occupation_keys(bits, pool.shape[1] // 2), return_index=True)
-    rows = bits[first]
+    keys, first = np.unique(occupation_keys(bits, pool.shape[1] // 2), return_index=True)
+    return keys, bits[first]
+
+
+def _solve_batch(rows: np.ndarray, space: SpaceHamiltonian) -> tuple[float, np.ndarray]:
+    """Ground energy of the subspace of ``rows`` and its occupancy vector."""
     energy, ground = project_and_diagonalize(rows, space)
     # amplitude**2 of a numpy scalar calls pow(), which can differ in the last
     # bit from the x*x of an array square; cumsum adds the rows in order
@@ -140,6 +145,15 @@ def self_consistent_recovery(samples: np.ndarray, space: SpaceHamiltonian,
     them with the valid pool, and repeats. Originally valid samples are never
     discarded. Fully deterministic for a fixed seed; batches use derived
     seeds so they may run in any order.
+
+    Each batch is keyed by its ascending distinct determinant keys, and each
+    distinct subspace is solved once per run: a batch that repeats one reuses
+    its energy and occupancy, the same floats a new solve gives. A batch
+    drawn from a pool of exactly its size is drawn without replacement, a
+    permutation, so its distinct rows are the whole pool. From iteration 1
+    on the pool holds every sample, so with ``sample_shots ==
+    samples_per_batch`` (the defaults) all of an iteration's batches are one
+    subspace and cost one solve.
 
     ``space`` is the :class:`SpaceHamiltonian` of the whole determinant
     space, and every batch matrix is gathered from it. Returns the record
@@ -161,6 +175,7 @@ def self_consistent_recovery(samples: np.ndarray, space: SpaceHamiltonian,
 
     energies, occupancies, pool_sizes = [], [], []
     occupancy = None
+    solved = {}  # ascending distinct keys -> (energy, occupancy) of that subspace
     for iteration in range(config.iterations):
         if iteration == 0 or invalid.shape[0] == 0:
             pool = valid
@@ -175,8 +190,11 @@ def self_consistent_recovery(samples: np.ndarray, space: SpaceHamiltonian,
         occ_sum = np.zeros(fci.num_spin_orbitals)
         for batch_idx in range(config.num_batches):
             rng_batch = np.random.default_rng((config.seed, iteration, batch_idx))
-            energy, occ = _batch_energy_and_occupancy(pool, space, config.samples_per_batch,
-                                                       rng_batch)
+            keys, rows = _draw_batch(pool, config.samples_per_batch, rng_batch)
+            key = keys.tobytes()
+            if key not in solved:
+                solved[key] = _solve_batch(rows, space)
+            energy, occ = solved[key]
             batch.append(energy)
             occ_sum += occ
         occupancy = occ_sum / config.num_batches

@@ -19,9 +19,11 @@ from mddsim.noise import KrausChannel, NoiseParams, PhaseCovariantChannel, combi
 from mddsim.sequences import (MEASURED_BASE, PulseSchedule, _schedule_maps, build_schedule,
                               evolve_with_schedule, is_measurement_driven, mdd_unitary,
                               measure_expectations, schedule_channel)
-from mddsim.sqd import FciData
+from mddsim.sqd import (FciData, RecoveryConfig, SpaceHamiltonian, parse_fcidump,
+                        project_and_diagonalize, recover_configuration, write_fcidump)
 from mddsim.sqd.hamiltonian import (_check_rows, _diagonal_elements, _double_elements,
-                                    _excitation, _positions)
+                                    _excitation, _positions, occupation_keys)
+from mddsim.sqd.recovery import _RECOVER_SALT, _valid_mask
 from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
                            PureState, _apply_left, _as_matrix, _haar_batch, apply_matrix,
                            bloch_vector, entanglement_fidelity, reduced_density)
@@ -679,6 +681,75 @@ def recover_configuration_loop(rows: np.ndarray, occupancy: np.ndarray, targets,
             recovered[row_idx, part] = recover_configuration_row(row[part], occupancy[part],
                                                                  target, rng, delta=delta)
     return recovered
+
+
+def batch_energy_and_occupancy(pool: np.ndarray, space: SpaceHamiltonian, size: int,
+                               rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """One batch of the recovery loop, drawn and solved in one step: its
+    ground energy and occupancy vector."""
+    replace = pool.shape[0] < size
+    idx = rng.choice(pool.shape[0], size=size, replace=replace)
+    bits = pool[idx] != 0
+    _, first = np.unique(occupation_keys(bits, pool.shape[1] // 2), return_index=True)
+    rows = bits[first]
+    energy, ground = project_and_diagonalize(rows, space)
+    probs = np.array([amplitude**2 for amplitude in ground])
+    occupancy = np.cumsum(probs[:, None] * rows, axis=0)[-1]
+    return energy, occupancy
+
+
+def self_consistent_recovery_every_batch(samples: np.ndarray, space: SpaceHamiltonian,
+                                         config: RecoveryConfig) -> dict:
+    """The oracle of ``sqd.self_consistent_recovery``: the same loop with
+    every batch drawn and solved on its own, repeated subspaces included."""
+    fci = space.fci
+    samples = np.asarray(samples, dtype=np.uint8)
+    mask = _valid_mask(samples, fci)
+    valid, invalid = samples[mask], samples[~mask]
+    if valid.shape[0] == 0:
+        return {"status": "no-valid-configurations", "energies": [], "occupancies": [],
+                "pool_sizes": [], "mean_energies": []}
+    energies, occupancies, pool_sizes = [], [], []
+    occupancy = None
+    for iteration in range(config.iterations):
+        if iteration == 0 or invalid.shape[0] == 0:
+            pool = valid
+        else:
+            rng_rec = np.random.default_rng((config.seed, iteration, _RECOVER_SALT))
+            recovered = recover_configuration(invalid, occupancy, (fci.n_alpha, fci.n_beta),
+                                              rng_rec, delta=config.delta)
+            pool = np.concatenate([valid, recovered], axis=0)
+        pool_sizes.append(pool.shape[0])
+        batch = []
+        occ_sum = np.zeros(fci.num_spin_orbitals)
+        for batch_idx in range(config.num_batches):
+            rng_batch = np.random.default_rng((config.seed, iteration, batch_idx))
+            energy, occ = batch_energy_and_occupancy(pool, space, config.samples_per_batch,
+                                                     rng_batch)
+            batch.append(energy)
+            occ_sum += occ
+        occupancy = occ_sum / config.num_batches
+        energies.append(batch)
+        occupancies.append(occupancy.tolist())
+    return {"status": "ok", "energies": energies, "occupancies": occupancies,
+            "pool_sizes": pool_sizes, "mean_energies": [float(np.mean(batch)) for batch in energies]}
+
+
+def benchmark_ring(seed: int) -> FciData:
+    """The integrals of the ``sqd-large`` benchmark workload at ``seed``: a
+    7-site Hubbard ring (hopping -1, on-site repulsion 2) with every hopping,
+    on-site energy and repulsion perturbed by a seeded 20% spread, holding 6
+    electrons at ms2 = 0. Its space has 1,225 determinants."""
+    rng = np.random.default_rng([seed, 7])
+    h = np.diag(0.2 * rng.standard_normal(7))
+    for i in range(7):
+        j = (i + 1) % 7
+        h[i, j] = h[j, i] = -(1.0 + 0.2 * rng.standard_normal())
+    eri = np.zeros((7,) * 4)
+    for i in range(7):
+        eri[i, i, i, i] = 2.0 * (1.0 + 0.2 * rng.standard_normal())
+    return parse_fcidump(write_fcidump(FciData(norb=7, nelec=6, ms2=0, h=h, eri=eri,
+                                               core_energy=float(rng.standard_normal()))))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

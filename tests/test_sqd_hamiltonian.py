@@ -34,6 +34,7 @@ from mddsim.sqd.hamiltonian import _hamiltonian_matrix, _lanczos_ground
 
 from helpers import (
     Determinant,
+    benchmark_ring,
     determinants,
     excitation_degree,
     fock_index,
@@ -397,23 +398,6 @@ def test_build_matches_fock_space_oracle(norb, n_alpha, n_beta):
     full = fock_space_hamiltonian(fci)
     np.testing.assert_allclose(_hamiltonian_matrix(dets, fci), full[np.ix_(idx, idx)],
                                rtol=0, atol=1e-10)
-
-
-def benchmark_ring(seed: int) -> FciData:
-    """The integrals of the ``sqd-large`` benchmark workload at ``seed``: a
-    7-site Hubbard ring (hopping -1, on-site repulsion 2) with every hopping,
-    on-site energy and repulsion perturbed by a seeded 20% spread, holding 6
-    electrons at ms2 = 0. Its space has 1,225 determinants."""
-    rng = np.random.default_rng([seed, 7])
-    h = np.diag(0.2 * rng.standard_normal(7))
-    for i in range(7):
-        j = (i + 1) % 7
-        h[i, j] = h[j, i] = -(1.0 + 0.2 * rng.standard_normal())
-    eri = np.zeros((7,) * 4)
-    for i in range(7):
-        eri[i, i, i, i] = 2.0 * (1.0 + 0.2 * rng.standard_normal())
-    return parse_fcidump(write_fcidump(FciData(norb=7, nelec=6, ms2=0, h=h, eri=eri,
-                                               core_energy=float(rng.standard_normal()))))
 
 
 def assert_build_is_the_row_pair_build(dets, fci):

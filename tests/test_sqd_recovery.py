@@ -23,9 +23,11 @@ from mddsim.sqd import (
     weight_w,
 )
 from mddsim.sqd import recovery
-from mddsim.sqd.recovery import _batch_energy_and_occupancy
+from mddsim.sqd.hamiltonian import occupation_keys
+from mddsim.sqd.recovery import _draw_batch, _solve_batch
 
-from helpers import determinants, recover_configuration_loop, weight_w_scalar
+from helpers import (benchmark_ring, determinants, recover_configuration_loop,
+                     self_consistent_recovery_every_batch, weight_w_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -245,8 +247,8 @@ class TestSelfConsistentRecovery:
         # span two bytes of each sector's mask
         fci = parse_fcidump(random_fcidump(9, 4, seed=3))
         pool = all_determinants(9, 2, 2)
-        energy, occupancy = _batch_energy_and_occupancy(pool, SpaceHamiltonian(pool, fci), 300,
-                                                        np.random.default_rng(5))
+        _, rows = _draw_batch(pool, 300, np.random.default_rng(5))
+        energy, occupancy = _solve_batch(rows, SpaceHamiltonian(pool, fci))
         batch = pool[np.random.default_rng(5).choice(len(pool), size=300, replace=False)]
         subspace = sorted(set(determinants(batch)), key=lambda d: (d.alpha, d.beta))
         rows = np.array([[(d.alpha >> p) & 1 for p in range(9)] + [(d.beta >> p) & 1 for p in range(9)]
@@ -382,3 +384,82 @@ def test_one_correction_call_per_iteration(toy, monkeypatch):
     report = self_consistent_recovery(samples, space, config)
     invalid = samples.shape[0] - report["pool_sizes"][0]
     assert invalid > 0 and calls == [invalid] * 3
+
+
+ORACLE_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE_PROPERTY
+@given(data=st.data())
+def test_recovery_is_the_solve_every_batch_loop(data):
+    # the pool holds the valid samples at iteration 0 and every sample later,
+    # so a batch of the sample count is drawn from a pool of its size from
+    # iteration 1 on, and a smaller or a larger batch from one larger or smaller
+    norb = data.draw(st.integers(1, 5), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    dets = all_determinants(norb, n_alpha, n_beta)
+    space = SpaceHamiltonian(dets, fci)
+    _, ground = space.ground_state()
+    shots = data.draw(st.integers(1, 150), label="shots")
+    flip_rate = data.draw(st.sampled_from([0.0, 0.05, 0.3]), label="flip_rate")
+    samples = noisy_sampler(ground, dets, flip_rate=flip_rate, shots=shots, seed=seed)
+    size = {"smaller": max(1, shots // 2), "equal": shots, "larger": 2 * shots}[
+        data.draw(st.sampled_from(["smaller", "equal", "larger"]), label="batch")]
+    config = RecoveryConfig(iterations=data.draw(st.integers(3, 5), label="iterations"),
+                            num_batches=data.draw(st.integers(1, 6), label="num_batches"),
+                            samples_per_batch=size, seed=seed)
+    assert (self_consistent_recovery(samples, space, config)
+            == self_consistent_recovery_every_batch(samples, space, config))
+
+
+@pytest.fixture(scope="module")
+def ring_samples():
+    def sample(seed):
+        fci = benchmark_ring(seed)
+        dets = all_determinants(7, 3, 3)
+        space = SpaceHamiltonian(dets, fci)
+        _, ground = space.ground_state()
+        return space, noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
+    return sample
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_recovery_is_the_solve_every_batch_loop_on_the_benchmark_ring(ring_samples, seed):
+    space, samples = ring_samples(seed)
+    config = RecoveryConfig(seed=seed)
+    assert (self_consistent_recovery(samples, space, config)
+            == self_consistent_recovery_every_batch(samples, space, config))
+
+
+def test_one_solve_per_distinct_subspace(ring_samples, monkeypatch):
+    # the defaults draw batches of the sample count: from iteration 1 on, all
+    # of an iteration's batches are the whole pool, one new subspace each
+    space, samples = ring_samples(0)
+    drawn, solved, starts = [], [], []
+
+    def draw(*args):
+        keys, rows = _draw_batch(*args)
+        drawn.append(keys.tobytes())
+        return keys, rows
+
+    def solve(rows, space):
+        solved.append(occupation_keys(rows, space.fci.norb).tobytes())
+        return project_and_diagonalize(rows, space)
+
+    def correct(*args, **kwargs):
+        starts.append(len(solved))
+        return recover_configuration(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "_draw_batch", draw)
+    monkeypatch.setattr(recovery, "project_and_diagonalize", solve)
+    monkeypatch.setattr(recovery, "recover_configuration", correct)
+    config = RecoveryConfig(seed=0)
+    assert config.samples_per_batch == samples.shape[0]
+    self_consistent_recovery(samples, space, config)
+    assert len(drawn) == config.iterations * config.num_batches
+    assert solved == list(dict.fromkeys(drawn))
+    assert len(starts) == config.iterations - 1
+    assert np.diff(starts + [len(solved)]).tolist() == [1] * (config.iterations - 1)
