@@ -28,7 +28,7 @@ for kind in ("xx", "xy4", "udd8", "qdd2", "mdd", "mdd+xx"):
 
 print("\ncumulative control frames of the four-pulse sequence (X*Y*X*Y ~ identity):")
 for k, frame in enumerate(toggling_frames(build_schedule("xy4", 1.0)), start=1):
-    flat = " ".join(f"{v:+.2f}" for v in frame.matrix.round(2).flatten())
+    flat = " ".join(f"{v:+.2f}" for v in frame.round(2).flatten())
     print(f"  U_{k}: [{flat}]")
 
 print("\nmeasured expectations of the noisy qubit (exact vs 1e4 shots):")

@@ -7,7 +7,6 @@ from .states import (
     DensityMatrix,
     PauliExpectations,
     PureState,
-    SingleQubitUnitary,
     bloch_vector,
     entanglement_fidelity,
     haar_random_state,

@@ -21,19 +21,12 @@ from .states import (
     ATOL,
     DensityMatrix,
     PureState,
-    SingleQubitUnitary,
     _haar_batch,
     bloch_vector,
     reduced_density,
 )
 
 optimize = lazy_import("scipy.optimize")  # optimize_two_qubit_mdd's SLSQP
-
-
-def _unitary_matrix(u) -> np.ndarray:
-    if isinstance(u, SingleQubitUnitary):
-        return u.matrix
-    return np.asarray(u, dtype=complex)
 
 
 def _gram(u, sign: float):
@@ -68,7 +61,7 @@ def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) 
     """
     if sigma.num_qubits != 1:
         raise ValueError("local fidelity requires a single-qubit reduced state")
-    um = _unitary_matrix(u)
+    um = np.asarray(u, dtype=complex)
     rotated = um @ sigma.entries @ um.conj().T
     total = 0.0
     for m in channel.operators:
@@ -197,7 +190,7 @@ def decay_rate(sigma: DensityMatrix, u, rates: DecayRates):
     one unitary, or one rate per unitary of a (..., 2, 2) stack."""
     if sigma.num_qubits != 1:
         raise ValueError("decay rate requires a single-qubit reduced state")
-    um = _unitary_matrix(u)
+    um = np.asarray(u, dtype=complex)
     g00, g11, g01_re, g01_im = _gram(um, 1.0)  # U^dag U
     if not np.all(np.abs([g00 - 1.0, g11 - 1.0, np.hypot(g01_re, g01_im)]) <= ATOL):
         raise ValueError("matrix is not unitary within 1e-12")

@@ -249,7 +249,7 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
             exp = measure_expectations(rho, iv.qubit, shots=shots, rng=rng)
         schedule = build_schedule(strategy, iv.duration, exp)
         for offset, pulse in schedule.pulses:
-            _insert_pulse(slices, iv.start + offset, Gate((iv.qubit,), pulse.matrix))
+            _insert_pulse(slices, iv.start + offset, Gate((iv.qubit,), pulse))
     dressed = ScheduledCircuit(n, tuple(slices))
     if rho is not None:
         rho.flags.writeable = False

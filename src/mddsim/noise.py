@@ -113,7 +113,7 @@ class KrausChannel:
 
 def _survival(params: NoiseParams, t: float) -> tuple[float, float]:
     """The scalars s and gamma_p of a duration t >= 0."""
-    if t < 0:
+    if not t >= 0:  # negated so that NaN fails
         raise ValueError(f"duration must be nonnegative, got {t}")
     return math.exp(-t / (2.0 * params.t1)), math.exp(-t / params.tp)
 

@@ -22,8 +22,8 @@ from .states import (
     PAULI_Y,
     PauliExpectations,
     PureState,
-    SingleQubitUnitary,
     _as_matrix,
+    _freeze,
     bloch_vector,
     reduced_density,
 )
@@ -66,23 +66,24 @@ def measure_expectations(state: PureState | DensityMatrix | np.ndarray, qubit: i
     return PauliExpectations(*est, shots=shots)
 
 
-def mdd_unitary(exp: PauliExpectations) -> SingleQubitUnitary:
-    """Rotation that diagonalizes the measured state, largest eigenvalue first.
+def mdd_unitary(exp: PauliExpectations) -> np.ndarray:
+    """Rotation that diagonalizes the measured state, largest eigenvalue first,
+    as a read-only 2x2 array.
 
     U = Ry(-theta) Rz(-phi) with theta = arccos(<Z>/r) and phi the
     quadrant-correct arctangent of (<Y>, <X>). Applied as U rho U^dag this
     sends the Bloch vector to (0, 0, r). For r = 0 every unitary acts alike,
-    so the identity is returned.
+    so the identity ``ID2`` is returned.
     """
     r = exp.r
     if r < 1e-15:
-        return SingleQubitUnitary(ID2)
+        return ID2
     z = min(max(exp.ez / r, -1.0), 1.0)  # clamp shot-noise overshoot
     theta = math.acos(z)
     # a z-rotation acts trivially on a z-aligned state, so ignore the azimuth
     # of pure roundoff transverse components
     phi = 0.0 if math.hypot(exp.ex, exp.ey) < 1e-12 else math.atan2(exp.ey, exp.ex)
-    return SingleQubitUnitary(rot_y(-theta) @ rot_z(-phi))
+    return _freeze(rot_y(-theta) @ rot_z(-phi))
 
 
 def udd_times(n: int, t: float) -> np.ndarray:
@@ -93,7 +94,7 @@ def udd_times(n: int, t: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"pulse count must be at least 1, got {n}")
-    if t <= 0:
+    if not t > 0:  # negated so that NaN fails
         raise ValueError(f"duration must be positive, got {t}")
     a = np.arange(1, n + 1)
     return t * np.sin(a * np.pi / (2 * n + 2)) ** 2
@@ -120,24 +121,22 @@ def qdd_times(n: int, t: float) -> list[tuple[float, str]]:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """An ordered list of (time, unitary) pulses over a total duration."""
+    """An ordered list of (time, unitary) pulses over a total duration; each
+    unitary is a 2x2 array."""
 
     total_time: float
     pulses: tuple
 
     def __post_init__(self) -> None:
-        if self.total_time < 0:
+        # each check is negated so that NaN fails it
+        if not self.total_time >= 0:
             raise ValueError("total time must be nonnegative")
         times = [tm for tm, _ in self.pulses]
-        if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
+        if not all(a <= b for a, b in zip(times, times[1:])):
             raise ValueError("pulse times must be non-decreasing")
-        if times and (times[0] < 0 or times[-1] > self.total_time):
+        if times and not (times[0] >= 0 and times[-1] <= self.total_time):
             raise ValueError("pulse times must lie in [0, total_time]")
         object.__setattr__(self, "pulses", tuple(self.pulses))
-
-
-_X_GATE = SingleQubitUnitary(PAULI_X)
-_Y_GATE = SingleQubitUnitary(PAULI_Y)
 
 
 def is_measurement_driven(kind: str) -> bool:
@@ -157,16 +156,16 @@ def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) ->
     if kind == "none":
         return PulseSchedule(t, ())
     if kind == "xx":
-        return PulseSchedule(t, ((0.25 * t, _X_GATE), (0.75 * t, _X_GATE)))
+        return PulseSchedule(t, ((0.25 * t, PAULI_X), (0.75 * t, PAULI_X)))
     if kind == "xy4":
-        pulses = ((0.0, _Y_GATE), (0.25 * t, _X_GATE), (0.5 * t, _Y_GATE), (0.75 * t, _X_GATE))
+        pulses = ((0.0, PAULI_Y), (0.25 * t, PAULI_X), (0.5 * t, PAULI_Y), (0.75 * t, PAULI_X))
         return PulseSchedule(t, pulses)
     if kind in MEASURED_BASE:
         if exp is None:
             raise ValueError(f"sequence {kind!r} requires Pauli expectations")
         u = mdd_unitary(exp)
         base = build_schedule(MEASURED_BASE[kind], t)
-        return PulseSchedule(t, ((0.0, u), *base.pulses, (t, u.dagger())))
+        return PulseSchedule(t, ((0.0, u), *base.pulses, (t, _freeze(u.conj().T))))
     m = _KIND_RE.match(kind)
     if m is None:
         raise ValueError(f"unknown sequence kind {kind!r}")
@@ -176,9 +175,9 @@ def build_schedule(kind: str, t: float, exp: PauliExpectations | None = None) ->
     if m.group(1) == "udd":
         if n < 2 or n % 2 != 0:
             raise ValueError(f"udd order must be an even integer >= 2 for a closed sequence, got {n}")
-        pulses = tuple((float(tj), _Y_GATE) for tj in udd_times(n, t))
+        pulses = tuple((float(tj), PAULI_Y) for tj in udd_times(n, t))
         return PulseSchedule(t, pulses)
-    gates = {"x": _X_GATE, "y": _Y_GATE}
+    gates = {"x": PAULI_X, "y": PAULI_Y}
     pulses = tuple((tm, gates[axis]) for tm, axis in qdd_times(n, t))
     return PulseSchedule(t, pulses)
 
@@ -189,13 +188,13 @@ def flip_times(schedule: PulseSchedule) -> list[float]:
     return [tm for tm, _ in schedule.pulses if 0.0 < tm < schedule.total_time]
 
 
-def toggling_frames(schedule: PulseSchedule) -> list[SingleQubitUnitary]:
-    """Cumulative control unitaries U_a = g_a ... g_1, one per pulse."""
+def toggling_frames(schedule: PulseSchedule) -> list[np.ndarray]:
+    """Cumulative control unitaries U_a = g_a ... g_1, one read-only 2x2 array per pulse."""
     frames = []
     acc = ID2
-    for _, gate in schedule.pulses:
-        acc = gate.matrix @ acc
-        frames.append(SingleQubitUnitary(acc))
+    for _, pulse in schedule.pulses:
+        acc = _freeze(pulse @ acc)
+        frames.append(acc)
     return frames
 
 
@@ -204,11 +203,11 @@ def _schedule_maps(schedule: PulseSchedule, params: NoiseParams) -> list[KrausCh
     over each gap and each pulse as a one-operator channel."""
     maps = []
     prev = 0.0
-    for tm, gate in schedule.pulses:
+    for tm, pulse in schedule.pulses:
         if tm > prev:
             maps.append(combined_channel(params, tm - prev))
             prev = tm
-        maps.append(KrausChannel((gate.matrix,)))
+        maps.append(KrausChannel((pulse,)))
     if schedule.total_time > prev:
         maps.append(combined_channel(params, schedule.total_time - prev))
     return maps
@@ -234,7 +233,7 @@ def schedule_channel(schedule: PulseSchedule, params: NoiseParams) -> PhaseCovar
     """The target-qubit action of :func:`evolve_with_schedule` for an even number of X
     and of Y pulses, composed in their toggling frame: a gap after an odd number of pulses
     is flipped, X E X = Y E Y, which swaps P's rows and columns and conjugates c."""
-    xs, ys = (sum(np.array_equal(gate.matrix, m) for _, gate in schedule.pulses)
+    xs, ys = (sum(np.array_equal(pulse, m) for _, pulse in schedule.pulses)
               for m in (PAULI_X, PAULI_Y))
     if xs + ys < len(schedule.pulses) or xs % 2 or ys % 2:
         raise ValueError(f"a schedule channel needs X and Y pulses, an even number of each; "

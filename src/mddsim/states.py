@@ -13,11 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ID2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 ATOL = 1e-12
 EIG_FLOOR = 1e-10  # the lowest eigenvalue a DensityMatrix accepts, against roundoff
 # The largest exact Bloch norm of a valid single-qubit state: its eigenvalues are
@@ -41,6 +36,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.flags.writeable = False
     return out
+
+
+# read-only, so that the X and Y pulses of every schedule can be these arrays themselves
+ID2 = _freeze(np.eye(2))
+PAULI_X = _freeze([[0, 1], [1, 0]])
+PAULI_Y = _freeze([[0, -1j], [1j, 0]])
+PAULI_Z = _freeze([[1, 0], [0, -1]])
 
 
 class PureState:
@@ -126,26 +128,6 @@ class PauliExpectations:
     @property
     def r(self) -> float:
         return math.sqrt(self.ex**2 + self.ey**2 + self.ez**2)
-
-
-class SingleQubitUnitary:
-    """A 2x2 unitary."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix) -> None:
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-        if not np.max(np.abs(mat.conj().T @ mat - ID2)) <= ATOL:
-            raise ValueError("matrix is not unitary within 1e-12")
-        object.__setattr__(self, "matrix", _freeze(mat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SingleQubitUnitary is immutable")
-
-    def dagger(self) -> "SingleQubitUnitary":
-        return SingleQubitUnitary(self.matrix.conj().T)
 
 
 def _as_matrix(state: PureState | DensityMatrix | np.ndarray) -> tuple[np.ndarray, int]:

@@ -282,7 +282,7 @@ def insert_dd_replaying(circuit: ScheduledCircuit, strategy: str, noise: NoisePa
             exp = measure_expectations(DensityMatrix(rho), iv.qubit, shots=shots, rng=rng)
         schedule = build_schedule(strategy, iv.duration, exp)
         for offset, pulse in schedule.pulses:
-            _insert_pulse(slices, iv.start + offset, Gate((iv.qubit,), pulse.matrix))
+            _insert_pulse(slices, iv.start + offset, Gate((iv.qubit,), pulse))
     return ScheduledCircuit(circuit.num_qubits, tuple(slices))
 
 
@@ -342,7 +342,7 @@ def lemma_check_matmul(sigma: DensityMatrix, params: NoiseParams, t: float, tria
     """``lemma_check``'s values recomputed through the matmul oracles, on the
     same aligning unitary and the same Haar batch."""
     superop = combined_channel(params, t).superop
-    u_d = mdd_unitary(bloch_vector(sigma)).matrix
+    u_d = mdd_unitary(bloch_vector(sigma))
     mdd_value = float(superoperator_fidelity_matmul(conjugate_matmul(sigma.entries, u_d), superop))
     batch = _haar_batch(trials, np.random.default_rng(seed))
     vals = superoperator_fidelity_matmul(conjugate_matmul(sigma.entries, batch), superop)
@@ -818,7 +818,7 @@ def frame_durations(schedule: PulseSchedule) -> list[tuple[np.ndarray, float]]:
             out.append((acc, tm - prev))
             prev = tm
         while idx < len(events) and events[idx][0] == tm:
-            acc = events[idx][1].matrix @ acc
+            acc = events[idx][1] @ acc
             idx += 1
     if t > prev or not out:
         out.append((acc, t - prev))
@@ -1054,7 +1054,7 @@ def multi_dd_fidelity(psi: PureState, qubits, kinds, times, params: NoiseParams)
     phi = psi
     for qubit, kind in zip(qubits, kinds):
         if is_measurement_driven(kind):
-            u = mdd_unitary(measure_expectations(psi, qubit)).matrix
+            u = mdd_unitary(measure_expectations(psi, qubit))
             phi = PureState(_apply_left(u, phi.amplitudes[:, None], [qubit], psi.num_qubits))
     state: PureState | DensityMatrix = phi
     for qubit, kind, t in zip(qubits, kinds, times):

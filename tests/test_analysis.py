@@ -20,10 +20,13 @@ from mddsim.analysis import (
     optimize_two_qubit_mdd,
     _haar_batch,
 )
-from mddsim.noise import NoiseParams, apply_local, combined_channel
-from mddsim.sequences import mdd_unitary
+from mddsim.experiments import colored_noise_fidelity
+from mddsim.noise import (NoiseParams, PhaseCovariantChannel, SpectralDensity, apply_local,
+                          combined_channel)
+from mddsim.sequences import PulseSchedule, mdd_unitary, udd_times
 from mddsim.states import (
     DensityMatrix,
+    PAULI_X,
     PAULI_Z,
     PauliExpectations,
     PureState,
@@ -193,7 +196,7 @@ class TestLemmaCheck:
             sigma = random_mixed_sigma(rng)
             b = bloch_vector(sigma)
             u_d = mdd_unitary(b)
-            aligned = u_d.matrix @ sigma.entries @ u_d.matrix.conj().T
+            aligned = u_d @ sigma.entries @ u_d.conj().T
             assert abs(aligned[0, 1]) < 1e-12
             assert aligned[0, 0].real - aligned[1, 1].real == pytest.approx(b.r, abs=1e-12)
             thetas = np.linspace(0.0, math.pi, 61)
@@ -469,3 +472,30 @@ class TestMultiSubsystem:
         psi = haar_random_state(3, seed=32)
         with pytest.raises(ValueError, match="distinct"):
             multi_dd_fidelity(psi, [0, 0], ["xx", "xx"], [1.0, 1.0], DEFAULT_NOISE)
+
+
+NAN_PSI = haar_random_state(2, seed=5)
+NAN_CASES = {
+    **{f"dd-{kind}": lambda kind=kind: dd_entanglement_fidelity(NAN_PSI, kind, DEFAULT_NOISE, math.nan)
+       for kind in ("none", "xx", "udd8", "mdd")},
+    **{f"colored-{kind}": lambda kind=kind: colored_noise_fidelity(
+        NAN_PSI, kind, 250.0, SpectralDensity("ohmic", omega_c=0.1), math.nan, chi=0.1)
+       for kind in ("none", "xx", "udd8", "mdd")},
+    "schedule-total": lambda: PulseSchedule(math.nan, ()),
+    "schedule-first": lambda: PulseSchedule(1.0, ((math.nan, PAULI_X), (0.5, PAULI_X))),
+    "schedule-inner": lambda: PulseSchedule(1.0, ((0.2, PAULI_X), (math.nan, PAULI_X), (0.8, PAULI_X))),
+    "schedule-last": lambda: PulseSchedule(1.0, ((0.5, PAULI_X), (math.nan, PAULI_X))),
+    "relaxation": lambda: PhaseCovariantChannel.relaxation(DEFAULT_NOISE, math.nan),
+    "combined": lambda: combined_channel(DEFAULT_NOISE, math.nan),
+    "udd-times": lambda: udd_times(4, math.nan),
+    "lemma": lambda: lemma_check(reduced_density(NAN_PSI, [0]), DEFAULT_NOISE, math.nan, 10, 0),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_duration_rejected(case):
+    # NaN fails every comparison, so a check written as `t < 0` lets it through: a NaN
+    # duration used to skip every gap and report fidelity 1, and combined_channel to fail
+    # its completeness check instead of naming the duration
+    with pytest.raises(ValueError, match="duration|total time|pulse times"):
+        NAN_CASES[case]()

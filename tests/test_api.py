@@ -1,6 +1,7 @@
 """The library is what runs: every exported name, and every public method and
-property of an exported class, has a caller in the library or a demo, and no
-library module imports a name it does not use."""
+property of an exported class, has a caller in the library or a demo, no
+library module imports a name it does not use, and the number of values a
+caller can set is pinned."""
 
 import ast
 import inspect
@@ -59,3 +60,32 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_module_level_import_is_unused():
     assert [entry for path in MODULES for entry in _unused_imports(path)] == []
+
+
+# parameter defaults (46), defaulted dataclass fields that __init__ takes (8) and
+# ExperimentConfig fields (20): a new knob changes this number in plain sight
+SETTABLE_VALUES = 74
+
+
+def _is_dataclass(decorator) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def _init_takes(value) -> bool:
+    return not (isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords))
+
+
+def test_settable_value_count_is_pinned():
+    count = 0
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                count += len(fields) if node.name == "ExperimentConfig" else sum(
+                    s.value is not None and _init_takes(s.value) for s in fields)
+    assert count == SETTABLE_VALUES

@@ -54,7 +54,6 @@ from mddsim.noise import (
     combined_channel,
 )
 from mddsim.sequences import (
-    _X_GATE,
     MEASURED_BASE,
     PulseSchedule,
     build_schedule,
@@ -67,6 +66,7 @@ from mddsim.sequences import (
 )
 from mddsim.states import (
     DensityMatrix,
+    PAULI_X,
     PauliExpectations,
     PureState,
     _as_matrix,
@@ -142,12 +142,12 @@ def dense_colored_noise_fidelity(psi, kind, t1, t, qubit, chi):
     rho, n = _as_matrix(psi)
     for tm, gate in boundary:
         if tm == 0.0:
-            rho = apply_matrix(gate.matrix, rho, [qubit], n)
+            rho = apply_matrix(gate, rho, [qubit], n)
     rho = _apply_local_raw(combined_channel(NoiseParams(t1=t1, t2=2.0 * t1), t), rho, qubit, n)
     rho = _apply_local_raw(dephasing_channel_from_chi(chi), rho, qubit, n)
     for tm, gate in boundary:
         if tm == t:
-            rho = apply_matrix(gate.matrix, rho, [qubit], n)
+            rho = apply_matrix(gate, rho, [qubit], n)
     return entanglement_fidelity(psi, DensityMatrix(rho))
 
 
@@ -220,7 +220,7 @@ class SerialExecutor:
 
 def _schedule_key(schedule):
     """A schedule's duration, pulse times and pulse matrices."""
-    return schedule.total_time, tuple((tm, gate.matrix.tobytes()) for tm, gate in schedule.pulses)
+    return schedule.total_time, tuple((tm, gate.tobytes()) for tm, gate in schedule.pulses)
 
 
 @pytest.mark.parametrize(("jobs", "blocks"), [(1, [5]), (2, [3, 2]), (3, [2, 2, 1])],
@@ -548,7 +548,7 @@ def single_qubit_states(draw):
 def test_mdd_unitary_aligns_z_with_r(sigma):
     # the table reads a measured kind at z = r: the state mdd_unitary aligns
     b = bloch_vector(sigma)
-    u = mdd_unitary(b).matrix
+    u = mdd_unitary(b)
     rotated = conjugate_matmul(sigma.entries, u)
     assert abs((rotated[0, 0] - rotated[1, 1]).real - b.r) <= 1e-14
     assert abs(_rotated_z(sigma.entries, u) - b.r) <= 1e-14
@@ -693,7 +693,7 @@ def test_schedule_channel_rejects_other_pulses():
     with pytest.raises(ValueError, match="X and Y pulses"):
         schedule_channel(mdd, params)
     with pytest.raises(ValueError, match="even number"):
-        schedule_channel(PulseSchedule(40.0, ((20.0, _X_GATE),)), params)
+        schedule_channel(PulseSchedule(40.0, ((20.0, PAULI_X),)), params)
 
 
 def test_phase_covariant_populations_are_read_only():

@@ -24,32 +24,48 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFERRED = ("scipy", "scipy.special", "scipy.optimize._minimize", "scipy.linalg._decomp",
             "multiprocessing", "concurrent.futures.process", "fractions")
 
+# runs the configs given as JSON in argv[1], then prints whether each loaded module is a package
 COLD_RUN = """
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
 import mddsim.cli
-configs = [{"experiment": "fidelity-sweep", "num_states": 2, "num_qubits": 2,
-            "t_grid": [10.0, 20.0]},
-           {"experiment": "qft-toy", "num_qubits": 2, "sequences": ["none", "mdd"]}]
 with tempfile.TemporaryDirectory() as tmp:
-    for config in configs:
+    for config in json.loads(sys.argv[1]):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()):
             code = mddsim.cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
         assert code == 0, (config, code)
-print(json.dumps(sorted(sys.modules)))
+print(json.dumps({name: hasattr(module, "__path__") for name, module in list(sys.modules.items())}))
 """
 
 
-def test_sweep_and_qft_runs_leave_deferred_submodules_unloaded(tmp_path):
+def _cold_modules(configs: list[dict], cwd: Path) -> dict[str, bool]:
+    """Each module a fresh interpreter holds after running ``configs``, and whether
+    it is a package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", COLD_RUN], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN, json.dumps(configs)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_sweep_and_qft_runs_leave_deferred_submodules_unloaded(tmp_path):
+    loaded = _cold_modules([{"experiment": "fidelity-sweep", "num_states": 2, "num_qubits": 2,
+                             "t_grid": [10.0, 20.0]},
+                            {"experiment": "qft-toy", "num_qubits": 2, "sequences": ["none", "mdd"]}],
+                           tmp_path)
     assert [name for name in DEFERRED if name in loaded] == []
+
+
+def test_sqd_run_loads_no_public_scipy_subpackage_but_linalg(tmp_path):
+    # the sqd-large set-up pays for each public scipy subpackage an sqd-recover run loads
+    loaded = _cold_modules([{"experiment": "sqd-recover", "fcidump": "random-8"}], tmp_path)
+    subpackages = [name for name, package in loaded.items() if package and name.count(".") == 1
+                   and name.startswith("scipy.") and not name.split(".")[1].startswith("_")]
+    assert "scipy.linalg" in subpackages
+    assert sorted(set(subpackages) - {"scipy.linalg"}) == []
 
 
 def test_analysis_optimize_is_scipys_for_the_tracer():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mddsim.noise import NOISELESS, NoiseParams, combined_channel
 from mddsim.sequences import (
@@ -21,6 +23,7 @@ from mddsim.sequences import (
 )
 from mddsim.states import (
     DensityMatrix,
+    ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -71,7 +74,7 @@ class TestPauliExpectations:
 class TestMddUnitary:
     def test_aligned_state_gives_identity(self):
         exp = PauliExpectations(0.0, 0.0, 0.7)
-        u = mdd_unitary(exp).matrix
+        u = mdd_unitary(exp)
         # U sigma U^dag is diagonal with the larger eigenvalue (1 + r)/2 first
         out = u @ density_from_bloch(exp).entries @ u.conj().T
         np.testing.assert_allclose(out, [[0.85, 0], [0, 0.15]], atol=1e-12)
@@ -80,12 +83,12 @@ class TestMddUnitary:
     def test_equator_state_rotated_to_ground(self):
         u = mdd_unitary(PauliExpectations(1.0, 0.0, 0.0))
         plus = 0.5 * (np.eye(2) + PAULI_X)
-        out = u.matrix @ plus @ u.matrix.conj().T
+        out = u @ plus @ u.conj().T
         np.testing.assert_allclose(out, [[1, 0], [0, 0]], atol=1e-14)
 
     def test_maximally_mixed_returns_identity(self):
         u = mdd_unitary(PauliExpectations(0.0, 0.0, 0.0))
-        np.testing.assert_array_equal(u.matrix, np.eye(2))
+        np.testing.assert_array_equal(u, np.eye(2))
 
     def test_diagonalizes_with_descending_eigenvalues(self):
         rng = np.random.default_rng(6)
@@ -93,20 +96,20 @@ class TestMddUnitary:
             v = rng.standard_normal(3)
             v *= rng.uniform(0, 1) / np.linalg.norm(v)
             rho = density_from_bloch(PauliExpectations(*v)).entries
-            u = mdd_unitary(PauliExpectations(*v)).matrix
+            u = mdd_unitary(PauliExpectations(*v))
             out = u @ rho @ u.conj().T
             assert abs(out[0, 1]) < 1e-12
             assert out[0, 0].real >= out[1, 1].real - 1e-12
 
     def test_idempotent_on_diagonalized_state(self):
         v = (0.1, -0.4, 0.2)
-        u = mdd_unitary(PauliExpectations(*v)).matrix
+        u = mdd_unitary(PauliExpectations(*v))
         rho = density_from_bloch(PauliExpectations(*v)).entries
         rotated = u @ rho @ u.conj().T
         from mddsim.states import bloch_vector
         b = bloch_vector(DensityMatrix(rotated))
         again = mdd_unitary(b)
-        assert equal_up_to_phase(again.matrix, np.eye(2), atol=1e-7)
+        assert equal_up_to_phase(again, np.eye(2), atol=1e-7)
 
     def test_rotation_conventions(self):
         np.testing.assert_allclose(rot_y(math.pi), PAULI_Y * -1j, atol=1e-15)
@@ -168,18 +171,18 @@ class TestBuildSchedule:
         times = [tm for tm, _ in sched.pulses]
         assert times == [0.25, 0.75]
         for _, gate in sched.pulses:
-            np.testing.assert_array_equal(gate.matrix, PAULI_X)
+            np.testing.assert_array_equal(gate, PAULI_X)
 
     def test_mdd_plus_xx_layout(self):
         exp = PauliExpectations(0.6, 0.0, 0.3)
         sched = build_schedule("mdd+xx", 1.0, exp)
         times = [tm for tm, _ in sched.pulses]
         assert times == [0.0, 0.25, 0.75, 1.0]
-        u0 = sched.pulses[0][1].matrix
-        u3 = sched.pulses[3][1].matrix
+        u0 = sched.pulses[0][1]
+        u3 = sched.pulses[3][1]
         np.testing.assert_allclose(u3, u0.conj().T, atol=1e-14)
         for pulse in (sched.pulses[1][1], sched.pulses[2][1]):
-            np.testing.assert_array_equal(pulse.matrix, PAULI_X)
+            np.testing.assert_array_equal(pulse, PAULI_X)
 
     def test_mdd_requires_expectations(self):
         with pytest.raises(ValueError, match="expectations"):
@@ -203,8 +206,8 @@ class TestBuildSchedule:
     def test_pulse_axes(self):
         # nonuniform trains use Y pulses, the quarter-point pair uses X
         for _, gate in build_schedule("udd4", 1.0).pulses:
-            np.testing.assert_array_equal(gate.matrix, PAULI_Y)
-        axes = [gate.matrix.tolist() for _, gate in build_schedule("qdd2", 1.0).pulses]
+            np.testing.assert_array_equal(gate, PAULI_Y)
+        axes = [gate.tolist() for _, gate in build_schedule("qdd2", 1.0).pulses]
         assert PAULI_Y.tolist() in axes and PAULI_X.tolist() in axes
 
     def test_closed_sequences_multiply_to_identity_up_to_phase(self):
@@ -212,35 +215,35 @@ class TestBuildSchedule:
             sched = build_schedule(kind, 1.0)
             prod = np.eye(2, dtype=complex)
             for _, gate in sched.pulses:
-                prod = gate.matrix @ prod
+                prod = gate @ prod
             assert equal_up_to_phase(prod, np.eye(2)), kind
 
     def test_mdd_boundary_pair_closes(self):
         exp = PauliExpectations(0.3, 0.2, -0.1)
         sched = build_schedule("mdd", 1.0, exp)
-        u_start = sched.pulses[0][1].matrix
-        u_end = sched.pulses[-1][1].matrix
+        u_start = sched.pulses[0][1]
+        u_end = sched.pulses[-1][1]
         np.testing.assert_allclose(u_end @ u_start, np.eye(2), atol=1e-14)
 
 
 class TestTogglingFrames:
     def test_xx_frames(self):
         frames = toggling_frames(build_schedule("xx", 1.0))
-        np.testing.assert_array_equal(frames[0].matrix, PAULI_X)
-        np.testing.assert_allclose(frames[1].matrix, np.eye(2), atol=1e-15)
+        np.testing.assert_array_equal(frames[0], PAULI_X)
+        np.testing.assert_allclose(frames[1], np.eye(2), atol=1e-15)
 
     def test_frame_increments_recover_pulses(self):
         sched = build_schedule("xy4", 1.0)
         frames = toggling_frames(sched)
         prev = np.eye(2, dtype=complex)
         for (_tm, gate), frame in zip(sched.pulses, frames):
-            np.testing.assert_allclose(frame.matrix @ prev.conj().T, gate.matrix, atol=1e-12)
-            prev = frame.matrix
+            np.testing.assert_allclose(frame @ prev.conj().T, gate, atol=1e-12)
+            prev = frame
 
     def test_mdd_frames(self):
         exp = PauliExpectations(0.5, 0.1, 0.2)
         frames = toggling_frames(build_schedule("mdd", 1.0, exp))
-        assert equal_up_to_phase(frames[-1].matrix, np.eye(2))
+        assert equal_up_to_phase(frames[-1], np.eye(2))
 
     def test_frame_durations_weights(self):
         pairs = frame_durations(build_schedule("xx", 2.0))
@@ -360,8 +363,61 @@ def test_measured_schedule_is_base_pulses_between_alignment(kind, base):
     exp = PauliExpectations(0.3, -0.4, 0.5)
     u = mdd_unitary(exp)
     for t in (0.7, 125.0):
-        expected = ((0.0, u.matrix), *((tm, g.matrix) for tm, g in build_schedule(base, t).pulses),
-                    (t, u.dagger().matrix))
+        expected = ((0.0, u), *((tm, g) for tm, g in build_schedule(base, t).pulses),
+                    (t, u.conj().T))
         got = build_schedule(kind, t, exp).pulses
         assert [tm for tm, _ in got] == [tm for tm, _ in expected]
-        assert [g.matrix.tobytes() for _, g in got] == [m.tobytes() for _, m in expected]
+        assert [g.tobytes() for _, g in got] == [m.tobytes() for _, m in expected]
+
+
+def _assert_read_only_unitary(u):
+    assert u.shape == (2, 2) and not u.flags.writeable
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
+
+
+@st.composite
+def exact_expectations(draw):
+    """Exact expectations along a drawn direction at a norm drawn near 0, near 1 or
+    anywhere in [0, 1], with the transverse part optionally dropped (on axis)."""
+    v = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    if draw(st.booleans()):
+        v[:2] = draw(st.sampled_from([0.0, 1e-13, -1e-17]))
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        return PauliExpectations(0.0, 0.0, 0.0)
+    r = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-14), st.floats(1.0 - 1e-9, 1.0)))
+    return PauliExpectations(*(float(c) for c in v * (r / norm)))
+
+
+@st.composite
+def sampled_expectations(draw):
+    """Shot-sampled expectations 2 k / shots - 1, each component drawn on its own."""
+    shots = draw(st.integers(1, 10_000))
+    return PauliExpectations(*(2.0 * draw(st.integers(0, shots)) / shots - 1.0 for _ in range(3)),
+                             shots=shots)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exp=st.one_of(exact_expectations(), sampled_expectations()))
+def test_mdd_unitary_is_a_read_only_unitary(exp):
+    _assert_read_only_unitary(mdd_unitary(exp))
+
+
+@pytest.mark.parametrize("kind", ["none", "xx", "xy4", "udd2", "udd4", "udd6", "udd8",
+                                  "qdd2", "qdd4", "mdd", "mdd+xx"])
+def test_every_pulse_is_a_read_only_unitary(kind):
+    # X and Y pulses are the Pauli constants themselves; a measured kind adds U and U^dag
+    exp = PauliExpectations(0.3, -0.4, 0.5)
+    for t in (0.7, 125.0):
+        schedule = build_schedule(kind, t, exp)
+        pulses = [pulse for _, pulse in schedule.pulses]
+        for pulse in pulses + toggling_frames(schedule):
+            _assert_read_only_unitary(pulse)
+        train = pulses[1:-1] if is_measurement_driven(kind) else pulses
+        assert all(pulse is PAULI_X or pulse is PAULI_Y for pulse in train)
+
+
+@pytest.mark.parametrize("constant", [ID2, PAULI_X, PAULI_Y, PAULI_Z], ids=["I", "X", "Y", "Z"])
+def test_pauli_constants_are_read_only(constant):
+    with pytest.raises(ValueError, match="read-only"):
+        constant[0, 0] = 1.0

@@ -11,7 +11,6 @@ from mddsim.states import (
     PAULI_Z,
     PauliExpectations,
     PureState,
-    SingleQubitUnitary,
     bloch_vector,
     entanglement_fidelity,
     _haar_batch,
@@ -77,19 +76,14 @@ class TestContainers:
         rho[0, 1] += 0.49 * ATOL * rho[0, 1] / abs(rho[0, 1])
         assert bloch_vector(DensityMatrix(rho)).r > 1 + EIG_FLOOR
 
-    def test_unitary_validation(self):
-        with pytest.raises(ValueError, match="unitary"):
-            SingleQubitUnitary([[1, 1], [0, 1]])
-
     @pytest.mark.parametrize("build", [
         lambda: PureState([np.nan, 0.0]),
         lambda: DensityMatrix(np.full((2, 2), np.nan)),
         lambda: PauliExpectations(np.nan, 0.0, 0.0),
         lambda: PauliExpectations(1e200, 0.0, 0.0),
         lambda: PauliExpectations(0.0, 0.0, -1e200),
-        lambda: SingleQubitUnitary(np.full((2, 2), np.nan)),
         lambda: KrausChannel([np.full((2, 2), np.nan)]),
-    ], ids=["pure", "density", "bloch", "bloch-huge-x", "bloch-huge-z", "unitary", "kraus"])
+    ], ids=["pure", "density", "bloch", "bloch-huge-x", "bloch-huge-z", "kraus"])
     def test_non_finite_entries_rejected(self, build):
         # a NaN compares false with every bound, so a check written as `x > tol` lets it through;
         # a huge finite component must not overflow the norm check into an OverflowError
