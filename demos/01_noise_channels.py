@@ -11,6 +11,7 @@ from mddsim import (
     DensityMatrix,
     NoiseParams,
     PhaseCovariantChannel,
+    apply_local,
     combined_channel,
     lindblad_derivative,
     relaxation_dephasing_jumps,
@@ -28,21 +29,22 @@ print(closed.populations)
 print("and multiplies the coherence rho01 by c = s * gamma_p")
 print(f"  consistency: c = {closed.coherence.real:.6f} = exp(-t/T2) = {np.exp(-100 / 170):.6f}")
 
-ground = np.array([[1, 0], [0, 0]], dtype=complex)
+ground = DensityMatrix([[1, 0], [0, 0]])
 print("\nthe ground state is a fixed point:")
-print(channel.apply(ground).real)
+print(apply_local(channel, ground, 0).entries.real)
 
-plus = 0.5 * (np.eye(2) + np.array([[0, 1], [1, 0]]))
+plus = DensityMatrix(0.5 * (np.eye(2) + np.array([[0, 1], [1, 0]])))
+rho = apply_local(channel, plus, 0)
 print("\nan equator state loses coherence by exp(-t/T2) and drifts toward the ground state:")
-print(channel.apply(plus).real)
+print(rho.entries.real)
 
 print("\nsemigroup: E(60) after E(40) equals E(100) entrywise:")
-composed = combined_channel(params, 60.0).apply(combined_channel(params, 40.0).apply(plus))
-print(np.max(np.abs(composed - channel.apply(plus))))
+after_40 = apply_local(combined_channel(params, 40.0), plus, 0)
+composed = apply_local(combined_channel(params, 60.0), after_40, 0)
+print(np.max(np.abs(composed.entries - rho.entries)))
 
 print("\nLindblad generator vs finite difference of the channel at dt = 1e-4 us:")
-rho = DensityMatrix(channel.apply(plus))
 gen = lindblad_derivative(rho, None, relaxation_dephasing_jumps(params))
 dt = 1e-4
-fd = (combined_channel(params, dt).apply(rho.entries) - rho.entries) / dt
+fd = (apply_local(combined_channel(params, dt), rho, 0).entries - rho.entries) / dt
 print(f"  max |generator - finite difference| = {np.max(np.abs(gen - fd)):.3e}")

@@ -25,7 +25,7 @@ print(f"\nideal success probability: {ideal:.1f}%")
 print("\nsuccess probability under noise, five seeds each:")
 print("  seed     none       xx      mdd")
 # exact expectations: each final state is seed-free, so only the 100,000-shot readout is redrawn
-finals = [qft_final_state(4, noise, kind)[0] for kind in ("none", "xx", "mdd")]
+finals = [qft_final_state(4, noise, kind, 0.24)[0] for kind in ("none", "xx", "mdd")]
 for seed in range(5):
     row = [qft_readout(rho, target, 100_000, seed) for rho in finals]
     print(f"  {seed:4d} " + "".join(f"{v:9.3f}" for v in row))

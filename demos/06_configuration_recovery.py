@@ -25,15 +25,15 @@ from mddsim.sqd import (
 )
 
 print("two-site model sanity check:")
-dimer = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
+dimer = parse_fcidump(hubbard_dimer_fcidump())
 dets = all_determinants(2, 1, 1)
 energy, _ = project_and_diagonalize(dets, SpaceHamiltonian(dets, dimer))
-print(f"  computed {energy:.12f} Ha vs closed form {hubbard_dimer_energy(4.0, 1.0):.12f} Ha")
+print(f"  computed {energy:.12f} Ha vs closed form {hubbard_dimer_energy():.12f} Ha")
 
 print("\nflip-weight profile (filling factor 0.5): w(0) = 0, w(h) = 0.01, w(1) = 1")
 ys = [0.0, 0.25, 0.5, 0.75, 1.0]
 print("  y:    " + "  ".join(f"{y:.2f}" for y in ys))
-print("  w(y): " + "  ".join(f"{weight_w(y, 0.5):.3f}" for y in ys))
+print("  w(y): " + "  ".join(f"{weight_w(y, 0.5, 0.01):.3f}" for y in ys))
 
 print("\n8-spin-orbital random system, 5% readout flips, 300 shots:")
 fci = parse_fcidump(random_fcidump(4, 4, seed=42))
@@ -47,7 +47,8 @@ samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=1)
 valid = ((samples[:, :4].sum(axis=1) == 2) & (samples[:, 4:].sum(axis=1) == 2)).sum()
 print(f"  {samples.shape[0]} samples, {valid} preserve both sector counts")
 
-config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300, seed=1)
+config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300, delta=0.01,
+                        seed=1)
 report = self_consistent_recovery(samples, space, config)
 print(f"  status: {report['status']}")
 print("  iteration   pool   mean E0 (Ha)   |error| (Ha)")

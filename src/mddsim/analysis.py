@@ -164,7 +164,7 @@ class DecayRates:
     gamma2: float
 
     def __post_init__(self) -> None:
-        if self.gamma1 < 0 or self.gamma2 < 0:
+        if not (self.gamma1 >= 0 and self.gamma2 >= 0):  # negated so that NaN fails
             raise ValueError("decay rates must be nonnegative")
 
     @classmethod
@@ -209,7 +209,7 @@ class TwoQubitRates:
     gamma_zz: float
 
     def __post_init__(self) -> None:
-        if self.gamma_zz < 0:
+        if not self.gamma_zz >= 0:  # negated so that NaN fails
             raise ValueError("crosstalk rate must be nonnegative")
 
 
@@ -232,7 +232,7 @@ _STARTS = 20  # SLSQP starts of the two-qubit optimizer: the origin and 19 feasi
 
 
 def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
-                           points: int = 201) -> tuple[tuple[float, float, float], float]:
+                           points: int) -> tuple[tuple[float, float, float], float]:
     """Dense-grid minimum of the two-qubit decay rate over the closed
     positivity polytope: the enumerative certificate the optimizer is held to.
     Needs ``points >= 2``, so that the grid holds the feasible vertex (1, 1, 1).
@@ -269,7 +269,7 @@ def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
 
 
 def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
-                           seed: int = 0) -> tuple[tuple[float, float, float], float]:
+                           seed: int) -> tuple[tuple[float, float, float], float]:
     """Minimize the two-qubit decay rate over the positivity polytope: ((c1, c2, c3), rate).
 
     Multi-start SLSQP over the four linear constraints, relaxed to >= 1e-9

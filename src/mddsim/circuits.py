@@ -326,7 +326,7 @@ def qft_success_scenario(n: int) -> tuple[ScheduledCircuit, str]:
     return ScheduledCircuit(n, (prep_h, prep_p) + core.slices), target
 
 
-def qft_final_state(n: int, noise: NoiseParams, strategy: str, threshold: float = 0.24,
+def qft_final_state(n: int, noise: NoiseParams, strategy: str, threshold: float,
                     measure_shots: int | None = None,
                     seed: int | None = None) -> tuple[DensityMatrix, str]:
     """Noisy final state of the transform scenario with the chosen sequence

@@ -265,7 +265,7 @@ def _run_state_tasks(config: ExperimentConfig, sequences, t_grid, jobs: int):
     return {kind: np.concatenate([block[kind] for block in blocks]) for kind in sequences}
 
 
-def run_fidelity_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def run_fidelity_sweep(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunResult:
     sequences = config.sequences or ["none", "xx", "udd8", "mdd"]
     t_grid = config.t_grid or default_t_grid()
     table = _run_state_tasks(config, sequences, t_grid, jobs)
@@ -277,7 +277,7 @@ def run_fidelity_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -
     return RunResult(EXIT_OK, [path], f"{len(sequences)} sequences x {len(t_grid)} durations")
 
 
-def run_lemma_check(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def run_lemma_check(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunResult:
     t_grid = config.t_grid or [10.0, 100.0, 500.0]
     reports = []
     violations = 0
@@ -294,7 +294,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> R
     return RunResult(code, [path], f"{violations} violations over {len(reports)} checks")
 
 
-def _theorem_verdicts(config: ExperimentConfig, jobs: int = 1):
+def _theorem_verdicts(config: ExperimentConfig, jobs: int):
     """Lazy gap-table rows and one verdict per sequence compared against mdd."""
     sequences = config.sequences or ["xx", "xy4", "udd8", "qdd2"]
     t_grid = config.t_grid or default_t_grid()
@@ -314,7 +314,7 @@ def _theorem_verdicts(config: ExperimentConfig, jobs: int = 1):
     return rows, verdicts
 
 
-def run_theorem_gap(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def run_theorem_gap(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunResult:
     rows, verdicts = _theorem_verdicts(config, jobs)
     failures = sum(not v["passed"] for v in verdicts)
     files = [
@@ -346,7 +346,7 @@ def _colored_channel(t1: float, t: float, chi: float) -> PhaseCovariantChannel:
     return PhaseCovariantChannel(damping.populations, damping.coherence * math.exp(-chi))
 
 
-def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunResult:
     sequences = config.sequences or ["none", "xx", "udd8", "mdd"]
     t_grid = config.t_grid or [10.0 * k for k in range(1, 51)]
     chi_rows, fid_rows = [], []
@@ -373,7 +373,7 @@ def run_filter_noise(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> 
     return RunResult(EXIT_OK, files, f"{len(chi_rows)} dephasing exponents")
 
 
-def run_two_qubit_opt(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def run_two_qubit_opt(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunResult:
     rng = np.random.default_rng(config.seed)
     records = []
     failures = 0
@@ -410,7 +410,7 @@ def _qft_readouts(config: ExperimentConfig, strategy: str, seeds: list[int]) -> 
     return [qft_readout(rho, target, config.shots, seed) for seed in seeds]
 
 
-def run_qft_toy(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def run_qft_toy(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunResult:
     sequences = config.sequences or ["none", "xx", "mdd"]
     seeds = [config.seed + i for i in range(5)]
     # strategy by strategy, so only one density matrix is alive at a time
@@ -434,7 +434,7 @@ def _load_fcidump(source: str) -> str:
     return Path(source).read_text()
 
 
-def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int = 1) -> RunResult:
+def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunResult:
     try:
         fci = parse_fcidump(_load_fcidump(config.fcidump))
     except (OSError, ValueError) as exc:
@@ -479,14 +479,15 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-def run(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunResult:
+def run(config: ExperimentConfig, out_dir, jobs: int) -> RunResult:
     """Dispatch one experiment, writing its artifacts under ``out_dir``."""
     return _RUNNERS[config.experiment](config, Path(out_dir), jobs=jobs)
 
 
 # ------------------------------------------------------------ verify suites
 
-def verify_lemma(seed: int = 0, num_states: int = 20, trials: int = 10_000) -> dict:
+def verify_lemma(seed: int) -> dict:
+    num_states, trials = 20, 10_000
     violations = 0
     worst_margin = math.inf
     for i in range(num_states):
@@ -501,23 +502,23 @@ def verify_lemma(seed: int = 0, num_states: int = 20, trials: int = 10_000) -> d
             "seed": seed, "violations": violations, "passed": violations == 0}
 
 
-def verify_theorem(seed: int = 0, num_states: int = 10) -> dict:
-    config = ExperimentConfig(experiment="theorem-gap", num_states=num_states, seed=seed)
-    _, verdicts = _theorem_verdicts(config)
+def verify_theorem(seed: int) -> dict:
+    config = ExperimentConfig(experiment="theorem-gap", num_states=10, seed=seed)
+    _, verdicts = _theorem_verdicts(config, 1)
     worst = min(verdicts, key=lambda v: v["margin"])
     return {"claim_id": "theorem-suite", "margin": worst["margin"],
             "worst_case": worst["worst_case"], "seed": seed,
             "passed": all(v["passed"] for v in verdicts)}
 
 
-def verify_decay(seed: int = 0, trials: int = 100) -> dict:
+def verify_decay(seed: int) -> dict:
     params = NoiseParams(250.0, 170.0)
     rates = DecayRates.from_noise(params)
     rng = np.random.default_rng(seed)
     h = 1e-3
     worst_rel = 0.0
     minimality_violations = 0
-    for _ in range(trials):
+    for _ in range(100):
         psi = haar_random_state(2, seed=int(rng.integers(1 << 31)))
         sigma = reduced_density(psi, [0])
         u = _haar_batch(1, rng)[0]
@@ -539,11 +540,11 @@ def verify_decay(seed: int = 0, trials: int = 100) -> dict:
             "seed": seed, "passed": bool(passed)}
 
 
-def verify_bounds(seed: int = 0, trials: int = 100) -> dict:
+def verify_bounds(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     violations = 0
     worst_slack = math.inf
-    for _ in range(trials):
+    for _ in range(100):
         psi = haar_random_state(2, seed=int(rng.integers(1 << 31)))
         sigma = reduced_density(psi, [0])
         vals = np.linalg.eigvalsh(sigma.entries)
@@ -561,7 +562,7 @@ def verify_bounds(seed: int = 0, trials: int = 100) -> dict:
         worst_slack = min(worst_slack, slack)
         violations += not (lower - 1e-10 <= simulated <= upper + 1e-10)
     return {"claim_id": "bounds-suite", "margin": worst_slack,
-            "worst_case": {"trials": trials}, "seed": seed,
+            "worst_case": {"trials": 100}, "seed": seed,
             "violations": violations, "passed": violations == 0}
 
 

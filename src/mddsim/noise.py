@@ -106,10 +106,6 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "superop", _freeze(superop))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """E(rho) on a raw single-qubit matrix."""
-        return _apply_local_raw(self, rho, 0, 1)
-
 
 def _survival(params: NoiseParams, t: float) -> tuple[float, float]:
     """The scalars s and gamma_p of a duration t >= 0."""
@@ -196,14 +192,14 @@ class JumpOperator:
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
+        if not self.rate >= 0:  # negated so that NaN fails
             raise ValueError(f"jump rate must be nonnegative, got {self.rate}")
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
 
 
-def relaxation_dephasing_jumps(params: NoiseParams, qubit: int = 0) -> list[JumpOperator]:
-    """Jump operators generating :func:`combined_channel` as a semigroup.
+def relaxation_dephasing_jumps(params: NoiseParams) -> list[JumpOperator]:
+    """Jump operators on qubit 0 generating :func:`combined_channel` as a semigroup.
 
     The dephasing jump Z enters with rate 1/(2 Tp): a Z jump at rate G decays
     coherences as exp(-2 G t), so G = 1/(2 Tp) reproduces the channel factor
@@ -213,8 +209,8 @@ def relaxation_dephasing_jumps(params: NoiseParams, qubit: int = 0) -> list[Jump
     tp = params.tp
     g2 = 0.0 if math.isinf(tp) else 1.0 / (2.0 * tp)
     return [
-        JumpOperator(LOWERING, g1, (qubit,)),
-        JumpOperator(PAULI_Z, g2, (qubit,)),
+        JumpOperator(LOWERING, g1, (0,)),
+        JumpOperator(PAULI_Z, g2, (0,)),
     ]
 
 

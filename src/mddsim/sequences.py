@@ -50,7 +50,7 @@ def measure_expectations(state: PureState | DensityMatrix | np.ndarray, qubit: i
                          rng: np.random.Generator | None = None) -> PauliExpectations:
     """Pauli expectations of one qubit, exact or shot-sampled.
 
-    Shot mode draws each Pauli outcome from a binomial with ``shots`` trials,
+    Shot mode draws each Pauli outcome from a binomial with ``shots >= 1`` trials,
     mirroring separate measurement circuits per observable.
     """
     b = bloch_vector(reduced_density(state, [qubit]))
@@ -58,6 +58,8 @@ def measure_expectations(state: PureState | DensityMatrix | np.ndarray, qubit: i
         return b
     if rng is None:
         raise ValueError("shot-sampled expectations require an rng")
+    if not shots >= 1:
+        raise ValueError(f"shot-sampled expectations need at least one shot, got {shots}")
     est = []
     for mean in (b.ex, b.ey, b.ez):
         p_up = min(max((1.0 + mean) / 2.0, 0.0), 1.0)

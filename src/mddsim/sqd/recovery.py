@@ -20,7 +20,7 @@ from .hamiltonian import SpaceHamiltonian, occupation_keys, project_and_diagonal
 _RECOVER_SALT = 10_007
 
 
-def weight_w(y, h: float, delta: float = 0.01):
+def weight_w(y, h: float, delta: float):
     """Piecewise-linear flip weight: delta/h * y up to the filling factor h,
     then rising linearly to 1 at y = 1. Continuous, monotone, and anchored at
     w(0) = 0, w(h) = delta, w(1) = 1. ``y`` is a float or an array of
@@ -35,7 +35,7 @@ def weight_w(y, h: float, delta: float = 0.01):
 
 
 def recover_configuration(rows: np.ndarray, occupancy: np.ndarray, targets,
-                          rng: np.random.Generator, delta: float = 0.01) -> np.ndarray:
+                          rng: np.random.Generator, delta: float) -> np.ndarray:
     """Restore the electron count of every spin sector of every row of
     ``rows``, a (count, S*m) 0/1 block of S sectors of m orbitals, by
     weighted bit flips; ``targets`` holds one electron count per sector.
@@ -94,11 +94,11 @@ def recover_configuration(rows: np.ndarray, occupancy: np.ndarray, targets,
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    iterations: int = 5
-    num_batches: int = 10
-    samples_per_batch: int = 300
-    delta: float = 0.01
-    seed: int = 0
+    iterations: int
+    num_batches: int
+    samples_per_batch: int
+    delta: float
+    seed: int
 
     def __post_init__(self) -> None:
         if min(self.iterations, self.num_batches, self.samples_per_batch) < 1:

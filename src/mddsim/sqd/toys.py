@@ -10,20 +10,19 @@ import numpy as np
 from .fcidump import _EIGHTFOLD, FciData, _pair_index, write_fcidump
 
 
-def hubbard_dimer_fcidump(u: float = 4.0, hopping: float = 1.0) -> str:
-    """Two-site, two-electron model: on-site repulsion u, hopping amplitude
-    ``hopping``; its singlet ground energy is known in closed form."""
-    h = np.array([[0.0, -hopping], [-hopping, 0.0]])
+def hubbard_dimer_fcidump() -> str:
+    """Two-site, two-electron model: on-site repulsion u = 4, hopping amplitude
+    t = 1; its singlet ground energy is known in closed form."""
+    h = np.array([[0.0, -1.0], [-1.0, 0.0]])
     eri = np.zeros((2, 2, 2, 2))
-    eri[0, 0, 0, 0] = u
-    eri[1, 1, 1, 1] = u
+    eri[0, 0, 0, 0] = eri[1, 1, 1, 1] = 4.0
     data = FciData(norb=2, nelec=2, ms2=0, h=h, eri=eri, core_energy=0.0)
     return write_fcidump(data)
 
 
-def hubbard_dimer_energy(u: float = 4.0, hopping: float = 1.0) -> float:
-    """Exact singlet ground energy (u - sqrt(u^2 + 16 t^2)) / 2."""
-    return (u - math.sqrt(u**2 + 16.0 * hopping**2)) / 2.0
+def hubbard_dimer_energy() -> float:
+    """Exact singlet ground energy (u - sqrt(u^2 + 16 t^2)) / 2 of the dimer, u = 4, t = 1."""
+    return (4.0 - math.sqrt(4.0**2 + 16.0 * 1.0**2)) / 2.0
 
 
 _ERI_SCALE = 0.4  # standard deviation of the random two-electron integrals

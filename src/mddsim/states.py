@@ -107,8 +107,8 @@ class PauliExpectations:
     the tolerances of a valid state (``MAX_EXACT_NORM``, unclamped, so that a
     pure state keeps its r = 1 + 2e-16);
     otherwise each component came from binomial sampling with that many
-    shots. Three independent estimates can reach any norm up to sqrt(3), so
-    shot mode only checks that each component lies in [-1, 1].
+    shots, at least one. Three independent estimates can reach any norm up to
+    sqrt(3), so shot mode only checks that each component lies in [-1, 1].
     """
 
     ex: float
@@ -122,6 +122,8 @@ class PauliExpectations:
             norm = math.hypot(self.ex, self.ey, self.ez)
             if not norm <= MAX_EXACT_NORM:
                 raise ValueError(f"expectation vector norm {norm!r} exceeds 1")
+        elif not self.shots >= 1:
+            raise ValueError(f"sampled expectations need at least one shot, got {self.shots}")
         elif not all(-1.0 <= e <= 1.0 for e in (self.ex, self.ey, self.ez)):
             raise ValueError("sampled expectations must lie in [-1, 1]")
 

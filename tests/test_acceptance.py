@@ -92,13 +92,14 @@ def test_criterion_1_ground_state_invariance(capsys):
     """The combined channel fixes |0><0| exactly for any parameters."""
     with Stopwatch() as clock:
         rng = np.random.default_rng(1)
-        ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        ground = DensityMatrix([[1.0, 0.0], [0.0, 0.0]])
         worst = 0.0
         for _ in range(100):
             t1 = float(rng.uniform(5.0, 600.0))
             params = NoiseParams(t1=t1, t2=float(rng.uniform(1.0, 2.0 * t1)))
             channel = combined_channel(params, float(rng.uniform(0.0, 2000.0)))
-            worst = max(worst, float(np.max(np.abs(channel.apply(ground) - ground))))
+            out = apply_local(channel, ground, 0).entries
+            worst = max(worst, float(np.max(np.abs(out - ground.entries))))
     passed = worst <= 1e-14 and clock.elapsed < 1.0
     announce(capsys, 1, passed, clock, f"worst deviation {worst:.2e}")
     assert worst <= 1e-14
@@ -257,7 +258,7 @@ def test_criterion_6_two_qubit_optimizer(capsys):
     with Stopwatch() as clock:
         rng = np.random.default_rng(6)
         pure_rates = TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.005, 0.0015), 0.02)
-        coeffs, rate = optimize_two_qubit_mdd(1.0, 1.0, pure_rates)
+        coeffs, rate = optimize_two_qubit_mdd(1.0, 1.0, pure_rates, seed=0)
         pure_ok = coeffs == (1.0, 1.0, 1.0) and rate == 0.0
         pinned_infeasible = not c3_section_feasible(1)
         worst_excess = -math.inf
@@ -379,18 +380,18 @@ def test_criterion_8_sqd_pipeline(capsys):
         idx = [fock_index(row) for row in dets]
         worst_element = float(np.max(np.abs(_hamiltonian_matrix(dets, fci)
                                              - full[np.ix_(idx, idx)])))
-        dimer = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
+        dimer = parse_fcidump(hubbard_dimer_fcidump())
         dimer_dets = all_determinants(2, 1, 1)
         dimer_energy, _ = project_and_diagonalize(dimer_dets,
                                                    SpaceHamiltonian(dimer_dets, dimer))
-        dimer_err = abs(dimer_energy - hubbard_dimer_energy(4.0, 1.0))
+        dimer_err = abs(dimer_energy - hubbard_dimer_energy())
         space = SpaceHamiltonian(dets, fci)
         e_ref, ground = project_and_diagonalize(dets, space)
         wins = 0
         for seed in range(20):
             samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
             config = RecoveryConfig(iterations=5, num_batches=10,
-                                    samples_per_batch=300, seed=seed)
+                                    samples_per_batch=300, delta=0.01, seed=seed)
             report = self_consistent_recovery(samples, space, config)
             errors = [abs(m - e_ref) for m in report["mean_energies"]]
             wins += errors[-1] < errors[0]
@@ -413,7 +414,8 @@ def test_criterion_9_qft_toy(capsys):
         ideal = success_probability(sample_counts(simulate(circuit, NOISELESS), 10_000, seed=0),
                                     target)
         ordered = True
-        finals = {kind: qft_final_state(4, DEFAULT_NOISE, kind)[0] for kind in ("none", "xx", "mdd")}
+        finals = {kind: qft_final_state(4, DEFAULT_NOISE, kind, threshold=0.24)[0]
+                  for kind in ("none", "xx", "mdd")}
         for seed in range(5):
             values = {kind: qft_readout(rho, target, 100_000, seed) for kind, rho in finals.items()}
             ordered &= values["mdd"] >= values["xx"] >= values["none"]
@@ -448,7 +450,7 @@ def test_criterion_10_determinism(capsys):
             ):
                 blobs = []
                 for name in ("x", "y"):
-                    result = run(config, tmp / (config.experiment + name))
+                    result = run(config, tmp / (config.experiment + name), jobs=1)
                     blobs.append(b"".join(sorted(p.read_bytes() for p in result.files)))
                 identical &= blobs[0] == blobs[1]
     announce(capsys, 10, identical, clock)

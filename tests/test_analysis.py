@@ -21,8 +21,8 @@ from mddsim.analysis import (
     _haar_batch,
 )
 from mddsim.experiments import colored_noise_fidelity
-from mddsim.noise import (NoiseParams, PhaseCovariantChannel, SpectralDensity, apply_local,
-                          combined_channel)
+from mddsim.noise import (JumpOperator, NoiseParams, PhaseCovariantChannel, SpectralDensity,
+                          apply_local, combined_channel)
 from mddsim.sequences import PulseSchedule, mdd_unitary, udd_times
 from mddsim.states import (
     DensityMatrix,
@@ -415,7 +415,7 @@ class TestC3Section:
 class TestOptimizer:
     def test_pure_inputs_return_unit_coefficients(self):
         rates = TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.005, 0.0015), 0.02)
-        coeffs, rate = optimize_two_qubit_mdd(1.0, 1.0, rates)
+        coeffs, rate = optimize_two_qubit_mdd(1.0, 1.0, rates, seed=0)
         assert coeffs == (1.0, 1.0, 1.0)
         assert rate == 0.0
 
@@ -489,6 +489,10 @@ NAN_CASES = {
     "combined": lambda: combined_channel(DEFAULT_NOISE, math.nan),
     "udd-times": lambda: udd_times(4, math.nan),
     "lemma": lambda: lemma_check(reduced_density(NAN_PSI, [0]), DEFAULT_NOISE, math.nan, 10, 0),
+    "decay-rates": lambda: DecayRates(0.004, math.nan),
+    "crosstalk-rate": lambda: TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.005, 0.0015),
+                                            math.nan),
+    "jump-rate": lambda: JumpOperator(PAULI_Z, math.nan, (0,)),
 }
 
 
@@ -496,6 +500,7 @@ NAN_CASES = {
 def test_nan_duration_rejected(case):
     # NaN fails every comparison, so a check written as `t < 0` lets it through: a NaN
     # duration used to skip every gap and report fidelity 1, and combined_channel to fail
-    # its completeness check instead of naming the duration
-    with pytest.raises(ValueError, match="duration|total time|pulse times"):
+    # its completeness check instead of naming the duration; a NaN crosstalk rate made
+    # the two-qubit optimizer and grid find no point and fail with a TypeError
+    with pytest.raises(ValueError, match="duration|total time|pulse times|rates? must be"):
         NAN_CASES[case]()

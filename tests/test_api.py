@@ -1,7 +1,7 @@
 """The library is what runs: every exported name, and every public method and
 property of an exported class, has a caller in the library or a demo, no
-library module imports a name it does not use, and the number of values a
-caller can set is pinned."""
+library module imports a name it does not use, the number of values a
+caller can set is pinned, and so are the signatures the CLI dispatches to."""
 
 import ast
 import inspect
@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import mddsim
+from mddsim.experiments import _RUNNERS, VERIFY_SUITES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mddsim"
@@ -62,9 +63,9 @@ def test_no_module_level_import_is_unused():
     assert [entry for path in MODULES for entry in _unused_imports(path)] == []
 
 
-# parameter defaults (46), defaulted dataclass fields that __init__ takes (8) and
+# parameter defaults (18), defaulted dataclass fields that __init__ takes (3) and
 # ExperimentConfig fields (20): a new knob changes this number in plain sight
-SETTABLE_VALUES = 74
+SETTABLE_VALUES = 41
 
 
 def _is_dataclass(decorator) -> bool:
@@ -89,3 +90,17 @@ def test_settable_value_count_is_pinned():
                 count += len(fields) if node.name == "ExperimentConfig" else sum(
                     s.value is not None and _init_takes(s.value) for s in fields)
     assert count == SETTABLE_VALUES
+
+
+def _signature(fn) -> list[tuple[str, object]]:
+    return [(name, param.default) for name, param in inspect.signature(fn).parameters.items()]
+
+
+def test_dispatch_signatures_are_pinned():
+    # each value lives in ExperimentConfig or the CLI's argparse, so what the CLI
+    # dispatches to takes every argument without a default
+    assert {name: _signature(suite) for name, suite in VERIFY_SUITES.items()} == {
+        name: [("seed", inspect.Parameter.empty)] for name in VERIFY_SUITES}
+    assert {name: _signature(runner) for name, runner in _RUNNERS.items()} == {
+        name: [(arg, inspect.Parameter.empty) for arg in ("config", "out_dir", "jobs")]
+        for name in _RUNNERS}

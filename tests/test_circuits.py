@@ -223,6 +223,15 @@ class TestInsertDd:
         with pytest.raises(ValueError, match="seed"):
             insert_dd(circuit, strategy, DEFAULT_NOISE, 0.24, shots=50)
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_shot_mode_needs_a_shot(self, shots):
+        # zero shots used to divide by zero, and a negative count reached numpy
+        circuit, _ = qft_success_scenario(3)
+        with pytest.raises(ValueError, match="at least one shot"):
+            insert_dd(circuit, "mdd", DEFAULT_NOISE, 0.24, shots=shots, seed=1)
+        with pytest.raises(ValueError, match="at least one shot"):
+            qft_final_state(3, DEFAULT_NOISE, "mdd", 0.24, measure_shots=shots, seed=1)
+
 
 class TestSampling:
     def test_all_shots_hit_target(self):
@@ -275,7 +284,8 @@ class TestQftScenario:
         assert circuit.total_duration == 48.0
 
     def test_strategy_ordering_under_noise(self):
-        finals = {s: qft_final_state(4, DEFAULT_NOISE, s) for s in ("none", "xx", "mdd")}
+        finals = {s: qft_final_state(4, DEFAULT_NOISE, s, threshold=0.24)
+                  for s in ("none", "xx", "mdd")}
         rows = [{s: qft_readout(rho, target, 20_000, seed) for s, (rho, target) in finals.items()}
                 for seed in range(3)]
         for row in rows:

@@ -490,7 +490,7 @@ def test_gap_reports_share_one_rule(monkeypatch, gaps, slope, passed):
                                                              "xx": np.zeros((1, 3))})
     config = ExperimentConfig(experiment="theorem-gap", num_states=1, t_grid=grid,
                               sequences=["xx"])
-    _, (verdict,) = experiments._theorem_verdicts(config)
+    _, (verdict,) = experiments._theorem_verdicts(config, 1)
     for got in (report.envelope_slope, verdict["envelope_slope"]):
         assert got == (None if slope is None else pytest.approx(slope, abs=1e-9))
     assert report.passed() is verdict["passed"] is passed
@@ -501,7 +501,7 @@ def test_theorem_verdicts_agree_with_their_rows():
     # the verdicts read the gap arrays and the rows are formatted lazily from them
     config = ExperimentConfig(experiment="theorem-gap", num_states=3, num_qubits=2,
                               t_grid=[1.0, 10.0, 100.0, 1000.0], sequences=["xx", "udd8"])
-    rows, verdicts = experiments._theorem_verdicts(config)
+    rows, verdicts = experiments._theorem_verdicts(config, 1)
     rows = list(rows)
     assert len(rows) == 2 * 3 * 4
     # Python floats, whose repr the CSV writes
@@ -608,15 +608,15 @@ def test_cli_run_fuzz_keeps_exit_contract(config):
 
 class TestVerifySuites:
     def test_lemma_suite_small(self):
-        report = verify_lemma(seed=1, num_states=3, trials=1000)
+        report = verify_lemma(seed=1)
         assert report["passed"] and report["violations"] == 0
 
     def test_decay_suite_small(self):
-        report = verify_decay(seed=1, trials=20)
+        report = verify_decay(seed=1)
         assert report["passed"]
 
     def test_bounds_suite_small(self):
-        report = verify_bounds(seed=1, trials=20)
+        report = verify_bounds(seed=1)
         assert report["passed"] and report["violations"] == 0
 
 

@@ -274,7 +274,7 @@ def test_sweep_measures_each_state_once(monkeypatch, tmp_path):
     calls.clear()
     config = ExperimentConfig(experiment="filter-noise", num_states=3, t_grid=[20.0, 70.0],
                               sequences=["xx", "mdd", "mdd+xx"])
-    run_filter_noise(config, tmp_path)
+    run_filter_noise(config, tmp_path, jobs=1)
     assert calls == [1] * 6
 
 
@@ -285,7 +285,7 @@ def test_filter_noise_rows_equal_per_state_fidelities(tmp_path, sequences):
     t_grid, t1 = [20.0, 70.0], 120.0
     config = ExperimentConfig(experiment="filter-noise", num_states=3, seed=5, t1=t1,
                               sequences=sequences, t_grid=t_grid)
-    run_filter_noise(config, tmp_path)
+    run_filter_noise(config, tmp_path, jobs=1)
     states = [haar_random_state(2, seed=(5, i)) for i in range(3)]
     expected = []
     for spec_kind in ("ohmic", "one_over_f"):
@@ -318,7 +318,7 @@ def test_filter_noise_integrates_each_flip_pattern_once(tmp_path, monkeypatch, s
     monkeypatch.setattr(experiments, "chi_integral", counting)
     config = ExperimentConfig(experiment="filter-noise", num_states=1, t_grid=[20.0, 70.0],
                               sequences=sequences)
-    run_filter_noise(config, tmp_path)
+    run_filter_noise(config, tmp_path, jobs=1)
     assert len(calls) == len(set(calls)) == 2 * distinct * 2
 
 
@@ -345,9 +345,9 @@ def test_two_qubit_optimizer_equals_rowwise_constraints(qubit_i, qubit_j, gamma_
 @pytest.mark.parametrize("seed", [0, 7])
 def test_two_qubit_opt_bytes_equal_rowwise_oracle(tmp_path, monkeypatch, seed):
     config = ExperimentConfig(experiment="two-qubit-opt", num_states=5, seed=seed)
-    run_two_qubit_opt(config, tmp_path / "library")
+    run_two_qubit_opt(config, tmp_path / "library", jobs=1)
     monkeypatch.setattr(experiments, "optimize_two_qubit_mdd", optimize_two_qubit_mdd_rowwise)
-    run_two_qubit_opt(config, tmp_path / "oracle")
+    run_two_qubit_opt(config, tmp_path / "oracle", jobs=1)
     assert ((tmp_path / "library" / "two_qubit_opt.json").read_bytes()
             == (tmp_path / "oracle" / "two_qubit_opt.json").read_bytes())
 
@@ -828,7 +828,7 @@ def test_qft_mdd_final_pass_runs_only_the_slices_after_the_checkpoint(monkeypatc
     passes, channels, combined = count_passes(monkeypatch), [], circuits.combined_channel
     monkeypatch.setattr(circuits, "combined_channel",
                         lambda p, t: channels.append(t) or combined(p, t))
-    qft_final_state(5, QFT_NOISE, "mdd")
+    qft_final_state(5, QFT_NOISE, "mdd", 0.24)
     assert passes == [len(dressed.slices) - done]
     # one channel per distinct duration of the pass
     assert sorted(channels) == sorted({sl.duration for sl in dressed.slices[done:] if sl.duration > 0})
@@ -840,7 +840,7 @@ def test_qft_final_state_matches_a_full_pass(n, shots):
     seed = None if shots is None else n
     circuit, target = qft_success_scenario(n)
     for kind in ("none", "xx", "xy4", "udd4", "qdd2", "mdd", "mdd+xx"):
-        rho, got = qft_final_state(n, QFT_NOISE, kind, measure_shots=shots, seed=seed)
+        rho, got = qft_final_state(n, QFT_NOISE, kind, 0.24, measure_shots=shots, seed=seed)
         dressed = insert_dd(circuit, kind, QFT_NOISE, 0.24, shots=shots, seed=seed)
         assert got == target
         assert np.array_equal(rho.entries, full_pass(dressed, QFT_NOISE))

@@ -56,7 +56,7 @@ class TestCombinedChannel:
         ch = combined_channel(DEFAULT_NOISE, 0.0)
         np.testing.assert_allclose(ch.operators[0], np.eye(2), atol=1e-15)
         rho = random_single_qubit_density(np.random.default_rng(0))
-        np.testing.assert_allclose(ch.apply(rho), rho, atol=1e-14)
+        np.testing.assert_allclose(apply_local(ch, DensityMatrix(rho), 0).entries, rho, atol=1e-14)
 
     def test_ground_state_invariant(self):
         rng = np.random.default_rng(42)
@@ -65,14 +65,15 @@ class TestCombinedChannel:
             t1 = rng.uniform(10, 500)
             params = NoiseParams(t1=t1, t2=rng.uniform(1, 2 * t1))
             ch = combined_channel(params, rng.uniform(0, 1000))
-            np.testing.assert_allclose(ch.apply(ground), ground, atol=1e-14)
+            np.testing.assert_allclose(apply_local(ch, DensityMatrix(ground), 0).entries, ground,
+                                       atol=1e-14)
 
     def test_matrix_action(self):
         # E(rho) = [[r00 + p r11, g2 r01], [g2 r10, (1-p) r11]]
         t = 100.0
         ch = combined_channel(NoiseParams(t1=250.0, t2=170.0), t)
         rho = random_single_qubit_density(np.random.default_rng(3))
-        out = ch.apply(rho)
+        out = apply_local(ch, DensityMatrix(rho), 0).entries
         p = 1.0 - math.exp(-t / 250.0)
         g2 = math.exp(-t / 170.0)
         expected = np.array([
@@ -84,7 +85,7 @@ class TestCombinedChannel:
     def test_off_diagonal_shrinks_by_t2_factor(self):
         ch = combined_channel(DEFAULT_NOISE, 100.0)
         plus = 0.5 * (np.eye(2) + PAULI_X)
-        out = ch.apply(plus)
+        out = apply_local(ch, DensityMatrix(plus), 0).entries
         assert out[0, 1].real == pytest.approx(0.5 * math.exp(-100.0 / 170.0), rel=1e-12)
 
     def test_negative_duration_rejected(self):
@@ -99,16 +100,18 @@ class TestCombinedChannel:
             ch = combined_channel(params, rng.uniform(0, 600))
             total = sum(m.conj().T @ m for m in ch.operators)
             np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
-            out = ch.apply(random_single_qubit_density(rng))
+            out = apply_local(ch, DensityMatrix(random_single_qubit_density(rng)), 0).entries
             assert abs(np.trace(out) - 1) < 1e-12
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(out).min() > -1e-10
 
     def test_semigroup_composition(self):
         rho = random_single_qubit_density(np.random.default_rng(21))
-        one = combined_channel(DEFAULT_NOISE, 80.0).apply(combined_channel(DEFAULT_NOISE, 45.0).apply(rho))
-        direct = combined_channel(DEFAULT_NOISE, 125.0).apply(rho)
-        np.testing.assert_allclose(one, direct, atol=1e-10)
+        rho = DensityMatrix(rho)
+        one = apply_local(combined_channel(DEFAULT_NOISE, 80.0),
+                          apply_local(combined_channel(DEFAULT_NOISE, 45.0), rho, 0), 0)
+        direct = apply_local(combined_channel(DEFAULT_NOISE, 125.0), rho, 0)
+        np.testing.assert_allclose(one.entries, direct.entries, atol=1e-10)
 
     def test_incomplete_kraus_set_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
@@ -200,7 +203,8 @@ class TestLindbladDerivative:
         gen = lindblad_derivative(DensityMatrix(rho), None, relaxation_dephasing_jumps(DEFAULT_NOISE))
         errors = {}
         for dt in (1e-3, 1e-4):
-            fd = (combined_channel(DEFAULT_NOISE, dt).apply(rho) - rho) / dt
+            fd = (apply_local(combined_channel(DEFAULT_NOISE, dt), DensityMatrix(rho), 0).entries
+                  - rho) / dt
             errors[dt] = np.max(np.abs(fd - gen))
         c_est = errors[1e-3] / 1e-3
         assert errors[1e-4] <= 1.5 * c_est * 1e-4
@@ -320,16 +324,17 @@ class TestChiIntegral:
 class TestDephasingFromChi:
     def test_zero_chi_identity(self):
         rho = random_single_qubit_density(np.random.default_rng(2))
-        np.testing.assert_allclose(dephasing_channel_from_chi(0.0).apply(rho), rho, atol=1e-14)
+        out = apply_local(dephasing_channel_from_chi(0.0), DensityMatrix(rho), 0).entries
+        np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_large_chi_kills_coherence(self):
         rho = 0.5 * (np.eye(2) + PAULI_X)
-        out = dephasing_channel_from_chi(50.0).apply(rho)
+        out = apply_local(dephasing_channel_from_chi(50.0), DensityMatrix(rho), 0).entries
         assert abs(out[0, 1]) < 1e-20
 
     def test_log_two_halves_coherence(self):
         rho = 0.5 * (np.eye(2) + PAULI_X)
-        out = dephasing_channel_from_chi(math.log(2.0)).apply(rho)
+        out = apply_local(dephasing_channel_from_chi(math.log(2.0)), DensityMatrix(rho), 0).entries
         assert out[0, 1].real == pytest.approx(0.25, rel=1e-12)
 
     def test_negative_chi_rejected(self):

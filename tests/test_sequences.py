@@ -326,6 +326,16 @@ class TestMeasureExpectations:
         with pytest.raises(ValueError, match="rng"):
             measure_expectations(haar_random_state(1, 0), 0, shots=100)
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_shot_mode_needs_a_shot(self, shots):
+        # checked before the draw: zero shots used to divide by zero, and a
+        # negative count reached numpy's binomial
+        with pytest.raises(ValueError, match="at least one shot"):
+            measure_expectations(haar_random_state(1, 0), 0, shots=shots,
+                                 rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one shot"):
+            PauliExpectations(0.0, 0.0, 0.0, shots=shots)
+
     def test_shot_sampled_mdd_fidelity_within_three_sigma(self):
         psi = haar_random_state(3, seed=16)
         t = 80.0

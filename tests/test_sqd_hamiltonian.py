@@ -238,10 +238,10 @@ class TestSlaterCondon:
 
 class TestProjectAndDiagonalize:
     def test_full_space_recovers_fci_energy(self):
-        fci = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
+        fci = parse_fcidump(hubbard_dimer_fcidump())
         dets = all_determinants(2, 1, 1)
         energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
-        assert energy == pytest.approx(hubbard_dimer_energy(4.0, 1.0), abs=1e-10)
+        assert energy == pytest.approx(hubbard_dimer_energy(), abs=1e-10)
         assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_determinant_gives_diagonal(self):

@@ -2,6 +2,7 @@
 and the end-to-end self-consistent iteration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,18 @@ from mddsim.sqd import (
     self_consistent_recovery,
     weight_w,
 )
+from mddsim.experiments import ExperimentConfig
 from mddsim.sqd import recovery
 from mddsim.sqd.hamiltonian import occupation_keys
 from mddsim.sqd.recovery import _draw_batch, _solve_batch
 
 from helpers import (benchmark_ring, determinants, recover_configuration_loop,
                      self_consistent_recovery_every_batch, weight_w_scalar)
+
+
+def cli_recovery(seed: int) -> RecoveryConfig:
+    """The recovery settings of an ``sqd-recover`` run at its defaults."""
+    return ExperimentConfig(experiment="sqd-recover", seed=seed).recovery
 
 
 @pytest.fixture(scope="module")
@@ -41,24 +48,24 @@ def toy():
 
 class TestWeight:
     def test_anchor_points(self):
-        assert weight_w(0.0, h=0.5) == 0.0
-        assert weight_w(0.5, h=0.5) == pytest.approx(0.01)
-        assert weight_w(1.0, h=0.5) == pytest.approx(1.0)
+        assert weight_w(0.0, h=0.5, delta=0.01) == 0.0
+        assert weight_w(0.5, h=0.5, delta=0.01) == pytest.approx(0.01)
+        assert weight_w(1.0, h=0.5, delta=0.01) == pytest.approx(1.0)
 
     def test_continuous_and_monotone(self):
         h = 0.3
         ys = np.linspace(0.0, 1.0, 401)
-        vals = [weight_w(float(y), h=h) for y in ys]
+        vals = [weight_w(float(y), h=h, delta=0.01) for y in ys]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        left = weight_w(h - 1e-12, h=h)
-        right = weight_w(h + 1e-12, h=h)
+        left = weight_w(h - 1e-12, h=h, delta=0.01)
+        right = weight_w(h + 1e-12, h=h, delta=0.01)
         assert abs(left - right) < 1e-9
 
     def test_filling_factor_validation(self):
         with pytest.raises(ValueError, match="filling"):
-            weight_w(0.5, h=0.0)
+            weight_w(0.5, h=0.0, delta=0.01)
         with pytest.raises(ValueError, match="filling"):
-            weight_w(0.5, h=1.0)
+            weight_w(0.5, h=1.0, delta=0.01)
 
     def test_array_matches_scalar_oracle(self):
         # bit for bit, on either side of h and at both ends, in the input's shape
@@ -67,12 +74,12 @@ class TestWeight:
             got = weight_w(ys, h, delta)
             assert got.shape == ys.shape
             assert np.array_equal(got, [[weight_w_scalar(y, h, delta) for y in row] for row in ys])
-        assert isinstance(weight_w(0.25, h=0.5), float)
+        assert isinstance(weight_w(0.25, h=0.5, delta=0.01), float)
 
     def test_deviation_outside_unit_interval_rejected(self):
         for ys in (np.array([0.5, np.nextafter(1.0, 2.0)]), np.array([-1e-300]), np.array([np.nan])):
             with pytest.raises(ValueError, match="deviation"):
-                weight_w(ys, h=0.5)
+                weight_w(ys, h=0.5, delta=0.01)
 
 
 class TestRecoverConfiguration:
@@ -80,13 +87,13 @@ class TestRecoverConfiguration:
     def test_matching_count_unchanged(self):
         rng = np.random.default_rng(0)
         bits = np.array([1, 0, 1, 0], dtype=np.uint8)
-        out = recover_configuration(bits[None], np.full(4, 0.5), [2], rng)[0]
+        out = recover_configuration(bits[None], np.full(4, 0.5), [2], rng, 0.01)[0]
         np.testing.assert_array_equal(out, bits)
 
     def test_deficit_of_one_flips_exactly_one(self):
         rng = np.random.default_rng(1)
         bits = np.array([1, 0, 0, 0], dtype=np.uint8)
-        out = recover_configuration(bits[None], np.full(4, 0.5), [2], rng)[0]
+        out = recover_configuration(bits[None], np.full(4, 0.5), [2], rng, 0.01)[0]
         assert out.sum() == 2
         assert np.sum(out != bits) == 1
         assert np.all(out >= bits)  # only 0 -> 1 flips
@@ -94,7 +101,7 @@ class TestRecoverConfiguration:
     def test_surplus_only_clears_bits(self):
         rng = np.random.default_rng(2)
         bits = np.array([1, 1, 1, 0], dtype=np.uint8)
-        out = recover_configuration(bits[None], np.full(4, 0.5), [1], rng)[0]
+        out = recover_configuration(bits[None], np.full(4, 0.5), [1], rng, 0.01)[0]
         assert out.sum() == 1
         assert np.all(out <= bits)
 
@@ -107,27 +114,27 @@ class TestRecoverConfiguration:
         hits = 0
         for _ in range(1000):
             corrupted = np.array([[1, 0, 0, 0]], dtype=np.uint8)
-            out = recover_configuration(corrupted, occupancy, [2], rng)[0]
+            out = recover_configuration(corrupted, occupancy, [2], rng, 0.01)[0]
             hits += np.array_equal(out, target)
         assert hits == 1000
 
     def test_zero_weight_fallback_is_uniform(self):
         rng = np.random.default_rng(4)
         bits = np.zeros((1, 4), dtype=np.uint8)
-        out = recover_configuration(bits, np.zeros(4), [1], rng)[0]
+        out = recover_configuration(bits, np.zeros(4), [1], rng, 0.01)[0]
         assert out.sum() == 1
 
     def test_impossible_correction_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="cannot place"):
-            recover_configuration(np.zeros((1, 3), dtype=np.uint8), np.zeros(3), [5], rng)
+            recover_configuration(np.zeros((1, 3), dtype=np.uint8), np.zeros(3), [5], rng, 0.01)
 
     def test_occupancy_one_ulp_above_one_is_clamped(self):
         # a batch occupancy is a sum of squared amplitudes, so an orbital held
         # by every batch row can read 1 + 2^-52; its empty bit must still flip
         occupancy = np.array([np.nextafter(1.0, 2.0), 1.0, 1.0, 0.0, 0.0])
         bits = np.array([[0, 1, 1, 0, 0]], dtype=np.uint8)
-        out = recover_configuration(bits, occupancy, [3], np.random.default_rng(7))[0]
+        out = recover_configuration(bits, occupancy, [3], np.random.default_rng(7), 0.01)[0]
         np.testing.assert_array_equal(out, [1, 1, 1, 0, 0])
 
     @pytest.mark.parametrize("n_target", [0, 4])
@@ -135,14 +142,14 @@ class TestRecoverConfiguration:
         # the filling factor would be 0 or 1, where the flip weight is undefined
         for bits in ([1, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 0]):
             out = recover_configuration(np.array([bits], dtype=np.uint8), np.full(4, 0.5),
-                                        [n_target], np.random.default_rng(8))[0]
+                                        [n_target], np.random.default_rng(8), 0.01)[0]
             np.testing.assert_array_equal(out, np.full(4, n_target // 4))
             assert out.dtype == np.uint8
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="lengths"):
-            recover_configuration(np.zeros((1, 3), dtype=np.uint8), np.zeros(4), [1], rng)
+            recover_configuration(np.zeros((1, 3), dtype=np.uint8), np.zeros(4), [1], rng, 0.01)
 
 
 class TestNoisySampler:
@@ -183,15 +190,16 @@ class TestNoisySampler:
 
 class TestSelfConsistentRecovery:
     def test_noiseless_samples_reach_exact_energy_at_iteration_zero(self):
-        fci = parse_fcidump(hubbard_dimer_fcidump(u=4.0, hopping=1.0))
+        fci = parse_fcidump(hubbard_dimer_fcidump())
         dets = all_determinants(2, 1, 1)
         space = SpaceHamiltonian(dets, fci)
         _, ground = project_and_diagonalize(dets, space)
         samples = noisy_sampler(ground, dets, flip_rate=0.0, shots=400, seed=10)
-        config = RecoveryConfig(iterations=2, num_batches=4, samples_per_batch=400, seed=0)
+        config = RecoveryConfig(iterations=2, num_batches=4, samples_per_batch=400,
+                                delta=0.01, seed=0)
         report = self_consistent_recovery(samples, space, config)
         assert report["status"] == "ok"
-        exact = hubbard_dimer_energy(4.0, 1.0)
+        exact = hubbard_dimer_energy()
         for batch_energy in report["energies"][0]:
             assert batch_energy == pytest.approx(exact, abs=1e-10)
 
@@ -200,7 +208,8 @@ class TestSelfConsistentRecovery:
         wins = 0
         for seed in range(8):
             samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
-            config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300, seed=seed)
+            config = RecoveryConfig(iterations=5, num_batches=10, samples_per_batch=300,
+                                    delta=0.01, seed=seed)
             report = self_consistent_recovery(samples, space, config)
             errors = [abs(m - e_fci) for m in report["mean_energies"]]
             wins += errors[-1] < errors[0]
@@ -209,7 +218,8 @@ class TestSelfConsistentRecovery:
     def test_deterministic_for_fixed_inputs(self, toy):
         space, dets, _, ground = toy
         samples = noisy_sampler(ground, dets, flip_rate=0.05, shots=200, seed=11)
-        config = RecoveryConfig(iterations=3, num_batches=5, samples_per_batch=120, seed=4)
+        config = RecoveryConfig(iterations=3, num_batches=5, samples_per_batch=120,
+                                delta=0.01, seed=4)
         a = self_consistent_recovery(samples, space, config)
         b = self_consistent_recovery(samples, space, config)
         assert a == b
@@ -219,7 +229,8 @@ class TestSelfConsistentRecovery:
         samples = noisy_sampler(ground, dets, flip_rate=0.1, shots=200, seed=12)
         n_valid = int(((samples[:, :4].sum(axis=1) == 2)
                        & (samples[:, 4:].sum(axis=1) == 2)).sum())
-        config = RecoveryConfig(iterations=4, num_batches=3, samples_per_batch=100, seed=1)
+        config = RecoveryConfig(iterations=4, num_batches=3, samples_per_batch=100,
+                                delta=0.01, seed=1)
         report = self_consistent_recovery(samples, space, config)
         assert report["pool_sizes"][0] == n_valid
         assert all(size >= n_valid for size in report["pool_sizes"])
@@ -228,14 +239,15 @@ class TestSelfConsistentRecovery:
     def test_no_valid_configurations_reports_failure(self, toy):
         space, _, _, _ = toy
         bad = np.ones((10, 8), dtype=np.uint8)  # every sector overfull
-        report = self_consistent_recovery(bad, space, RecoveryConfig())
+        report = self_consistent_recovery(bad, space, cli_recovery(0))
         assert report["status"] == "no-valid-configurations"
         assert report["energies"] == []
 
     def test_occupancy_sums_to_electron_count(self, toy):
         space, dets, _, ground = toy
         samples = noisy_sampler(ground, dets, flip_rate=0.02, shots=300, seed=13)
-        config = RecoveryConfig(iterations=3, num_batches=6, samples_per_batch=300, seed=2)
+        config = RecoveryConfig(iterations=3, num_batches=6, samples_per_batch=300,
+                                delta=0.01, seed=2)
         report = self_consistent_recovery(samples, space, config)
         for occ in np.array(report["occupancies"]):
             assert occ.sum() == pytest.approx(space.fci.nelec, abs=1e-8)
@@ -262,9 +274,9 @@ class TestSelfConsistentRecovery:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RecoveryConfig(iterations=0)
+            replace(cli_recovery(0), iterations=0)
         with pytest.raises(ValueError):
-            RecoveryConfig(delta=1.5)
+            replace(cli_recovery(0), delta=1.5)
 
 
 VARIATIONAL_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -285,7 +297,8 @@ def test_batch_energies_lie_above_the_lanczos_reference(data):
     space = SpaceHamiltonian(dets, fci)
     reference, ground = space.ground_state()
     samples = noisy_sampler(ground, dets, flip_rate=0.02, shots=400, seed=seed)
-    config = RecoveryConfig(iterations=2, num_batches=3, samples_per_batch=200, seed=seed)
+    config = RecoveryConfig(iterations=2, num_batches=3, samples_per_batch=200,
+                            delta=0.01, seed=seed)
     report = self_consistent_recovery(samples, space, config)
     batches = [energy for batch in report["energies"] for energy in batch]
     assert report["status"] != "ok" or min(batches) >= reference - 1e-10
@@ -380,7 +393,7 @@ def test_one_correction_call_per_iteration(toy, monkeypatch):
     monkeypatch.setattr(recovery, "recover_configuration",
                         lambda rows, *args, **kwargs: calls.append(len(rows))
                         or recover_configuration(rows, *args, **kwargs))
-    config = RecoveryConfig(iterations=4, num_batches=2, samples_per_batch=50, seed=3)
+    config = RecoveryConfig(iterations=4, num_batches=2, samples_per_batch=50, delta=0.01, seed=3)
     report = self_consistent_recovery(samples, space, config)
     invalid = samples.shape[0] - report["pool_sizes"][0]
     assert invalid > 0 and calls == [invalid] * 3
@@ -410,7 +423,7 @@ def test_recovery_is_the_solve_every_batch_loop(data):
         data.draw(st.sampled_from(["smaller", "equal", "larger"]), label="batch")]
     config = RecoveryConfig(iterations=data.draw(st.integers(3, 5), label="iterations"),
                             num_batches=data.draw(st.integers(1, 6), label="num_batches"),
-                            samples_per_batch=size, seed=seed)
+                            samples_per_batch=size, delta=0.01, seed=seed)
     assert (self_consistent_recovery(samples, space, config)
             == self_consistent_recovery_every_batch(samples, space, config))
 
@@ -429,7 +442,7 @@ def ring_samples():
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_recovery_is_the_solve_every_batch_loop_on_the_benchmark_ring(ring_samples, seed):
     space, samples = ring_samples(seed)
-    config = RecoveryConfig(seed=seed)
+    config = cli_recovery(seed)
     assert (self_consistent_recovery(samples, space, config)
             == self_consistent_recovery_every_batch(samples, space, config))
 
@@ -456,7 +469,7 @@ def test_one_solve_per_distinct_subspace(ring_samples, monkeypatch):
     monkeypatch.setattr(recovery, "_draw_batch", draw)
     monkeypatch.setattr(recovery, "project_and_diagonalize", solve)
     monkeypatch.setattr(recovery, "recover_configuration", correct)
-    config = RecoveryConfig(seed=0)
+    config = cli_recovery(0)
     assert config.samples_per_batch == samples.shape[0]
     self_consistent_recovery(samples, space, config)
     assert len(drawn) == config.iterations * config.num_batches
