@@ -225,6 +225,8 @@ def insert_dd(circuit: ScheduledCircuit, strategy: str, noise: NoiseParams,
     ``noise``; :func:`qft_final_state` finishes from it.
     """
     strategy = strategy.lower()
+    if shots is not None and not (isinstance(shots, (int, np.integer)) and shots >= 1):
+        raise ValueError(f"sampled expectations need at least one shot (an integer), got {shots!r}")
     if shots is not None and seed is None:
         raise ValueError("sampled expectations (shots) need a seed")
     if strategy == "none":

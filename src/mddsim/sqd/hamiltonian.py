@@ -18,24 +18,26 @@ with (pr|qs) the chemists'-notation two-electron integrals.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from .._lazy import lazy_import
 from .fcidump import FciData
 
 MAX_DENSE_DIM = 4000
 
-# The Lanczos ground state stops once its Ritz residual is at most this
-# fraction of the matrix's largest absolute row sum, a bound on its norm.
+# The Lanczos iteration stops once its Ritz residual is at most a fraction of
+# the matrix's largest absolute row sum, a bound on its norm: this one for the
+# whole space, _LOOSE_TOL for a batch subspace, before its inverse iteration.
 _LANCZOS_TOL = 1e-12
-_LANCZOS_SEED = 0  # of the Gaussian start vector
+_LOOSE_TOL = 1e-6
+# Gaussian with a fixed seed, so that a start (a prefix) has a component in
+# every eigenvector, whatever symmetry the ground state has
+_LANCZOS_START = np.random.default_rng(0).standard_normal(MAX_DENSE_DIM)
 # dim steps span the space, so the iteration takes at most min(dim, this):
 # its basis never outgrows the dense limit's matrix
 _LANCZOS_STEPS = MAX_DENSE_DIM
-
-linalg = lazy_import("scipy.linalg")  # the eigh of subspaces and of Lanczos' tridiagonal
 
 
 def all_determinants(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
@@ -289,12 +291,12 @@ class SpaceHamiltonian:
     dense matrix in the row order of ``dets``.
 
     The matrix of a subspace spanned by some of these rows is gathered from
-    it, ``matrix.take(idx, 0).take(idx, 1)``, instead of being built again. A
-    pair's element does not depend on which of its rows comes first when the
-    integrals are exactly 8-fold symmetric, as parsed ones are (each record
-    sets its whole permutation orbit), so the gather is then bitwise the build
-    in the subspace's own row order. A matrix that overflows to inf or nan
-    raises ValueError here, so no gathered one can.
+    it, ``matrix[idx][:, idx]`` in one flat ``take``, instead of being built
+    again. A pair's element does not depend on which of its rows comes first
+    when the integrals are exactly 8-fold symmetric, as parsed ones are (each
+    record sets its whole permutation orbit), so the gather is then bitwise
+    the build in the subspace's own row order. A matrix that overflows to inf
+    or nan raises ValueError here, so no gathered one can.
     """
 
     def __init__(self, dets, fci: FciData):
@@ -320,7 +322,7 @@ class SpaceHamiltonian:
             raise ValueError(f"row {order[same[0] + 1]} repeats row {order[same[0]]}: "
                              "determinants must be distinct")
         idx = self._order[at]
-        return self.matrix.take(idx, 0).take(idx, 1)
+        return self.matrix.take(idx[:, None] * len(self.matrix) + idx)
 
     def ground_state(self) -> tuple[float, np.ndarray]:
         """Ground eigenpair of the whole space: the lowest eigenvalue
@@ -332,46 +334,92 @@ class SpaceHamiltonian:
         return float(value + self.fci.core_energy), vector
 
 
-@np.errstate(invalid="ignore")  # a NaN raises ValueError below, without a warning first
 def _lanczos_ground(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
                     dim: int) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the symmetric dim x dim matrix whose nonzero
-    entries are ``values`` at (``rows``, ``cols``), by Lanczos iteration.
-
-    The start vector is Gaussian with a fixed seed, so it has a component in
-    every eigenvector, whatever symmetry the ground state has, and the result
-    is the same bytes on every call. Each product sums the entries row by row
-    with ``np.bincount``, and each new basis vector is orthogonalized against
-    the whole basis twice. The iteration stops once the Ritz residual, |beta|
-    times the last entry of the tridiagonal's ground vector, is at most
-    ``_LANCZOS_TOL`` times the largest absolute row sum; a breakdown, when
-    the basis spans an invariant subspace, meets that at once. It raises
-    ValueError if it meets a value that is not finite (a NaN or infinite
-    entry), or has not converged after min(dim, ``_LANCZOS_STEPS``) steps.
-    """
+    entries are ``values`` at (``rows``, ``cols``): the :func:`_lanczos` Ritz
+    pair to ``_LANCZOS_TOL``, with products summed row by row by
+    ``np.bincount`` and each basis vector orthogonalized twice."""
     # scaled by a power of two, which is exact, so that its entries lie below
     # 1 in magnitude and no sum or norm of the iteration under- or overflows
     exponent = np.frexp(np.abs(values).max(initial=0.0))[1]
     values = np.ldexp(values, -exponent)
-    scale = np.bincount(rows, weights=np.abs(values), minlength=dim).max()
-    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
-    basis = (start / np.linalg.norm(start))[None, :]
+    bound = np.bincount(rows, weights=np.abs(values), minlength=dim).max()
+    theta, vector = _lanczos(lambda v: np.bincount(rows, weights=values * v[cols], minlength=dim),
+                             dim, _LANCZOS_TOL * bound, passes=2)
+    return float(np.ldexp(theta, exponent)), vector
+
+
+@np.errstate(invalid="ignore")  # a NaN raises ValueError in _lanczos, without a warning first
+def _dense_ground(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the symmetric ``matrix``, which it overwrites.
+    Scaled as in :func:`_lanczos_ground` and centred on its mean diagonal, so
+    that one orthogonalization pass keeps the basis orthogonal, H gives a loose
+    :func:`_lanczos` pair (theta, u); x = (H - theta I)^-1 u, normalized, and
+    its Rayleigh quotient are exact to roundoff."""
+    dim = len(matrix)
+    exponent = np.frexp(np.abs(matrix).max())[1]
+    matrix = np.ldexp(matrix, -exponent, out=matrix)
+    centre = matrix.trace() / dim
+    matrix.flat[::dim + 1] -= centre
+    tol = _LOOSE_TOL * np.abs(matrix).sum(axis=1).max()
+    theta, vector = _lanczos(matrix.__matmul__, dim, tol, passes=1)
+    matrix.flat[::dim + 1] -= theta
+    try:
+        vector = np.linalg.solve(matrix, vector)
+        vector /= math.sqrt(vector @ vector)
+    except np.linalg.LinAlgError:
+        pass  # theta is an eigenvalue to the last bit, with the Ritz vector its eigenvector
+    return float(np.ldexp(centre + theta + vector @ (matrix @ vector), exponent)), vector
+
+
+@np.errstate(invalid="ignore")  # a NaN raises ValueError below, without a warning first
+def _lanczos(product, dim: int, tol: float, passes: int) -> tuple[float, np.ndarray]:
+    """Lowest Ritz pair (value, unit vector) of the symmetric dim x dim
+    operator ``product`` (v -> H v), whose entries lie below 1 in magnitude,
+    by Lanczos iteration from ``_LANCZOS_START``: the same bytes on every call.
+
+    Each new basis vector is orthogonalized against the whole basis
+    ``passes`` times. The iteration stops once the Ritz residual, |beta|
+    times the last entry of the tridiagonal's ground vector (``eigh``), is at
+    most ``tol``; a breakdown, when the basis spans an invariant subspace,
+    meets that at once. It is checked at step 20, 8 steps later, then where
+    the residual's geometric fall between the last two checks meets ``tol``
+    (at most half the steps so far later), and at a breakdown. It raises
+    ValueError on a value that is not finite (a NaN or infinite entry), or
+    with no convergence after min(dim, ``_LANCZOS_STEPS``) steps.
+    """
+    # grown by doubling: a dim x dim basis up front slows later allocations
+    basis = np.empty((min(dim, 32), dim))
+    basis[0] = _LANCZOS_START[:dim] / np.linalg.norm(_LANCZOS_START[:dim])
     alphas, betas = [], []
-    for _ in range(min(dim, _LANCZOS_STEPS)):
-        w = np.bincount(rows, weights=values * basis[-1][cols], minlength=dim)
-        overlaps = basis @ w
-        alphas.append(overlaps[-1])
-        w = w - overlaps @ basis
-        w = w - (basis @ w) @ basis
-        beta = np.linalg.norm(w)
-        if not np.isfinite(beta):
+    steps, check, last = min(dim, _LANCZOS_STEPS), 20, None
+    for k in range(steps):
+        done = basis[:k + 1]
+        w = product(done[k])
+        for n in range(passes):
+            overlaps = done @ w
+            if n == 0:
+                alphas.append(overlaps[k])
+            w = w - overlaps @ done
+        beta = math.sqrt(w @ w)
+        if not math.isfinite(beta):
             raise ValueError("the Lanczos iteration met a value that is not finite")
-        theta, ritz = linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        if beta * abs(ritz[-1, 0]) <= _LANCZOS_TOL * scale:
-            vector = ritz[:, 0] @ basis
-            return float(np.ldexp(theta[0], exponent)), vector / np.linalg.norm(vector)
+        if beta <= tol or k + 1 in (check, steps):
+            theta, ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))  # reads L only
+            residual = beta * abs(ritz[-1, 0])
+            if residual <= tol:
+                vector = ritz[:, 0] @ done
+                return theta[0], vector / math.sqrt(vector @ vector)
+            if k + 1 == steps:
+                break
+            ahead = (math.log(tol / residual) / math.log(residual / last[1]) * (k - last[0])
+                     if last and residual < last[1] else 8)
+            last, check = (k, residual), k + 1 + min(max(math.ceil(ahead), 2), (k + 1) // 2)
         betas.append(beta)
-        basis = np.vstack([basis, w / beta])
+        if k + 1 == len(basis):
+            basis = np.vstack([basis, np.empty((min(len(basis), dim - len(basis)), dim))])
+        np.divide(w, beta, out=basis[k + 1])
     raise ValueError(f"the Lanczos ground state did not converge in {len(alphas)} steps")
 
 
@@ -386,18 +434,13 @@ def project_and_diagonalize(dets, space: SpaceHamiltonian) -> tuple[float, np.nd
     eigenvector in the row basis. Enlarging the subspace can only lower the
     returned energy (variational).
 
-    Only the lowest eigenpair is computed (LAPACK ``syevr`` through
-    ``scipy.linalg.eigh`` with ``subset_by_index``), never the whole
-    spectrum. The vector's sign is arbitrary, and for a degenerate ground
-    state it is some unit vector in the ground eigenspace.
+    Only the lowest eigenpair is computed, by :func:`_dense_ground`. The
+    vector's sign is arbitrary, and for a degenerate ground state it is some
+    unit vector in the ground eigenspace.
 
     The recovery loop calls it on each batch subspace. The reference ground
     state of the whole space is :meth:`SpaceHamiltonian.ground_state`, whose
     sparse Lanczos iteration costs far less than this dense solve there.
     """
-    # the gathered matrix is a fresh array, exactly symmetric (each pair's
-    # element is written to both triangles), so its transpose is the same
-    # matrix in the Fortran order that LAPACK overwrites in place
-    vals, vecs = linalg.eigh(space.submatrix(dets).T, subset_by_index=[0, 0], overwrite_a=True,
-                             check_finite=False)
-    return float(vals[0] + space.fci.core_energy), vecs[:, 0]
+    energy, vector = _dense_ground(space.submatrix(dets))
+    return energy + space.fci.core_energy, vector

@@ -232,6 +232,24 @@ class TestInsertDd:
         with pytest.raises(ValueError, match="at least one shot"):
             qft_final_state(3, DEFAULT_NOISE, "mdd", 0.24, measure_shots=shots, seed=1)
 
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, "10"])
+    @pytest.mark.parametrize("strategy", ["none", "xx", "udd4", "mdd", "mdd+xx"])
+    def test_bad_shots_rejected_for_every_strategy(self, strategy, shots):
+        # checked before the strategy is looked at: an unmeasured strategy
+        # used to return normally with a shot count that mdd rejects
+        circuit, _ = qft_success_scenario(3)
+        with pytest.raises(ValueError, match="at least one shot"):
+            insert_dd(circuit, strategy, DEFAULT_NOISE, 0.24, shots=shots, seed=1)
+        with pytest.raises(ValueError, match="at least one shot"):
+            qft_final_state(3, DEFAULT_NOISE, strategy, 0.24, measure_shots=shots, seed=1)
+
+    @pytest.mark.parametrize("strategy", ["none", "xx"])
+    def test_whole_shots_accepted_for_unmeasured_strategies(self, strategy):
+        circuit, _ = qft_success_scenario(3)
+        for shots in (1, np.int64(30)):
+            assert (insert_dd(circuit, strategy, DEFAULT_NOISE, 0.24, shots=shots, seed=1).slices
+                    == insert_dd(circuit, strategy, DEFAULT_NOISE, 0.24).slices)
+
 
 class TestSampling:
     def test_all_shots_hit_target(self):

@@ -1,7 +1,8 @@
 """Import cost: ``import mddsim`` loads numpy and nothing heavy. scipy's
-optimize, integrate and linalg and the ``--jobs`` process pool load on first
-use; each deferred name is a proxy, not the module, whose attributes resolve
-to the module's own."""
+optimize and integrate and the ``--jobs`` process pool load on first use; each
+deferred name is a proxy, not the module, whose attributes resolve to the
+module's own. The SQD layer uses numpy alone, so an ``sqd-recover`` run loads
+no scipy module."""
 
 import json
 import os
@@ -10,17 +11,16 @@ import sys
 from pathlib import Path
 
 import scipy.integrate
-import scipy.linalg
 import scipy.optimize
 
 import mddsim.analysis
 from mddsim import noise
-from mddsim.sqd import hamiltonian
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# loaded by the first chi_integral, optimize_two_qubit_mdd and project_and_diagonalize
-# call, and by the first --jobs pool; fractions is not needed for exact comparisons
+# loaded by the first chi_integral and optimize_two_qubit_mdd call (scipy.optimize
+# brings scipy.linalg), and by the first --jobs pool; fractions is not needed for
+# exact comparisons
 DEFERRED = ("scipy", "scipy.special", "scipy.optimize._minimize", "scipy.linalg._decomp",
             "multiprocessing", "concurrent.futures.process", "fractions")
 
@@ -59,13 +59,10 @@ def test_sweep_and_qft_runs_leave_deferred_submodules_unloaded(tmp_path):
     assert [name for name in DEFERRED if name in loaded] == []
 
 
-def test_sqd_run_loads_no_public_scipy_subpackage_but_linalg(tmp_path):
-    # the sqd-large set-up pays for each public scipy subpackage an sqd-recover run loads
+def test_sqd_run_loads_no_scipy_module(tmp_path):
+    # the sqd-large set-up pays for every scipy module an sqd-recover run loads
     loaded = _cold_modules([{"experiment": "sqd-recover", "fcidump": "random-8"}], tmp_path)
-    subpackages = [name for name, package in loaded.items() if package and name.count(".") == 1
-                   and name.startswith("scipy.") and not name.split(".")[1].startswith("_")]
-    assert "scipy.linalg" in subpackages
-    assert sorted(set(subpackages) - {"scipy.linalg"}) == []
+    assert sorted(name for name in loaded if name.partition(".")[0] == "scipy") == []
 
 
 def test_analysis_optimize_is_scipys_for_the_tracer():
@@ -76,4 +73,3 @@ def test_analysis_optimize_is_scipys_for_the_tracer():
 
 def test_deferred_names_resolve_to_scipy():
     assert noise.integrate.quad is scipy.integrate.quad
-    assert hamiltonian.linalg.eigh is scipy.linalg.eigh

@@ -30,7 +30,7 @@ from mddsim.sqd import (
 )
 from mddsim.sqd import hamiltonian
 from mddsim.sqd.fcidump import MAX_NORB, SYM_TOL
-from mddsim.sqd.hamiltonian import _hamiltonian_matrix, _lanczos_ground
+from mddsim.sqd.hamiltonian import _dense_ground, _hamiltonian_matrix, _lanczos_ground
 
 from helpers import (
     Determinant,
@@ -779,6 +779,113 @@ def test_lanczos_rejects_non_finite_entries():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not finite"):
             _lanczos_ground(np.array([0, 1]), np.array([0, 1]), np.array([1.0, bad]), 2)
+
+
+def assert_dense_ground_matches_eigh(matrix: np.ndarray, scale: float = 1.0) -> None:
+    """``_dense_ground`` against the full spectrum of ``np.linalg.eigh``, in
+    units of ``scale``: the energy to 1e-12 and, for a simple ground state,
+    the squared amplitudes to 1e-13; a degenerate ground state's vector must
+    lie in its eigenspace, whose projector leaves it unchanged to 1e-13."""
+    vals, vecs = np.linalg.eigh(matrix / scale)
+    energy, vector = _dense_ground(matrix.copy())
+    assert energy / scale == pytest.approx(vals[0], abs=1e-12)
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-13)
+    eigenspace = vecs[:, vals - vals[0] <= 1e-9]
+    if eigenspace.shape[1] == 1:
+        assert np.abs(vector**2 - eigenspace[:, 0]**2).max() <= 1e-13
+    else:
+        assert np.linalg.norm(vector - eigenspace @ (eigenspace.T @ vector)) <= 1e-13
+
+
+@pytest.fixture
+def singular_solves(monkeypatch):
+    """One entry per ``np.linalg.solve`` call that found its matrix exactly singular."""
+    solve, singular = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(True)
+            raise
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return singular
+
+
+@pytest.mark.parametrize("matrix,singular", [
+    (np.array([[-0.75]]), True),                                 # dimension 1
+    (np.diag([2.0] * 6), True),                                  # breaks down at once
+    (np.diag([3.0, -1.0, 0.5, 7.0, -1.0 + 2**-40]), False),      # a diagonal, near-degenerate
+    (np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]]), True),        # -1 three times: degenerate
+    (-np.ones((4, 4)), True),                                    # -4 once, below a triple 0
+], ids=["dim-1", "identity", "diagonal", "degenerate", "rank-one"])
+def test_dense_ground_at_breakdowns_and_exact_shifts(matrix, singular, singular_solves):
+    # where the Ritz value is an eigenvalue to the last bit, (H - theta I) is
+    # exactly singular and the Ritz vector is kept
+    assert_dense_ground_matches_eigh(matrix)
+    assert bool(singular_solves) == singular
+
+
+@pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+def test_dense_ground_at_extreme_magnitudes(exponent):
+    # scaled by 2^exponent, which is exact; unscaled, the Lanczos sums of
+    # 2^600 entries would overflow and those of 2^-600 entries underflow
+    rng = np.random.default_rng(1)
+    matrix = rng.standard_normal((40, 40))
+    matrix = matrix + matrix.T
+    assert_dense_ground_matches_eigh(np.ldexp(matrix, exponent), scale=2.0**exponent)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_ground_rejects_non_finite_entries(bad):
+    # a ValueError, never a traceback or a RuntimeWarning (which tier-1 makes errors)
+    matrix = np.diag([1.0, 2.0, 3.0])
+    matrix[0, 2] = matrix[2, 0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        _dense_ground(matrix)
+
+
+DENSE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@DENSE_PROPERTY
+@given(data=st.data())
+def test_dense_ground_matches_eigh(data):
+    # Gaussian symmetric matrices, shifted far off zero as a deep core shifts
+    # a batch matrix, where one orthogonalization pass needs the centring
+    dim = data.draw(st.integers(1, 80), label="dim")
+    offset = data.draw(st.sampled_from([0.0, 30.0, -1e3]), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    matrix = rng.standard_normal((dim, dim))
+    matrix = matrix + matrix.T + offset * np.eye(dim)
+    vals = np.linalg.eigvalsh(matrix)
+    if dim > 1 and vals[1] - vals[0] < 1e-2 * np.abs(vals).max():
+        # a close pair: the amplitudes of any solver are only good to roundoff / gap
+        energy, vector = _dense_ground(matrix.copy())
+        assert energy == pytest.approx(vals[0], abs=1e-12 * np.abs(vals).max())
+        assert np.linalg.norm(matrix @ vector - energy * vector) <= 1e-12 * np.abs(vals).max()
+    else:
+        assert_dense_ground_matches_eigh(matrix, scale=np.abs(vals).max())
+
+
+@DENSE_PROPERTY
+@given(data=st.data())
+def test_batch_subspace_ground_state_matches_eigh(data):
+    # random subspaces of parsed spaces of up to 6 orbitals, as the recovery draws them
+    norb = data.draw(st.integers(1, 6), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    space = all_determinants(norb, n_alpha, n_beta)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
+                           np.random.default_rng(seed))
+    matrix = _hamiltonian_matrix(rows, fci)
+    energy, vector = project_and_diagonalize(rows, SpaceHamiltonian(space, fci))
+    vals, vecs = np.linalg.eigh(matrix)
+    assert energy - fci.core_energy == pytest.approx(vals[0], abs=1e-12)
+    if len(vals) == 1 or vals[1] - vals[0] > 1e-2:
+        assert np.abs(vector**2 - vecs[:, 0]**2).max() <= 1e-13
 
 def test_ground_state_repeats_bytes():
     fci = parse_fcidump(random_fcidump(6, 6, seed=1))
