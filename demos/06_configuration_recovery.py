@@ -3,9 +3,10 @@
 Samples an exact ground state through a bit-flip readout channel, then runs
 the batched subspace-diagonalization loop and watches the energy error shrink
 as corrupted configurations are corrected. The whole space's Hamiltonian is
-built once, as a ``SpaceHamiltonian``, and every batch gathers its matrix from
-it; each iteration corrects all corrupted samples in one
-``recover_configuration`` call.
+built once, as the sorted (row, col, value) triplets of a ``SpaceHamiltonian``,
+and every batch gathers its small dense matrix from its rows' triplets; each
+iteration corrects all corrupted samples in one ``recover_configuration``
+call.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ print("  w(y): " + "  ".join(f"{weight_w(y, 0.5, 0.01):.3f}" for y in ys))
 print("\n8-spin-orbital random system, 5% readout flips, 300 shots:")
 fci = parse_fcidump(random_fcidump(4, 4, seed=42))
 dets = all_determinants(4, 2, 2)
-space = SpaceHamiltonian(dets, fci)  # built once; every batch gathers its matrix from it
+space = SpaceHamiltonian(dets, fci)  # triplets built once; every batch gathers from them
 e_ref, ground = project_and_diagonalize(dets, space)
 print(f"  reference energy {e_ref:.6f} Ha over {len(dets)} determinants "
       f"(occupation rows, alpha orbitals first: {dets[0].tolist()}, ...)")

@@ -38,6 +38,9 @@ _LANCZOS_START = np.random.default_rng(0).standard_normal(MAX_DENSE_DIM)
 # dim steps span the space, so the iteration takes at most min(dim, this):
 # its basis never outgrows the dense limit's matrix
 _LANCZOS_STEPS = MAX_DENSE_DIM
+# A join block holds at most this many candidate row pairs, 128 KB for each
+# of its index arrays at any dimension: small enough to stay in cache
+_JOIN_BLOCK = 1 << 14
 
 
 def all_determinants(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
@@ -197,43 +200,52 @@ class _Sector:
         return start[self.index], (stop - start)[self.index]
 
 
-def _join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int,
-          row_of: np.ndarray) -> tuple[np.ndarray, ...]:
+def _join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int, row_of: np.ndarray):
     """Every row pair (to, frm), to < frm, whose alpha strings differ in
     ``d_alpha`` orbitals and beta strings in ``d_beta``, with the ids of its
-    alpha and beta string pairs from frm to to. Each row's alpha pairs of
-    degree d_alpha are joined with its beta pairs of degree d_beta, and the
-    strings they reach are looked up in ``row_of``, which holds dim where no
-    row has them. One sector of nonzero degree lists only its pairs to a later
-    string, so each row pair is met once, then oriented."""
+    alpha and beta string pairs from frm to to, yielded as arrays per block of
+    consecutive rows. Each row's alpha pairs of degree d_alpha are joined with
+    its beta pairs of degree d_beta, and the strings they reach are looked up
+    in ``row_of``, which holds dim where no row has them. One sector of
+    nonzero degree lists only its pairs to a later string, so each row pair is
+    met once, then oriented. A block joins at most ``_JOIN_BLOCK`` pairs, or
+    one row's if that row has more."""
     start_a, count_a = alpha.links(d_alpha, upper=d_alpha > 0)
     start_b, count_b = beta.links(d_beta, upper=d_alpha == 0)
     per_row = count_a * count_b
     dim = len(per_row)
-    frm = np.repeat(np.arange(dim), per_row)
-    k_a, k_b = np.divmod(np.arange(len(frm)) - np.repeat(np.cumsum(per_row) - per_row, per_row),
-                         count_b[frm])
-    pair_a, pair_b = start_a[frm] + k_a, start_b[frm] + k_b
-    to = row_of[alpha.pairs[d_alpha][1][pair_a], beta.pairs[d_beta][1][pair_b]]
-    found = to < dim
-    to, frm, pair_a, pair_b = to[found], frm[found], pair_a[found], pair_b[found]
-    flip = to > frm
-    return (np.where(flip, frm, to), np.where(flip, to, frm),
-            np.where(flip, alpha.reverse[d_alpha][pair_a], pair_a),
-            np.where(flip, beta.reverse[d_beta][pair_b], pair_b))
+    # row r's pairs are candidates first[r] up to ends[r] of the whole join
+    ends = np.cumsum(per_row)
+    first = ends - per_row
+    lo = 0
+    while lo < dim:
+        hi = max(int(np.searchsorted(ends, first[lo] + _JOIN_BLOCK, side="right")), lo + 1)
+        frm = np.repeat(np.arange(lo, hi), per_row[lo:hi])
+        k_a, k_b = np.divmod(np.arange(first[lo], ends[hi - 1]) - first[frm], count_b[frm])
+        pair_a, pair_b = start_a[frm] + k_a, start_b[frm] + k_b
+        to = row_of[alpha.pairs[d_alpha][1][pair_a], beta.pairs[d_beta][1][pair_b]]
+        found = to < dim
+        to, frm, pair_a, pair_b = to[found], frm[found], pair_a[found], pair_b[found]
+        flip = to > frm
+        yield (np.where(flip, frm, to), np.where(flip, to, frm),
+               np.where(flip, alpha.reverse[d_alpha][pair_a], pair_a),
+               np.where(flip, beta.reverse[d_beta][pair_b], pair_b))
+        lo = hi
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
-    """Dense subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>.
+def _hamiltonian_triplets(dets, fci: FciData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>, as
+    int32 rows, int32 columns and values sorted by (row, col): every entry but
+    +0.0, the value of each cell left out, so a -0.0 entry is kept.
 
     A pair's excitation depends only on its pair of alpha strings and its
     pair of beta strings, so each sector tabulates its string pairs of degree
     <= 2 once (``_Sector``). The row pairs of degree <= 2, the nonzero
     pattern, are those string pairs joined across the sectors (``_join``),
-    one element class at a time, and each class gathers its elements from
-    the tables. Any subset of rows, in any order, builds this way. A matrix
-    that overflows to inf or nan raises ValueError.
+    one element class and one block of rows at a time, and each class gathers
+    its elements from the tables. Any subset of rows, in any order, builds
+    this way. An element that overflows to inf or nan raises ValueError.
     """
     bits = _check_rows(dets, fci)
     norb, dim = fci.norb, len(bits)
@@ -265,50 +277,79 @@ def _hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
         return (alpha.sign[a] * beta.sign[b]
                 * fci.eri[alpha.hole[a], alpha.part[a], beta.hole[b], beta.part[b]])
 
-    rows = np.arange(dim)
-    entries = [(rows, rows, _diagonal_elements(occ_a, occ_b, fci))]
+    # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i. An
+    # entry's key is row * dim + col, below 2^24 at the dense limit
+    keys, values = [], []
+
+    def keep(to, frm, value):
+        # +0.0 is the one float whose bits are all zero: -0.0, inf and nan
+        # stay. Ids and take beat a boolean mask, whose branches mispredict
+        kept = np.flatnonzero(value.view(np.int64))
+        to, frm, value = to.take(kept), frm.take(kept), value.take(kept)
+        keys.append((to * dim + frm).astype(np.int32))
+        values.append(value)
+        return to, frm, value
+
+    diagonal = np.arange(dim)
+    keep(diagonal, diagonal, _diagonal_elements(occ_a, occ_b, fci))
     for d_alpha, d_beta, element in (
             (1, 0, lambda frm, a, b: single(alpha, a, occ_b[frm])),
             (0, 1, lambda frm, a, b: single(beta, b, occ_a[frm])),
             (2, 0, lambda frm, a, b: alpha.double[a]),
             (0, 2, lambda frm, a, b: beta.double[b]),
             (1, 1, lambda frm, a, b: mixed(a, b))):
-        to, frm, a, b = _join(alpha, beta, d_alpha, d_beta, row_of)
-        entries.append((to, frm, element(frm, a, b)))
-    # allocated once the joins' temporaries are freed, so that they never
-    # coexist with it
-    matrix = np.zeros((dim, dim))
-    # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i
-    for to, frm, values in entries:
-        if not np.isfinite(values).all():
-            raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
-        matrix[to, frm] = matrix[frm, to] = values
-    return matrix
+        for to, frm, a, b in _join(alpha, beta, d_alpha, d_beta, row_of):
+            to, frm, value = keep(to, frm, element(frm, a, b))
+            keys.append((frm * dim + to).astype(np.int32))
+            values.append(value)
+    # sorted as key * 2^32 + entry id, in place: an int64 sort is faster than
+    # an argsort. Each name is rebound as soon as it can be, freeing the
+    # array it held
+    values = np.concatenate(values)
+    if not np.isfinite(values).all():
+        raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
+    keys = np.concatenate(keys, dtype=np.int64)
+    keys <<= 32
+    keys |= np.arange(len(keys))
+    keys.sort()
+    values = values.take(keys & 0xFFFFFFFF)
+    keys >>= 32
+    keys = keys.astype(np.int32)
+    # a floor division by one integer is vectorized, where divmod is not
+    rows = keys // dim
+    return rows, keys - rows * dim, values
 
 
 class SpaceHamiltonian:
-    """The Hamiltonian on the span of ``dets``, built once; ``matrix`` is the
-    dense matrix in the row order of ``dets``.
+    """The Hamiltonian on the span of ``dets``, built once, on ``dim`` rows.
+    ``triplets`` holds its entries as (row, col, value) arrays sorted by
+    (row, col), rows and columns in the row order of ``dets``: every entry the
+    build writes but +0.0, the value of each cell they leave out.
 
     The matrix of a subspace spanned by some of these rows is gathered from
-    it, ``matrix[idx][:, idx]`` in one flat ``take``, instead of being built
-    again. A pair's element does not depend on which of its rows comes first
-    when the integrals are exactly 8-fold symmetric, as parsed ones are (each
-    record sets its whole permutation orbit), so the gather is then bitwise
-    the build in the subspace's own row order. A matrix that overflows to inf
-    or nan raises ValueError here, so no gathered one can.
+    its rows' triplets instead of being built again. A pair's element does
+    not depend on which of its rows comes first when the integrals are
+    exactly 8-fold symmetric, as parsed ones are (each record sets its whole
+    permutation orbit), so the gather is then bitwise the build in the
+    subspace's own row order, signed zeros included. An element that
+    overflows to inf or nan raises ValueError here, so no gathered one can.
     """
 
     def __init__(self, dets, fci: FciData):
         self.fci = fci
-        self.matrix = _hamiltonian_matrix(dets, fci)
+        self.triplets = _hamiltonian_triplets(dets, fci)
         keys = occupation_keys(dets, fci.norb)
+        self.dim = len(keys)
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
+        # row r's triplets are those from _starts[r] up to _starts[r + 1]
+        self._starts = np.searchsorted(self.triplets[0], np.arange(self.dim + 1, dtype=np.int32))
 
     def submatrix(self, dets) -> np.ndarray:
         """The matrix of the subspace spanned by ``dets``, a (dim, 2*norb)
-        array of distinct 0/1 rows that are all in the space, in their order."""
+        array of distinct 0/1 rows that are all in the space, in their order:
+        zeros, with each of their rows' triplets whose column is one of their
+        rows written in place."""
         rows = _bit_rows(dets, self.fci.norb)
         keys = occupation_keys(rows, self.fci.norb)
         at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
@@ -322,15 +363,35 @@ class SpaceHamiltonian:
             raise ValueError(f"row {order[same[0] + 1]} repeats row {order[same[0]]}: "
                              "determinants must be distinct")
         idx = self._order[at]
-        return self.matrix.take(idx[:, None] * len(self.matrix) + idx)
+        k = len(idx)
+        # each space row's position in the subspace, k where it has none
+        position = np.full(self.dim, k, dtype=np.int32)
+        position[idx] = np.arange(k)
+        start = self._starts[idx]
+        count = self._starts[idx + 1] - start
+        ends = np.cumsum(count)
+        # the ids of their rows' triplets, row by row; take gathers faster
+        # than fancy indexing
+        entry = np.repeat(start - ends + count, count)
+        entry += np.arange(len(entry))
+        _, cols, values = self.triplets
+        col = position.take(cols.take(entry))
+        inside = np.flatnonzero(col < k)
+        matrix = np.zeros(k * k)
+        matrix[np.repeat(np.arange(0, k * k, k), count).take(inside) + col.take(inside)] = \
+            values.take(entry.take(inside))
+        return matrix.reshape(k, k)
 
     def ground_state(self) -> tuple[float, np.ndarray]:
         """Ground eigenpair of the whole space: the lowest eigenvalue
         including the core energy, and a unit ground vector in the row order
-        the space was built in, by :func:`_lanczos_ground` on the matrix's
-        nonzeros. Raises ValueError if the iteration does not converge."""
-        rows, cols = np.divmod(np.flatnonzero(self.matrix != 0), len(self.matrix))
-        value, vector = _lanczos_ground(rows, cols, self.matrix[rows, cols], len(self.matrix))
+        the space was built in, by :func:`_lanczos_ground` on the nonzero
+        triplets. Raises ValueError if the iteration does not converge."""
+        rows, cols, values = self.triplets
+        nonzero = np.flatnonzero(values)
+        # each product indexes by them: intp saves a cast per step
+        value, vector = _lanczos_ground(rows[nonzero].astype(np.intp),
+                                        cols[nonzero].astype(np.intp), values[nonzero], self.dim)
         return float(value + self.fci.core_energy), vector
 
 
@@ -428,8 +489,9 @@ def project_and_diagonalize(dets, space: SpaceHamiltonian) -> tuple[float, np.nd
     by ``dets``, a (dim, 2*norb) array of distinct 0/1 occupation rows (bool
     or any integer dtype), all in the span of ``space``.
 
-    The subspace matrix is gathered from ``space``; build that once, on the
-    rows themselves or on a space that holds them. Returns the lowest
+    The k x k subspace matrix, the only dense array of the solve, is gathered
+    from the triplets of ``space``; build that once, on the rows themselves
+    or on a space that holds them. Returns the lowest
     eigenvalue including the core energy and the normalized ground
     eigenvector in the row basis. Enlarging the subspace can only lower the
     returned energy (variational).

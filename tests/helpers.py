@@ -22,7 +22,8 @@ from mddsim.sequences import (MEASURED_BASE, PulseSchedule, _schedule_maps, buil
 from mddsim.sqd import (FciData, RecoveryConfig, SpaceHamiltonian, parse_fcidump,
                         project_and_diagonalize, recover_configuration, write_fcidump)
 from mddsim.sqd.hamiltonian import (_check_rows, _diagonal_elements, _double_elements,
-                                    _excitation, _positions, occupation_keys)
+                                    _excitation, _lanczos_ground, _positions, _Sector,
+                                    occupation_keys)
 from mddsim.sqd.recovery import _RECOVER_SALT, _valid_mask
 from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
                            PureState, _apply_left, _as_matrix, _haar_batch, apply_matrix,
@@ -606,7 +607,98 @@ def row_pair_hamiltonian(dets, fci: FciData) -> np.ndarray:
     return matrix
 
 
+def dense(space: SpaceHamiltonian) -> np.ndarray:
+    """The space's matrix: its triplets written into zeros."""
+    rows, cols, values = space.triplets
+    matrix = np.zeros((space.dim, space.dim))
+    matrix[rows, cols] = values
+    return matrix
+
+
 # moved from the library: no run, verify suite or demo reaches these
+
+def _string_pair_join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int,
+                      row_of: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The library's ``_join`` over every row in one block: every row pair
+    (to, frm), to < frm, of these sector degrees, with the ids of its alpha
+    and beta string pairs from frm to to."""
+    start_a, count_a = alpha.links(d_alpha, upper=d_alpha > 0)
+    start_b, count_b = beta.links(d_beta, upper=d_alpha == 0)
+    per_row = count_a * count_b
+    dim = len(per_row)
+    frm = np.repeat(np.arange(dim), per_row)
+    k_a, k_b = np.divmod(np.arange(len(frm)) - np.repeat(np.cumsum(per_row) - per_row, per_row),
+                         count_b[frm])
+    pair_a, pair_b = start_a[frm] + k_a, start_b[frm] + k_b
+    to = row_of[alpha.pairs[d_alpha][1][pair_a], beta.pairs[d_beta][1][pair_b]]
+    found = to < dim
+    to, frm, pair_a, pair_b = to[found], frm[found], pair_a[found], pair_b[found]
+    flip = to > frm
+    return (np.where(flip, frm, to), np.where(flip, to, frm),
+            np.where(flip, alpha.reverse[d_alpha][pair_a], pair_a),
+            np.where(flip, beta.reverse[d_beta][pair_b], pair_b))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
+    """The dense subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>:
+    the string-pair build with every row pair of an element class joined at
+    once and written into a dim x dim array of zeros. The bit-for-bit oracle
+    of ``SpaceHamiltonian.triplets``, signed zeros included; its checks and
+    messages are the library's."""
+    bits = _check_rows(dets, fci)
+    norb, dim = fci.norb, len(bits)
+    alpha = _Sector(bits[:, :norb], fci.n_alpha, fci)
+    beta = _Sector(bits[:, norb:], fci.n_beta, fci)
+    cells = alpha.index * len(beta.occ) + beta.index
+    order = np.argsort(cells, kind="stable")
+    same = np.flatnonzero(cells[order[1:]] == cells[order[:-1]])
+    if same.size:
+        first = same[np.argmin(order[same])]
+        raise ValueError(f"row {order[first + 1]} repeats row {order[first]}: "
+                         "determinants must be distinct")
+    row_of = np.full((len(alpha.occ), len(beta.occ)), dim, dtype=np.int32)
+    row_of[alpha.index, beta.index] = np.arange(dim)
+    occ_a, occ_b = alpha.occ[alpha.index], beta.occ[beta.index]
+
+    def single(sector, pair, other):
+        hole, part = sector.hole[pair], sector.part[pair]
+        value = sector.single[pair]
+        for r in other.T:
+            value = value + fci.eri[hole, part, r, r]
+        return sector.sign[pair] * value
+
+    def mixed(a, b):
+        return (alpha.sign[a] * beta.sign[b]
+                * fci.eri[alpha.hole[a], alpha.part[a], beta.hole[b], beta.part[b]])
+
+    rows = np.arange(dim)
+    entries = [(rows, rows, _diagonal_elements(occ_a, occ_b, fci))]
+    for d_alpha, d_beta, element in (
+            (1, 0, lambda frm, a, b: single(alpha, a, occ_b[frm])),
+            (0, 1, lambda frm, a, b: single(beta, b, occ_a[frm])),
+            (2, 0, lambda frm, a, b: alpha.double[a]),
+            (0, 2, lambda frm, a, b: beta.double[b]),
+            (1, 1, lambda frm, a, b: mixed(a, b))):
+        to, frm, a, b = _string_pair_join(alpha, beta, d_alpha, d_beta, row_of)
+        entries.append((to, frm, element(frm, a, b)))
+    matrix = np.zeros((dim, dim))
+    # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i
+    for to, frm, values in entries:
+        if not np.isfinite(values).all():
+            raise ValueError("the subspace Hamiltonian is not finite: integrals too large")
+        matrix[to, frm] = matrix[frm, to] = values
+    return matrix
+
+
+def dense_scan_ground(matrix: np.ndarray, fci: FciData) -> tuple[float, np.ndarray]:
+    """The Lanczos ground pair of the nonzeros that a row-major scan of
+    ``matrix`` finds, with the core energy added: the oracle of
+    ``SpaceHamiltonian.ground_state``."""
+    rows, cols = np.divmod(np.flatnonzero(matrix != 0), len(matrix))
+    value, vector = _lanczos_ground(rows, cols, matrix[rows, cols], len(matrix))
+    return float(value + fci.core_energy), vector
+
 
 def weight_w_scalar(y: float, h: float, delta: float = 0.01) -> float:
     """Piecewise-linear flip weight: delta/h * y up to the filling factor h,

@@ -50,7 +50,6 @@ from mddsim.sqd import (
     random_fcidump,
     self_consistent_recovery,
 )
-from mddsim.sqd.hamiltonian import _hamiltonian_matrix
 from mddsim.states import (
     DensityMatrix,
     PauliExpectations,
@@ -61,7 +60,7 @@ from mddsim.states import (
     reduced_density,
 )
 
-from helpers import apply_unitary, fock_index, fock_space_hamiltonian, purification
+from helpers import apply_unitary, dense, fock_index, fock_space_hamiltonian, purification
 
 DEFAULT_NOISE = NoiseParams(t1=250.0, t2=170.0)
 
@@ -378,7 +377,7 @@ def test_criterion_8_sqd_pipeline(capsys):
         full = fock_space_hamiltonian(fci)
         dets = all_determinants(4, 2, 2)
         idx = [fock_index(row) for row in dets]
-        worst_element = float(np.max(np.abs(_hamiltonian_matrix(dets, fci)
+        worst_element = float(np.max(np.abs(dense(SpaceHamiltonian(dets, fci))
                                              - full[np.ix_(idx, idx)])))
         dimer = parse_fcidump(hubbard_dimer_fcidump())
         dimer_dets = all_determinants(2, 1, 1)

@@ -30,15 +30,18 @@ from mddsim.sqd import (
 )
 from mddsim.sqd import hamiltonian
 from mddsim.sqd.fcidump import MAX_NORB, SYM_TOL
-from mddsim.sqd.hamiltonian import _dense_ground, _hamiltonian_matrix, _lanczos_ground
+from mddsim.sqd.hamiltonian import _dense_ground, _lanczos_ground
 
 from helpers import (
     Determinant,
     benchmark_ring,
+    dense,
+    dense_scan_ground,
     determinants,
     excitation_degree,
     fock_index,
     fock_space_hamiltonian,
+    hamiltonian_matrix,
     hartree_fock_determinant,
     row_pair_hamiltonian,
     slater_condon,
@@ -319,7 +322,7 @@ class TestProjectAndDiagonalize:
         h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         fci = FciData(norb=3, nelec=1, ms2=1, h=h, eri=np.zeros((3,) * 4), core_energy=0.5)
         dets = all_determinants(3, 1, 0)
-        assert np.array_equal(_hamiltonian_matrix(dets, fci), h)
+        assert np.array_equal(dense(SpaceHamiltonian(dets, fci)), h)
         energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
         assert energy == pytest.approx(-0.5, abs=1e-14)
         assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
@@ -349,7 +352,7 @@ def random_subspace(norb: int, n_alpha: int, n_beta: int, dim: int,
 def assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim, seed):
     fci = perturbed_integrals(norb, n_alpha, n_beta, seed)
     dets = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(seed))
-    built = _hamiltonian_matrix(dets, fci)
+    built = dense(SpaceHamiltonian(dets, fci))
     oracle = slater_condon_matrix(dets, fci)
     assert np.array_equal(built, oracle), np.max(np.abs(built - oracle))
 
@@ -386,7 +389,7 @@ def test_build_accepts_numpy_integer_masks():
     dets = all_determinants(4, 2, 2)
     oracle = slater_condon_matrix(dets, fci)
     for dtype in (bool, np.int8, np.int64, np.uint64):
-        assert np.array_equal(_hamiltonian_matrix(dets.astype(dtype), fci), oracle)
+        assert np.array_equal(dense(SpaceHamiltonian(dets.astype(dtype), fci)), oracle)
 
 
 @pytest.mark.parametrize("norb,n_alpha,n_beta", [(4, 3, 1), (3, 2, 0)])
@@ -396,12 +399,12 @@ def test_build_matches_fock_space_oracle(norb, n_alpha, n_beta):
     dets = dets[np.random.default_rng(0).permutation(len(dets))]
     idx = [fock_index(row) for row in dets]
     full = fock_space_hamiltonian(fci)
-    np.testing.assert_allclose(_hamiltonian_matrix(dets, fci), full[np.ix_(idx, idx)],
+    np.testing.assert_allclose(dense(SpaceHamiltonian(dets, fci)), full[np.ix_(idx, idx)],
                                rtol=0, atol=1e-10)
 
 
 def assert_build_is_the_row_pair_build(dets, fci):
-    built, oracle = _hamiltonian_matrix(dets, fci), row_pair_hamiltonian(dets, fci)
+    built, oracle = dense(SpaceHamiltonian(dets, fci)), row_pair_hamiltonian(dets, fci)
     assert built.shape == oracle.shape and built.tobytes() == oracle.tobytes()
 
 
@@ -447,7 +450,7 @@ def test_build_with_one_string_in_a_sector(sector, norb, n_alpha, n_beta):
     pick = space[rng.integers(len(space)), half]
     dets = space[(space[:, half] == pick).all(axis=1)]
     dets = dets[rng.permutation(len(dets))]
-    built = _hamiltonian_matrix(dets, fci)
+    built = dense(SpaceHamiltonian(dets, fci))
     assert np.array_equal(built, slater_condon_matrix(dets, fci))
     assert_build_is_the_row_pair_build(dets, fci)
 
@@ -468,34 +471,57 @@ def test_repeated_rows_are_named_as_by_the_row_pair_build(data):
     for _ in range(data.draw(st.integers(1, 4), label="repeats")):
         rows = np.insert(rows, rng.integers(len(rows) + 1), rows[rng.integers(len(rows))], axis=0)
     messages = []
-    for build in (_hamiltonian_matrix, row_pair_hamiltonian):
+    for build in (SpaceHamiltonian, row_pair_hamiltonian):
         with pytest.raises(ValueError, match="repeats row") as error:
             build(rows, fci)
         messages.append(str(error.value))
     assert messages[0] == messages[1]
 
 
-def test_build_memory_at_the_benchmark_size():
-    # the string-pair build peaks at 16.8 MB here, 1.40 times its 12.0 MB
-    # matrix, where the row-pair screen peaked at 27.3 MB (2.27 times); the
-    # bound is 1.5 times the matrix, a 1.2 MB margin
-    fci, dets = benchmark_ring(0), all_determinants(7, 3, 3)
-    _hamiltonian_matrix(dets, fci)
+def traced_build(dets, fci) -> tuple[SpaceHamiltonian, int]:
+    """A space built once untraced, then again under ``tracemalloc``, and
+    the traced build's peak in bytes."""
+    SpaceHamiltonian(dets, fci)
     tracemalloc.start()
     try:
-        matrix = _hamiltonian_matrix(dets, fci)
+        space = SpaceHamiltonian(dets, fci)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert matrix.nbytes == 1225 * 1225 * 8
-    assert peak < 1.5 * matrix.nbytes
+    return space, peak
+
+
+def test_build_memory_at_the_benchmark_size():
+    # the ring's 1,225 x 1,225 matrix (12.0 MB) holds 116,865 entries that
+    # are not +0.0, 7.8% of its cells: 1.9 MB of triplets. The dense build
+    # peaked at 16.8 MB, 1.4 times the matrix; the blocked triplet build peaks
+    # at 4.2 MB. The bounds: a tenth of the cells, and half the matrix
+    fci, dets = benchmark_ring(0), all_determinants(7, 3, 3)
+    space, peak = traced_build(dets, fci)
+    rows, cols, values = space.triplets
+    assert rows.dtype == cols.dtype == np.int32
+    assert len(values) == 116865 < 1225 * 1225 / 10
+    assert peak < 0.5 * 1225 * 1225 * 8
+
+
+def test_build_memory_near_the_dense_limit():
+    # 8 orbitals and 10 electrons, the frozen-core N2 space: 3,136
+    # determinants, whose dense matrix would take 78.7 MB. All 990,976 of its
+    # entries are nonzero (15.9 MB of triplets); the build peaks at 32.8 MB,
+    # where the dense build peaked at 97.3 MB
+    fci = parse_fcidump(random_fcidump(8, 10))
+    dets = all_determinants(8, 5, 5)
+    assert len(dets) == 3136 <= hamiltonian.MAX_DENSE_DIM
+    space, peak = traced_build(dets, fci)
+    assert len(space.triplets[2]) == 990976
+    assert peak < 0.5 * 3136 * 3136 * 8
 
 
 def assert_matches_full_spectrum_oracle(dets, fci):
     """``project_and_diagonalize`` against ``np.linalg.eigh`` of the same
     matrix: the energy, a unit vector with a small residual, and, where the
     ground state is separated from the rest, the oracle's vector up to sign."""
-    matrix = _hamiltonian_matrix(dets, fci)
+    matrix = hamiltonian_matrix(dets, fci)
     vals, vecs = np.linalg.eigh(matrix)
     energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
     assert energy == pytest.approx(vals[0] + fci.core_energy, abs=1e-12)
@@ -606,7 +632,7 @@ def test_gathered_subspace_is_bit_identical_to_build(data):
     dim = data.draw(st.integers(1, len(space)), label="dim")
     rows = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(seed))
     for order in (rows, rows[::-1], space[::-1][:dim]):
-        gathered, built = full.submatrix(order), _hamiltonian_matrix(order, fci)
+        gathered, built = full.submatrix(order), hamiltonian_matrix(order, fci)
         assert np.array_equal(gathered, built)
         assert np.array_equal(np.signbit(gathered), np.signbit(built))
 
@@ -618,7 +644,7 @@ def test_gather_keeps_signed_zeros():
     fci = FciData(norb=4, nelec=4, ms2=0, h=np.where(np.eye(4) > 0, fci.h, 0.0),
                   eri=np.zeros((4,) * 4), core_energy=0.0)
     dets = all_determinants(4, 2, 2)
-    built = _hamiltonian_matrix(dets, fci)
+    built = hamiltonian_matrix(dets, fci)
     assert np.signbit(built[built == 0]).any()
     gathered = SpaceHamiltonian(dets, fci).submatrix(dets[::-1])
     assert np.array_equal(np.signbit(gathered), np.signbit(built[::-1, ::-1]))
@@ -639,7 +665,7 @@ def test_gather_agrees_with_build_within_symmetry_tolerance(data):
     rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
                            np.random.default_rng(seed))
     np.testing.assert_allclose(SpaceHamiltonian(space, fci).submatrix(rows),
-                               _hamiltonian_matrix(rows, fci), rtol=0,
+                               hamiltonian_matrix(rows, fci), rtol=0,
                                atol=(2 * fci.nelec + 1) * SYM_TOL)
 
 
@@ -682,7 +708,7 @@ def test_gather_rejects_rows_outside_a_partial_span():
     fci = parse_fcidump(random_fcidump(4, 4, seed=2))
     space = all_determinants(4, 2, 2)
     half = SpaceHamiltonian(space[::2], fci)
-    assert np.array_equal(half.submatrix(space[2:8:2]), _hamiltonian_matrix(space[2:8:2], fci))
+    assert np.array_equal(half.submatrix(space[2:8:2]), hamiltonian_matrix(space[2:8:2], fci))
     message = re.escape(f"row 1 {space[3].tolist()} is not a determinant")
     with pytest.raises(ValueError, match=message):
         half.submatrix(space[2:4])
@@ -696,22 +722,107 @@ def test_gathered_eigenpair_is_the_built_one():
     gathered_energy, gathered_ground = project_and_diagonalize(rows, full)
     built_energy, built_ground = project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
     assert gathered_energy == built_energy and np.array_equal(gathered_ground, built_ground)
-    # the space's own matrix is gathered, never handed to LAPACK to overwrite
-    before = full.matrix.copy()
+    # the space's own triplets are gathered from, never handed to LAPACK to overwrite
+    before = dense(full)
     project_and_diagonalize(space, full)
-    assert np.array_equal(full.matrix, before)
+    assert np.array_equal(dense(full), before)
+
+
+def zeroed_integrals(fci: FciData, rng: np.random.Generator) -> FciData:
+    """``fci`` with a symmetric random half of h and every two-electron
+    integral but the on-site (ii|ii) set to zero: still exactly 8-fold
+    symmetric, and many elements are then a zero integral times a parity,
+    -0.0 where the parity is -1."""
+    upper = np.triu(rng.random(fci.h.shape) < 0.5)
+    sites = np.arange(fci.norb)
+    eri = np.zeros_like(fci.eri)
+    eri[sites, sites, sites, sites] = fci.eri[sites, sites, sites, sites]
+    return FciData(norb=fci.norb, nelec=fci.nelec, ms2=fci.ms2,
+                   h=np.where(upper | upper.T, fci.h, 0.0), eri=eri,
+                   core_energy=fci.core_energy)
+
+
+def assert_triplets_are_the_dense_build(dets, fci, rng):
+    """The space's triplets, a gathered subspace and the ground state against
+    the dense oracles, bit for bit: the triplets scattered into zeros are the
+    dense build, signed zeros included; a gather is the dense matrix's; the
+    ground state has the bytes of the Lanczos pair on the dense matrix's
+    row-major nonzeros."""
+    space = SpaceHamiltonian(dets, fci)
+    oracle = hamiltonian_matrix(dets, fci)
+    rows, cols, values = space.triplets
+    assert (np.diff(rows.astype(np.int64) * space.dim + cols) > 0).all()
+    assert not ((values == 0) & ~np.signbit(values)).any()
+    built = dense(space)
+    assert np.array_equal(built, oracle)
+    assert np.array_equal(np.signbit(built), np.signbit(oracle))
+    pick = rng.permutation(len(dets))[:rng.integers(1, len(dets) + 1)]
+    gathered, want = space.submatrix(dets[pick]), oracle[np.ix_(pick, pick)]
+    assert np.array_equal(gathered, want)
+    assert np.array_equal(np.signbit(gathered), np.signbit(want))
+    energy, ground = space.ground_state()
+    want_energy, want_ground = dense_scan_ground(oracle, fci)
+    assert energy == want_energy and ground.tobytes() == want_ground.tobytes()
+
+
+TRIPLETS_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@TRIPLETS_PROPERTY
+@given(data=st.data())
+def test_triplets_are_the_dense_build(data):
+    # whole parsed spaces of up to 7 orbitals at any filling, some with zeroed
+    # integrals, in the built, a reversed or a shuffled row order, or a subset
+    norb = data.draw(st.integers(1, 7), label="norb")
+    n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
+    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    if data.draw(st.booleans(), label="zeroed"):
+        fci = zeroed_integrals(fci, rng)
+    dets = all_determinants(norb, n_alpha, n_beta)
+    order = data.draw(st.sampled_from(["built", "reversed", "shuffled", "subset"]), label="order")
+    if order == "reversed":
+        dets = dets[::-1]
+    elif order != "built":
+        dets = dets[rng.permutation(len(dets))]
+        dets = dets[:rng.integers(1, len(dets) + 1)] if order == "subset" else dets
+    assert_triplets_are_the_dense_build(dets, fci, rng)
+
+
+@pytest.mark.parametrize("order", ["built", "reversed", "shuffled"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_triplets_are_the_dense_build_on_the_benchmark_ring(seed, order):
+    # the ring's zero integrals leave 105,840 entries -0.0 and 11,025 nonzero
+    dets = all_determinants(7, 3, 3)
+    rng = np.random.default_rng(seed)
+    dets = {"built": dets, "reversed": dets[::-1],
+            "shuffled": dets[rng.permutation(len(dets))]}[order]
+    assert_triplets_are_the_dense_build(dets, benchmark_ring(seed), rng)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 4096])
+def test_triplets_do_not_depend_on_the_join_block(block, monkeypatch):
+    # a block of 1 joins one row at a time, each past the bound; the others
+    # split rows' runs of candidates at every offset
+    monkeypatch.setattr(hamiltonian, "_JOIN_BLOCK", block)
+    fci = perturbed_integrals(6, 3, 2, seed=block)
+    dets = random_subspace(6, 3, 2, 250, np.random.default_rng(block))
+    assert_triplets_are_the_dense_build(dets, fci, np.random.default_rng(block))
 
 
 def assert_ground_state_matches_dense(space: SpaceHamiltonian):
     """``ground_state`` against ``np.linalg.eigh`` of the space's matrix: the
     energy to 1e-12, a unit vector with residual at most 1e-9, and, where the
     ground state is separated by more than 1e-6, the dense vector up to sign."""
-    vals, vecs = np.linalg.eigh(space.matrix)
+    matrix = dense(space)
+    vals, vecs = np.linalg.eigh(matrix)
     energy, ground = space.ground_state()
     core = space.fci.core_energy
     assert energy == pytest.approx(vals[0] + core, abs=1e-12)
     assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(space.matrix @ ground - (energy - core) * ground) <= 1e-9
+    assert np.linalg.norm(matrix @ ground - (energy - core) * ground) <= 1e-9
     if len(vals) == 1 or vals[1] - vals[0] > 1e-6:
         assert abs(ground @ vecs[:, 0]) == pytest.approx(1.0, abs=1e-10)
     return energy, ground
@@ -738,7 +849,7 @@ def test_lanczos_ground_state_at_the_benchmark_size(n_alpha, n_beta, seed):
     # 7 orbitals hold 1,225 determinants at these fillings, the sqd-large space
     fci = parse_fcidump(random_fcidump(7, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
     space = SpaceHamiltonian(all_determinants(7, n_alpha, n_beta), fci)
-    assert len(space.matrix) == 1225
+    assert space.dim == 1225
     assert_ground_state_matches_dense(space)
 
 
@@ -880,7 +991,7 @@ def test_batch_subspace_ground_state_matches_eigh(data):
     space = all_determinants(norb, n_alpha, n_beta)
     rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
                            np.random.default_rng(seed))
-    matrix = _hamiltonian_matrix(rows, fci)
+    matrix = hamiltonian_matrix(rows, fci)
     energy, vector = project_and_diagonalize(rows, SpaceHamiltonian(space, fci))
     vals, vecs = np.linalg.eigh(matrix)
     assert energy - fci.core_energy == pytest.approx(vals[0], abs=1e-12)
@@ -902,7 +1013,7 @@ def test_ground_state_of_one_and_two_determinants(norb, nelec, ms2):
     # the Krylov space fills the whole space at once: a breakdown, not a failure
     fci = parse_fcidump(random_fcidump(norb, nelec, ms2=ms2, seed=5))
     space = SpaceHamiltonian(all_determinants(norb, fci.n_alpha, fci.n_beta), fci)
-    assert len(space.matrix) == (1 if nelec == 2 * norb else 2)
+    assert space.dim == (1 if nelec == 2 * norb else 2)
     assert_ground_state_matches_dense(space)
 
 
@@ -926,8 +1037,9 @@ def test_ground_state_odd_under_spin_exchange():
     dets = all_determinants(3, 1, 1)
     swap = [dets.tolist().index(row[3:] + row[:3]) for row in dets.tolist()]
     space = SpaceHamiltonian(dets, fci)
-    assert np.array_equal(space.matrix[np.ix_(swap, swap)], space.matrix)
-    vals, vecs = np.linalg.eigh(space.matrix)
+    matrix = dense(space)
+    assert np.array_equal(matrix[np.ix_(swap, swap)], matrix)
+    vals, vecs = np.linalg.eigh(matrix)
     assert vecs[swap, 0] @ vecs[:, 0] == pytest.approx(-1.0, abs=1e-12)
     assert vals[1] - vals[0] > 0.1
     _, ground = assert_ground_state_matches_dense(space)
@@ -937,13 +1049,13 @@ def test_one_hamiltonian_build_per_sqd_recover_run(tmp_path, monkeypatch):
     from mddsim.cli import main
 
     calls = []
-    build = hamiltonian._hamiltonian_matrix
+    build = hamiltonian._hamiltonian_triplets
 
     def counted(dets, fci):
         calls.append(len(dets))
         return build(dets, fci)
 
-    monkeypatch.setattr(hamiltonian, "_hamiltonian_matrix", counted)
+    monkeypatch.setattr(hamiltonian, "_hamiltonian_triplets", counted)
     cfg = tmp_path / "config.json"
     cfg.write_text('{"experiment": "sqd-recover", "fcidump": "random-8"}')
     assert main(["run", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "out")]) == 0
