@@ -518,13 +518,13 @@ def verify_decay(seed: int) -> dict:
     h = 1e-3
     worst_rel = 0.0
     minimality_violations = 0
+    channels = [combined_channel(params, t) for t in (0.0, h, 2 * h)]
     for _ in range(100):
         psi = haar_random_state(2, seed=int(rng.integers(1 << 31)))
         sigma = reduced_density(psi, [0])
         u = _haar_batch(1, rng)[0]
         formula = decay_rate(sigma, u, rates)
-        f0, f1, f2 = (local_entanglement_fidelity(sigma, combined_channel(params, t), u)
-                      for t in (0.0, h, 2 * h))
+        f0, f1, f2 = (local_entanglement_fidelity(sigma, channel, u) for channel in channels)
         fd = 2 * (f0 - f1) / h - (f0 - f2) / (2 * h)
         worst_rel = max(worst_rel, abs(formula - fd) / max(abs(fd), 1e-15))
     for i in range(5):

@@ -17,6 +17,7 @@ and the ground state |0><0| is an exact fixed point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -260,6 +261,23 @@ class SpectralDensity:
         return env / omega
 
 
+@functools.lru_cache(maxsize=1)
+def _phasor_terms(pulse_times: tuple, t: float) -> tuple[tuple[float, float], ...]:
+    """The signed phasor terms (c, t_k) of a checked pulse train: (-1)^(n+1) at t,
+    then 2 (-1)^j at each t_j. Memoized for the last train only; a train that
+    fails a check raises on every call, since exceptions are not cached."""
+    times = [float(tj) for tj in pulse_times]
+    if not (math.isfinite(t) and all(map(math.isfinite, times))):
+        raise ValueError(f"pulse times and the duration must be finite, got {times} and {t}")
+    if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
+        raise ValueError("pulse times must be strictly increasing")
+    if times and (times[0] <= 0 or times[-1] >= t):
+        raise ValueError("pulse times must lie strictly inside (0, t)")
+    n = len(times)
+    return (((-1.0) ** (n + 1), float(t)),
+            *((2.0 * (-1.0) ** j, tj) for j, tj in enumerate(times, start=1)))
+
+
 def filter_function(pulse_times, t: float, omega: float) -> float:
     """Squared spectral weight |sum of sign-switch phasors|^2 of a pi-pulse train.
 
@@ -269,20 +287,25 @@ def filter_function(pulse_times, t: float, omega: float) -> float:
 
     With no pulses this reduces to 4 sin^2(w t / 2), and F(0) = 0 for every
     pulse configuration. Pulse times or a duration that are not finite raise
-    ValueError.
+    ValueError, and an omega t that overflows gives NaN. The checked train is
+    remembered for the last (pulse_times, t) only, so a quadrature over omega
+    checks it once; the sum runs in Python floats, in the order above.
     """
-    times = [float(tj) for tj in pulse_times]
-    if not (math.isfinite(t) and all(map(math.isfinite, times))):
-        raise ValueError(f"pulse times and the duration must be finite, got {times} and {t}")
-    if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
-        raise ValueError("pulse times must be strictly increasing")
-    if times and (times[0] <= 0 or times[-1] >= t):
-        raise ValueError("pulse times must lie strictly inside (0, t)")
-    n = len(times)
-    total = 1.0 + (-1.0) ** (n + 1) * np.exp(1j * omega * t)
-    for j, tj in enumerate(times, start=1):
-        total += 2.0 * (-1.0) ** j * np.exp(1j * omega * tj)
-    return float(abs(total) ** 2)
+    key = tuple(pulse_times)
+    try:
+        terms = _phasor_terms(key, t)
+    except TypeError:  # an unhashable time, such as a 0-d array: check it uncached
+        terms = _phasor_terms.__wrapped__(key, t)
+    re, im = 1.0, 0.0
+    try:
+        for c, tk in terms:
+            x = omega * tk
+            re += c * math.cos(x)
+            im += c * math.sin(x)
+    except ValueError:  # cos of an overflowed omega t: F is NaN
+        return math.nan
+    # abs() of a complex is libm hypot, and ** is libm pow (math.hypot and x * x round otherwise)
+    return abs(complex(re, im)) ** 2
 
 
 def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
@@ -294,11 +317,13 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
     finite for 1/f because F grows at least quadratically in w). ValueError: a
     duration that is not positive and finite, or a pulse time that is not
     finite. QuadratureError: a floor 1e-9 / t not below 10 * omega_c, or a NaN,
-    infinite or unconverged estimate.
+    infinite or unconverged estimate. Every integrand evaluation calls
+    :func:`filter_function` on one tuple of the pulse times, so the train is
+    checked once per integral.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"duration must be positive and finite, got {t}")
-    times = list(pulse_times)
+    times = tuple(pulse_times)
     w_floor = 1e-9 / t
 
     def integrand(w: float) -> float:
@@ -310,11 +335,10 @@ def chi_integral(spectrum: SpectralDensity, pulse_times, t: float) -> float:
         raise QuadratureError(f"chi integral is empty: its floor 1e-9 / t = {w_floor!r} is not "
                               f"below its upper limit 10 * omega_c = {upper!r}")
     # an omega t that overflows the filter function yields NaN, which the check below rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        result, abserr, info = integrate.quad(
-            integrand, 0.0, upper, epsabs=_CHI_ABS_TOL, epsrel=1e-10,
-            limit=_CHI_MAX_SUBDIVISIONS, full_output=True,
-        )[:3]
+    result, abserr, info = integrate.quad(
+        integrand, 0.0, upper, epsabs=_CHI_ABS_TOL, epsrel=1e-10,
+        limit=_CHI_MAX_SUBDIVISIONS, full_output=True,
+    )[:3]
     if not (math.isfinite(result) and abserr <= max(1e-7, 1e-5 * abs(result))):  # NaN fails
         raise QuadratureError(
             f"chi integral did not converge: estimate {result!r}, error {abserr!r}, "

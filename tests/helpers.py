@@ -130,6 +130,26 @@ def dephasing_channel_from_chi(chi: float) -> KrausChannel:
                          math.sqrt((1.0 - gamma) / 2.0) * PAULI_Z))
 
 
+def filter_function_numpy(pulse_times, t: float, omega: float) -> float:
+    """The filter function as the library computed it before it summed in Python
+    floats: every call checks the train, and the phasors are numpy scalars. The
+    bit-for-bit oracle of ``mddsim.noise.filter_function``; an overflowing omega t
+    gives nan + nan j, so NaN (warnings silenced)."""
+    times = [float(tj) for tj in pulse_times]
+    if not (math.isfinite(t) and all(map(math.isfinite, times))):
+        raise ValueError(f"pulse times and the duration must be finite, got {times} and {t}")
+    if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
+        raise ValueError("pulse times must be strictly increasing")
+    if times and (times[0] <= 0 or times[-1] >= t):
+        raise ValueError("pulse times must lie strictly inside (0, t)")
+    n = len(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = 1.0 + (-1.0) ** (n + 1) * np.exp(1j * omega * t)
+        for j, tj in enumerate(times, start=1):
+            total += 2.0 * (-1.0) ** j * np.exp(1j * omega * tj)
+        return float(abs(total) ** 2)
+
+
 def superoperator(*channels: KrausChannel) -> np.ndarray:
     """Row-major 4x4 superoperator of single-qubit channels applied in the
     order given: the product of their ``superop`` matrices, last one leftmost."""

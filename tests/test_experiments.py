@@ -606,6 +606,40 @@ def test_cli_run_fuzz_keeps_exit_contract(config):
     assert "Traceback" not in err.getvalue()
 
 
+# durations and cutoffs at the ends of the float range, where the chi quadrature
+# runs empty (1e-9 / t above 10 omega_c), diverges, or meets an omega t that overflows
+EXTREME_DURATIONS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-12, 1e-3, 1.0, 500.0, 1e6, 1e150, 1e300, 1.7e308]),
+    st.floats(1e-300, 1e300))
+EXTREME_CUTOFFS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-12, 1e-3, 0.1, 50.0, 1e6, 1e150, 1e300, 1.7e308]),
+    st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(omega_c=EXTREME_CUTOFFS, sequence=st.sampled_from(["none", "xx", "udd8", "mdd"]),
+       t_grid=st.lists(EXTREME_DURATIONS, min_size=1, max_size=3, unique=True).map(sorted))
+def test_filter_noise_fuzz_exits_0_or_2_with_one_error_line(omega_c, sequence, t_grid):
+    config = {"experiment": "filter-noise", "num_states": 1, "omega_c": omega_c,
+              "t_grid": t_grid, "sequences": [sequence]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        out_exists = (Path(tmp) / "out").exists()
+    assert [str(w.message) for w in caught] == []
+    text = err.getvalue()
+    assert code in (0, 2), (code, text)
+    assert "Traceback" not in text and "RuntimeWarning" not in text
+    if code == 2:
+        assert text.startswith("config error:") and len(text.splitlines()) == 1, text
+        assert not out_exists
+
+
 class TestVerifySuites:
     def test_lemma_suite_small(self):
         report = verify_lemma(seed=1)

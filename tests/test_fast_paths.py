@@ -6,17 +6,19 @@ reproducible and writes no example database.
 """
 
 import dataclasses
+import json
 import math
+import sys
 import time
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mddsim import analysis, circuits, experiments, sequences
+from mddsim import analysis, circuits, experiments, noise, sequences
 from mddsim.analysis import (
     DecayRates,
     TwoQubitRates,
@@ -28,6 +30,7 @@ from mddsim.analysis import (
     local_entanglement_fidelity,
     optimize_two_qubit_mdd,
 )
+from mddsim.cli import main
 from mddsim.circuits import (
     Gate,
     ScheduledCircuit,
@@ -52,6 +55,7 @@ from mddsim.noise import (
     _apply_local_raw,
     chi_integral,
     combined_channel,
+    filter_function,
 )
 from mddsim.sequences import (
     MEASURED_BASE,
@@ -86,6 +90,7 @@ from helpers import (
     covariant_from_superop,
     cp_gate,
     dephasing_channel_from_chi,
+    filter_function_numpy,
     grid_minimum_two_qubit_dense,
     insert_dd_replaying,
     lemma_check_matmul,
@@ -320,6 +325,111 @@ def test_filter_noise_integrates_each_flip_pattern_once(tmp_path, monkeypatch, s
                               sequences=sequences)
     run_filter_noise(config, tmp_path, jobs=1)
     assert len(calls) == len(set(calls)) == 2 * distinct * 2
+
+
+def _same_float(got: float, want: float) -> bool:
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+@st.composite
+def pulse_trains(draw):
+    """A valid train of 0-64 pulses over t in [1e-3, 1e4] us, passed as a list,
+    a tuple, an ndarray, or as ints on an integer grid (t an int too)."""
+    container = draw(st.sampled_from(["list", "tuple", "ndarray", "ints"]))
+    if container == "ints":
+        t = draw(st.integers(1, 10**4))
+        inner = st.sets(st.integers(1, t - 1), max_size=64) if t > 1 else st.just(set())
+        return sorted(draw(inner)), t
+    t = draw(st.floats(1e-3, 1e4))
+    fracs = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=64, unique=True))
+    times = [f * t for f in sorted(fracs)]
+    assume(all(a < b for a, b in zip(times, times[1:])) and all(0 < x < t for x in times))
+    return {"list": list, "tuple": tuple, "ndarray": np.array}[container](times), t
+
+
+# 1e308 times any t above 1.8 us overflows: cos(inf) in the library, nan + nan j in numpy
+OMEGAS = st.one_of(st.floats(1e-12, 1e3), st.sampled_from([1e305, 1e308]))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(train=pulse_trains(), omega=OMEGAS)
+# |sum| x where x * x rounds away from x ** 2, the libm pow numpy used (about 1 in 1,250)
+@example(train=([], 1.0), omega=28.87)
+@example(train=([0.25, 0.75], 1.0), omega=8.6)
+@example(train=([30, 70], 100), omega=29.31)
+def test_filter_function_matches_numpy_oracle_bit_for_bit(train, omega):
+    times, t = train
+    assert _same_float(filter_function(times, t, omega), filter_function_numpy(times, t, omega))
+    info = noise._phasor_terms.cache_info()
+    assert info.maxsize == 1 and info.currsize <= 1
+
+
+@pytest.mark.parametrize("times, t", [
+    ([0.75, 0.25], 1.0), ([0.0, 0.5], 1.0), ([0.5, 1.0], 1.0), ((0.25, 0.25), 1.0),
+    ([math.nan], 1.0), (np.array([0.25, math.inf]), 1.0), ([0.5], math.inf), ([], math.nan),
+])
+def test_invalid_train_raises_on_every_call(times, t):
+    # exceptions are not memoized: a bad train raises again, with the oracle's message
+    assert filter_function([0.5], 1.0, 1.0) == filter_function_numpy([0.5], 1.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError) as want:
+            filter_function_numpy(times, t, 1.0)
+        with pytest.raises(ValueError) as got:
+            filter_function(times, t, 1.0)
+        assert str(got.value) == str(want.value)
+    assert noise._phasor_terms.cache_info().currsize == 1
+
+
+def test_unhashable_train_is_checked_uncached():
+    # a 0-d array duration works as before; an unhashable pulse time fails in float()
+    t = np.array(2.0)
+    assert filter_function([0.5, 1.5], t, 3.0) == filter_function_numpy([0.5, 1.5], t, 3.0)
+    with pytest.raises(TypeError) as want:
+        filter_function_numpy([[0.5]], 1.0, 1.0)
+    with pytest.raises(TypeError) as got:
+        filter_function([[0.5]], 1.0, 1.0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("omega_c", [0.1, 1.0])
+@pytest.mark.parametrize("spec_kind", ["ohmic", "one_over_f"])
+def test_chi_integral_equals_quadrature_over_numpy_oracle(monkeypatch, spec_kind, omega_c):
+    # the filter-noise grid of perfbench's closed-forms workload; the oracle
+    # integrand is chi_integral's own with the numpy filter function swapped in
+    spectrum = SpectralDensity(spec_kind, omega_c=omega_c)
+    for kind in ("none", "xx", "udd8"):
+        for t in [50.0 * k for k in range(1, 11)]:
+            times = flip_times(build_schedule(kind, t))
+            got = chi_integral(spectrum, times, t)
+            with monkeypatch.context() as patch:
+                patch.setattr(noise, "filter_function", filter_function_numpy)
+                want = chi_integral(spectrum, times, t)
+            assert got == want, (kind, t)
+
+
+def test_filter_noise_call_counts_at_closed_forms_config(tmp_path, monkeypatch):
+    # perfbench's tracer counts noise.filter_function and noise.chi_integral by
+    # replacing every mddsim module attribute bound to them; so does this test.
+    # 29,568 and 60 are the tracer's per-layer calls on closed-forms, which a faster
+    # integrand must keep; the closed-form chi (ROADMAP item 13) deletes this test.
+    counts = {"filter_function": 0, "chi_integral": 0}
+    for name in counts:
+        original = getattr(noise, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "mddsim" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "filter-noise", "num_states": 5,
+                                  "t_grid": [50.0 * k for k in range(1, 11)]}))
+    assert main(["run", "--config", str(config), "--seed", "0", "--jobs", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"filter_function": 29_568, "chi_integral": 60}
 
 
 @st.composite
