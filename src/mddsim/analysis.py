@@ -17,14 +17,7 @@ from .sequences import (
     is_measurement_driven,
     schedule_channel,
 )
-from .states import (
-    ATOL,
-    DensityMatrix,
-    PureState,
-    _haar_batch,
-    bloch_vector,
-    reduced_density,
-)
+from .states import ATOL, DensityMatrix, PureState, bloch_vector, reduced_density
 
 optimize = lazy_import("scipy.optimize")  # optimize_two_qubit_mdd's SLSQP
 
@@ -51,6 +44,69 @@ def _rotated_z(sigma, u):
             + 2.0 * (g01_re * s10.real - g01_im * s10.imag))
 
 
+def _haar_normals(count: int, rng: np.random.Generator, dim: int):
+    """The seeded draw behind ``count`` Haar unitaries: real parts, then imaginary
+    parts, each of shape (count, dim, dim)."""
+    return rng.standard_normal((count, dim, dim)), rng.standard_normal((count, dim, dim))
+
+
+def _qr_unitaries(re, im) -> np.ndarray:
+    """Haar unitaries from the complex Gaussians (re + i im)/sqrt(2): Mezzadri's QR with
+    R's diagonal phases moved into Q (Notices AMS 54, 592 (2007)). LAPACK factors each
+    matrix of the stack alone, so a row rounds alike in any sub-stack."""
+    z = (re + 1j * im) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _haar_batch(count: int, rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """``count`` Haar-random dim x dim unitaries: the QR of a fresh draw from ``rng``."""
+    return _qr_unitaries(*_haar_normals(count, rng, dim))
+
+
+# the screen's bound on |z - z_QR| in units of kappa = |z|_F^2 / |det z|: about 20 times
+# the largest error seen, 3.3 eps kappa over 10^6 Haar and 10^5 near-singular draws
+_SCREEN_ERR = 64 * np.finfo(float).eps
+
+
+def _screen_z(sigma, re, im):
+    """Tr(Z u sigma u^dag) for each u of ``_qr_unitaries(re, im)`` in closed form, with
+    a bound on its distance from the value through the QR: (z, _SCREEN_ERR kappa).
+
+    A positive diagonal of R fixes u = [a/|a|, phi (-conj a1, conj a0)/|a|], with a the
+    first column of z = re + i im (the 1/sqrt(2) cancels) and phi = det z/|det z|. So
+    G = u^dag Z u has G00 = (|a0|^2 - |a1|^2)/|a|^2 = -G11 and G01 = -2 phi conj(a0 a1)/|a|^2.
+    Both ways round like eps kappa: the QR through R's last diagonal entry |det z|/|a|,
+    this form through det z."""
+    (x0, u0), (x1, u1) = np.moveaxis(re, (-2, -1), (0, 1))
+    (y0, v0), (y1, v1) = np.moveaxis(im, (-2, -1), (0, 1))
+    n0, n1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+    norm = n0 + n1
+    det_re = (x0 * u1 - y0 * v1) - (u0 * x1 - v0 * y1)
+    det_im = (x0 * v1 + y0 * u1) - (u0 * y1 + v0 * x1)
+    det = np.hypot(det_re, det_im)
+    p, q = x0 * x1 - y0 * y1, x0 * y1 + y0 * x1  # a0 a1 = p + i q
+    scale = -2.0 / (det * norm)
+    s = np.asarray(sigma)
+    s10 = s[1, 0]
+    z = ((n0 - n1) / norm * (s[0, 0].real - s[1, 1].real)
+         + 2.0 * scale * ((det_re * p + det_im * q) * s10.real - (det_im * p - det_re * q) * s10.imag))
+    kappa = (norm + u0 * u0 + v0 * v0 + u1 * u1 + v1 * v1) / det
+    return z, _SCREEN_ERR * kappa
+
+
+def _screen(sigma, re, im, value_of, lipschitz: float, limit: float):
+    """Screen the competitors ``_qr_unitaries(re, im)``: ``value_of`` at each one's
+    closed-form z, its error band (``lipschitz``, the slope bound of ``value_of`` on
+    [-1, 1], times the z bound) and the mask of those the QR must settle: a band that
+    holds ``limit`` or is not finite, where the screen cannot tell the side of ``limit``
+    the QR value falls on."""
+    z, err = _screen_z(sigma, re, im)
+    vals, band = value_of(z), lipschitz * err
+    return vals, band, ~(np.abs(vals - limit) > band)
+
+
 def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) -> float:
     """Closed form sum_jk |Tr(M_jk U sigma U^dag)|^2.
 
@@ -73,19 +129,33 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
                 trials: int, seed: int) -> dict:
     """Verify that the diagonalizing conjugation pair beats ``trials``
     Haar-random conjugation pairs for the given channel duration; returns the
-    record that ``lemma_report.json`` holds."""
+    record that ``lemma_report.json`` holds.
+
+    Only the largest competitor value and the count above ``mdd_value + 1e-10`` reach
+    the record. Each competitor is first screened in closed form (``_screen_z``), with an
+    error band of 4 (the fidelity's slope bound) times 64 eps kappa, which grows as its
+    Gaussian draw nears a singular matrix. The QR, ``_rotated_z`` and ``fidelity`` then
+    run only where the band reaches the top band or holds the limit, or is not finite;
+    every other competitor is below the top and on the screen's side of the limit. So
+    the record is bit for bit that of the QR over all ``trials``; when all competitors
+    tie (r = 0, t = 0) all of them take the QR."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     channel = PhaseCovariantChannel.relaxation(params, t)
     b = bloch_vector(sigma)
     mdd_value = float(channel.fidelity(b.r, b.r))  # the aligned state has z = r
-    rng = np.random.default_rng(seed)
-    vals = channel.fidelity(_rotated_z(sigma.entries, _haar_batch(trials, rng)), b.r)
+    re, im = _haar_normals(trials, np.random.default_rng(seed), 2)
+    limit = mdd_value + 1e-10
+    # the fidelity's slope in z is at most (2 P00 + 2 P11 + P01 + P10 + 2|c|)/2 <= 4
+    screen, band, redo = _screen(sigma.entries, re, im, lambda z: channel.fidelity(z, b.r),
+                                 4.0, limit)
+    redo |= ~(screen + band < np.max(screen - band))  # bands that reach the top one
+    vals = channel.fidelity(_rotated_z(sigma.entries, _qr_unitaries(re[redo], im[redo])), b.r)
     best = float(np.max(vals))
     return {"claim_id": "lemma-max-entanglement-fidelity", "margin": mdd_value - best,
             "worst_case": {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t},
             "seed": seed, "trials": trials, "mdd_value": mdd_value, "best_competitor": best,
-            "violations": int(np.sum(vals > mdd_value + 1e-10))}
+            "violations": int(np.sum(vals > limit)) + int(np.sum(screen[~redo] > limit))}
 
 
 def _fidelity_table(sigmas, kinds, t_grid, channel_of) -> dict[str, np.ndarray]:

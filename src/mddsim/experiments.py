@@ -24,7 +24,12 @@ from .analysis import (
     _envelope_slope,
     _fidelity_table,
     _gap_passed,
+    _haar_batch,
+    _haar_normals,
+    _qr_unitaries,
+    _screen,
     decay_rate,
+    decay_rate_quadratic,
     grid_minimum_two_qubit,
     lemma_check,
     local_entanglement_fidelity,
@@ -49,7 +54,6 @@ from .sqd import (
 from .states import (
     DensityMatrix,
     PureState,
-    _haar_batch,
     bloch_vector,
     entanglement_fidelity,
     haar_random_state,
@@ -530,9 +534,16 @@ def verify_decay(seed: int) -> dict:
     for i in range(5):
         psi = haar_random_state(2, seed=(seed, i, 7))
         sigma = reduced_density(psi, [0])
-        best = decay_rate(sigma, mdd_unitary(bloch_vector(sigma)), rates)
-        rates_haar = decay_rate(sigma, _haar_batch(10_000, np.random.default_rng((seed, i))), rates)
-        minimality_violations += int(np.sum(rates_haar < best - 1e-12))
+        b = bloch_vector(sigma)
+        limit = decay_rate(sigma, mdd_unitary(b), rates) - 1e-12
+        # only the count below the limit is reported: the QR settles the borderline draws;
+        # the rate's slope in z on [-1, 1] is at most G1 + 2 G2
+        re, im = _haar_normals(10_000, np.random.default_rng((seed, i)), 2)
+        screen, _, redo = _screen(sigma.entries, re, im,
+                                  lambda z: decay_rate_quadratic(b.r, z, rates),
+                                  rates.gamma1 + 2.0 * rates.gamma2, limit)
+        rates_haar = decay_rate(sigma, _qr_unitaries(re[redo], im[redo]), rates)
+        minimality_violations += int(np.sum(rates_haar < limit)) + int(np.sum(screen[~redo] < limit))
     passed = worst_rel <= 1e-6 and minimality_violations == 0
     return {"claim_id": "decay-suite", "margin": 1e-6 - worst_rel,
             "worst_case": {"relative_error": worst_rel,

@@ -209,14 +209,6 @@ def haar_random_state(n: int, seed) -> PureState:
     return PureState(z / np.linalg.norm(z))
 
 
-def _haar_batch(count: int, rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    z = (rng.standard_normal((count, dim, dim))
-         + 1j * rng.standard_normal((count, dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
 def _apply_left(op: np.ndarray, mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     """Return M @ mat for M = ``op`` on the ``targets`` row axes of the 2^N-row
     ``mat`` (first target = leftmost factor of ``op``), contracting only those

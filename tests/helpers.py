@@ -10,8 +10,8 @@ import numpy as np
 from scipy import optimize
 
 from mddsim.analysis import (_RATE_EPS, _STARTS, TwoQubitRates, _envelope_slope,
-                             _fidelity_table, _gap_passed, decay_rate_quadratic,
-                             local_entanglement_fidelity)
+                             _fidelity_table, _gap_passed, _haar_batch, _rotated_z,
+                             decay_rate_quadratic, local_entanglement_fidelity)
 from mddsim.circuits import (Gate, ScheduledCircuit, _insert_pulse, _simulate_raw,
                              identify_idle)
 from mddsim.experiments import _plain
@@ -26,7 +26,7 @@ from mddsim.sqd.hamiltonian import (_check_rows, _diagonal_elements, _double_ele
                                     occupation_keys)
 from mddsim.sqd.recovery import _RECOVER_SALT, _valid_mask
 from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
-                           PureState, _apply_left, _as_matrix, _haar_batch, apply_matrix,
+                           PureState, _apply_left, _as_matrix, apply_matrix,
                            bloch_vector, entanglement_fidelity, reduced_density)
 
 
@@ -369,6 +369,25 @@ def lemma_check_matmul(sigma: DensityMatrix, params: NoiseParams, t: float, tria
     vals = superoperator_fidelity_matmul(conjugate_matmul(sigma.entries, batch), superop)
     best = float(np.max(vals))
     return {"mdd_value": mdd_value, "best_competitor": best, "margin": mdd_value - best,
+            "violations": int(np.sum(vals > mdd_value + 1e-10))}
+
+
+def lemma_check_qr(sigma: DensityMatrix, params: NoiseParams, t: float, trials: int,
+                   seed: int) -> dict:
+    """``lemma_check`` as it was before its closed-form screen: the QR, ``_rotated_z``
+    and ``fidelity`` over every competitor. The screened search must return this
+    record bit for bit."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    channel = PhaseCovariantChannel.relaxation(params, t)
+    b = bloch_vector(sigma)
+    mdd_value = float(channel.fidelity(b.r, b.r))
+    rng = np.random.default_rng(seed)
+    vals = channel.fidelity(_rotated_z(sigma.entries, _haar_batch(trials, rng)), b.r)
+    best = float(np.max(vals))
+    return {"claim_id": "lemma-max-entanglement-fidelity", "margin": mdd_value - best,
+            "worst_case": {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t},
+            "seed": seed, "trials": trials, "mdd_value": mdd_value, "best_competitor": best,
             "violations": int(np.sum(vals > mdd_value + 1e-10))}
 
 

@@ -6,6 +6,7 @@ reproducible and writes no example database.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,11 @@ from mddsim import analysis, circuits, experiments, noise, sequences
 from mddsim.analysis import (
     DecayRates,
     TwoQubitRates,
+    _haar_batch,
+    _haar_normals,
+    _qr_unitaries,
     _rotated_z,
+    _screen_z,
     dd_entanglement_fidelity,
     decay_rate,
     grid_minimum_two_qubit,
@@ -74,7 +79,6 @@ from mddsim.states import (
     PauliExpectations,
     PureState,
     _as_matrix,
-    _haar_batch,
     apply_matrix,
     bloch_vector,
     entanglement_fidelity,
@@ -89,11 +93,13 @@ from helpers import (
     covariant_fidelity_entrywise,
     covariant_from_superop,
     cp_gate,
+    density_from_bloch,
     dephasing_channel_from_chi,
     filter_function_numpy,
     grid_minimum_two_qubit_dense,
     insert_dd_replaying,
     lemma_check_matmul,
+    lemma_check_qr,
     optimize_two_qubit_mdd_rowwise,
     pure_density,
     random_channel,
@@ -681,6 +687,115 @@ def test_lemma_check_matches_matmul_oracle(state_seed, t, trials, seed):
     for key in ("mdd_value", "best_competitor", "margin"):
         assert abs(report[key] - oracle[key]) <= 1e-13
     assert report["violations"] == oracle["violations"]
+
+
+def _bloch_density(r: float) -> DensityMatrix:
+    return density_from_bloch(PauliExpectations(0.48 * r, -0.6 * r, 0.64 * r))
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-12, 1e-8, 0.5, 1.0])
+@pytest.mark.parametrize("t", [0.0, 1e-6, 1.0, 100.0, 1e4])
+def test_lemma_check_equals_full_qr_oracle(r, t):
+    # the screen sends the QR every competitor whose band reaches the top one or the
+    # 1e-10 limit, so the record is the full QR's bit for bit; at r = 0 and t = 0 all
+    # competitors tie and all take the QR
+    sigma = _bloch_density(r)
+    for trials in (1, 7, 3000, 10_000):
+        seed = trials + int(t)
+        assert (json.dumps(lemma_check(sigma, NoiseParams(250.0, 170.0), t, trials, seed))
+                == json.dumps(lemma_check_qr(sigma, NoiseParams(250.0, 170.0), t, trials, seed)))
+
+
+def _near_singular_normals(rng: np.random.Generator, count: int):
+    """Normals whose second column is a complex multiple of the first plus noise of
+    size delta, log-uniform in [1e-9, 1]: kappa = |z|_F^2/|det z| grows like 1/delta."""
+    re, im = _haar_normals(count, rng, 2)
+    delta = 10.0 ** rng.uniform(-9.0, 0.0, (count, 1))
+    c_re, c_im = rng.standard_normal((count, 1)), rng.standard_normal((count, 1))
+    col_re, col_im = re[:, :, 0], im[:, :, 0]
+    re[:, :, 1] = c_re * col_re - c_im * col_im + delta * re[:, :, 1]
+    im[:, :, 1] = c_re * col_im + c_im * col_re + delta * im[:, :, 1]
+    return re, im
+
+
+def test_screen_z_error_stays_within_a_quarter_of_the_band():
+    # lemma_check's band is the fidelity's slope bound 4 times the z bound err, so
+    # |dz| <= err / 4 keeps the fidelity error within a quarter of the band. Over 10^6
+    # Haar draws and 10^5 near-singular ones (kappa up to 1e8 and beyond) the worst
+    # seen was 0.05 err; the QR's own error grows with kappa as the screen's does
+    rng = np.random.default_rng(2024)
+    blocks = itertools.chain((_haar_normals(100_000, rng, 2) for _ in range(10)),
+                             (_near_singular_normals(rng, 20_000) for _ in range(5)))
+    worst, top_kappa = 0.0, 0.0
+    for re, im in blocks:
+        sigma = random_single_qubit_density(rng)
+        z, err = _screen_z(sigma, re, im)
+        worst = max(worst, float(np.max(np.abs(z - _rotated_z(sigma, _qr_unitaries(re, im))) / err)))
+        top_kappa = max(top_kappa, float(np.max(err)) / analysis._SCREEN_ERR)
+    assert worst <= 0.25
+    assert top_kappa >= 1e8
+
+
+@pytest.fixture
+def sloppy_screen(monkeypatch):
+    """A screen as wrong as its band allows: the z bound widened to 1e-3 kappa, and
+    each z moved off the QR's value by up to that bound (inside [-1, 1], where the
+    slope bounds hold). The QR must still settle every competitor the result needs."""
+    exact = analysis._screen_z
+    rng = np.random.default_rng(8)
+    monkeypatch.setattr(analysis, "_SCREEN_ERR", 1e-3)
+
+    def screen_z(sigma, re, im):
+        _, err = exact(sigma, re, im)
+        qr_z = _rotated_z(sigma, _qr_unitaries(re, im))
+        return np.clip(qr_z + err * rng.uniform(-1.0, 1.0, err.shape), -1.0, 1.0), err
+
+    monkeypatch.setattr(analysis, "_screen_z", screen_z)
+
+
+@pytest.mark.parametrize("state_seed, t", [(3, 100.0), (11, 1.0), (29, 400.0)])
+def test_lemma_check_holds_for_any_screen_within_its_band(sloppy_screen, state_seed, t):
+    sigma = reduced_density(haar_random_state(2, seed=state_seed), [0])
+    for seed in range(3):
+        assert (json.dumps(lemma_check(sigma, NoiseParams(250.0, 170.0), t, 3000, seed))
+                == json.dumps(lemma_check_qr(sigma, NoiseParams(250.0, 170.0), t, 3000, seed)))
+
+
+def test_lemma_violations_hold_for_any_screen_within_its_band(sloppy_screen, monkeypatch):
+    # not a physical channel: its fidelity (3 - z^2)/8 peaks at z = 0, so nearly every
+    # competitor beats the aligned z = r = 1, and those near z = +-1 lie at the 1e-10
+    # limit, far below the top band
+    monkeypatch.setattr(PhaseCovariantChannel, "relaxation",
+                        classmethod(lambda cls, params, t: cls([[0.25, 0.0], [0.0, 0.25]], 0.5)))
+    sigma = _bloch_density(1.0)
+    for seed in range(3):
+        oracle = lemma_check_qr(sigma, NoiseParams(250.0, 170.0), 1.0, 3000, seed)
+        assert oracle["violations"] > 0
+        report = lemma_check(sigma, NoiseParams(250.0, 170.0), 1.0, 3000, seed)
+        assert json.dumps(report) == json.dumps(oracle)
+
+
+def test_decay_minimality_count_holds_for_any_screen_within_its_band(sloppy_screen, monkeypatch):
+    # verify-decay counts Haar rates below the aligned one less 1e-12, the limit at
+    # their minimum: with a sloppy screen it counts as when an infinite band sends
+    # every draw to the QR
+    reports = [experiments.verify_decay(seed) for seed in (0, 1)]
+    monkeypatch.setattr(analysis, "_SCREEN_ERR", math.inf)
+    assert [experiments.verify_decay(seed) for seed in (0, 1)] == reports
+
+
+def test_lemma_check_at_the_trials_cap_holds_no_qr_stack():
+    # at 10^6 trials the full QR held 336 MiB (complex z, Q, R and the phased Q); the
+    # screen holds the two real normal stacks and its temporaries, 168 MiB when measured
+    sigma = reduced_density(haar_random_state(2, seed=29), [0])
+    tracemalloc.start()
+    try:
+        report = lemma_check(sigma, NoiseParams(250.0, 170.0), 100.0, 10**6, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+    assert report["violations"] == 0 and report["margin"] > 0
 
 
 @PROPERTY

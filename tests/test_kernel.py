@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mddsim.analysis import _haar_batch
 from mddsim.circuits import Gate, ScheduledCircuit, Slice
 from mddsim.noise import JumpOperator, KrausChannel, _apply_local_raw, lindblad_derivative
-from mddsim.states import _apply_left, _haar_batch, apply_matrix, haar_random_state
+from mddsim.states import _apply_left, apply_matrix, haar_random_state
 
 from helpers import apply_left_moveaxis, circuit_unitary, embed_operator, random_channel
 

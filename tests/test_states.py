@@ -13,10 +13,10 @@ from mddsim.states import (
     PureState,
     bloch_vector,
     entanglement_fidelity,
-    _haar_batch,
     haar_random_state,
     reduced_density,
 )
+from mddsim.analysis import _haar_batch
 from mddsim.noise import KrausChannel, apply_local
 
 from helpers import (basis_state, channel_from_p_gamma, density_from_bloch, embed_operator,
