@@ -5,6 +5,7 @@ formulas, and the two-qubit crosstalk ansatz optimizer.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +300,8 @@ def c3_section_feasible(c3) -> bool:
 _RATE_EPS = 1e-9
 _GRID_BLOCK = 64  # c1 rows of the grid certificate held at once
 _STARTS = 20  # SLSQP starts of the two-qubit optimizer: the origin and 19 feasible draws
+_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+_FD_STEP = math.sqrt(np.finfo(float).eps)  # SLSQP's default finite-difference step, 2**-26
 
 
 def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
@@ -338,18 +341,42 @@ def grid_minimum_two_qubit(r_i: float, r_j: float, rates: TwoQubitRates,
     return (float(axis[i1]), float(axis[i2]), float(axis[i3])), best_val
 
 
+def _positivity(c: np.ndarray) -> np.ndarray:
+    """The four positivity constraints ((1 +- c1) +- c2) +- c3 - 1e-9 >= 0 as one vector."""
+    return 1.0 + _SIGNS @ c - _RATE_EPS
+
+
+def _positivity_jacobian(c: np.ndarray) -> np.ndarray:
+    """The 4 x 3 Jacobian of ``_positivity`` that SLSQP builds when it has none:
+    scipy's forward 2-point difference with absolute step 2**-26 on the box
+    [-1, 1]^3, bit for bit. A point outside the box is clipped with scipy's
+    warning; a step that would leave the box is taken backwards. The exact
+    Jacobian ``_SIGNS`` would move the optimizer's point by about 1e-10."""
+    if (c < -1.0).any() or (c > 1.0).any():
+        warnings.warn("Values in x were outside bounds during a minimize step, clipping to bounds",
+                      RuntimeWarning, stacklevel=2)
+        c = np.clip(c, -1.0, 1.0)
+    f0 = _positivity(c)
+    columns = []
+    for i in range(c.size):
+        h = -_FD_STEP if c[i] + _FD_STEP > 1.0 else _FD_STEP
+        stepped = c.copy()
+        stepped[i] = c[i] + h
+        columns.append((_positivity(stepped) - f0) / ((c[i] + h) - c[i]))
+    return np.stack(columns, axis=1)
+
+
 def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
                            seed: int) -> tuple[tuple[float, float, float], float]:
     """Minimize the two-qubit decay rate over the positivity polytope: ((c1, c2, c3), rate).
 
     Multi-start SLSQP over the four linear constraints, relaxed to >= 1e-9
-    and passed as one vector constraint; for pure inputs the boundary point
-    (1, 1, 1) is the exact optimum with rate zero and is returned directly.
+    and passed as one vector constraint with the Jacobian SLSQP would
+    difference itself; for pure inputs the boundary point (1, 1, 1) is the
+    exact optimum with rate zero and is returned directly.
     """
     if r_i >= 1.0 - 1e-12 and r_j >= 1.0 - 1e-12:
         return (1.0, 1.0, 1.0), 0.0
-
-    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
     def objective(c: np.ndarray) -> float:
         return (float(decay_rate_quadratic(r_i, c[0], rates.qubit_i))
@@ -364,7 +391,7 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
             -2.0 * rates.gamma_zz * c[2],
         ])
 
-    constraints = {"type": "ineq", "fun": lambda c: 1.0 + signs @ c - _RATE_EPS}
+    constraints = {"type": "ineq", "fun": _positivity, "jac": _positivity_jacobian}
     rng = np.random.default_rng(seed)
     best_c, best_val = None, math.inf
     attempts = [np.zeros(3)]
@@ -372,7 +399,7 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
     while len(attempts) < _STARTS and draws < 100 * _STARTS:
         draws += 1
         cand = rng.uniform(-1.0, 1.0, size=3)
-        if np.all(1.0 + signs @ cand > _RATE_EPS):
+        if np.all(1.0 + _SIGNS @ cand > _RATE_EPS):
             attempts.append(cand)
     for x0 in attempts:
         res = optimize.minimize(objective, x0, jac=gradient, method="SLSQP",
@@ -381,7 +408,7 @@ def optimize_two_qubit_mdd(r_i: float, r_j: float, rates: TwoQubitRates,
         if res.x is None:
             continue
         cand = np.clip(res.x, -1.0, 1.0)
-        if np.all(1.0 + signs @ cand >= -1e-12):
+        if np.all(1.0 + _SIGNS @ cand >= -1e-12):
             val = objective(cand)
             if val < best_val:
                 best_val, best_c = val, cand

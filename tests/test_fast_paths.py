@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import _slsqp_py
+from scipy.optimize._numdiff import approx_derivative
 
 from mddsim import analysis, circuits, experiments, noise, sequences
 from mddsim.analysis import (
@@ -448,6 +450,15 @@ def decay_rates(draw):
        gamma_zz=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
        r_i=st.floats(0.0, 1.0, exclude_max=True), r_j=st.floats(0.0, 1.0, exclude_max=True),
        seed=st.integers(0, 2**16))
+# no decay at all: every feasible point is a minimum
+@example(qubit_i=DecayRates(0.0, 0.0), qubit_j=DecayRates(0.0, 0.0), gamma_zz=0.0,
+         r_i=0.5, r_j=0.3, seed=0)
+# just below the pure-input shortcut 1 - 1e-12, which this pair does not take
+@example(qubit_i=DecayRates(0.01, 0.005), qubit_j=DecayRates(0.002, 0.001), gamma_zz=0.01,
+         r_i=math.nextafter(1.0 - 1e-12, 0.0), r_j=0.0, seed=3)
+# two maximally mixed inputs
+@example(qubit_i=DecayRates(0.004, 0.002), qubit_j=DecayRates(0.006, 0.003), gamma_zz=0.02,
+         r_i=0.0, r_j=0.0, seed=1)
 def test_two_qubit_optimizer_equals_rowwise_constraints(qubit_i, qubit_j, gamma_zz, r_i, r_j,
                                                         seed):
     # one vector constraint must walk SLSQP through the bits of four scalar ones
@@ -456,6 +467,67 @@ def test_two_qubit_optimizer_equals_rowwise_constraints(qubit_i, qubit_j, gamma_
     oracle_coeffs, oracle_rate = optimize_two_qubit_mdd_rowwise(r_i, r_j, rates, seed=seed)
     assert coeffs == oracle_coeffs
     assert rate == oracle_rate
+
+
+_FD_STEP = np.sqrt(np.finfo(float).eps)
+_BOX = (-np.ones(3), np.ones(3))
+
+
+def _scipy_constraint_jacobian(c):
+    """The Jacobian SLSQP's ``cjac`` differences for a constraint without one."""
+    return approx_derivative(analysis._positivity, c, method="2-point", abs_step=_FD_STEP,
+                             bounds=_BOX)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(c=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+@example(c=[1.0, 1.0, 1.0])
+@example(c=[-1.0, -1.0, -1.0])
+@example(c=[1.0, -1.0, 0.0])
+@example(c=[1.0 - 1e-9, 1.0 - 1e-9, -1.0])  # the _RATE_EPS vertex
+# within sqrt(eps) below +1 the step turns backwards where c + sqrt(eps) rounds above 1:
+# at 1 - sqrt(eps) + 2**-53 the sum ties back to 1 and the step stays forward
+@example(c=[1.0 - _FD_STEP, 1.0 - _FD_STEP / 2, 1.0 - _FD_STEP + 2.0**-53])
+@example(c=[1.0 - _FD_STEP + 2.0**-52, math.nextafter(1.0, 0.0), 0.0])
+def test_positivity_jacobian_is_scipys_two_point_difference(c):
+    c = np.array(c)
+    jac = analysis._positivity_jacobian(c)
+    expected = _scipy_constraint_jacobian(c)
+    assert jac.shape == expected.shape == (4, 3)
+    assert jac.tobytes() == expected.tobytes()
+
+
+def test_positivity_jacobian_clips_like_slsqp():
+    # one ulp above +1: scipy's cjac clips to the box with its RuntimeWarning, then differences
+    c = np.array([math.nextafter(1.0, 2.0), -0.5, 0.25])
+    with pytest.warns(RuntimeWarning) as ours:
+        jac = analysis._positivity_jacobian(c)
+    with pytest.warns(RuntimeWarning) as theirs:
+        clipped = _slsqp_py._check_clip_x(c, _BOX)
+    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
+    assert clipped.tolist() == [1.0, -0.5, 0.25]
+    assert jac.tobytes() == _scipy_constraint_jacobian(clipped).tobytes()
+
+
+def test_two_qubit_opt_makes_no_finite_differences(tmp_path, monkeypatch):
+    # the optimizer hands SLSQP its constraint Jacobian, so scipy differences nothing;
+    # the rowwise oracle's four Jacobian-less constraints show that the counter is live
+    calls = []
+    original = _slsqp_py.approx_derivative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_slsqp_py, "approx_derivative", counting)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "two-qubit-opt", "num_states": 5}))
+    assert main(["run", "--config", str(config), "--seed", "0", "--jobs", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 0
+    rates = TwoQubitRates(DecayRates(0.004, 0.002), DecayRates(0.006, 0.003), 0.01)
+    optimize_two_qubit_mdd_rowwise(0.5, 0.5, rates, seed=0)
+    assert len(calls) > 0
 
 
 @pytest.mark.parametrize("seed", [0, 7])
