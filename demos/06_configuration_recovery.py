@@ -2,11 +2,12 @@
 
 Samples an exact ground state through a bit-flip readout channel, then runs
 the batched subspace-diagonalization loop and watches the energy error shrink
-as corrupted configurations are corrected. The whole space's Hamiltonian is
-built once, as the sorted (row, col, value) triplets of a ``SpaceHamiltonian``,
-and every batch gathers its small dense matrix from its rows' triplets; each
-iteration corrects all corrupted samples in one ``recover_configuration``
-call.
+as corrupted configurations are corrected. The whole determinant space of the
+integrals, every pairing of an alpha string with a beta string, is built once
+with its Hamiltonian: the rows ``dets`` and the sorted (row, col, value)
+triplets of a ``SpaceHamiltonian``. Every batch gathers its small dense matrix
+from its rows' triplets, and each iteration corrects all corrupted samples in
+one ``recover_configuration`` call.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from mddsim.sqd import (
     RecoveryConfig,
     SpaceHamiltonian,
-    all_determinants,
     hubbard_dimer_energy,
     hubbard_dimer_fcidump,
     noisy_sampler,
@@ -27,8 +27,8 @@ from mddsim.sqd import (
 
 print("two-site model sanity check:")
 dimer = parse_fcidump(hubbard_dimer_fcidump())
-dets = all_determinants(2, 1, 1)
-energy, _ = project_and_diagonalize(dets, SpaceHamiltonian(dets, dimer))
+dimer_space = SpaceHamiltonian(dimer)
+energy, _ = project_and_diagonalize(dimer_space.dets, dimer_space)
 print(f"  computed {energy:.12f} Ha vs closed form {hubbard_dimer_energy():.12f} Ha")
 
 print("\nflip-weight profile (filling factor 0.5): w(0) = 0, w(h) = 0.01, w(1) = 1")
@@ -38,8 +38,8 @@ print("  w(y): " + "  ".join(f"{weight_w(y, 0.5, 0.01):.3f}" for y in ys))
 
 print("\n8-spin-orbital random system, 5% readout flips, 300 shots:")
 fci = parse_fcidump(random_fcidump(4, 4, seed=42))
-dets = all_determinants(4, 2, 2)
-space = SpaceHamiltonian(dets, fci)  # triplets built once; every batch gathers from them
+space = SpaceHamiltonian(fci)  # rows and triplets built once; every batch gathers from them
+dets = space.dets
 e_ref, ground = project_and_diagonalize(dets, space)
 print(f"  reference energy {e_ref:.6f} Ha over {len(dets)} determinants "
       f"(occupation rows, alpha orbitals first: {dets[0].tolist()}, ...)")

@@ -97,15 +97,19 @@ def _screen_z(sigma, re, im):
     return z, _SCREEN_ERR * kappa
 
 
-def _screen(sigma, re, im, value_of, lipschitz: float, limit: float):
-    """Screen the competitors ``_qr_unitaries(re, im)``: ``value_of`` at each one's
-    closed-form z, its error band (``lipschitz``, the slope bound of ``value_of`` on
-    [-1, 1], times the z bound) and the mask of those the QR must settle: a band that
-    holds ``limit`` or is not finite, where the screen cannot tell the side of ``limit``
-    the QR value falls on."""
-    z, err = _screen_z(sigma, re, im)
-    vals, band = value_of(z), lipschitz * err
-    return vals, band, ~(np.abs(vals - limit) > band)
+def _haar_search(sigma: DensityMatrix, value_of, lipschitz: float, limit: float, trials: int,
+                 rng: np.random.Generator):
+    """``value_of`` at the z that each of ``trials`` Haar competitors drawn from ``rng``
+    leaves ``sigma`` (``_rotated_z``): (the values through the QR, the screened values).
+    Each competitor is screened in closed form (``_screen_z``), with an error band of
+    ``lipschitz``, the slope bound of ``value_of`` on [-1, 1], times the z bound. The QR
+    runs only where the band holds ``limit``, reaches the top band or is not finite, so
+    every screened value is below the top and on its QR value's side of ``limit``."""
+    re, im = _haar_normals(trials, rng, 2)
+    z, err = _screen_z(sigma.entries, re, im)
+    screen, band = value_of(z), lipschitz * err
+    redo = ~(np.abs(screen - limit) > band) | ~(screen + band < np.max(screen - band))
+    return value_of(_rotated_z(sigma.entries, _qr_unitaries(re[redo], im[redo]))), screen[~redo]
 
 
 def local_entanglement_fidelity(sigma: DensityMatrix, channel: KrausChannel, u) -> float:
@@ -133,30 +137,26 @@ def lemma_check(sigma: DensityMatrix, params: NoiseParams, t: float,
     record that ``lemma_report.json`` holds.
 
     Only the largest competitor value and the count above ``mdd_value + 1e-10`` reach
-    the record. Each competitor is first screened in closed form (``_screen_z``), with an
-    error band of 4 (the fidelity's slope bound) times 64 eps kappa, which grows as its
-    Gaussian draw nears a singular matrix. The QR, ``_rotated_z`` and ``fidelity`` then
-    run only where the band reaches the top band or holds the limit, or is not finite;
-    every other competitor is below the top and on the screen's side of the limit. So
-    the record is bit for bit that of the QR over all ``trials``; when all competitors
-    tie (r = 0, t = 0) all of them take the QR."""
+    the record. ``_haar_search`` screens each competitor in closed form, with an error
+    band of 4 (the fidelity's slope bound) times 64 eps kappa, which grows as its
+    Gaussian draw nears a singular matrix, and runs the QR, ``_rotated_z`` and
+    ``fidelity`` only where the band reaches the top band or holds the limit, or is not
+    finite. So the record is bit for bit that of the QR over all ``trials``; when all
+    competitors tie (r = 0, t = 0) all of them take the QR."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     channel = PhaseCovariantChannel.relaxation(params, t)
     b = bloch_vector(sigma)
     mdd_value = float(channel.fidelity(b.r, b.r))  # the aligned state has z = r
-    re, im = _haar_normals(trials, np.random.default_rng(seed), 2)
     limit = mdd_value + 1e-10
     # the fidelity's slope in z is at most (2 P00 + 2 P11 + P01 + P10 + 2|c|)/2 <= 4
-    screen, band, redo = _screen(sigma.entries, re, im, lambda z: channel.fidelity(z, b.r),
-                                 4.0, limit)
-    redo |= ~(screen + band < np.max(screen - band))  # bands that reach the top one
-    vals = channel.fidelity(_rotated_z(sigma.entries, _qr_unitaries(re[redo], im[redo])), b.r)
+    vals, screened = _haar_search(sigma, lambda z: channel.fidelity(z, b.r), 4.0, limit, trials,
+                                  np.random.default_rng(seed))
     best = float(np.max(vals))
     return {"claim_id": "lemma-max-entanglement-fidelity", "margin": mdd_value - best,
             "worst_case": {"competitor_value": best, "bloch": [b.ex, b.ey, b.ez], "duration": t},
             "seed": seed, "trials": trials, "mdd_value": mdd_value, "best_competitor": best,
-            "violations": int(np.sum(vals > limit)) + int(np.sum(screen[~redo] > limit))}
+            "violations": int(np.sum(vals > limit)) + int(np.sum(screened > limit))}
 
 
 def _fidelity_table(sigmas, kinds, t_grid, channel_of) -> dict[str, np.ndarray]:

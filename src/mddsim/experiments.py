@@ -25,9 +25,7 @@ from .analysis import (
     _fidelity_table,
     _gap_passed,
     _haar_batch,
-    _haar_normals,
-    _qr_unitaries,
-    _screen,
+    _haar_search,
     decay_rate,
     decay_rate_quadratic,
     grid_minimum_two_qubit,
@@ -41,10 +39,8 @@ from .noise import (NoiseParams, PhaseCovariantChannel, SpectralDensity, apply_l
                     chi_integral, combined_channel)
 from .sequences import MEASURED_BASE, build_schedule, flip_times, mdd_unitary, schedule_channel
 from .sqd import (
-    MAX_DENSE_DIM,
     RecoveryConfig,
     SpaceHamiltonian,
-    all_determinants,
     hubbard_dimer_fcidump,
     noisy_sampler,
     parse_fcidump,
@@ -443,20 +439,15 @@ def run_sqd_recover(config: ExperimentConfig, out_dir: Path, jobs: int) -> RunRe
         fci = parse_fcidump(_load_fcidump(config.fcidump))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load integrals {config.fcidump!r}: {exc}") from None
-    # checked before enumerating: a space above the limit would be built only to be rejected
-    dim = math.comb(fci.norb, fci.n_alpha) * math.comb(fci.norb, fci.n_beta)
-    if dim > MAX_DENSE_DIM:
-        raise ConfigError(f"cannot diagonalize integrals {config.fcidump!r}: subspace dimension "
-                          f"{dim} exceeds dense limit {MAX_DENSE_DIM}")
-    dets = all_determinants(fci.norb, fci.n_alpha, fci.n_beta)
     try:
-        space = SpaceHamiltonian(dets, fci)
+        space = SpaceHamiltonian(fci)
         e_ref, ground = space.ground_state()
     except ValueError as exc:
-        # every batch matrix is gathered from this one, so only it and its
-        # ground state can fail
+        # an empty space, one above the dense limit or a matrix that is not
+        # finite: every batch matrix is gathered from this one, so only it
+        # and its ground state can fail
         raise ConfigError(f"cannot diagonalize integrals {config.fcidump!r}: {exc}") from None
-    samples = noisy_sampler(ground, dets, config.flip_rate,
+    samples = noisy_sampler(ground, space.dets, config.flip_rate,
                             shots=config.sample_shots, seed=config.seed)
     report = self_consistent_recovery(samples, space, config.recovery)
     rows = []
@@ -538,12 +529,10 @@ def verify_decay(seed: int) -> dict:
         limit = decay_rate(sigma, mdd_unitary(b), rates) - 1e-12
         # only the count below the limit is reported: the QR settles the borderline draws;
         # the rate's slope in z on [-1, 1] is at most G1 + 2 G2
-        re, im = _haar_normals(10_000, np.random.default_rng((seed, i)), 2)
-        screen, _, redo = _screen(sigma.entries, re, im,
-                                  lambda z: decay_rate_quadratic(b.r, z, rates),
-                                  rates.gamma1 + 2.0 * rates.gamma2, limit)
-        rates_haar = decay_rate(sigma, _qr_unitaries(re[redo], im[redo]), rates)
-        minimality_violations += int(np.sum(rates_haar < limit)) + int(np.sum(screen[~redo] < limit))
+        rates_haar, screened = _haar_search(sigma, lambda z: decay_rate_quadratic(b.r, z, rates),
+                                            rates.gamma1 + 2.0 * rates.gamma2, limit, 10_000,
+                                            np.random.default_rng((seed, i)))
+        minimality_violations += int(np.sum(rates_haar < limit)) + int(np.sum(screened < limit))
     passed = worst_rel <= 1e-6 and minimality_violations == 0
     return {"claim_id": "decay-suite", "margin": 1e-6 - worst_rel,
             "worst_case": {"relative_error": worst_rel,

@@ -114,7 +114,7 @@ def qdd_times(n: int, t: float) -> list[tuple[float, str]]:
     outer = udd_times(n, t)
     events = [(float(ty), "y") for ty in outer]
     bounds = [0.0] + [float(ty) for ty in outer] + [t]
-    frac = np.sin(np.arange(1, n + 1) * np.pi / (2 * n + 2)) ** 2
+    frac = udd_times(n, 1.0)
     for g0, g1 in zip(bounds[:-1], bounds[1:]):
         events.extend((g0 + (g1 - g0) * float(f), "x") for f in frac)
     events.sort(key=lambda e: e[0])

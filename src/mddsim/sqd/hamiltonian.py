@@ -2,10 +2,11 @@
 
 A determinant is a 0/1 occupation row of length 2*norb: entry p is spatial
 orbital p of the alpha sector, entry norb + p orbital p of the beta sector.
-A subspace is a (dim, 2*norb) array of such rows, the layout of the sampled
-bit strings. The fermionic ordering places all alpha spin orbitals before all
-beta spin orbitals, each sector ordered by orbital index, so excitation
-parities factorize per sector.
+The space is every pairing of an alpha string with a beta string at the
+integrals' electron counts; a subspace is a (dim, 2*norb) array of its rows,
+the layout of the sampled bit strings. The fermionic ordering places all
+alpha spin orbitals before all beta spin orbitals, each sector ordered by
+orbital index, so excitation parities factorize per sector.
 
 Matrix elements follow the excitation-degree (Slater-Condon) rules for the
 Hamiltonian
@@ -43,53 +44,22 @@ _LANCZOS_STEPS = MAX_DENSE_DIM
 _JOIN_BLOCK = 1 << 14
 
 
+def _sector_strings(norb: int, count: int) -> np.ndarray:
+    """A sector's occupation strings of ``count`` electrons in ``norb``
+    orbitals, as uint8 rows in ``itertools.combinations`` order of their
+    occupied orbitals."""
+    combos = np.array(list(combinations(range(norb), count)), dtype=np.intp)
+    bits = np.zeros((len(combos), norb), dtype=np.uint8)
+    bits[np.arange(len(combos))[:, None], combos.reshape(len(combos), count)] = 1
+    return bits
+
+
 def all_determinants(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
     """The full configuration space at fixed per-sector electron counts, as
-    uint8 occupation rows: alpha-major, each sector's occupied orbitals in
-    ``itertools.combinations`` order."""
-    def sector(count):
-        combos = np.array(list(combinations(range(norb), count)), dtype=np.intp)
-        bits = np.zeros((len(combos), norb), dtype=np.uint8)
-        bits[np.arange(len(combos))[:, None], combos.reshape(len(combos), count)] = 1
-        return bits
-
-    alpha, beta = sector(n_alpha), sector(n_beta)
+    uint8 occupation rows: row ia * nb + ib pairs alpha string ia with beta
+    string ib of ``_sector_strings``, nb beta strings."""
+    alpha, beta = _sector_strings(norb, n_alpha), _sector_strings(norb, n_beta)
     return np.hstack([np.repeat(alpha, len(beta), axis=0), np.tile(beta, (len(alpha), 1))])
-
-
-def _bit_rows(dets, norb: int) -> np.ndarray:
-    """The subspace as an array, after checking that it is nonempty, holds
-    integers or booleans, has shape (dim, 2*norb) and only 0/1 values."""
-    rows = np.asarray(dets)
-    if rows.shape[:1] == (0,):
-        raise ValueError("subspace is empty")
-    if rows.dtype != bool and not np.issubdtype(rows.dtype, np.integer):
-        raise ValueError(f"occupation rows must hold integers or booleans, not {rows.dtype}")
-    if rows.ndim != 2 or rows.shape[1] != 2 * norb:
-        raise ValueError(f"occupation rows must have shape (dim, {2 * norb}), got {rows.shape}")
-    bad = np.flatnonzero(((rows != 0) & (rows != 1)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"row {bad[0]} {rows[bad[0]].tolist()} holds a value other than 0 or 1")
-    return rows
-
-
-def _check_rows(dets, fci: FciData) -> np.ndarray:
-    """The subspace as (dim, 2*norb) int8 bits, after the checks of
-    ``_bit_rows``, the dense limit and that every row places n_alpha and
-    n_beta electrons in its sectors. With these fixed counts a string pair's
-    excitation degree is its electron count less its common occupations.
-    Duplicate rows are found by the build, from the rows' string indices."""
-    rows = _bit_rows(dets, fci.norb)
-    norb = fci.norb
-    if len(rows) > MAX_DENSE_DIM:
-        raise ValueError(f"subspace dimension {len(rows)} exceeds dense limit {MAX_DENSE_DIM}")
-    bits = rows.astype(np.int8)
-    bad = np.flatnonzero((bits[:, :norb].sum(axis=1) != fci.n_alpha)
-                         | (bits[:, norb:].sum(axis=1) != fci.n_beta))
-    if bad.size:
-        raise ValueError(f"row {bad[0]} {bits[bad[0]].tolist()} does not place {fci.n_alpha} "
-                         f"alpha and {fci.n_beta} beta electrons in {norb} orbitals")
-    return bits
 
 
 def occupation_keys(rows: np.ndarray, norb: int) -> np.ndarray:
@@ -158,29 +128,26 @@ def _double_elements(frm: np.ndarray, to: np.ndarray, fci: FciData) -> np.ndarra
 
 
 class _Sector:
-    """One spin sector of a subspace, by its distinct occupation strings.
+    """One spin sector of the space, by its occupation strings in
+    ``_sector_strings`` order.
 
-    ``index`` maps each row to its string and ``occ`` holds each string's
-    occupied orbitals. ``pairs[d]`` lists the ordered string pairs (frm, to)
-    of excitation degree d = 0, 1, 2, ascending in (frm, to), and
-    ``reverse[d]`` the id of each pair's reverse. Over the degree-1 pairs the
-    sector tabulates hole, particle and sign, and the single element's
+    ``occ`` holds each string's occupied orbitals. ``pairs[d]`` lists the
+    ordered string pairs (frm, to) of excitation degree d = 0, 1, 2,
+    ascending in (frm, to): with ``count`` electrons in every string, a pair's
+    degree is ``count`` less its common occupations. Over the degree-1 pairs
+    the sector tabulates hole, particle and sign, and the single element's
     one-body and same-sector terms; over the degree-2 pairs, the double
     element.
     """
 
-    def __init__(self, bits: np.ndarray, count: int, fci: FciData):
-        weights = np.left_shift(1, np.arange(bits.shape[1], dtype=np.int64))
-        _, first, self.index = np.unique(bits @ weights, return_index=True, return_inverse=True)
-        strings = bits[first]
+    def __init__(self, norb: int, count: int, fci: FciData):
+        strings = _sector_strings(norb, count)
         self.occ = _positions(strings, count)
-        # int8 products are exact below 128 orbitals
+        # uint8 products are exact below 256 orbitals
         degree = count - strings @ strings.T
         self.pairs = [np.nonzero(degree == d) for d in range(3)]
         n = len(strings)
         self._keys = [frm * n + to for frm, to in self.pairs]
-        self.reverse = [np.searchsorted(key, to * n + frm)
-                        for key, (frm, to) in zip(self._keys, self.pairs)]
         frm, to = strings[self.pairs[1][0]], strings[self.pairs[1][1]]
         self.hole, self.part, self.sign = _excitation(frm, to)
         self.single = fci.h[self.hole, self.part]
@@ -190,28 +157,29 @@ class _Sector:
                                          - fci.eri[self.hole, r, r, self.part])
         self.double = _double_elements(strings[self.pairs[2][0]], strings[self.pairs[2][1]], fci)
 
-    def links(self, degree: int, upper: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the first id and the number of the pairs of this degree
-        from its string; if ``upper``, only those to a later string."""
+    def links(self, degree: int, lower: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Per string, the first id and the number of the pairs of this
+        degree from it; if ``lower``, only those to an earlier string."""
         n = len(self.occ)
         frm = np.arange(n)
-        start = np.searchsorted(self._keys[degree], frm * n + (frm + 1 if upper else 0))
-        stop = np.searchsorted(self._keys[degree], frm * n + n)
-        return start[self.index], (stop - start)[self.index]
+        start = np.searchsorted(self._keys[degree], frm * n)
+        stop = np.searchsorted(self._keys[degree], frm * n + (frm if lower else n))
+        return start, stop - start
 
 
-def _join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int, row_of: np.ndarray):
+def _join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int):
     """Every row pair (to, frm), to < frm, whose alpha strings differ in
     ``d_alpha`` orbitals and beta strings in ``d_beta``, with the ids of its
     alpha and beta string pairs from frm to to, yielded as arrays per block of
-    consecutive rows. Each row's alpha pairs of degree d_alpha are joined with
-    its beta pairs of degree d_beta, and the strings they reach are looked up
-    in ``row_of``, which holds dim where no row has them. One sector of
-    nonzero degree lists only its pairs to a later string, so each row pair is
-    met once, then oriented. A block joins at most ``_JOIN_BLOCK`` pairs, or
-    one row's if that row has more."""
-    start_a, count_a = alpha.links(d_alpha, upper=d_alpha > 0)
-    start_b, count_b = beta.links(d_beta, upper=d_alpha == 0)
+    consecutive rows. Row frm = ia * nb + ib joins the alpha pairs of degree
+    d_alpha from string ia with the beta pairs of degree d_beta from string
+    ib, and reaches row alpha_to * nb + beta_to. Rows are alpha-major, so the
+    first sector of nonzero degree lists only its pairs to an earlier string:
+    each row pair is met once, from its later row. A block joins at most
+    ``_JOIN_BLOCK`` pairs, or one row's if that row has more."""
+    na, nb = len(alpha.occ), len(beta.occ)
+    start_a, count_a = (np.repeat(x, nb) for x in alpha.links(d_alpha, lower=d_alpha > 0))
+    start_b, count_b = (np.tile(x, na) for x in beta.links(d_beta, lower=d_alpha == 0))
     per_row = count_a * count_b
     dim = len(per_row)
     # row r's pairs are candidates first[r] up to ends[r] of the whole join
@@ -223,48 +191,31 @@ def _join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int, row_of: np.n
         frm = np.repeat(np.arange(lo, hi), per_row[lo:hi])
         k_a, k_b = np.divmod(np.arange(first[lo], ends[hi - 1]) - first[frm], count_b[frm])
         pair_a, pair_b = start_a[frm] + k_a, start_b[frm] + k_b
-        to = row_of[alpha.pairs[d_alpha][1][pair_a], beta.pairs[d_beta][1][pair_b]]
-        found = to < dim
-        to, frm, pair_a, pair_b = to[found], frm[found], pair_a[found], pair_b[found]
-        flip = to > frm
-        yield (np.where(flip, frm, to), np.where(flip, to, frm),
-               np.where(flip, alpha.reverse[d_alpha][pair_a], pair_a),
-               np.where(flip, beta.reverse[d_beta][pair_b], pair_b))
+        to = alpha.pairs[d_alpha][1][pair_a] * nb + beta.pairs[d_beta][1][pair_b]
+        yield to, frm, pair_a, pair_b
         lo = hi
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _hamiltonian_triplets(dets, fci: FciData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>, as
-    int32 rows, int32 columns and values sorted by (row, col): every entry but
-    +0.0, the value of each cell left out, so a -0.0 entry is kept.
+def _hamiltonian_triplets(fci: FciData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrix of the space, entry [i, j] equal to <row i| H |row j> in the
+    row order of ``all_determinants``, as int32 rows, int32 columns and values
+    sorted by (row, col): every entry but +0.0, the value of each cell left
+    out, so a -0.0 entry is kept.
 
     A pair's excitation depends only on its pair of alpha strings and its
     pair of beta strings, so each sector tabulates its string pairs of degree
     <= 2 once (``_Sector``). The row pairs of degree <= 2, the nonzero
     pattern, are those string pairs joined across the sectors (``_join``),
     one element class and one block of rows at a time, and each class gathers
-    its elements from the tables. Any subset of rows, in any order, builds
-    this way. An element that overflows to inf or nan raises ValueError.
+    its elements from the tables. An element that overflows to inf or nan
+    raises ValueError.
     """
-    bits = _check_rows(dets, fci)
-    norb, dim = fci.norb, len(bits)
-    alpha = _Sector(bits[:, :norb], fci.n_alpha, fci)
-    beta = _Sector(bits[:, norb:], fci.n_beta, fci)
-    cells = alpha.index * len(beta.occ) + beta.index
-    order = np.argsort(cells, kind="stable")
-    same = np.flatnonzero(cells[order[1:]] == cells[order[:-1]])
-    if same.size:
-        # the stable sort lists each cell's rows in row order: name the first
-        # repeated pair (i, j), i < j, in row-major order
-        first = same[np.argmin(order[same])]
-        raise ValueError(f"row {order[first + 1]} repeats row {order[first]}: "
-                         "determinants must be distinct")
-    # each sector has at most dim strings, so the table has at most dim x dim
-    # entries; int32 halves it, and dim is below the dense limit
-    row_of = np.full((len(alpha.occ), len(beta.occ)), dim, dtype=np.int32)
-    row_of[alpha.index, beta.index] = np.arange(dim)
-    occ_a, occ_b = alpha.occ[alpha.index], beta.occ[beta.index]
+    alpha = _Sector(fci.norb, fci.n_alpha, fci)
+    beta = _Sector(fci.norb, fci.n_beta, fci)
+    na, nb = len(alpha.occ), len(beta.occ)
+    dim = na * nb
+    occ_a, occ_b = np.repeat(alpha.occ, nb, axis=0), np.tile(beta.occ, (na, 1))
 
     def single(sector, pair, other):
         hole, part = sector.hole[pair], sector.part[pair]
@@ -277,7 +228,7 @@ def _hamiltonian_triplets(dets, fci: FciData) -> tuple[np.ndarray, np.ndarray, n
         return (alpha.sign[a] * beta.sign[b]
                 * fci.eri[alpha.hole[a], alpha.part[a], beta.hole[b], beta.part[b]])
 
-    # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i. An
+    # <row i| H |row j> excites row j (the "from" side) into row i. An
     # entry's key is row * dim + col, below 2^24 at the dense limit
     keys, values = [], []
 
@@ -298,7 +249,7 @@ def _hamiltonian_triplets(dets, fci: FciData) -> tuple[np.ndarray, np.ndarray, n
             (2, 0, lambda frm, a, b: alpha.double[a]),
             (0, 2, lambda frm, a, b: beta.double[b]),
             (1, 1, lambda frm, a, b: mixed(a, b))):
-        for to, frm, a, b in _join(alpha, beta, d_alpha, d_beta, row_of):
+        for to, frm, a, b in _join(alpha, beta, d_alpha, d_beta):
             to, frm, value = keep(to, frm, element(frm, a, b))
             keys.append((frm * dim + to).astype(np.int32))
             values.append(value)
@@ -321,8 +272,9 @@ def _hamiltonian_triplets(dets, fci: FciData) -> tuple[np.ndarray, np.ndarray, n
 
 
 class SpaceHamiltonian:
-    """The Hamiltonian on the span of ``dets``, built once, on ``dim`` rows.
-    ``triplets`` holds its entries as (row, col, value) arrays sorted by
+    """The Hamiltonian on the whole determinant space of ``fci``, built once.
+    ``dets`` holds the space's ``dim`` rows, those of ``all_determinants``,
+    and ``triplets`` its entries as (row, col, value) arrays sorted by
     (row, col), rows and columns in the row order of ``dets``: every entry the
     build writes but +0.0, the value of each cell they leave out.
 
@@ -330,28 +282,46 @@ class SpaceHamiltonian:
     its rows' triplets instead of being built again. A pair's element does
     not depend on which of its rows comes first when the integrals are
     exactly 8-fold symmetric, as parsed ones are (each record sets its whole
-    permutation orbit), so the gather is then bitwise the build in the
+    permutation orbit), so the gather is then bitwise the scalar rules in the
     subspace's own row order, signed zeros included. An element that
-    overflows to inf or nan raises ValueError here, so no gathered one can.
+    overflows to inf or nan raises ValueError here, so no gathered one can,
+    as does a space that is empty or above ``MAX_DENSE_DIM`` rows.
     """
 
-    def __init__(self, dets, fci: FciData):
+    def __init__(self, fci: FciData):
+        # checked before enumerating: a space above the limit would be built only to be rejected
+        self.dim = math.comb(fci.norb, fci.n_alpha) * math.comb(fci.norb, fci.n_beta)
+        if self.dim == 0:
+            raise ValueError("subspace is empty")
+        if self.dim > MAX_DENSE_DIM:
+            raise ValueError(f"subspace dimension {self.dim} exceeds dense limit {MAX_DENSE_DIM}")
         self.fci = fci
-        self.triplets = _hamiltonian_triplets(dets, fci)
-        keys = occupation_keys(dets, fci.norb)
-        self.dim = len(keys)
+        self.dets = all_determinants(fci.norb, fci.n_alpha, fci.n_beta)
+        self.triplets = _hamiltonian_triplets(fci)
+        keys = occupation_keys(self.dets, fci.norb)
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
         # row r's triplets are those from _starts[r] up to _starts[r + 1]
         self._starts = np.searchsorted(self.triplets[0], np.arange(self.dim + 1, dtype=np.int32))
 
     def submatrix(self, dets) -> np.ndarray:
-        """The matrix of the subspace spanned by ``dets``, a (dim, 2*norb)
-        array of distinct 0/1 rows that are all in the space, in their order:
-        zeros, with each of their rows' triplets whose column is one of their
-        rows written in place."""
-        rows = _bit_rows(dets, self.fci.norb)
-        keys = occupation_keys(rows, self.fci.norb)
+        """The matrix of the subspace spanned by ``dets``, a nonempty
+        (k, 2*norb) array of distinct 0/1 rows (bool or any integer dtype)
+        that are all rows of the space, in their order: zeros, with each of
+        their rows' triplets whose column is one of their rows written in
+        place. Raises ValueError, naming the first row at fault."""
+        norb = self.fci.norb
+        rows = np.asarray(dets)
+        if rows.shape[:1] == (0,):
+            raise ValueError("subspace is empty")
+        if rows.dtype != bool and not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"occupation rows must hold integers or booleans, not {rows.dtype}")
+        if rows.ndim != 2 or rows.shape[1] != 2 * norb:
+            raise ValueError(f"occupation rows must have shape (dim, {2 * norb}), got {rows.shape}")
+        bad = np.flatnonzero(((rows != 0) & (rows != 1)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]} {rows[bad[0]].tolist()} holds a value other than 0 or 1")
+        keys = occupation_keys(rows, norb)
         at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         bad = np.flatnonzero(self._keys[at] != keys)
         if bad.size:
@@ -360,7 +330,10 @@ class SpaceHamiltonian:
         order = np.argsort(at, kind="stable")
         same = np.flatnonzero(at[order[1:]] == at[order[:-1]])
         if same.size:
-            raise ValueError(f"row {order[same[0] + 1]} repeats row {order[same[0]]}: "
+            # the stable sort lists each row's repeats in row order: name the
+            # first repeated pair (i, j), i < j, in row-major order
+            first = same[np.argmin(order[same])]
+            raise ValueError(f"row {order[first + 1]} repeats row {order[first]}: "
                              "determinants must be distinct")
         idx = self._order[at]
         k = len(idx)
@@ -486,13 +459,13 @@ def _lanczos(product, dim: int, tol: float, passes: int) -> tuple[float, np.ndar
 
 def project_and_diagonalize(dets, space: SpaceHamiltonian) -> tuple[float, np.ndarray]:
     """Ground eigenpair of the Hamiltonian projected on the subspace spanned
-    by ``dets``, a (dim, 2*norb) array of distinct 0/1 occupation rows (bool
-    or any integer dtype), all in the span of ``space``.
+    by ``dets``, a (k, 2*norb) array of distinct 0/1 occupation rows (bool
+    or any integer dtype), all rows of ``space``, in any order.
 
     The k x k subspace matrix, the only dense array of the solve, is gathered
-    from the triplets of ``space``; build that once, on the rows themselves
-    or on a space that holds them. Returns the lowest
-    eigenvalue including the core energy and the normalized ground
+    from the triplets of ``space`` (:meth:`SpaceHamiltonian.submatrix`, whose
+    checks it raises), which is built once per set of integrals. Returns the
+    lowest eigenvalue including the core energy and the normalized ground
     eigenvector in the row basis. Enlarging the subspace can only lower the
     returned energy (variational).
 

@@ -155,8 +155,9 @@ def self_consistent_recovery(samples: np.ndarray, space: SpaceHamiltonian,
     samples_per_batch`` (the defaults) all of an iteration's batches are one
     subspace and cost one solve.
 
-    ``space`` is the :class:`SpaceHamiltonian` of the whole determinant
-    space, and every batch matrix is gathered from it. Returns the record
+    ``space`` is the :class:`SpaceHamiltonian` of the samples' integrals,
+    built once on their whole determinant space, and every batch matrix is
+    gathered from its triplets. Returns the record
     ``sqd_report.json`` holds, less the reference energy: per iteration the
     batch energies, the occupancy estimate, the pool size and the mean batch
     energy.

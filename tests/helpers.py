@@ -21,9 +21,8 @@ from mddsim.sequences import (MEASURED_BASE, PulseSchedule, _schedule_maps, buil
                               measure_expectations, schedule_channel)
 from mddsim.sqd import (FciData, RecoveryConfig, SpaceHamiltonian, parse_fcidump,
                         project_and_diagonalize, recover_configuration, write_fcidump)
-from mddsim.sqd.hamiltonian import (_check_rows, _diagonal_elements, _double_elements,
-                                    _excitation, _lanczos_ground, _positions, _Sector,
-                                    occupation_keys)
+from mddsim.sqd.hamiltonian import (_diagonal_elements, _double_elements, _excitation,
+                                    _lanczos_ground, _positions, _Sector, occupation_keys)
 from mddsim.sqd.recovery import _RECOVER_SALT, _valid_mask
 from mddsim.states import (ID2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PauliExpectations,
                            PureState, _apply_left, _as_matrix, apply_matrix,
@@ -605,12 +604,13 @@ def _row_pair_mixed_double(frm_a: np.ndarray, to_a: np.ndarray, frm_b: np.ndarra
 
 @np.errstate(over="ignore", invalid="ignore")
 def row_pair_hamiltonian(dets, fci: FciData) -> np.ndarray:
-    """The subspace matrix built row pair by row pair, the oracle of the
-    string-pair build: every row pair is screened by its excitation degree,
-    read from dim x dim common-occupation counts, and each upper-triangle pair
-    of degree <= 2 recomputes its hole, particle and parity from its own rows.
-    Its checks and messages are the string-pair build's."""
-    bits = _check_rows(dets, fci)
+    """The matrix of any distinct rows of the space of ``fci``, in their
+    order, built row pair by row pair, the oracle of the string-pair build and
+    of its gathers: every row pair is screened by its excitation degree, read
+    from dim x dim common-occupation counts, and each upper-triangle pair of
+    degree <= 2 recomputes its hole, particle and parity from its own rows.
+    A repeated row raises the message of ``SpaceHamiltonian.submatrix``."""
+    bits = np.asarray(dets).astype(np.int8)
     norb, n_a, n_b = fci.norb, fci.n_alpha, fci.n_beta
     alpha, beta = bits[:, :norb], bits[:, norb:]
     occ_a, occ_b = _positions(alpha, n_a), _positions(beta, n_b)
@@ -656,49 +656,35 @@ def dense(space: SpaceHamiltonian) -> np.ndarray:
 
 # moved from the library: no run, verify suite or demo reaches these
 
-def _string_pair_join(alpha: _Sector, beta: _Sector, d_alpha: int, d_beta: int,
-                      row_of: np.ndarray) -> tuple[np.ndarray, ...]:
+def _string_pair_join(alpha: _Sector, beta: _Sector, d_alpha: int,
+                      d_beta: int) -> tuple[np.ndarray, ...]:
     """The library's ``_join`` over every row in one block: every row pair
     (to, frm), to < frm, of these sector degrees, with the ids of its alpha
     and beta string pairs from frm to to."""
-    start_a, count_a = alpha.links(d_alpha, upper=d_alpha > 0)
-    start_b, count_b = beta.links(d_beta, upper=d_alpha == 0)
+    na, nb = len(alpha.occ), len(beta.occ)
+    start_a, count_a = (np.repeat(x, nb) for x in alpha.links(d_alpha, lower=d_alpha > 0))
+    start_b, count_b = (np.tile(x, na) for x in beta.links(d_beta, lower=d_alpha == 0))
     per_row = count_a * count_b
-    dim = len(per_row)
-    frm = np.repeat(np.arange(dim), per_row)
+    frm = np.repeat(np.arange(len(per_row)), per_row)
     k_a, k_b = np.divmod(np.arange(len(frm)) - np.repeat(np.cumsum(per_row) - per_row, per_row),
                          count_b[frm])
     pair_a, pair_b = start_a[frm] + k_a, start_b[frm] + k_b
-    to = row_of[alpha.pairs[d_alpha][1][pair_a], beta.pairs[d_beta][1][pair_b]]
-    found = to < dim
-    to, frm, pair_a, pair_b = to[found], frm[found], pair_a[found], pair_b[found]
-    flip = to > frm
-    return (np.where(flip, frm, to), np.where(flip, to, frm),
-            np.where(flip, alpha.reverse[d_alpha][pair_a], pair_a),
-            np.where(flip, beta.reverse[d_beta][pair_b], pair_b))
+    return alpha.pairs[d_alpha][1][pair_a] * nb + beta.pairs[d_beta][1][pair_b], frm, pair_a, pair_b
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
-    """The dense subspace matrix, entry [i, j] equal to <dets[i]| H |dets[j]>:
-    the string-pair build with every row pair of an element class joined at
-    once and written into a dim x dim array of zeros. The bit-for-bit oracle
-    of ``SpaceHamiltonian.triplets``, signed zeros included; its checks and
-    messages are the library's."""
-    bits = _check_rows(dets, fci)
-    norb, dim = fci.norb, len(bits)
-    alpha = _Sector(bits[:, :norb], fci.n_alpha, fci)
-    beta = _Sector(bits[:, norb:], fci.n_beta, fci)
-    cells = alpha.index * len(beta.occ) + beta.index
-    order = np.argsort(cells, kind="stable")
-    same = np.flatnonzero(cells[order[1:]] == cells[order[:-1]])
-    if same.size:
-        first = same[np.argmin(order[same])]
-        raise ValueError(f"row {order[first + 1]} repeats row {order[first]}: "
-                         "determinants must be distinct")
-    row_of = np.full((len(alpha.occ), len(beta.occ)), dim, dtype=np.int32)
-    row_of[alpha.index, beta.index] = np.arange(dim)
-    occ_a, occ_b = alpha.occ[alpha.index], beta.occ[beta.index]
+def hamiltonian_matrix(fci: FciData) -> np.ndarray:
+    """The dense matrix of the whole space of ``fci``, entry [i, j] equal to
+    <row i| H |row j> in the row order of ``all_determinants``: the
+    string-pair build with every row pair of an element class joined at once
+    and written into a dim x dim array of zeros. The bit-for-bit oracle of
+    ``SpaceHamiltonian.triplets``, signed zeros included; its overflow check
+    and message are the library's."""
+    alpha = _Sector(fci.norb, fci.n_alpha, fci)
+    beta = _Sector(fci.norb, fci.n_beta, fci)
+    na, nb = len(alpha.occ), len(beta.occ)
+    dim = na * nb
+    occ_a, occ_b = np.repeat(alpha.occ, nb, axis=0), np.tile(beta.occ, (na, 1))
 
     def single(sector, pair, other):
         hole, part = sector.hole[pair], sector.part[pair]
@@ -719,10 +705,10 @@ def hamiltonian_matrix(dets, fci: FciData) -> np.ndarray:
             (2, 0, lambda frm, a, b: alpha.double[a]),
             (0, 2, lambda frm, a, b: beta.double[b]),
             (1, 1, lambda frm, a, b: mixed(a, b))):
-        to, frm, a, b = _string_pair_join(alpha, beta, d_alpha, d_beta, row_of)
+        to, frm, a, b = _string_pair_join(alpha, beta, d_alpha, d_beta)
         entries.append((to, frm, element(frm, a, b)))
     matrix = np.zeros((dim, dim))
-    # <dets[i]| H |dets[j]> excites row j (the "from" side) into row i
+    # <row i| H |row j> excites row j (the "from" side) into row i
     for to, frm, values in entries:
         if not np.isfinite(values).all():
             raise ValueError("the subspace Hamiltonian is not finite: integrals too large")

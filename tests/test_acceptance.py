@@ -41,7 +41,6 @@ from mddsim.sequences import build_schedule, flip_times, mdd_unitary, udd_times
 from mddsim.sqd import (
     RecoveryConfig,
     SpaceHamiltonian,
-    all_determinants,
     hubbard_dimer_energy,
     hubbard_dimer_fcidump,
     noisy_sampler,
@@ -375,16 +374,13 @@ def test_criterion_8_sqd_pipeline(capsys):
     with Stopwatch() as clock:
         fci = parse_fcidump(random_fcidump(4, 4, seed=42))
         full = fock_space_hamiltonian(fci)
-        dets = all_determinants(4, 2, 2)
+        space = SpaceHamiltonian(fci)
+        dets = space.dets
         idx = [fock_index(row) for row in dets]
-        worst_element = float(np.max(np.abs(dense(SpaceHamiltonian(dets, fci))
-                                             - full[np.ix_(idx, idx)])))
-        dimer = parse_fcidump(hubbard_dimer_fcidump())
-        dimer_dets = all_determinants(2, 1, 1)
-        dimer_energy, _ = project_and_diagonalize(dimer_dets,
-                                                   SpaceHamiltonian(dimer_dets, dimer))
+        worst_element = float(np.max(np.abs(dense(space) - full[np.ix_(idx, idx)])))
+        dimer = SpaceHamiltonian(parse_fcidump(hubbard_dimer_fcidump()))
+        dimer_energy, _ = project_and_diagonalize(dimer.dets, dimer)
         dimer_err = abs(dimer_energy - hubbard_dimer_energy())
-        space = SpaceHamiltonian(dets, fci)
         e_ref, ground = project_and_diagonalize(dets, space)
         wins = 0
         for seed in range(20):

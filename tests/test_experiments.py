@@ -451,7 +451,7 @@ def test_space_far_above_dense_limit_exits_2_before_enumerating(tmp_path, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("all_determinants must not run above the dense limit")
 
-    monkeypatch.setattr(experiments, "all_determinants", refuse)
+    monkeypatch.setattr(hamiltonian, "all_determinants", refuse)
     dump = tmp_path / "norb16.fcidump"
     dump.write_text(write_fcidump(FciData(norb=16, nelec=16, ms2=0, h=-np.eye(16),
                                           eri=np.zeros((16,) * 4), core_energy=0.0)))
@@ -463,6 +463,19 @@ def test_space_far_above_dense_limit_exits_2_before_enumerating(tmp_path, capsys
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert f"subspace dimension 165636900 exceeds dense limit {MAX_DENSE_DIM}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_more_electrons_than_spin_orbitals_exits_2(tmp_path, capsys):
+    # three alpha and three beta electrons in two orbitals: the space is empty
+    fci = parse_fcidump(random_fcidump(2, 2, seed=0))
+    dump = tmp_path / "crowded.fcidump"
+    dump.write_text(write_fcidump(FciData(norb=2, nelec=6, ms2=0, h=fci.h, eri=fci.eri,
+                                          core_energy=fci.core_energy)))
+    cfg = write_config(tmp_path, experiment="sqd-recover", fcidump=str(dump))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert err.rstrip().endswith(f"cannot diagonalize integrals {str(dump)!r}: subspace is empty")
 
 
 def test_shared_matrices_are_read_only():

@@ -4,7 +4,7 @@ The brute-force oracle builds the full second-quantized operator from sparse
 Jordan-Wigner ladder matrices, a path fully independent of the
 excitation-rule implementation it checks. The scalar Slater-Condon rules in
 ``helpers`` are checked against it and are in turn the bit-identity oracle of
-the vectorized build over occupation rows.
+the vectorized build of the whole determinant space and of its gathers.
 """
 
 import math
@@ -114,11 +114,11 @@ class TestParse:
         # the brute-force operator built from the same arrays
         fci = parse_fcidump(random_fcidump(4, 2, seed=5))
         full = fock_space_hamiltonian(fci)
-        dets = all_determinants(fci.norb, fci.n_alpha, fci.n_beta)
-        idx = [fock_index(row) for row in dets]
+        space = SpaceHamiltonian(fci)
+        idx = [fock_index(row) for row in space.dets]
         block = full[np.ix_(idx, idx)]
         expected = np.linalg.eigvalsh(block)[0] + fci.core_energy
-        energy, _ = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
+        energy, _ = project_and_diagonalize(space.dets, space)
         assert energy == pytest.approx(expected, abs=1e-10)
 
     def test_non_finite_values_rejected(self):
@@ -242,8 +242,9 @@ class TestSlaterCondon:
 class TestProjectAndDiagonalize:
     def test_full_space_recovers_fci_energy(self):
         fci = parse_fcidump(hubbard_dimer_fcidump())
-        dets = all_determinants(2, 1, 1)
-        energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
+        space = SpaceHamiltonian(fci)
+        assert np.array_equal(space.dets, all_determinants(2, 1, 1))
+        energy, ground = project_and_diagonalize(space.dets, space)
         assert energy == pytest.approx(hubbard_dimer_energy(), abs=1e-10)
         assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
 
@@ -251,16 +252,16 @@ class TestProjectAndDiagonalize:
         fci = parse_fcidump(MINIMAL)
         det = hartree_fock_determinant(2, 1, 1)
         row = np.array([[1, 0, 1, 0]])
-        energy, ground = project_and_diagonalize(row, SpaceHamiltonian(row, fci))
+        energy, ground = project_and_diagonalize(row, SpaceHamiltonian(fci))
         assert energy == pytest.approx(slater_condon(det, det, fci) + fci.core_energy, abs=1e-14)
         assert abs(ground[0]) == pytest.approx(1.0)
 
     def test_variational_monotonicity(self):
         fci = parse_fcidump(random_fcidump(4, 4, seed=13))
-        dets = all_determinants(4, 2, 2)
+        space = SpaceHamiltonian(fci)
+        dets = space.dets
         rng = np.random.default_rng(3)
         order = rng.permutation(len(dets))
-        space = SpaceHamiltonian(dets, fci)
         previous = np.inf
         for size in (1, 4, 9, 16, 25, len(dets)):
             energy, _ = project_and_diagonalize(dets[order[:size]], space)
@@ -270,14 +271,18 @@ class TestProjectAndDiagonalize:
     def test_empty_subspace_rejected(self):
         fci = parse_fcidump(MINIMAL)
         for empty in ([], np.empty((0, 4), dtype=np.uint8)):
-            with pytest.raises(ValueError, match="empty"):
-                project_and_diagonalize(empty, SpaceHamiltonian(empty, fci))
+            with pytest.raises(ValueError, match="subspace is empty"):
+                project_and_diagonalize(empty, SpaceHamiltonian(fci))
+        # three alpha electrons do not fit in two orbitals: the space itself is empty
+        crowded = FciData(norb=2, nelec=6, ms2=0, h=fci.h, eri=fci.eri, core_energy=0.0)
+        with pytest.raises(ValueError, match="subspace is empty"):
+            SpaceHamiltonian(crowded)
 
     def test_duplicates_rejected(self):
         fci = parse_fcidump(MINIMAL)
         rows = np.array([[1, 0, 1, 0], [1, 0, 1, 0]])
         with pytest.raises(ValueError, match="row 1 repeats row 0: determinants must be distinct"):
-            project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
+            project_and_diagonalize(rows, SpaceHamiltonian(fci))
 
     @pytest.mark.parametrize("dets,culprit", [
         (np.array([[1, 1, 0, 0, 2, 0, 0, 0]]), 0),                                 # a 2 in a bit
@@ -286,9 +291,11 @@ class TestProjectAndDiagonalize:
         (np.array([[1, 1, 0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 0, 1]]), 1),      # too few beta
     ])
     def test_foreign_determinants_rejected(self, dets, culprit):
+        # a value other than 0 or 1, or a row of other electron counts, which
+        # is no row of the space
         fci = parse_fcidump(random_fcidump(4, 4, seed=2))
         with pytest.raises(ValueError, match=re.escape(f"row {culprit} {dets[culprit].tolist()}")):
-            project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
+            project_and_diagonalize(dets, SpaceHamiltonian(fci))
 
     @pytest.mark.parametrize("rows", [
         [[1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]],
@@ -301,7 +308,7 @@ class TestProjectAndDiagonalize:
         # bool rows are integers here: they are accepted below
         fci = parse_fcidump(random_fcidump(4, 4, seed=2))
         with pytest.raises(ValueError, match="must hold integers or booleans"):
-            project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
+            project_and_diagonalize(rows, SpaceHamiltonian(fci))
 
     def test_numpy_integer_masks_accepted(self):
         # a plain list, numpy integer and bool rows all give the scalar element
@@ -309,9 +316,10 @@ class TestProjectAndDiagonalize:
         row = [1, 1, 0, 0, 1, 0, 1, 0]
         plain = Determinant(0b11, 0b101)
         want = slater_condon(plain, plain, fci) + fci.core_energy
+        space = SpaceHamiltonian(fci)
         for rows in ([row], np.array([row], dtype=np.int64), np.array([row], dtype=np.uint16),
                      np.array([row], dtype=bool)):
-            energy, ground = project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
+            energy, ground = project_and_diagonalize(rows, space)
             assert energy == want
             assert abs(ground[0]) == 1.0
 
@@ -321,9 +329,9 @@ class TestProjectAndDiagonalize:
         # the +1 eigenvector (1, 1, 0) / sqrt(2)
         h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         fci = FciData(norb=3, nelec=1, ms2=1, h=h, eri=np.zeros((3,) * 4), core_energy=0.5)
-        dets = all_determinants(3, 1, 0)
-        assert np.array_equal(dense(SpaceHamiltonian(dets, fci)), h)
-        energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
+        space = SpaceHamiltonian(fci)
+        assert np.array_equal(dense(space), h)
+        energy, ground = project_and_diagonalize(space.dets, space)
         assert energy == pytest.approx(-0.5, abs=1e-14)
         assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
         assert abs(ground @ np.array([1.0, 1.0, 0.0])) / np.sqrt(2) < 1e-10
@@ -350,10 +358,14 @@ def random_subspace(norb: int, n_alpha: int, n_beta: int, dim: int,
 
 
 def assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim, seed):
+    # the perturbed integrals make an element depend on which of its rows is
+    # excited into the other, so ``dim`` rows are taken in the space's order,
+    # in which the build, as the scalar loop, excites the later row
     fci = perturbed_integrals(norb, n_alpha, n_beta, seed)
-    dets = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(seed))
-    built = dense(SpaceHamiltonian(dets, fci))
-    oracle = slater_condon_matrix(dets, fci)
+    space = SpaceHamiltonian(fci)
+    pick = np.sort(np.random.default_rng(seed).permutation(space.dim)[:dim])
+    built = dense(space)[np.ix_(pick, pick)]
+    oracle = slater_condon_matrix(space.dets[pick], fci)
     assert np.array_equal(built, oracle), np.max(np.abs(built - oracle))
 
 
@@ -365,7 +377,10 @@ BUILD_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, data
 def test_build_is_bit_identical_to_scalar_loop(data):
     norb = data.draw(st.integers(1, 10), label="norb")
     n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
-    n_beta = data.draw(st.integers(0, norb), label="n_beta")
+    # a space above the dense limit is rejected before it is built
+    n_beta = data.draw(st.sampled_from([n for n in range(norb + 1) if math.comb(norb, n_alpha)
+                                        * math.comb(norb, n) <= hamiltonian.MAX_DENSE_DIM]),
+                       label="n_beta")
     dim = data.draw(st.integers(1, 60), label="dim")
     assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim,
                                      data.draw(st.integers(0, 2**16), label="seed"))
@@ -376,48 +391,100 @@ def test_build_is_bit_identical_to_scalar_loop(data):
     (6, 4, 2, 120),   # n_alpha != n_beta
     (5, 3, 0, 10),    # empty beta sector
     (4, 4, 2, 6),     # full alpha sector
-    (10, 5, 4, 1),    # one determinant
+    (10, 10, 10, 1),  # one determinant: both sectors full
     (1, 0, 0, 1),     # no electrons
 ])
 def test_build_edge_sectors_match_scalar_loop(norb, n_alpha, n_beta, dim):
     assert_build_matches_scalar_loop(norb, n_alpha, n_beta, dim, seed=norb * 100 + dim)
 
 
+@pytest.mark.parametrize("norb", range(1, 7))
+def test_every_small_space_is_the_scalar_loop(norb):
+    # every filling of up to 6 orbitals: the triplets are the row-pair build
+    # and the scalar loop bit for bit, and the ground state has the bytes of
+    # the Lanczos pair on the dense matrix's row-major nonzeros
+    for n_alpha in range(norb + 1):
+        for n_beta in range(norb + 1):
+            fci = perturbed_integrals(norb, n_alpha, n_beta, seed=10 * n_alpha + n_beta)
+            space = SpaceHamiltonian(fci)
+            built = dense(space)
+            assert built.tobytes() == row_pair_hamiltonian(space.dets, fci).tobytes()
+            assert np.array_equal(built, slater_condon_matrix(space.dets, fci))
+            energy, ground = space.ground_state()
+            want_energy, want_ground = dense_scan_ground(built, fci)
+            assert energy == want_energy and ground.tobytes() == want_ground.tobytes()
+
+
+GATHER_ORACLE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                                  database=None)
+
+
+@GATHER_ORACLE_PROPERTY
+@given(data=st.data())
+def test_gathers_are_the_scalar_loop(data):
+    # parsed integrals are exactly 8-fold symmetric, so a gather of rows in
+    # any order is the scalar loop on them, whichever row it excites
+    norb, n_alpha, n_beta = draw_sectors(data)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
+    space = SpaceHamiltonian(fci)
+    rows = space.dets[np.random.default_rng(seed).permutation(space.dim)]
+    rows = rows[:data.draw(st.integers(1, min(space.dim, 40)), label="dim")]
+    gathered, oracle = space.submatrix(rows), slater_condon_matrix(rows, fci)
+    assert np.array_equal(gathered, oracle)
+    assert np.array_equal(np.signbit(gathered), np.signbit(oracle))
+
+
+def test_space_is_sized_before_it_is_enumerated(monkeypatch):
+    # 16 orbitals at half filling span 12,870^2 = 165,636,900 determinants
+    # (5.3 GB of rows): the size alone rejects them
+    def refuse(*args):
+        raise AssertionError("no sector may be enumerated above the dense limit")
+
+    monkeypatch.setattr(hamiltonian, "_sector_strings", refuse)
+    monkeypatch.setattr(hamiltonian, "all_determinants", refuse)
+    fci = FciData(norb=16, nelec=16, ms2=0, h=-np.eye(16), eri=np.zeros((16,) * 4),
+                  core_energy=0.0)
+    with pytest.raises(ValueError, match="^subspace dimension 165636900 exceeds dense limit 4000$"):
+        SpaceHamiltonian(fci)
+
+
 def test_build_accepts_numpy_integer_masks():
-    # occupation rows of bool and of any integer dtype build the same matrix
+    # gathers of bool rows and of any integer dtype give the scalar loop's matrix
     fci = parse_fcidump(random_fcidump(4, 4, seed=2))
-    dets = all_determinants(4, 2, 2)
-    oracle = slater_condon_matrix(dets, fci)
+    space = SpaceHamiltonian(fci)
+    oracle = slater_condon_matrix(space.dets, fci)
+    assert np.array_equal(dense(space), oracle)
     for dtype in (bool, np.int8, np.int64, np.uint64):
-        assert np.array_equal(dense(SpaceHamiltonian(dets.astype(dtype), fci)), oracle)
+        assert np.array_equal(space.submatrix(space.dets.astype(dtype)), oracle)
 
 
 @pytest.mark.parametrize("norb,n_alpha,n_beta", [(4, 3, 1), (3, 2, 0)])
 def test_build_matches_fock_space_oracle(norb, n_alpha, n_beta):
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=3))
-    dets = all_determinants(norb, n_alpha, n_beta)
-    dets = dets[np.random.default_rng(0).permutation(len(dets))]
+    space = SpaceHamiltonian(fci)
+    dets = space.dets[np.random.default_rng(0).permutation(space.dim)]
     idx = [fock_index(row) for row in dets]
     full = fock_space_hamiltonian(fci)
-    np.testing.assert_allclose(dense(SpaceHamiltonian(dets, fci)), full[np.ix_(idx, idx)],
-                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(space.submatrix(dets), full[np.ix_(idx, idx)], rtol=0, atol=1e-10)
 
 
-def assert_build_is_the_row_pair_build(dets, fci):
-    built, oracle = dense(SpaceHamiltonian(dets, fci)), row_pair_hamiltonian(dets, fci)
-    assert built.shape == oracle.shape and built.tobytes() == oracle.tobytes()
+def assert_gather_is_the_row_pair_build(dets, fci):
+    gathered, oracle = SpaceHamiltonian(fci).submatrix(dets), row_pair_hamiltonian(dets, fci)
+    assert gathered.shape == oracle.shape and gathered.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("rows", ["full", "shuffled", "subset-300"])
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_build_is_the_row_pair_build_on_the_benchmark_ring(seed, rows):
     # the scalar loop is too slow at 1,225 rows; the row-pair build is its
-    # bitwise equal on every smaller case above
+    # bitwise equal on every smaller case above. The ring's integrals are
+    # parsed, so a gather in any row order is the row-pair build's
     dets = all_determinants(7, 3, 3)
     if rows != "full":
         dets = dets[np.random.default_rng(seed).permutation(len(dets))]
-    assert_build_is_the_row_pair_build(dets[:300] if rows == "subset-300" else dets,
-                                       benchmark_ring(seed))
+    assert_gather_is_the_row_pair_build(dets[:300] if rows == "subset-300" else dets,
+                                        benchmark_ring(seed))
 
 
 BENCHMARK_SIZE_PROPERTY = settings(max_examples=10, deadline=None, derandomize=True,
@@ -428,31 +495,33 @@ BENCHMARK_SIZE_PROPERTY = settings(max_examples=10, deadline=None, derandomize=T
 @given(data=st.data())
 def test_build_is_the_row_pair_build_at_the_benchmark_size(data):
     # perturbed random integrals make every element class nonzero and an
-    # index slip visible; 7 orbitals hold 1,225 determinants at both fillings
+    # index slip visible; 7 orbitals hold 1,225 determinants at both
+    # fillings. The rows keep the space's order, in which both builds excite
+    # the later row
     n_alpha = data.draw(st.sampled_from([3, 4]), label="n_alpha")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     dim = data.draw(st.sampled_from([1225, 300, data.draw(st.integers(1, 1225), label="size")]),
                     label="dim")
-    dets = random_subspace(7, n_alpha, 3, dim, np.random.default_rng(seed))
-    assert_build_is_the_row_pair_build(dets, perturbed_integrals(7, n_alpha, 3, seed))
+    dets = all_determinants(7, n_alpha, 3)
+    dets = dets[np.sort(np.random.default_rng(seed).permutation(len(dets))[:dim])]
+    assert_gather_is_the_row_pair_build(dets, perturbed_integrals(7, n_alpha, 3, seed))
 
 
 @pytest.mark.parametrize("sector", ["alpha", "beta"])
 @pytest.mark.parametrize("norb,n_alpha,n_beta", [(7, 3, 3), (6, 2, 4), (4, 4, 1), (7, 3, 7)],
                          ids=["benchmark", "unequal", "full-alpha", "full-beta"])
 def test_build_with_one_string_in_a_sector(sector, norb, n_alpha, n_beta):
-    # every row shares one alpha (or one beta) string, so that sector has no
-    # string pairs of nonzero degree and only the other sector's join is met
+    # the rows that share one alpha (or one beta) string, in the space's
+    # order: their block holds only the other sector's excitations. A full
+    # sector has one string, so the whole space is such a block and its build
+    # meets only the other sector's join
     fci = perturbed_integrals(norb, n_alpha, n_beta, seed=norb)
-    space = all_determinants(norb, n_alpha, n_beta)
-    rng = np.random.default_rng(norb)
+    space = SpaceHamiltonian(fci)
     half = slice(0, norb) if sector == "alpha" else slice(norb, 2 * norb)
-    pick = space[rng.integers(len(space)), half]
-    dets = space[(space[:, half] == pick).all(axis=1)]
-    dets = dets[rng.permutation(len(dets))]
-    built = dense(SpaceHamiltonian(dets, fci))
-    assert np.array_equal(built, slater_condon_matrix(dets, fci))
-    assert_build_is_the_row_pair_build(dets, fci)
+    pick = space.dets[np.random.default_rng(norb).integers(space.dim), half]
+    dets = space.dets[(space.dets[:, half] == pick).all(axis=1)]
+    assert np.array_equal(space.submatrix(dets), slater_condon_matrix(dets, fci))
+    assert_gather_is_the_row_pair_build(dets, fci)
 
 
 DUPLICATES_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -461,8 +530,8 @@ DUPLICATES_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
 @DUPLICATES_PROPERTY
 @given(data=st.data())
 def test_repeated_rows_are_named_as_by_the_row_pair_build(data):
-    # several repeats, of several rows: both builds name the repeat of the
-    # earliest repeated row, and its first repeat
+    # several repeats, of several rows: a gather and the row-pair build name
+    # the repeat of the earliest repeated row, and its first repeat
     norb, n_alpha, n_beta = draw_sectors(data)
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
@@ -471,20 +540,20 @@ def test_repeated_rows_are_named_as_by_the_row_pair_build(data):
     for _ in range(data.draw(st.integers(1, 4), label="repeats")):
         rows = np.insert(rows, rng.integers(len(rows) + 1), rows[rng.integers(len(rows))], axis=0)
     messages = []
-    for build in (SpaceHamiltonian, row_pair_hamiltonian):
+    for build in (SpaceHamiltonian(fci).submatrix, lambda rows: row_pair_hamiltonian(rows, fci)):
         with pytest.raises(ValueError, match="repeats row") as error:
-            build(rows, fci)
+            build(rows)
         messages.append(str(error.value))
     assert messages[0] == messages[1]
 
 
-def traced_build(dets, fci) -> tuple[SpaceHamiltonian, int]:
+def traced_build(fci) -> tuple[SpaceHamiltonian, int]:
     """A space built once untraced, then again under ``tracemalloc``, and
     the traced build's peak in bytes."""
-    SpaceHamiltonian(dets, fci)
+    SpaceHamiltonian(fci)
     tracemalloc.start()
     try:
-        space = SpaceHamiltonian(dets, fci)
+        space = SpaceHamiltonian(fci)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -495,9 +564,8 @@ def test_build_memory_at_the_benchmark_size():
     # the ring's 1,225 x 1,225 matrix (12.0 MB) holds 116,865 entries that
     # are not +0.0, 7.8% of its cells: 1.9 MB of triplets. The dense build
     # peaked at 16.8 MB, 1.4 times the matrix; the blocked triplet build peaks
-    # at 4.2 MB. The bounds: a tenth of the cells, and half the matrix
-    fci, dets = benchmark_ring(0), all_determinants(7, 3, 3)
-    space, peak = traced_build(dets, fci)
+    # at 4.1 MB. The bounds: a tenth of the cells, and half the matrix
+    space, peak = traced_build(benchmark_ring(0))
     rows, cols, values = space.triplets
     assert rows.dtype == cols.dtype == np.int32
     assert len(values) == 116865 < 1225 * 1225 / 10
@@ -507,23 +575,22 @@ def test_build_memory_at_the_benchmark_size():
 def test_build_memory_near_the_dense_limit():
     # 8 orbitals and 10 electrons, the frozen-core N2 space: 3,136
     # determinants, whose dense matrix would take 78.7 MB. All 990,976 of its
-    # entries are nonzero (15.9 MB of triplets); the build peaks at 32.8 MB,
+    # entries are nonzero (15.9 MB of triplets); the build peaks at 32.7 MB,
     # where the dense build peaked at 97.3 MB
-    fci = parse_fcidump(random_fcidump(8, 10))
-    dets = all_determinants(8, 5, 5)
-    assert len(dets) == 3136 <= hamiltonian.MAX_DENSE_DIM
-    space, peak = traced_build(dets, fci)
+    space, peak = traced_build(parse_fcidump(random_fcidump(8, 10)))
+    assert space.dim == 3136 <= hamiltonian.MAX_DENSE_DIM
     assert len(space.triplets[2]) == 990976
     assert peak < 0.5 * 3136 * 3136 * 8
 
 
 def assert_matches_full_spectrum_oracle(dets, fci):
-    """``project_and_diagonalize`` against ``np.linalg.eigh`` of the same
-    matrix: the energy, a unit vector with a small residual, and, where the
-    ground state is separated from the rest, the oracle's vector up to sign."""
-    matrix = hamiltonian_matrix(dets, fci)
+    """``project_and_diagonalize`` against ``np.linalg.eigh`` of the
+    row-pair build's matrix: the energy, a unit vector with a small residual,
+    and, where the ground state is separated from the rest, the oracle's
+    vector up to sign."""
+    matrix = row_pair_hamiltonian(dets, fci)
     vals, vecs = np.linalg.eigh(matrix)
-    energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(dets, fci))
+    energy, ground = project_and_diagonalize(dets, SpaceHamiltonian(fci))
     assert energy == pytest.approx(vals[0] + fci.core_energy, abs=1e-12)
     assert np.linalg.norm(ground) == pytest.approx(1.0, abs=1e-12)
     residual = matrix @ ground - (energy - fci.core_energy) * ground
@@ -576,11 +643,10 @@ def test_malformed_rows_raise_and_dtypes_agree(data):
                            np.random.default_rng(seed))
 
     # the same subspace as bool, uint8 and int64 rows: the same eigenpair
-    bits = rows.astype(bool)
-    energy, ground = project_and_diagonalize(bits, SpaceHamiltonian(bits, fci))
+    full = SpaceHamiltonian(fci)
+    energy, ground = project_and_diagonalize(rows.astype(bool), full)
     for dtype in (np.uint8, np.int64):
-        other = rows.astype(dtype)
-        other_energy, other_ground = project_and_diagonalize(other, SpaceHamiltonian(other, fci))
+        other_energy, other_ground = project_and_diagonalize(rows.astype(dtype), full)
         assert other_energy == energy and np.array_equal(other_ground, ground)
 
     kind = data.draw(st.sampled_from(["width", "value", "count", "duplicate", "empty"]),
@@ -596,7 +662,7 @@ def test_malformed_rows_raise_and_dtypes_agree(data):
         message = re.escape(f"row {at} {bad[at].tolist()} holds a value other than 0 or 1")
     elif kind == "count":
         bad[at, col] ^= 1
-        message = re.escape(f"row {at} {bad[at].tolist()} does not place")
+        message = re.escape(f"row {at} {bad[at].tolist()} is not a determinant of the space")
     elif kind == "duplicate":
         where = data.draw(st.integers(0, len(rows)), label="where")
         bad = np.insert(bad, where, bad[at], axis=0)
@@ -606,7 +672,7 @@ def test_malformed_rows_raise_and_dtypes_agree(data):
         bad = bad[:0]
         message = "subspace is empty"
     with pytest.raises(ValueError, match=message):
-        project_and_diagonalize(bad, SpaceHamiltonian(bad, fci))
+        project_and_diagonalize(bad, full)
 
 
 GATHER_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -622,17 +688,16 @@ def draw_sectors(data):
 @given(data=st.data())
 def test_gathered_subspace_is_bit_identical_to_build(data):
     # parsed integrals are exactly 8-fold symmetric, so a pair's element does
-    # not depend on which row comes first: the gather is the build, signed
-    # zeros included, in any row order
+    # not depend on which row comes first: the gather is the row-pair build,
+    # signed zeros included, in any row order
     norb, n_alpha, n_beta = draw_sectors(data)
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
-    space = all_determinants(norb, n_alpha, n_beta)
-    full = SpaceHamiltonian(space, fci)
-    dim = data.draw(st.integers(1, len(space)), label="dim")
+    full = SpaceHamiltonian(fci)
+    dim = data.draw(st.integers(1, full.dim), label="dim")
     rows = random_subspace(norb, n_alpha, n_beta, dim, np.random.default_rng(seed))
-    for order in (rows, rows[::-1], space[::-1][:dim]):
-        gathered, built = full.submatrix(order), hamiltonian_matrix(order, fci)
+    for order in (rows, rows[::-1], full.dets[::-1][:dim]):
+        gathered, built = full.submatrix(order), row_pair_hamiltonian(order, fci)
         assert np.array_equal(gathered, built)
         assert np.array_equal(np.signbit(gathered), np.signbit(built))
 
@@ -643,10 +708,10 @@ def test_gather_keeps_signed_zeros():
     fci = parse_fcidump(random_fcidump(4, 4, seed=1))
     fci = FciData(norb=4, nelec=4, ms2=0, h=np.where(np.eye(4) > 0, fci.h, 0.0),
                   eri=np.zeros((4,) * 4), core_energy=0.0)
-    dets = all_determinants(4, 2, 2)
-    built = hamiltonian_matrix(dets, fci)
+    built = hamiltonian_matrix(fci)
     assert np.signbit(built[built == 0]).any()
-    gathered = SpaceHamiltonian(dets, fci).submatrix(dets[::-1])
+    space = SpaceHamiltonian(fci)
+    gathered = space.submatrix(space.dets[::-1])
     assert np.array_equal(np.signbit(gathered), np.signbit(built[::-1, ::-1]))
 
 
@@ -661,11 +726,10 @@ def test_gather_agrees_with_build_within_symmetry_tolerance(data):
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = perturbed_integrals(norb, n_alpha, n_beta, seed)
     assert np.max(np.abs(fci.h - fci.h.T)) <= SYM_TOL
-    space = all_determinants(norb, n_alpha, n_beta)
-    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
+    full = SpaceHamiltonian(fci)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, full.dim)),
                            np.random.default_rng(seed))
-    np.testing.assert_allclose(SpaceHamiltonian(space, fci).submatrix(rows),
-                               hamiltonian_matrix(rows, fci), rtol=0,
+    np.testing.assert_allclose(full.submatrix(rows), row_pair_hamiltonian(rows, fci), rtol=0,
                                atol=(2 * fci.nelec + 1) * SYM_TOL)
 
 
@@ -675,9 +739,8 @@ def test_gather_rejects_rows_outside_the_space(data):
     norb, n_alpha, n_beta = draw_sectors(data)
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
-    space = all_determinants(norb, n_alpha, n_beta)
-    full = SpaceHamiltonian(space, fci)
-    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
+    full = SpaceHamiltonian(fci)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, full.dim)),
                            np.random.default_rng(seed)).astype(np.int64)
     at = data.draw(st.integers(0, len(rows) - 1), label="at")
     col = data.draw(st.integers(0, 2 * norb - 1), label="col")
@@ -704,27 +767,18 @@ def test_gather_rejects_rows_outside_the_space(data):
         project_and_diagonalize(bad, full)
 
 
-def test_gather_rejects_rows_outside_a_partial_span():
-    fci = parse_fcidump(random_fcidump(4, 4, seed=2))
-    space = all_determinants(4, 2, 2)
-    half = SpaceHamiltonian(space[::2], fci)
-    assert np.array_equal(half.submatrix(space[2:8:2]), hamiltonian_matrix(space[2:8:2], fci))
-    message = re.escape(f"row 1 {space[3].tolist()} is not a determinant")
-    with pytest.raises(ValueError, match=message):
-        half.submatrix(space[2:4])
-
-
 def test_gathered_eigenpair_is_the_built_one():
+    # the eigenpair of the row-pair build's matrix of the same rows, in their order
     fci = parse_fcidump(random_fcidump(5, 6, seed=4))
-    space = all_determinants(5, 3, 3)
-    full = SpaceHamiltonian(space, fci)
+    full = SpaceHamiltonian(fci)
     rows = random_subspace(5, 3, 3, 40, np.random.default_rng(4))
     gathered_energy, gathered_ground = project_and_diagonalize(rows, full)
-    built_energy, built_ground = project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
-    assert gathered_energy == built_energy and np.array_equal(gathered_ground, built_ground)
+    built_energy, built_ground = _dense_ground(row_pair_hamiltonian(rows, fci))
+    assert gathered_energy == built_energy + fci.core_energy
+    assert np.array_equal(gathered_ground, built_ground)
     # the space's own triplets are gathered from, never handed to LAPACK to overwrite
     before = dense(full)
-    project_and_diagonalize(space, full)
+    project_and_diagonalize(full.dets, full)
     assert np.array_equal(dense(full), before)
 
 
@@ -742,22 +796,25 @@ def zeroed_integrals(fci: FciData, rng: np.random.Generator) -> FciData:
                    core_energy=fci.core_energy)
 
 
-def assert_triplets_are_the_dense_build(dets, fci, rng):
+def assert_triplets_are_the_dense_build(fci, order, rng):
     """The space's triplets, a gathered subspace and the ground state against
     the dense oracles, bit for bit: the triplets scattered into zeros are the
-    dense build, signed zeros included; a gather is the dense matrix's; the
-    ground state has the bytes of the Lanczos pair on the dense matrix's
-    row-major nonzeros."""
-    space = SpaceHamiltonian(dets, fci)
-    oracle = hamiltonian_matrix(dets, fci)
+    dense build, signed zeros included; a gather of the space's rows in
+    ``order`` (built, reversed, shuffled or a shuffled subset) is the dense
+    matrix's; the ground state has the bytes of the Lanczos pair on the dense
+    matrix's row-major nonzeros."""
+    space = SpaceHamiltonian(fci)
+    oracle = hamiltonian_matrix(fci)
     rows, cols, values = space.triplets
     assert (np.diff(rows.astype(np.int64) * space.dim + cols) > 0).all()
     assert not ((values == 0) & ~np.signbit(values)).any()
     built = dense(space)
     assert np.array_equal(built, oracle)
     assert np.array_equal(np.signbit(built), np.signbit(oracle))
-    pick = rng.permutation(len(dets))[:rng.integers(1, len(dets) + 1)]
-    gathered, want = space.submatrix(dets[pick]), oracle[np.ix_(pick, pick)]
+    pick = {"built": np.arange(space.dim), "reversed": np.arange(space.dim)[::-1],
+            "shuffled": rng.permutation(space.dim),
+            "subset": rng.permutation(space.dim)[:rng.integers(1, space.dim + 1)]}[order]
+    gathered, want = space.submatrix(space.dets[pick]), oracle[np.ix_(pick, pick)]
     assert np.array_equal(gathered, want)
     assert np.array_equal(np.signbit(gathered), np.signbit(want))
     energy, ground = space.ground_state()
@@ -772,7 +829,8 @@ TRIPLETS_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, d
 @given(data=st.data())
 def test_triplets_are_the_dense_build(data):
     # whole parsed spaces of up to 7 orbitals at any filling, some with zeroed
-    # integrals, in the built, a reversed or a shuffled row order, or a subset
+    # integrals, gathered in the built, a reversed or a shuffled row order, or
+    # as a subset
     norb = data.draw(st.integers(1, 7), label="norb")
     n_alpha = data.draw(st.integers(0, norb), label="n_alpha")
     n_beta = data.draw(st.integers(0, norb), label="n_beta")
@@ -781,25 +839,15 @@ def test_triplets_are_the_dense_build(data):
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
     if data.draw(st.booleans(), label="zeroed"):
         fci = zeroed_integrals(fci, rng)
-    dets = all_determinants(norb, n_alpha, n_beta)
     order = data.draw(st.sampled_from(["built", "reversed", "shuffled", "subset"]), label="order")
-    if order == "reversed":
-        dets = dets[::-1]
-    elif order != "built":
-        dets = dets[rng.permutation(len(dets))]
-        dets = dets[:rng.integers(1, len(dets) + 1)] if order == "subset" else dets
-    assert_triplets_are_the_dense_build(dets, fci, rng)
+    assert_triplets_are_the_dense_build(fci, order, rng)
 
 
 @pytest.mark.parametrize("order", ["built", "reversed", "shuffled"])
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_triplets_are_the_dense_build_on_the_benchmark_ring(seed, order):
     # the ring's zero integrals leave 105,840 entries -0.0 and 11,025 nonzero
-    dets = all_determinants(7, 3, 3)
-    rng = np.random.default_rng(seed)
-    dets = {"built": dets, "reversed": dets[::-1],
-            "shuffled": dets[rng.permutation(len(dets))]}[order]
-    assert_triplets_are_the_dense_build(dets, benchmark_ring(seed), rng)
+    assert_triplets_are_the_dense_build(benchmark_ring(seed), order, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("block", [1, 7, 100, 4096])
@@ -807,9 +855,8 @@ def test_triplets_do_not_depend_on_the_join_block(block, monkeypatch):
     # a block of 1 joins one row at a time, each past the bound; the others
     # split rows' runs of candidates at every offset
     monkeypatch.setattr(hamiltonian, "_JOIN_BLOCK", block)
-    fci = perturbed_integrals(6, 3, 2, seed=block)
-    dets = random_subspace(6, 3, 2, 250, np.random.default_rng(block))
-    assert_triplets_are_the_dense_build(dets, fci, np.random.default_rng(block))
+    assert_triplets_are_the_dense_build(perturbed_integrals(6, 3, 2, seed=block), "subset",
+                                        np.random.default_rng(block))
 
 
 def assert_ground_state_matches_dense(space: SpaceHamiltonian):
@@ -840,15 +887,14 @@ def test_lanczos_ground_state_matches_dense_eigh(data):
     n_beta = data.draw(st.integers(0, norb), label="n_beta")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
-    assert_ground_state_matches_dense(SpaceHamiltonian(all_determinants(norb, n_alpha, n_beta),
-                                                       fci))
+    assert_ground_state_matches_dense(SpaceHamiltonian(fci))
 
 
 @pytest.mark.parametrize("n_alpha,n_beta,seed", [(3, 3, 0), (3, 3, 7), (4, 3, 1)])
 def test_lanczos_ground_state_at_the_benchmark_size(n_alpha, n_beta, seed):
     # 7 orbitals hold 1,225 determinants at these fillings, the sqd-large space
     fci = parse_fcidump(random_fcidump(7, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
-    space = SpaceHamiltonian(all_determinants(7, n_alpha, n_beta), fci)
+    space = SpaceHamiltonian(fci)
     assert space.dim == 1225
     assert_ground_state_matches_dense(space)
 
@@ -988,11 +1034,11 @@ def test_batch_subspace_ground_state_matches_eigh(data):
     n_beta = data.draw(st.integers(0, norb), label="n_beta")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
-    space = all_determinants(norb, n_alpha, n_beta)
-    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, len(space))),
+    full = SpaceHamiltonian(fci)
+    rows = random_subspace(norb, n_alpha, n_beta, data.draw(st.integers(1, full.dim)),
                            np.random.default_rng(seed))
-    matrix = hamiltonian_matrix(rows, fci)
-    energy, vector = project_and_diagonalize(rows, SpaceHamiltonian(space, fci))
+    matrix = row_pair_hamiltonian(rows, fci)
+    energy, vector = project_and_diagonalize(rows, full)
     vals, vecs = np.linalg.eigh(matrix)
     assert energy - fci.core_energy == pytest.approx(vals[0], abs=1e-12)
     if len(vals) == 1 or vals[1] - vals[0] > 1e-2:
@@ -1000,10 +1046,9 @@ def test_batch_subspace_ground_state_matches_eigh(data):
 
 def test_ground_state_repeats_bytes():
     fci = parse_fcidump(random_fcidump(6, 6, seed=1))
-    space = SpaceHamiltonian(all_determinants(6, 3, 3), fci)
+    space = SpaceHamiltonian(fci)
     energy, ground = space.ground_state()
-    for again in (space.ground_state(), SpaceHamiltonian(all_determinants(6, 3, 3),
-                                                         fci).ground_state()):
+    for again in (space.ground_state(), SpaceHamiltonian(fci).ground_state()):
         assert again[0] == energy and again[1].tobytes() == ground.tobytes()
 
 
@@ -1012,7 +1057,7 @@ def test_ground_state_repeats_bytes():
 def test_ground_state_of_one_and_two_determinants(norb, nelec, ms2):
     # the Krylov space fills the whole space at once: a breakdown, not a failure
     fci = parse_fcidump(random_fcidump(norb, nelec, ms2=ms2, seed=5))
-    space = SpaceHamiltonian(all_determinants(norb, fci.n_alpha, fci.n_beta), fci)
+    space = SpaceHamiltonian(fci)
     assert space.dim == (1 if nelec == 2 * norb else 2)
     assert_ground_state_matches_dense(space)
 
@@ -1022,8 +1067,7 @@ def test_ground_state_in_a_degenerate_eigenspace():
     # above): any unit vector orthogonal to (1, 1, 0) is a ground state
     h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     fci = FciData(norb=3, nelec=1, ms2=1, h=h, eri=np.zeros((3,) * 4), core_energy=0.5)
-    energy, ground = assert_ground_state_matches_dense(
-        SpaceHamiltonian(all_determinants(3, 1, 0), fci))
+    energy, ground = assert_ground_state_matches_dense(SpaceHamiltonian(fci))
     assert energy == pytest.approx(-0.5, abs=1e-14)
     assert abs(ground @ np.array([1.0, 1.0, 0.0])) < 1e-10
 
@@ -1034,9 +1078,9 @@ def test_ground_state_odd_under_spin_exchange():
     # state is odd under it, so a start vector even under it would never reach
     # it; the Gaussian start does
     fci = parse_fcidump(random_fcidump(3, 2, seed=1))
-    dets = all_determinants(3, 1, 1)
-    swap = [dets.tolist().index(row[3:] + row[:3]) for row in dets.tolist()]
-    space = SpaceHamiltonian(dets, fci)
+    space = SpaceHamiltonian(fci)
+    dets = space.dets.tolist()
+    swap = [dets.index(row[3:] + row[:3]) for row in dets]
     matrix = dense(space)
     assert np.array_equal(matrix[np.ix_(swap, swap)], matrix)
     vals, vecs = np.linalg.eigh(matrix)
@@ -1051,12 +1095,12 @@ def test_one_hamiltonian_build_per_sqd_recover_run(tmp_path, monkeypatch):
     calls = []
     build = hamiltonian._hamiltonian_triplets
 
-    def counted(dets, fci):
-        calls.append(len(dets))
-        return build(dets, fci)
+    def counted(fci):
+        calls.append((fci.norb, fci.n_alpha, fci.n_beta))
+        return build(fci)
 
     monkeypatch.setattr(hamiltonian, "_hamiltonian_triplets", counted)
     cfg = tmp_path / "config.json"
     cfg.write_text('{"experiment": "sqd-recover", "fcidump": "random-8"}')
     assert main(["run", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "out")]) == 0
-    assert calls == [36]
+    assert calls == [(4, 2, 2)]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mddsim.sqd import (
     RecoveryConfig,
     SpaceHamiltonian,
-    all_determinants,
     hubbard_dimer_fcidump,
     hubbard_dimer_energy,
     noisy_sampler,
@@ -40,8 +39,8 @@ def cli_recovery(seed: int) -> RecoveryConfig:
 @pytest.fixture(scope="module")
 def toy():
     fci = parse_fcidump(random_fcidump(4, 4, seed=42))
-    dets = all_determinants(4, 2, 2)
-    space = SpaceHamiltonian(dets, fci)
+    space = SpaceHamiltonian(fci)
+    dets = space.dets
     energy, ground = project_and_diagonalize(dets, space)
     return space, dets, energy, ground
 
@@ -191,8 +190,8 @@ class TestNoisySampler:
 class TestSelfConsistentRecovery:
     def test_noiseless_samples_reach_exact_energy_at_iteration_zero(self):
         fci = parse_fcidump(hubbard_dimer_fcidump())
-        dets = all_determinants(2, 1, 1)
-        space = SpaceHamiltonian(dets, fci)
+        space = SpaceHamiltonian(fci)
+        dets = space.dets
         _, ground = project_and_diagonalize(dets, space)
         samples = noisy_sampler(ground, dets, flip_rate=0.0, shots=400, seed=10)
         config = RecoveryConfig(iterations=2, num_batches=4, samples_per_batch=400,
@@ -258,14 +257,15 @@ class TestSelfConsistentRecovery:
         # beta), occupations accumulated amplitude by amplitude; nine orbitals
         # span two bytes of each sector's mask
         fci = parse_fcidump(random_fcidump(9, 4, seed=3))
-        pool = all_determinants(9, 2, 2)
+        space = SpaceHamiltonian(fci)
+        pool = space.dets
         _, rows = _draw_batch(pool, 300, np.random.default_rng(5))
-        energy, occupancy = _solve_batch(rows, SpaceHamiltonian(pool, fci))
+        energy, occupancy = _solve_batch(rows, space)
         batch = pool[np.random.default_rng(5).choice(len(pool), size=300, replace=False)]
         subspace = sorted(set(determinants(batch)), key=lambda d: (d.alpha, d.beta))
         rows = np.array([[(d.alpha >> p) & 1 for p in range(9)] + [(d.beta >> p) & 1 for p in range(9)]
                          for d in subspace])
-        want_energy, want_ground = project_and_diagonalize(rows, SpaceHamiltonian(rows, fci))
+        want_energy, want_ground = project_and_diagonalize(rows, space)
         want = np.zeros(18)
         for amplitude, row in zip(want_ground, rows):
             want += (amplitude**2) * row
@@ -293,8 +293,8 @@ def test_batch_energies_lie_above_the_lanczos_reference(data):
     n_beta = data.draw(st.integers(0, norb), label="n_beta")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
-    dets = all_determinants(norb, n_alpha, n_beta)
-    space = SpaceHamiltonian(dets, fci)
+    space = SpaceHamiltonian(fci)
+    dets = space.dets
     reference, ground = space.ground_state()
     samples = noisy_sampler(ground, dets, flip_rate=0.02, shots=400, seed=seed)
     config = RecoveryConfig(iterations=2, num_batches=3, samples_per_batch=200,
@@ -413,8 +413,8 @@ def test_recovery_is_the_solve_every_batch_loop(data):
     n_beta = data.draw(st.integers(0, norb), label="n_beta")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     fci = parse_fcidump(random_fcidump(norb, n_alpha + n_beta, ms2=n_alpha - n_beta, seed=seed))
-    dets = all_determinants(norb, n_alpha, n_beta)
-    space = SpaceHamiltonian(dets, fci)
+    space = SpaceHamiltonian(fci)
+    dets = space.dets
     _, ground = space.ground_state()
     shots = data.draw(st.integers(1, 150), label="shots")
     flip_rate = data.draw(st.sampled_from([0.0, 0.05, 0.3]), label="flip_rate")
@@ -432,8 +432,8 @@ def test_recovery_is_the_solve_every_batch_loop(data):
 def ring_samples():
     def sample(seed):
         fci = benchmark_ring(seed)
-        dets = all_determinants(7, 3, 3)
-        space = SpaceHamiltonian(dets, fci)
+        space = SpaceHamiltonian(fci)
+        dets = space.dets
         _, ground = space.ground_state()
         return space, noisy_sampler(ground, dets, flip_rate=0.05, shots=300, seed=seed)
     return sample
